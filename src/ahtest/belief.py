@@ -21,9 +21,19 @@ ConfidenceLevel = float
 
 
 def logsumexp_last(arr: np.ndarray) -> np.ndarray:
-    """Log-sum-exp along the last axis, max-shifted for stability."""
+    """Log-sum-exp along the last axis, max-shifted for stability.
+
+    The last axis is the hypothesis axis, two or three entries long in
+    practice, where a numpy reduction pays a cost per row; the maximum is
+    therefore taken one column at a time (exact for any length). The sum
+    stays a numpy reduction: a column-by-column sum rounds differently from
+    numpy's pairwise summation from eight terms up.
+    """
     arr = np.asarray(arr, dtype=float)
-    m = np.max(arr, axis=-1, keepdims=True)
+    m = arr[..., 0]
+    for k in range(1, arr.shape[-1]):
+        m = np.maximum(m, arr[..., k])
+    m = m[..., None]
     # A row of all -inf would propagate nan through the shift; callers only
     # pass rows with at least one finite entry.
     return (m + np.log(np.sum(np.exp(arr - m), axis=-1, keepdims=True)))[..., 0]

@@ -4,7 +4,10 @@ Monte Carlo runs are vectorized across episodes but each episode consumes its
 own counter-based random stream keyed by (base seed, conditioning lane,
 episode index). That makes every estimate independent of batching and worker
 count, lets run_episode reproduce any single episode of a large run exactly,
-and keeps reports byte-stable across repeated runs.
+and keeps reports byte-stable across repeated runs. run_episode builds a
+Philox generator from the key; the vectorized path re-keys one Philox bit
+generator per episode, which yields the same streams at a fraction of the
+cost.
 
 Exact enumeration walks the full (experiment, observation) tree depth-first,
 carrying per-hypothesis path masses, and is the oracle the Monte Carlo path
@@ -14,6 +17,7 @@ is tested against.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -28,15 +32,25 @@ CHUNK_SIZE = 32768
 
 DEFAULT_NODE_BUDGET = 10**7
 
-_MASK64 = (1 << 64) - 1
-
 
 class EnumerationBudgetError(RuntimeError):
     """The (experiments x observations)^horizon tree exceeds the node budget."""
 
 
-_MASK48 = (1 << 48) - 1
-_MASK16 = (1 << 16) - 1
+_SEED_BITS = 48
+_LANE_BITS = 16
+
+
+def _key_field(name: str, value: int, bits: int) -> int:
+    """value as a Python int that fits an unsigned field of the given width.
+
+    numpy integers are converted first: shifted as fixed-width integers they
+    would wrap and alias other keys.
+    """
+    value = operator.index(value)
+    if not 0 <= value < 1 << bits:
+        raise ValueError(f"{name} {value} is outside [0, 2**{bits})")
+    return value
 
 
 def episode_seed(base_seed: int, lane: int, episode: int) -> int:
@@ -44,12 +58,15 @@ def episode_seed(base_seed: int, lane: int, episode: int) -> int:
 
     Packs (base seed, lane, episode index) into disjoint bit fields
     (48 + 16 + 64), so distinct episodes get provably distinct keys
-    regardless of scheduling, for seeds below 2**48 and lanes below 2**16.
-    The lane is the conditioning hypothesis index for conditioned runs and
-    the hypothesis count for prior-sampled runs.
+    regardless of scheduling. A value that does not fit its field is
+    rejected rather than masked, since a masked value would share its
+    streams with another. The lane is the conditioning hypothesis index for
+    conditioned runs and the hypothesis count for prior-sampled runs.
     """
-    high = ((base_seed & _MASK48) << 16) | (lane & _MASK16)
-    return (high << 64) | (episode & _MASK64)
+    base_seed = _key_field("seed", base_seed, _SEED_BITS)
+    lane = _key_field("lane", lane, _LANE_BITS)
+    episode = _key_field("episode index", episode, 64)
+    return (((base_seed << _LANE_BITS) | lane) << 64) | episode
 
 
 def _episode_rng(key: int) -> np.random.Generator:
@@ -65,9 +82,15 @@ def sample_categorical(dists: np.ndarray, r) -> np.ndarray:
     """
     dists = np.asarray(dists, dtype=float)
     r = np.asarray(r, dtype=float)
-    cum = np.cumsum(dists, axis=-1)
-    idx = np.sum(cum <= r[..., None], axis=-1)
-    return np.minimum(idx, dists.shape[-1] - 1)
+    # One column at a time: the category axis is short, and a running sum
+    # adds in the same order as np.cumsum, so the edges are the same bits.
+    k = dists.shape[-1]
+    cum = dists[..., 0]
+    idx = (cum <= r).astype(np.intp)
+    for j in range(1, k):
+        cum = cum + dists[..., j]
+        idx += cum <= r
+    return np.minimum(idx, k - 1)
 
 
 @dataclass(frozen=True)
@@ -98,6 +121,7 @@ class RunConfig:
             raise ValueError(f"unknown conditioning mode {self.conditioning!r}")
         if self.node_budget < 1:
             raise ValueError("node budget must be >= 1")
+        object.__setattr__(self, "seed", _key_field("seed", self.seed, _SEED_BITS))
 
 
 @dataclass(frozen=True)
@@ -181,7 +205,6 @@ def _run_chunk(
     horizon: int,
     true_h: np.ndarray,
     uniforms: np.ndarray,
-    log_channel_by_uy: np.ndarray,
     record_beliefs: bool = False,
 ):
     """Advance a chunk of episodes through all steps and decide.
@@ -190,6 +213,14 @@ def _run_chunk(
     shape (chunk, 2 * horizon) laid out as (action, observation) per step.
     """
     m = uniforms.shape[0]
+    n_exp = model.num_experiments
+    n_obs = model.num_observations
+    # Per-step gathers take rows of 2-D tables by one flat index: np.take is
+    # several times faster than indexing a 3-D array with two index arrays.
+    channel_by_hu = model.channel.reshape(-1, n_obs)          # row h * U + u
+    log_channel_by_uy = np.moveaxis(model.log_channel, 0, 2).reshape(
+        -1, model.num_hypotheses)                             # row u * Y + y
+    hu_base = true_h * n_exp
     log_prior = np.log(model.prior)
     log_rho = np.tile(log_prior, (m, 1))
     path = None
@@ -199,8 +230,9 @@ def _run_chunk(
     for n in range(horizon):
         dists = selection.batch_action_distributions(model, log_rho, n, horizon)
         u = sample_categorical(dists, uniforms[:, 2 * n])
-        y = sample_categorical(model.channel[true_h, u], uniforms[:, 2 * n + 1])
-        log_rho = log_normalize(log_rho + log_channel_by_uy[u, y])
+        y = sample_categorical(
+            np.take(channel_by_hu, hu_base + u, axis=0), uniforms[:, 2 * n + 1])
+        log_rho = log_normalize(log_rho + np.take(log_channel_by_uy, u * n_obs + y, axis=0))
         if record_beliefs:
             path[:, n + 1, :] = log_rho
     decisions = inference.batch_decide(model, log_prior, log_rho, horizon)
@@ -209,9 +241,28 @@ def _run_chunk(
 
 
 def _uniform_block(base_seed: int, lane: int, start: int, count: int, width: int) -> np.ndarray:
+    """Row t holds episode start + t's first width uniforms.
+
+    Each row equals _episode_rng(episode_seed(base_seed, lane, start + t))
+    .random(width) bit for bit. Building a Philox per episode costs more than
+    drawing its uniforms, so one bit generator is re-keyed per episode: its
+    state is reset to that of a fresh Philox with the episode's key (counter
+    zero, empty buffer).
+    """
     out = np.empty((count, width))
+    if count == 0:
+        return out
+    # The keys of one block differ only in their low word, the episode index,
+    # so checking the first and the last key checks every key in between.
+    high = episode_seed(base_seed, lane, start) >> 64
+    episode_seed(base_seed, lane, start + count - 1)
+    bit_gen = np.random.Philox(key=0)
+    gen = np.random.Generator(bit_gen)
+    state = bit_gen.state
     for t in range(count):
-        out[t] = _episode_rng(episode_seed(base_seed, lane, start + t)).random(width)
+        state["state"]["key"] = (start + t, high)
+        bit_gen.state = state
+        gen.random(out=out[t])
     return out
 
 
@@ -228,7 +279,6 @@ def simulate_conditioned_batch(
     episodes = config.episodes
     horizon = config.horizon
     m_hyp = model.num_hypotheses
-    lc_by_uy = np.ascontiguousarray(np.moveaxis(model.log_channel, 0, 2))
     counts = np.zeros(m_hyp + 1, dtype=np.int64)
     inc_sum = 0.0
     inc_sqsum = 0.0
@@ -239,7 +289,7 @@ def simulate_conditioned_batch(
         uniforms = _uniform_block(config.seed, true_h, start, count, 2 * horizon)
         decisions, increments, path = _run_chunk(
             model, config.selection, config.inference, horizon,
-            np.full(count, true_h), uniforms, lc_by_uy, record_beliefs,
+            np.full(count, true_h), uniforms, record_beliefs,
         )
         all_decisions[start:start + count] = decisions
         cols = np.where(decisions == INCONCLUSIVE, m_hyp, decisions)
@@ -287,6 +337,7 @@ def _monte_carlo_conditioned(config: RunConfig) -> RunReport:
     prior = model.prior
 
     p_decide = np.zeros((m_hyp, m_hyp + 1))
+    mis_rate = np.zeros(m_hyp)
     jng: list[Optional[float]] = []
     jng_se: list[Optional[float]] = []
     misclass = 0
@@ -296,7 +347,9 @@ def _monte_carlo_conditioned(config: RunConfig) -> RunReport:
         jng.append(inc_sum / (episodes * config.horizon))
         se = _mean_se(inc_sum, inc_sqsum, episodes)
         jng_se.append(None if se is None else se / config.horizon)
-        misclass += int(counts.sum() - counts[h] - counts[m_hyp])
+        lane_misclass = int(counts.sum() - counts[h] - counts[m_hyp])
+        mis_rate[h] = lane_misclass / episodes
+        misclass += lane_misclass
 
     psi = [1.0 - float(p_decide[i, i]) for i in range(m_hyp)]
     psi_se = [_bernoulli_se(p, episodes) for p in psi]
@@ -321,11 +374,6 @@ def _monte_carlo_conditioned(config: RunConfig) -> RunReport:
     if episodes < 2:
         gamma_se = None
     else:
-        # Row sums can undershoot by one ulp when no misclassification occurred.
-        mis_rate = [
-            min(max(float(p_decide[h].sum() - p_decide[h, h] - p_decide[h, m_hyp]), 0.0), 1.0)
-            for h in range(m_hyp)
-        ]
         gamma_se = math.sqrt(sum(
             (prior[h] ** 2) * mis_rate[h] * (1.0 - mis_rate[h]) / (episodes - 1)
             for h in range(m_hyp)
@@ -356,7 +404,6 @@ def _monte_carlo_prior(config: RunConfig) -> RunReport:
     episodes = config.episodes
     prior = model.prior
     lane = m_hyp  # distinct from all conditioned lanes
-    lc_by_uy = np.ascontiguousarray(np.moveaxis(model.log_channel, 0, 2))
 
     counts = np.zeros((m_hyp, m_hyp + 1), dtype=np.int64)
     inc_sum = np.zeros(m_hyp)
@@ -367,7 +414,7 @@ def _monte_carlo_prior(config: RunConfig) -> RunReport:
         hs = sample_categorical(np.tile(prior, (count, 1)), uniforms[:, 0])
         decisions, increments, _ = _run_chunk(
             model, config.selection, config.inference, config.horizon,
-            hs, uniforms[:, 1:], lc_by_uy,
+            hs, uniforms[:, 1:],
         )
         cols = np.where(decisions == INCONCLUSIVE, m_hyp, decisions)
         np.add.at(counts, (hs, cols), 1)

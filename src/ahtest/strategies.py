@@ -254,10 +254,14 @@ class ChernoffSelection(SelectionStrategy):
     def __init__(self, saddles: Sequence[SaddlePoint]):
         self.saddles = tuple(saddles)
         self._table = None
+        self._table_model = None
 
     def _ensure_table(self, model: Model) -> np.ndarray:
-        if self._table is None:
+        # Rebuilt for every model it is called with, so saddles that do not
+        # fit the model are rejected on each new model, not only the first.
+        if self._table_model is not model:
             self._table = _alpha_table(model, self.saddles)
+            self._table_model = model
         return self._table
 
     def action_distribution(self, model, log_rho, step, horizon):

@@ -100,6 +100,24 @@ class TestSimulateEnumerate:
         )
         assert code == 4
 
+    @pytest.mark.parametrize("seed", ["-1", "281474976710656"])
+    def test_seed_outside_key_field_exit_code(self, capsys, seed):
+        code, out, err = run_cli(
+            capsys, "simulate", "--model", BSC2, "--horizon", "3",
+            "--episodes", "10", "--seed", seed,
+        )
+        assert code == 4
+        assert out == ""
+        assert "seed" in err
+
+    def test_largest_seed_accepted(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "simulate", "--model", BSC2, "--horizon", "3",
+            "--episodes", "10", "--seed", "281474976710655",
+        )
+        assert code == 0
+        assert json.loads(out)["report"]["seed"] == 2**48 - 1
+
     def test_budget_exceeded_exit_code(self, capsys):
         code, _, err = run_cli(
             capsys, "enumerate", "--model", TRI3, "--select", "uniform",

@@ -69,6 +69,26 @@ class TestSampling:
         seen = {episode_seed(s, l, e) for s in (0, 1, 77) for l in (0, 1, 2) for e in range(50)}
         assert len(seen) == 3 * 3 * 50
 
+    def test_episode_seed_field_edges(self):
+        top = episode_seed(2**48 - 1, 2**16 - 1, 2**64 - 1)
+        assert top == 2**128 - 1
+        assert episode_seed(0, 0, 0) == 0
+
+    def test_episode_seed_numpy_integers_do_not_wrap(self):
+        assert episode_seed(np.int64(2**47), np.int64(1), np.uint64(5)) == episode_seed(2**47, 1, 5)
+        with pytest.raises(TypeError):
+            episode_seed(3.0, 1, 5)
+
+    @pytest.mark.parametrize("seed, lane, episode", [
+        (-1, 0, 0), (2**48, 0, 0),
+        (0, -1, 0), (0, 2**16, 0),
+        (0, 0, -1), (0, 0, 2**64),
+    ])
+    def test_episode_seed_rejects_values_outside_their_field(self, seed, lane, episode):
+        # masking them would alias another (seed, lane, episode)'s stream
+        with pytest.raises(ValueError):
+            episode_seed(seed, lane, episode)
+
 
 class TestRunEpisode:
     def test_deterministic(self, tri3, tri3_saddles):
@@ -180,6 +200,52 @@ class TestMonteCarlo:
         for i in (0, 1):
             se = math.hypot(cond.psi_se[i], prio.psi_se[i])
             assert abs(cond.psi[i] - prio.psi[i]) <= 4 * se
+
+    def test_gamma_stderr_is_zero_without_misclassification(self, bsc2, bsc2_saddles):
+        # forming each lane's rate as a difference of float rates left a
+        # residue of about 1e-10 here
+        cfg = RunConfig(
+            model=bsc2, selection=ChernoffSelection(bsc2_saddles),
+            inference=FBarInference(bsc2_saddles, min(sp.d_star for sp in bsc2_saddles) / 4),
+            horizon=25, episodes=2_000, seed=11,
+        )
+        rep = monte_carlo(cfg)
+        assert rep.misclassification_count == 0
+        assert rep.gamma == 0.0
+        assert rep.gamma_se == 0.0
+
+    def test_gamma_stderr_from_lane_counts(self, tri3, tri3_saddles):
+        cfg = RunConfig(
+            model=tri3, selection=ChernoffSelection(tri3_saddles),
+            inference=FBarInference(tri3_saddles, 0.1), horizon=12, episodes=2_000, seed=11,
+        )
+        rep = monte_carlo(cfg)
+        e = cfg.episodes
+        counts = np.rint(rep.decision_probs * e).astype(int)
+        lane = [int(counts[h].sum() - counts[h, h] - counts[h, 3]) for h in range(3)]
+        assert sum(lane) == rep.misclassification_count > 0
+        rates = [c / e for c in lane]
+        expected = math.sqrt(sum(
+            tri3.prior[h] ** 2 * rates[h] * (1 - rates[h]) / (e - 1) for h in range(3)
+        ))
+        assert rep.gamma_se == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("seed", [-1, 2**48])
+    def test_seed_outside_key_field_rejected(self, bsc2, bsc2_saddles, seed):
+        with pytest.raises(ValueError, match="seed"):
+            RunConfig(
+                model=bsc2, selection=OpenLoopSelection(0, bsc2_saddles),
+                inference=MAPInference(), horizon=2, episodes=10, seed=seed,
+            )
+
+    @pytest.mark.parametrize("seed", [0, 2**48 - 1, np.int64(2**48 - 1)])
+    def test_seed_key_field_edges_accepted(self, bsc2, bsc2_saddles, seed):
+        cfg = RunConfig(
+            model=bsc2, selection=OpenLoopSelection(0, bsc2_saddles),
+            inference=MAPInference(), horizon=2, episodes=10, seed=seed,
+        )
+        assert type(cfg.seed) is int and cfg.seed == seed
+        assert monte_carlo(cfg).episodes == 10
 
     def test_missing_episode_count_rejected(self, bsc2, bsc2_saddles):
         cfg = RunConfig(

@@ -89,6 +89,20 @@ class TestChernoff:
         dist = select_chernoff(tri3, tri3_saddles, Belief.uniform(3))
         np.testing.assert_allclose(dist, tri3_saddles[0].alpha_star)
 
+    def test_other_model_is_rejected_after_first_use(self, tri3, bsc2, tri3_saddles):
+        log_rho = np.log(np.full(2, 0.5))
+        with pytest.raises(ValueError):
+            ChernoffSelection(tri3_saddles).action_distribution(bsc2, log_rho, 0, 3)
+        used = ChernoffSelection(tri3_saddles)
+        used.batch_action_distributions(tri3, np.log(np.full((4, 3), 1 / 3)), 0, 3)
+        with pytest.raises(ValueError):
+            used.action_distribution(bsc2, log_rho, 0, 3)
+        with pytest.raises(ValueError):
+            used.batch_action_distributions(bsc2, np.tile(log_rho, (4, 1)), 0, 3)
+        # and the model it fits still works afterwards
+        dist = used.action_distribution(tri3, np.log([0.1, 0.8, 0.1]), 0, 3)
+        np.testing.assert_array_equal(dist, tri3_saddles[1].alpha_star)
+
 
 class TestOpenLoop:
     def test_constant_mixture(self, tri3, tri3_saddles):
