@@ -7,7 +7,7 @@ produce byte-identical output files.
 
 Exit codes: 0 success, 2 usage error, 3 model load/validation error,
 4 infeasible configuration (budgets, bad strategy specs), 5 saddle solver
-failure, 1 unexpected error.
+failure, 1 output file not writable or unexpected error.
 """
 
 from __future__ import annotations
@@ -28,11 +28,16 @@ EXIT_USAGE = 2
 EXIT_MODEL = 3
 EXIT_CONFIG = 4
 EXIT_SOLVER = 5
+EXIT_OUTPUT = 1
 EXIT_UNEXPECTED = 1
 
 
 class ConfigError(ValueError):
     """Mutually inconsistent or unusable run configuration."""
+
+
+class OutputError(Exception):
+    """The --out file could not be written."""
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,11 +47,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, horizon=False, horizons=False, episodes=False, strategies=False):
+    def add_common(p, *, horizon=False, horizons=False, episodes=False, strategies=False,
+                   formats=False):
         p.add_argument("--model", required=True, help="path to the JSON model file")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default=None,
-                       help="output format (default json; sweep defaults to csv)")
+        if formats:
+            p.add_argument("--format", choices=("json", "csv"), default=None,
+                           help="output format (default json; sweep defaults to csv)")
         p.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
         p.add_argument("--epsilon-rule", default="half-inverse",
                        help="epsilon schedule: half-inverse or fixed:V")
@@ -69,13 +76,13 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(sub.add_parser("validate", help="check model invariants"))
     add_common(sub.add_parser("divergence", help="per-hypothesis saddle points"))
     p = sub.add_parser("simulate", help="Monte Carlo run report")
-    add_common(p, horizon=True, episodes=True, strategies=True)
+    add_common(p, horizon=True, episodes=True, strategies=True, formats=True)
     p = sub.add_parser("enumerate", help="exact run report by tree enumeration")
-    add_common(p, horizon=True, strategies=True)
+    add_common(p, horizon=True, strategies=True, formats=True)
     p = sub.add_parser("bounds", help="bound report for one horizon")
-    add_common(p, horizon=True, episodes=True, strategies=True)
+    add_common(p, horizon=True, episodes=True, strategies=True, formats=True)
     p = sub.add_parser("sweep", help="exponent table over a horizon list")
-    add_common(p, horizons=True, episodes=True, strategies=True)
+    add_common(p, horizons=True, episodes=True, strategies=True, formats=True)
     return parser
 
 
@@ -83,8 +90,11 @@ def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OutputError(exc) from exc
 
 
 def _json_text(obj) -> str:
@@ -341,6 +351,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
     except ModelError as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_MODEL

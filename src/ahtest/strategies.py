@@ -10,7 +10,9 @@ Each strategy also implements a batch form operating on a matrix of
 log-beliefs, used by the vectorized Monte Carlo engine. The batch form must
 agree exactly with the scalar form row by row; the defaults below guarantee
 that by delegation, and the native batch overrides use the same primitive
-operations as their scalar counterparts.
+operations as their scalar counterparts. EJS is batch-native: one kernel,
+_ejs_scores, serves both forms, and a scalar EJS call is a batch of one.
+`ecr:k` still takes the row-by-row fallback.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .belief import Belief, bllr_matrix, log_normalize, logsumexp_last
+from .belief import Belief, bllr_matrix, log_normalize, logsumexp_last, normalize_belief_rows
 from .divergence import SaddlePoint
 from .model import EpsilonSchedule, Model
 
@@ -29,23 +31,17 @@ INCONCLUSIVE = -1  # batch encoding of the abstain decision
 _DEFAULT_ECR_NODE_BUDGET = 10**6
 
 
-def _point_mass(size: int, index: int) -> np.ndarray:
-    out = np.zeros(size)
-    out[index] = 1.0
-    return out
-
-
-def _argmax_lowest(scores, rel_tol: float = 1e-12) -> int:
-    """First index whose score is within rounding noise of the maximum.
+def _argmax_lowest(scores: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
+    """Along the last axis, the first index whose score is within rounding
+    noise of the maximum.
 
     Symmetric models produce mathematically tied scores that differ by an
     ulp depending on summation order; snapping keeps the documented
     lowest-index tie rule deterministic across equivalent computations.
     """
-    scores = np.asarray(scores, dtype=float)
-    best = float(scores.max())
-    cutoff = best - rel_tol * max(1.0, abs(best))
-    return int(np.argmax(scores >= cutoff))
+    best = scores.max(axis=-1, keepdims=True)
+    cutoff = best - rel_tol * np.maximum(1.0, np.abs(best))
+    return np.argmax(scores >= cutoff, axis=-1)
 
 
 def _alpha_table(model: Model, saddles: Sequence[SaddlePoint]) -> np.ndarray:
@@ -77,25 +73,41 @@ def select_openloop(i: int, saddles: Sequence[SaddlePoint]) -> np.ndarray:
     return np.array(saddles[i].alpha_star, dtype=float)
 
 
-def ejs_divergence(model: Model, belief: Belief, u: int) -> float:
-    """Expected one-step confidence gain on the (random) true hypothesis.
+def _ejs_scores(model: Model, log_rho: np.ndarray) -> np.ndarray:
+    """Expected one-step confidence gain of every experiment on the (random)
+    true hypothesis, (B, M) -> (B, U).
 
-    sum_h rho(h) sum_y p_h^u(y) [C_h(rho') - C_h(rho)] with rho' the Bayes
-    update of rho after (u, y).
+    Entry (b, u) is sum_h rho(h) sum_y p_h^u(y) [C_h(rho') - C_h(rho)], with
+    rho = exp(log_rho[b]) a normalized belief (see normalize_belief_rows) and
+    rho' its Bayes update after (u, y). Each (b, u) block is laid out as the
+    one-belief formula lays out its (M, Y) block: the posterior's hypothesis
+    axis strided, the M*Y gains summed as one contiguous run. That keeps each
+    row's scores bit-identical to the one-belief formula, whatever the batch.
     """
-    lr = belief.log_rho
-    logp_u = model.log_channel[:, u, :]                    # (M, Y)
-    base = bllr_matrix(lr)                                 # (M,)
-    log_post = log_normalize((lr[:, None] + logp_u).T)     # (Y, M)
-    conf = bllr_matrix(log_post)                           # (Y, M)
-    weights = np.exp(lr)[:, None] * np.exp(logp_u)         # (M, Y)
-    return float(np.sum(weights * (conf.T - base[:, None])))
+    lr = log_rho                                             # (B, M)
+    logp = np.moveaxis(model.log_channel, 1, 0)              # (U, M, Y)
+    base = bllr_matrix(lr)[:, None, :, None]                 # (B, 1, M, 1)
+    joint = lr[:, None, :, None] + logp                      # (B, U, M, Y)
+    conf = bllr_matrix(log_normalize(np.swapaxes(joint, 2, 3)))  # (B, U, Y, M)
+    weights = np.exp(lr)[:, None, :, None] * np.exp(logp)    # (B, U, M, Y)
+    gains = weights * (np.swapaxes(conf, 2, 3) - base)       # (B, U, M, Y)
+    return gains.reshape(gains.shape[:2] + (-1,)).sum(axis=-1)
+
+
+def _ejs_choices(model: Model, log_rho: np.ndarray) -> np.ndarray:
+    """One-hot rows on the largest EJS score, lowest index on ties."""
+    return np.eye(model.num_experiments)[_argmax_lowest(_ejs_scores(model, log_rho))]
+
+
+def ejs_divergence(model: Model, belief: Belief, u: int) -> float:
+    """Expected one-step confidence gain of experiment u on the (random) true
+    hypothesis: _ejs_scores of a batch of one."""
+    return float(_ejs_scores(model, belief.log_rho[None, :])[0, u])
 
 
 def select_ejs_greedy(model: Model, belief: Belief) -> np.ndarray:
     """Point mass on the experiment with the largest expected confidence gain."""
-    scores = [ejs_divergence(model, belief, u) for u in range(model.num_experiments)]
-    return _point_mass(model.num_experiments, _argmax_lowest(scores))
+    return _ejs_choices(model, belief.log_rho[None, :])[0]
 
 
 def _ecr_value(model: Model, log_rho: np.ndarray, depth: int) -> float:
@@ -147,7 +159,7 @@ def select_ecr_lookahead(
                 model, log_joint[:, y] - log_py[y], depth - 1
             )
         scores.append(total)
-    return _point_mass(model.num_experiments, _argmax_lowest(scores))
+    return np.eye(model.num_experiments)[_argmax_lowest(np.array(scores))]
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +319,9 @@ class UniformSelection(SelectionStrategy):
 class EJSGreedySelection(SelectionStrategy):
     def action_distribution(self, model, log_rho, step, horizon):
         return select_ejs_greedy(model, Belief(log_rho))
+
+    def batch_action_distributions(self, model, log_rho, step, horizon):
+        return _ejs_choices(model, normalize_belief_rows(log_rho))
 
     def spec_string(self):
         return "ejs"

@@ -4,12 +4,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ahtest import Model, load_model
 from ahtest.strategies import SelectionStrategy
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 MODELS_DIR = REPO_ROOT / "models"
+
+# Property tests draw the same examples on every run and keep no example
+# database, so the suite stays deterministic.
+settings.register_profile(
+    "ahtest", derandomize=True, deadline=None, max_examples=60, database=None
+)
+settings.load_profile("ahtest")
 
 
 @pytest.fixture(scope="session")

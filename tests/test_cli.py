@@ -176,3 +176,45 @@ class TestBoundsSweep:
             capsys, "sweep", "--model", BSC2, "--horizons", "a,b",
         )
         assert code == 4
+
+
+class TestOutputErrors:
+    def test_unwritable_out_is_an_output_error(self, capsys, tmp_path):
+        target = tmp_path / "no" / "such" / "r.json"
+        code, out, err = run_cli(
+            capsys, "simulate", "--model", BSC2, "--horizon", "3",
+            "--episodes", "10", "--out", str(target),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("output error:")
+        assert str(target) in err
+        assert not target.exists()
+
+    def test_missing_model_is_still_a_model_error(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "simulate", "--model", str(tmp_path / "absent.json"),
+            "--horizon", "3", "--episodes", "10", "--out", str(tmp_path / "r.json"),
+        )
+        assert code == 3
+        assert err.startswith("model error:")
+
+
+class TestFormatFlag:
+    @pytest.mark.parametrize("command", ["validate", "divergence"])
+    def test_rejected_where_it_would_be_ignored(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--model", BSC2, "--format", "csv"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, extra", [
+        ("simulate", ["--horizon", "2", "--episodes", "10"]),
+        ("enumerate", ["--horizon", "2"]),
+        ("bounds", ["--horizon", "2"]),
+        ("sweep", ["--horizons", "1,2"]),
+    ])
+    def test_accepted_where_honoured(self, capsys, command, extra):
+        code, out, _ = run_cli(capsys, command, "--model", BSC2, *extra, "--format", "csv")
+        assert code == 0
+        assert not out.lstrip().startswith("{")
