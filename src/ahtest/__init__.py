@@ -42,7 +42,6 @@ from .engine import (
     enumerate_exact,
     enumerate_pair_expectations,
     episode_seed,
-    estimate_jng,
     monte_carlo,
     run_episode,
 )
@@ -67,13 +66,8 @@ from .strategies import (
     P2Inference,
     UniformSelection,
     ejs_divergence,
-    infer_map_forced,
-    infer_p2_threshold,
-    infer_threshold_f_bar,
-    select_chernoff,
     select_ecr_lookahead,
     select_ejs_greedy,
-    select_openloop,
 )
 
 __version__ = "0.1.0"

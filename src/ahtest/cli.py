@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -114,8 +115,21 @@ def _metadata(args, model_path, saddles=None, delta=None, schedule=None) -> dict
     return md
 
 
+def _run_metadata(args, saddles, delta, schedule) -> dict:
+    """Metadata of a strategy run: the common fields plus both strategy specs."""
+    return {
+        **_metadata(args, args.model, saddles=saddles, delta=delta, schedule=schedule),
+        "select": args.select,
+        "infer": args.infer,
+    }
+
+
 def _resolve_delta(args, saddles) -> float:
     if args.delta is not None:
+        # A nan or infinite delta would be echoed into the JSON output, which
+        # has no spelling for it, whichever rule reads it.
+        if not (math.isfinite(args.delta) and args.delta > 0.0):
+            raise ConfigError(f"--delta must be finite and > 0, got {args.delta!r}")
         return args.delta
     return min(sp.d_star for sp in saddles) / 4.0
 
@@ -245,35 +259,24 @@ def _emit_report(args, report, model, saddles, schedule, delta) -> int:
         _emit(_report_csv(report), args.out)
         return EXIT_OK
     doc = {
-        "metadata": {
-            **_metadata(args, args.model, saddles=saddles, delta=delta, schedule=schedule),
-            "select": args.select,
-            "infer": args.infer,
-        },
+        "metadata": _run_metadata(args, saddles, delta, schedule),
         "report": report.to_json_dict(),
     }
     _emit(_json_text(doc), args.out)
     return EXIT_OK
 
 
-def _one_bound_report(args, model, saddles, schedule, delta, b, selection, inference,
-                      episodes, horizon):
-    config = RunConfig(
-        model=model, selection=selection, inference=inference,
-        horizon=horizon, episodes=episodes, seed=args.seed,
-    )
-    report = monte_carlo(config) if episodes is not None else enumerate_exact(config)
-    eps = schedule.epsilon(horizon)
-    return report, bounds_mod.bound_report(model, saddles, b, report, eps, delta)
-
-
 def _cmd_bounds(args) -> int:
     model, saddles, schedule, delta, b, selection, inference, episodes = _prepare_run(
         args, need_episodes=False
     )
-    report, brep = _one_bound_report(
-        args, model, saddles, schedule, delta, b, selection, inference,
-        episodes, args.horizon,
+    config = RunConfig(
+        model=model, selection=selection, inference=inference,
+        horizon=args.horizon, episodes=episodes, seed=args.seed,
+    )
+    report = monte_carlo(config) if episodes is not None else enumerate_exact(config)
+    brep = bounds_mod.bound_report(
+        model, saddles, b, report, schedule.epsilon(args.horizon), delta
     )
     fmt = args.format or "json"
     if fmt == "csv":
@@ -284,11 +287,7 @@ def _cmd_bounds(args) -> int:
         _emit(buf.getvalue(), args.out)
         return EXIT_OK
     doc = {
-        "metadata": {
-            **_metadata(args, args.model, saddles=saddles, delta=delta, schedule=schedule),
-            "select": args.select,
-            "infer": args.infer,
-        },
+        "metadata": _run_metadata(args, saddles, delta, schedule),
         "bounds": brep.to_json_dict(),
         "report": report.to_json_dict(),
     }
@@ -325,11 +324,7 @@ def _cmd_sweep(args) -> int:
         _emit(buf.getvalue(), args.out)
     else:
         doc = {
-            "metadata": {
-                **_metadata(args, args.model, saddles=saddles, delta=delta, schedule=schedule),
-                "select": args.select,
-                "infer": args.infer,
-            },
+            "metadata": _run_metadata(args, saddles, delta, schedule),
             "rows": [r.to_json_dict() for r in reports],
         }
         _emit(_json_text(doc), args.out)

@@ -330,6 +330,25 @@ def monte_carlo(config: RunConfig) -> RunReport:
     return _monte_carlo_prior(config)
 
 
+def _phi_weights(prior: np.ndarray) -> np.ndarray:
+    """w[h, i] = P(H = h | H != i) = prior[h] / (1 - prior[i]), zero on the
+    diagonal: phi_i mixes the rates of declaring i under the other hypotheses."""
+    w = prior[:, None] / (1.0 - prior[None, :])
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+def _error_rates(decision_probs: np.ndarray, prior: np.ndarray):
+    """(psi, phi, gamma) from an (M, M+1) matrix of per-hypothesis decision
+    probabilities, last column abstain, and the prior."""
+    m_hyp = prior.size
+    psi = [float(1.0 - decision_probs[i, i]) for i in range(m_hyp)]
+    # A column sum over axis 0 adds the hypotheses in index order.
+    phi = [float(v) for v in (_phi_weights(prior) * decision_probs[:, :m_hyp]).sum(axis=0)]
+    gamma = float(sum(phi[i] * (1.0 - prior[i]) for i in range(m_hyp)))
+    return psi, phi, gamma
+
+
 def _monte_carlo_conditioned(config: RunConfig) -> RunReport:
     model = config.model
     m_hyp = model.num_hypotheses
@@ -351,29 +370,17 @@ def _monte_carlo_conditioned(config: RunConfig) -> RunReport:
         mis_rate[h] = lane_misclass / episodes
         misclass += lane_misclass
 
-    psi = [1.0 - float(p_decide[i, i]) for i in range(m_hyp)]
+    psi, phi, gamma = _error_rates(p_decide, prior)
     psi_se = [_bernoulli_se(p, episodes) for p in psi]
-
-    phi: list[float] = []
-    phi_se: list[Optional[float]] = []
-    for i in range(m_hyp):
-        weights = np.array([
-            prior[h] / (1.0 - prior[i]) if h != i else 0.0 for h in range(m_hyp)
-        ])
-        phi.append(float(np.sum(weights * p_decide[:, i])))
-        if episodes < 2:
-            phi_se.append(None)
-        else:
-            var = sum(
-                (weights[h] ** 2) * p_decide[h, i] * (1.0 - p_decide[h, i]) / (episodes - 1)
-                for h in range(m_hyp)
-            )
-            phi_se.append(math.sqrt(var))
-
-    gamma = float(sum(phi[i] * (1.0 - prior[i]) for i in range(m_hyp)))
     if episodes < 2:
+        phi_se = [None] * m_hyp
         gamma_se = None
     else:
+        weights = _phi_weights(prior)
+        phi_se = [math.sqrt(sum(
+            (weights[h, i] ** 2) * p_decide[h, i] * (1.0 - p_decide[h, i]) / (episodes - 1)
+            for h in range(m_hyp)
+        )) for i in range(m_hyp)]
         gamma_se = math.sqrt(sum(
             (prior[h] ** 2) * mis_rate[h] * (1.0 - mis_rate[h]) / (episodes - 1)
             for h in range(m_hyp)
@@ -539,7 +546,6 @@ def enumerate_exact(config: RunConfig) -> RunReport:
     horizon = config.horizon
     log_prior = np.log(model.prior)
     base_conf = bllr_matrix(log_prior)
-    prior = model.prior
 
     dm = np.zeros((m_hyp, m_hyp + 1))
     jacc = np.zeros(m_hyp)
@@ -559,12 +565,7 @@ def enumerate_exact(config: RunConfig) -> RunReport:
             f"path probability mass per hypothesis deviates from 1: {mass!r}"
         )
 
-    psi = [float(1.0 - dm[i, i]) for i in range(m_hyp)]
-    phi = [
-        float(sum(prior[h] / (1.0 - prior[i]) * dm[h, i] for h in range(m_hyp) if h != i))
-        for i in range(m_hyp)
-    ]
-    gamma = float(sum(phi[i] * (1.0 - prior[i]) for i in range(m_hyp)))
+    psi, phi, gamma = _error_rates(dm, model.prior)
     jng = [float(jacc[i] / horizon) for i in range(m_hyp)]
     zeros = tuple(0.0 for _ in range(m_hyp))
 
@@ -604,10 +605,3 @@ def enumerate_pair_expectations(config: RunConfig):
 
     walk_paths(model, config.selection, config.horizon, visit, config.node_budget)
     return lam_exp, kl_exp
-
-
-def estimate_jng(config: RunConfig) -> tuple[Optional[float], ...]:
-    """Per-hypothesis expected confidence rate, exact or Monte Carlo."""
-    if config.episodes is None:
-        return enumerate_exact(config).jng
-    return monte_carlo(config).jng

@@ -6,13 +6,12 @@ a hypothesis index or None for the inconclusive declaration. Both are
 deterministic: all sampling randomness lives in the engine, which lets the
 exact enumerator reuse the same strategy objects.
 
-Each strategy also implements a batch form operating on a matrix of
-log-beliefs, used by the vectorized Monte Carlo engine. The batch form must
-agree exactly with the scalar form row by row; the defaults below guarantee
-that by delegation, and the native batch overrides use the same primitive
-operations as their scalar counterparts. EJS is batch-native: one kernel,
-_ejs_scores, serves both forms, and a scalar EJS call is a batch of one.
-`ecr:k` still takes the row-by-row fallback.
+Every rule implements one batch method over a matrix of log-beliefs, one
+row per episode or tree node: batch_action_distributions for selection,
+batch_decide for inference. The one-belief calls action_distribution and
+decide are defined once, on the base classes, as a batch of one, so a
+scalar call returns row 0 of the batch computation and cannot drift from
+it. Rows never interact, so a row's result does not depend on its batch.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from .model import EpsilonSchedule, Model
 INCONCLUSIVE = -1  # batch encoding of the abstain decision
 
 _DEFAULT_ECR_NODE_BUDGET = 10**6
+_ECR_BLOCK_ROWS = 1 << 15   # child beliefs expanded at once by _ecr_scores
 
 
 def _argmax_lowest(scores: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
@@ -58,20 +58,6 @@ def _alpha_table(model: Model, saddles: Sequence[SaddlePoint]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # selection rules
 # ---------------------------------------------------------------------------
-
-def select_chernoff(
-    model: Model, saddles: Sequence[SaddlePoint], belief: Belief
-) -> np.ndarray:
-    """Sample-distribution of the MAP-phase rule: the current MAP estimate's
-    optimal experiment mixture. Ties in the MAP break toward the lowest index."""
-    map_idx = int(np.argmax(belief.log_rho))
-    return np.array(saddles[map_idx].alpha_star, dtype=float)
-
-
-def select_openloop(i: int, saddles: Sequence[SaddlePoint]) -> np.ndarray:
-    """Constant mixture: hypothesis i's optimal experiment distribution."""
-    return np.array(saddles[i].alpha_star, dtype=float)
-
 
 def _ejs_scores(model: Model, log_rho: np.ndarray) -> np.ndarray:
     """Expected one-step confidence gain of every experiment on the (random)
@@ -110,56 +96,62 @@ def select_ejs_greedy(model: Model, belief: Belief) -> np.ndarray:
     return _ejs_choices(model, belief.log_rho[None, :])[0]
 
 
-def _ecr_value(model: Model, log_rho: np.ndarray, depth: int) -> float:
-    """Best achievable expected terminal confidence on the true hypothesis,
-    optimizing the next `depth` experiments (belief-MDP expectimax)."""
-    if depth == 0:
-        return float(np.sum(np.exp(log_rho) * bllr_matrix(log_rho)))
-    best = -math.inf
-    for u in range(model.num_experiments):
-        log_joint = log_rho[:, None] + model.log_channel[:, u, :]  # (M, Y)
-        log_py = logsumexp_last(log_joint.T)                       # (Y,)
-        total = 0.0
-        for y in range(model.num_observations):
-            total += math.exp(log_py[y]) * _ecr_value(
-                model, log_joint[:, y] - log_py[y], depth - 1
-            )
-        best = max(best, total)
-    return best
+def _ecr_scores(model: Model, log_rho: np.ndarray, depth: int) -> np.ndarray:
+    """Expected terminal confidence on the (random) true hypothesis of each
+    first experiment, the next depth - 1 chosen optimally (belief-MDP
+    expectimax), (B, M) -> (B, U).
+
+    Rows of log_rho are normalized beliefs. A node's value is the maximum of
+    its scores; a leaf's is sum_h rho(h) C_h(rho). Outcome terms are added in
+    observation order, and rows are independent, so a row's scores do not
+    depend on the batch it comes in.
+    """
+    b, m = log_rho.shape
+    n_exp, n_obs = model.num_experiments, model.num_observations
+    # Each level multiplies the rows by U * Y; split wide batches so that no
+    # level expands more than _ECR_BLOCK_ROWS child beliefs at once.
+    step = max(1, _ECR_BLOCK_ROWS // (n_exp * n_obs))
+    if b > step:
+        return np.concatenate([
+            _ecr_scores(model, log_rho[s:s + step], depth) for s in range(0, b, step)
+        ])
+    joint = np.swapaxes(
+        log_rho[:, None, :, None] + np.moveaxis(model.log_channel, 1, 0), 2, 3
+    )                                                        # (B, U, Y, M)
+    log_py = logsumexp_last(joint)                           # (B, U, Y)
+    children = (joint - log_py[..., None]).reshape(-1, m)
+    if depth == 1:
+        values = np.sum(np.exp(children) * bllr_matrix(children), axis=-1)
+    else:
+        values = _ecr_scores(model, children, depth - 1).max(axis=-1)
+    terms = np.exp(log_py) * values.reshape(b, n_exp, n_obs)
+    total = 0.0
+    for y in range(n_obs):
+        total = total + terms[..., y]
+    return total
 
 
-def select_ecr_lookahead(
-    model: Model,
-    belief: Belief,
-    k: int,
-    remaining: int,
-    node_budget: int = _DEFAULT_ECR_NODE_BUDGET,
-) -> np.ndarray:
-    """Point mass on the first action of a depth-min(k, remaining) expectimax
-    maximizing the expected terminal confidence gain on the true hypothesis."""
-    if k < 1:
-        raise ValueError("lookahead depth must be >= 1")
+def _ecr_choices(model: Model, log_rho: np.ndarray, k: int, remaining: int) -> np.ndarray:
+    """One-hot rows on the first action of a depth-min(k, remaining)
+    expectimax, lowest index on ties."""
     if remaining < 1:
         raise ValueError("no remaining step to plan")
     depth = min(k, remaining)
     branch = model.num_experiments * model.num_observations
     nodes = sum(branch**d for d in range(1, depth + 1))
-    if nodes > node_budget:
+    if nodes > _DEFAULT_ECR_NODE_BUDGET:
         raise ValueError(
-            f"lookahead tree has {nodes} nodes, exceeding the budget {node_budget}"
+            f"lookahead tree has {nodes} nodes, exceeding the budget {_DEFAULT_ECR_NODE_BUDGET}"
         )
-    lr = belief.log_rho
-    scores = []
-    for u in range(model.num_experiments):
-        log_joint = lr[:, None] + model.log_channel[:, u, :]
-        log_py = logsumexp_last(log_joint.T)
-        total = 0.0
-        for y in range(model.num_observations):
-            total += math.exp(log_py[y]) * _ecr_value(
-                model, log_joint[:, y] - log_py[y], depth - 1
-            )
-        scores.append(total)
-    return np.eye(model.num_experiments)[_argmax_lowest(np.array(scores))]
+    return np.eye(model.num_experiments)[_argmax_lowest(_ecr_scores(model, log_rho, depth))]
+
+
+def select_ecr_lookahead(model: Model, belief: Belief, k: int, remaining: int) -> np.ndarray:
+    """Point mass on the first action of a depth-min(k, remaining) expectimax
+    maximizing the expected terminal confidence gain on the true hypothesis."""
+    if k < 1:
+        raise ValueError("lookahead depth must be >= 1")
+    return _ecr_choices(model, belief.log_rho[None, :], k, remaining)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -178,65 +170,6 @@ def _decide_by_thresholds(increments: np.ndarray, thresholds: np.ndarray) -> np.
     return np.where(any_q, winner, INCONCLUSIVE).astype(np.int64)
 
 
-def infer_threshold_f_bar(
-    model: Model,
-    saddles: Sequence[SaddlePoint],
-    prior: Belief,
-    final: Belief,
-    horizon: int,
-    delta: float,
-) -> Optional[int]:
-    """Declare the hypothesis whose confidence gain beats N(D*(i) - delta).
-
-    With several qualifying hypotheses (possible at small horizons) the one
-    with the largest margin wins, lowest index on ties; with none, abstain.
-    Requires 0 < delta < min_i D*(i).
-    """
-    d_star = np.array([sp.d_star for sp in saddles])
-    if not (0.0 < delta < float(np.min(d_star))):
-        raise ValueError(
-            f"delta must lie in (0, min_i D*(i)) = (0, {float(np.min(d_star))!r}), "
-            f"got {delta!r}"
-        )
-    increments = bllr_matrix(final.log_rho) - bllr_matrix(prior.log_rho)
-    thresholds = horizon * (d_star - delta)
-    d = int(_decide_by_thresholds(increments, thresholds))
-    return None if d == INCONCLUSIVE else d
-
-
-def infer_p2_threshold(
-    model: Model,
-    saddle_i: SaddlePoint,
-    lam_bound: float,
-    num_hypotheses: int,
-    prior: Belief,
-    final: Belief,
-    horizon: int,
-    epsilon: float,
-) -> Optional[int]:
-    """One-hypothesis test: declare i iff the confidence gain on i reaches
-    N D*(i) - 2B sqrt(N log(M/eps)), else abstain.
-
-    The rule is applied verbatim; at small horizons the threshold can be
-    negative, in which case i is always declared.
-    """
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError("epsilon must lie in (0, 1)")
-    i = saddle_i.hypothesis
-    inc = float(
-        bllr_matrix(final.log_rho)[i] - bllr_matrix(prior.log_rho)[i]
-    )
-    threshold = horizon * saddle_i.d_star - 2.0 * lam_bound * math.sqrt(
-        horizon * math.log(num_hypotheses / epsilon)
-    )
-    return i if inc >= threshold else None
-
-
-def infer_map_forced(final: Belief) -> int:
-    """Baseline forced decision: the MAP hypothesis, lowest index on ties."""
-    return int(np.argmax(final.log_rho))
-
-
 # ---------------------------------------------------------------------------
 # strategy objects (engine interface)
 # ---------------------------------------------------------------------------
@@ -247,22 +180,23 @@ class SelectionStrategy:
     def action_distribution(
         self, model: Model, log_rho: np.ndarray, step: int, horizon: int
     ) -> np.ndarray:
-        raise NotImplementedError
+        """One belief's distribution: row 0 of a batch of one."""
+        return self.batch_action_distributions(model, log_rho[None, :], step, horizon)[0]
 
     def batch_action_distributions(
         self, model: Model, log_rho: np.ndarray, step: int, horizon: int
     ) -> np.ndarray:
-        # Row-by-row fallback; subclasses override with vector code when the
-        # rule is hot in Monte Carlo runs.
-        return np.stack([
-            self.action_distribution(model, row, step, horizon) for row in log_rho
-        ])
+        """(B, M) log-beliefs -> (B, U) experiment distributions."""
+        raise NotImplementedError
 
     def spec_string(self) -> str:
         raise NotImplementedError
 
 
 class ChernoffSelection(SelectionStrategy):
+    """MAP-phase rule: the current MAP estimate's optimal experiment mixture,
+    lowest index on MAP ties."""
+
     def __init__(self, saddles: Sequence[SaddlePoint]):
         self.saddles = tuple(saddles)
         self._table = None
@@ -276,25 +210,21 @@ class ChernoffSelection(SelectionStrategy):
             self._table_model = model
         return self._table
 
-    def action_distribution(self, model, log_rho, step, horizon):
-        table = self._ensure_table(model)
-        return table[int(np.argmax(log_rho))]
-
     def batch_action_distributions(self, model, log_rho, step, horizon):
-        table = self._ensure_table(model)
-        return table[np.argmax(log_rho, axis=1)]
+        # ndarray.argmax and take cost a fraction of np.argmax and fancy
+        # indexing on the one-row batches of the exact walker.
+        return self._ensure_table(model).take(log_rho.argmax(axis=1), axis=0)
 
     def spec_string(self):
         return "chernoff"
 
 
 class OpenLoopSelection(SelectionStrategy):
+    """Constant mixture: hypothesis i's optimal experiment distribution."""
+
     def __init__(self, i: int, saddles: Sequence[SaddlePoint]):
         self.i = int(i)
         self.alpha = np.array(saddles[self.i].alpha_star, dtype=float)
-
-    def action_distribution(self, model, log_rho, step, horizon):
-        return self.alpha
 
     def batch_action_distributions(self, model, log_rho, step, horizon):
         return np.broadcast_to(self.alpha, (log_rho.shape[0], self.alpha.size))
@@ -304,10 +234,6 @@ class OpenLoopSelection(SelectionStrategy):
 
 
 class UniformSelection(SelectionStrategy):
-    def action_distribution(self, model, log_rho, step, horizon):
-        u = model.num_experiments
-        return np.full(u, 1.0 / u)
-
     def batch_action_distributions(self, model, log_rho, step, horizon):
         u = model.num_experiments
         return np.broadcast_to(np.full(u, 1.0 / u), (log_rho.shape[0], u))
@@ -317,9 +243,6 @@ class UniformSelection(SelectionStrategy):
 
 
 class EJSGreedySelection(SelectionStrategy):
-    def action_distribution(self, model, log_rho, step, horizon):
-        return select_ejs_greedy(model, Belief(log_rho))
-
     def batch_action_distributions(self, model, log_rho, step, horizon):
         return _ejs_choices(model, normalize_belief_rows(log_rho))
 
@@ -328,16 +251,13 @@ class EJSGreedySelection(SelectionStrategy):
 
 
 class ECRLookaheadSelection(SelectionStrategy):
-    def __init__(self, k: int, node_budget: int = _DEFAULT_ECR_NODE_BUDGET):
+    def __init__(self, k: int):
         if k < 1:
             raise ValueError("lookahead depth must be >= 1")
         self.k = int(k)
-        self.node_budget = int(node_budget)
 
-    def action_distribution(self, model, log_rho, step, horizon):
-        return select_ecr_lookahead(
-            model, Belief(log_rho), self.k, horizon - step, self.node_budget
-        )
+    def batch_action_distributions(self, model, log_rho, step, horizon):
+        return _ecr_choices(model, normalize_belief_rows(log_rho), self.k, horizon - step)
 
     def spec_string(self):
         return f"ecr:k={self.k}"
@@ -349,23 +269,28 @@ class InferenceStrategy:
     def decide(
         self, model: Model, log_prior: np.ndarray, log_final: np.ndarray, horizon: int
     ) -> Optional[int]:
-        raise NotImplementedError
+        """One final belief's decision, None for abstain: a batch of one."""
+        d = int(self.batch_decide(model, log_prior, log_final[None, :], horizon)[0])
+        return None if d == INCONCLUSIVE else d
 
     def batch_decide(
         self, model: Model, log_prior: np.ndarray, log_final: np.ndarray, horizon: int
     ) -> np.ndarray:
-        out = np.empty(log_final.shape[0], dtype=np.int64)
-        for t, row in enumerate(log_final):
-            d = self.decide(model, log_prior, row, horizon)
-            out[t] = INCONCLUSIVE if d is None else d
-        return out
+        """(B, M) final log-beliefs -> (B,) int64 hypothesis indices, INCONCLUSIVE
+        for abstain."""
+        raise NotImplementedError
 
     def spec_string(self) -> str:
         raise NotImplementedError
 
 
 class FBarInference(InferenceStrategy):
-    """Threshold rule with per-hypothesis thresholds N(D*(i) - delta)."""
+    """Threshold rule with per-hypothesis thresholds N(D*(i) - delta).
+
+    With several qualifying hypotheses (possible at small horizons) the one
+    with the largest margin wins, lowest index on ties; with none, abstain.
+    Requires 0 < delta < min_i D*(i).
+    """
 
     def __init__(self, saddles: Sequence[SaddlePoint], delta: float):
         self.saddles = tuple(saddles)
@@ -379,11 +304,6 @@ class FBarInference(InferenceStrategy):
     def _thresholds(self, horizon: int) -> np.ndarray:
         return horizon * (self.d_star - self.delta)
 
-    def decide(self, model, log_prior, log_final, horizon):
-        inc = bllr_matrix(log_final) - bllr_matrix(log_prior)
-        d = int(_decide_by_thresholds(inc, self._thresholds(horizon)))
-        return None if d == INCONCLUSIVE else d
-
     def batch_decide(self, model, log_prior, log_final, horizon):
         inc = bllr_matrix(log_final) - bllr_matrix(log_prior)[None, :]
         return _decide_by_thresholds(inc, self._thresholds(horizon))
@@ -393,7 +313,12 @@ class FBarInference(InferenceStrategy):
 
 
 class P2Inference(InferenceStrategy):
-    """One-hypothesis threshold rule with the Hoeffding margin."""
+    """One-hypothesis test: declare i iff the confidence gain on i reaches
+    N D*(i) - 2B sqrt(N log(M/eps)), else abstain.
+
+    The rule is applied verbatim; at small horizons the threshold can be
+    negative, in which case i is always declared.
+    """
 
     def __init__(
         self,
@@ -417,10 +342,6 @@ class P2Inference(InferenceStrategy):
             horizon * math.log(self.num_hypotheses / eps)
         )
 
-    def decide(self, model, log_prior, log_final, horizon):
-        inc = float(bllr_matrix(log_final)[self.i] - bllr_matrix(log_prior)[self.i])
-        return self.i if inc >= self.threshold(horizon) else None
-
     def batch_decide(self, model, log_prior, log_final, horizon):
         inc = bllr_matrix(log_final)[:, self.i] - bllr_matrix(log_prior)[self.i]
         return np.where(inc >= self.threshold(horizon), self.i, INCONCLUSIVE).astype(np.int64)
@@ -430,8 +351,7 @@ class P2Inference(InferenceStrategy):
 
 
 class MAPInference(InferenceStrategy):
-    def decide(self, model, log_prior, log_final, horizon):
-        return int(np.argmax(log_final))
+    """Baseline forced decision: the MAP hypothesis, lowest index on ties."""
 
     def batch_decide(self, model, log_prior, log_final, horizon):
         return np.argmax(log_final, axis=1).astype(np.int64)
@@ -447,11 +367,6 @@ class FixedThresholdInference(InferenceStrategy):
 
     def __init__(self, theta: float):
         self.theta = float(theta)
-
-    def decide(self, model, log_prior, log_final, horizon):
-        inc = bllr_matrix(log_final) - bllr_matrix(log_prior)
-        d = int(_decide_by_thresholds(inc, np.full(inc.shape[-1], self.theta)))
-        return None if d == INCONCLUSIVE else d
 
     def batch_decide(self, model, log_prior, log_final, horizon):
         inc = bllr_matrix(log_final) - bllr_matrix(log_prior)[None, :]

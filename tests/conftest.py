@@ -64,11 +64,11 @@ class SoftmaxSelection(SelectionStrategy):
         self.weights = np.asarray(weights, dtype=float)   # (U, M)
         self.bias = np.asarray(bias, dtype=float)         # (U,)
 
-    def action_distribution(self, model, log_rho, step, horizon):
-        z = self.weights @ np.exp(log_rho) + self.bias
-        z = z - z.max()
+    def batch_action_distributions(self, model, log_rho, step, horizon):
+        z = np.exp(log_rho) @ self.weights.T + self.bias
+        z = z - z.max(axis=-1, keepdims=True)
         e = np.exp(z)
-        return e / e.sum()
+        return e / e.sum(axis=-1, keepdims=True)
 
     def spec_string(self):
         return "test-softmax"

@@ -1,11 +1,13 @@
-"""Bit-identity guards for the Monte Carlo kernel and the batch EJS rule.
+"""Bit-identity guards for the Monte Carlo kernel and the strategy rules.
 
-The engine's random streams, its short-axis primitives, the EJS selection
-scores and the reports built on them are pinned bit for bit: to the
-per-episode reference generator, to frozen copies of the plain formulas, and
-to float.hex values of a few small monte_carlo runs. A faster kernel has to
-reproduce all of them.
+The engine's random streams, its short-axis primitives, every rule's
+one-belief call, the EJS and ecr:k selection scores and the reports built on
+them are pinned: to the per-episode reference generator, to frozen copies of
+the plain one-belief formulas, and to float.hex values of a few small runs.
+A faster kernel or a new interface has to reproduce all of them.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -15,16 +17,24 @@ from hypothesis import strategies as st
 from ahtest import (
     Belief,
     ChernoffSelection,
+    ECRLookaheadSelection,
     EJSGreedySelection,
+    EpsilonSchedule,
     FBarInference,
+    FixedThresholdInference,
     MAPInference,
+    OpenLoopSelection,
+    P2Inference,
     RunConfig,
     UniformSelection,
     ejs_divergence,
+    enumerate_exact,
     episode_seed,
+    lambda_bound,
     monte_carlo,
     run_episode,
     saddle_points,
+    select_ecr_lookahead,
     select_ejs_greedy,
 )
 from ahtest.belief import bllr_matrix, log_normalize, logsumexp_last, normalize_belief_rows
@@ -260,6 +270,219 @@ class TestBatchParity:
 
 
 # ---------------------------------------------------------------------------
+# every rule's scalar call against a frozen copy of its scalar method
+# ---------------------------------------------------------------------------
+
+def _frozen_decide_by_thresholds(increments, thresholds):
+    margins = increments - thresholds
+    qualified = margins >= 0.0
+    if not np.any(qualified):
+        return None
+    return int(np.argmax(np.where(qualified, margins, -np.inf)))
+
+
+def _frozen_selections(model, saddles):
+    """(rule, frozen scalar method) pairs of the Chernoff, open-loop and
+    uniform rules, as their scalar methods were first written."""
+    table = np.array([sp.alpha_star for sp in saddles], dtype=float)
+    i = model.num_hypotheses - 1
+    return [
+        (ChernoffSelection(saddles), lambda lr: table[int(np.argmax(lr))]),
+        (OpenLoopSelection(i, saddles), lambda lr: np.array(saddles[i].alpha_star, dtype=float)),
+        (UniformSelection(),
+         lambda lr: np.full(model.num_experiments, 1.0 / model.num_experiments)),
+    ]
+
+
+def _frozen_inferences(model, saddles, horizon):
+    """(rule, frozen scalar method) pairs of the four inference rules."""
+    log_prior = np.log(model.prior)
+    d_star = np.array([sp.d_star for sp in saddles])
+    delta = float(d_star.min()) / 4.0
+    lam = lambda_bound(model)
+    i = model.num_hypotheses - 1
+    eps = EpsilonSchedule("half-inverse").epsilon(horizon)
+    p2_thr = horizon * saddles[i].d_star - 2.0 * lam * math.sqrt(
+        horizon * math.log(model.num_hypotheses / eps))
+    theta = 0.7
+
+    def inc(lf):
+        return bllr_matrix(lf) - bllr_matrix(log_prior)
+
+    return [
+        (FBarInference(saddles, delta),
+         lambda lf: _frozen_decide_by_thresholds(inc(lf), horizon * (d_star - delta))),
+        (P2Inference(i, saddles[i], lam, model.num_hypotheses, EpsilonSchedule("half-inverse")),
+         lambda lf: i if float(bllr_matrix(lf)[i] - bllr_matrix(log_prior)[i]) >= p2_thr else None),
+        (MAPInference(), lambda lf: int(np.argmax(lf))),
+        (FixedThresholdInference(theta),
+         lambda lf: _frozen_decide_by_thresholds(inc(lf), np.full(lf.size, theta))),
+    ]
+
+
+def _belief_rows(model, rng, count):
+    """Engine-style log-belief rows: Dirichlet draws, some sharply peaked,
+    and rows whose largest entries tie exactly."""
+    m = model.num_hypotheses
+    rows = [np.log(rng.dirichlet(np.full(m, a), size=count)) for a in (1.0, 0.2)]
+    ties = np.log(rng.dirichlet(np.ones(m), size=count // 4))
+    ties[:, 0] = ties[:, -1] = ties.max(axis=1)             # first and last share the maximum
+    uniform = np.full((1, m), -np.log(m))
+    return np.vstack(rows + [log_normalize(ties), uniform])
+
+
+SCALAR_CASES = ["tri3", "bsc2", "random-4x3x3", "random-5x2x4", "random-2x1x3"]
+
+
+def _case_model(case, request, rng):
+    """The named reference model, or a random one for "random-MxUxY"."""
+    if case.startswith("random"):
+        m, u, y = (int(v) for v in case.split("-")[1].split("x"))
+        return random_model(rng, m, u, y)
+    return request.getfixturevalue(case)
+
+
+def _scalar_case(case, request):
+    rng = np.random.default_rng(sum(map(ord, case)))
+    model = _case_model(case, request, rng)
+    return model, saddle_points(model), _belief_rows(model, rng, 200)
+
+
+@pytest.mark.parametrize("case", SCALAR_CASES)
+def test_selection_scalar_calls_match_frozen_methods(case, request):
+    model, saddles, rows = _scalar_case(case, request)
+    for rule, frozen in _frozen_selections(model, saddles):
+        batch = rule.batch_action_distributions(model, rows, 0, 5)
+        for t, row in enumerate(rows):
+            want = frozen(row)
+            assert _same_bits(rule.action_distribution(model, row, 0, 5), want)
+            assert _same_bits(batch[t], want)
+
+
+@pytest.mark.parametrize("case", SCALAR_CASES)
+@pytest.mark.parametrize("horizon", [1, 3, 8])
+def test_inference_scalar_calls_match_frozen_methods(case, horizon, request):
+    model, saddles, rows = _scalar_case(case, request)
+    log_prior = np.log(model.prior)
+    for rule, frozen in _frozen_inferences(model, saddles, horizon):
+        batch = rule.batch_decide(model, log_prior, rows, horizon)
+        assert batch.dtype == np.int64
+        for t, row in enumerate(rows):
+            want = frozen(row)
+            assert rule.decide(model, log_prior, row, horizon) == want
+            assert batch[t] == (INCONCLUSIVE if want is None else want)
+
+
+@given(m=st.integers(2, 5), u=st.integers(1, 4), y=st.integers(2, 5),
+       horizon=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+def test_every_rule_scalar_call_is_its_batch_row(m, u, y, horizon, seed):
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, m, u, y)
+    saddles = saddle_points(model)
+    spread = rng.uniform(0.1, 20.0)
+    rows = np.vstack([np.full(m, -np.log(m)),
+                      log_normalize(rng.normal(scale=spread, size=(5, m)))])
+    selections = [rule for rule, _ in _frozen_selections(model, saddles)]
+    selections += [EJSGreedySelection(), ECRLookaheadSelection(2)]
+    for rule in selections:
+        batch = rule.batch_action_distributions(model, rows, 0, horizon)
+        for t, row in enumerate(rows):
+            assert _same_bits(rule.action_distribution(model, row, 0, horizon), batch[t])
+    log_prior = np.log(model.prior)
+    for rule, _ in _frozen_inferences(model, saddles, horizon):
+        batch = rule.batch_decide(model, log_prior, rows, horizon)
+        for t, row in enumerate(rows):
+            d = rule.decide(model, log_prior, row, horizon)
+            assert (INCONCLUSIVE if d is None else d) == batch[t]
+
+
+# ---------------------------------------------------------------------------
+# ecr:k against a frozen copy of the recursive expectimax
+# ---------------------------------------------------------------------------
+
+def _frozen_ecr_value(model, log_rho, depth):
+    if depth == 0:
+        return float(np.sum(np.exp(log_rho) * bllr_matrix(log_rho)))
+    best = -math.inf
+    for u in range(model.num_experiments):
+        log_joint = log_rho[:, None] + model.log_channel[:, u, :]
+        log_py = logsumexp_last(log_joint.T)
+        total = 0.0
+        for y in range(model.num_observations):
+            total += math.exp(log_py[y]) * _frozen_ecr_value(
+                model, log_joint[:, y] - log_py[y], depth - 1)
+        best = max(best, total)
+    return best
+
+
+def _frozen_ecr_rows(model, rows, depth):
+    """Frozen first-action scores and one-hot choices (lowest index within
+    1e-12 of the best) of engine log-belief rows, each read as a Belief."""
+    scores = []
+    for row in rows:
+        lr = Belief(row).log_rho
+        per_u = []
+        for u in range(model.num_experiments):
+            log_joint = lr[:, None] + model.log_channel[:, u, :]
+            log_py = logsumexp_last(log_joint.T)
+            total = 0.0
+            for y in range(model.num_observations):
+                total += math.exp(log_py[y]) * _frozen_ecr_value(
+                    model, log_joint[:, y] - log_py[y], depth - 1)
+            per_u.append(total)
+        scores.append(per_u)
+    scores = np.array(scores)
+    best = scores.max(axis=1)
+    cutoff = best - 1e-12 * np.maximum(1.0, np.abs(best))
+    choices = np.zeros_like(scores)
+    choices[np.arange(len(rows)), np.argmax(scores >= cutoff[:, None], axis=1)] = 1.0
+    return scores, choices
+
+
+ECR_CASES = ["tri3", "bsc2", "random-4x3x3", "random-3x2x4"]
+
+
+def _ecr_rows(case, request, count):
+    rng = np.random.default_rng(sum(map(ord, case)))
+    model = _case_model(case, request, rng)
+    m = model.num_hypotheses
+    rows = np.vstack([np.full((1, m), -np.log(m)),
+                      np.log(rng.dirichlet(np.ones(m), size=count))])
+    return model, rows
+
+
+@pytest.mark.parametrize("case", ECR_CASES)
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_ecr_picks_the_frozen_recursion_choice(case, depth, request):
+    model, rows = _ecr_rows(case, request, 100 if depth < 3 else 30)
+    _, choices = _frozen_ecr_rows(model, rows, depth)
+    rule = ECRLookaheadSelection(depth)
+    assert _same_bits(rule.batch_action_distributions(model, rows, 0, depth), choices)
+    # a longer horizon does not deepen the plan beyond k
+    assert _same_bits(rule.batch_action_distributions(model, rows, 3, depth + 7), choices)
+    for t in range(0, len(rows), 7):
+        assert _same_bits(rule.action_distribution(model, rows[t], 0, depth), choices[t])
+        assert _same_bits(select_ecr_lookahead(model, Belief(rows[t]), depth, depth), choices[t])
+
+
+@pytest.mark.parametrize("case", ECR_CASES)
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_ecr_scores_match_the_frozen_recursion(case, depth, request):
+    from ahtest.strategies import _ecr_scores
+
+    model, rows = _ecr_rows(case, request, 100 if depth < 3 else 30)
+    frozen, _ = _frozen_ecr_rows(model, rows, depth)
+    got = _ecr_scores(model, normalize_belief_rows(rows), depth)
+    assert got.shape == frozen.shape
+    # The kernel weighs outcomes with np.exp where the recursion used
+    # math.exp, which may round the other way in the last bit. A score can
+    # be a near-cancelling sum, so ulps are counted on the row's scale, the
+    # scale on which _argmax_lowest snaps ties: max(1, |best score|).
+    scale = np.maximum(1.0, np.abs(frozen).max(axis=1, keepdims=True))
+    assert np.all(np.abs(got - frozen) <= 4 * np.spacing(scale))
+
+
+# ---------------------------------------------------------------------------
 # pinned monte_carlo outputs
 # ---------------------------------------------------------------------------
 
@@ -334,3 +557,50 @@ def test_monte_carlo_reports_are_pinned(key, request):
     assert [[float(v).hex() for v in row] for row in report.decision_probs] == pinned["decision_probs"]
     assert [float(v).hex() for v in report.jng] == pinned["jng"]
     assert [float(v).hex() for v in report.jng_se] == pinned["jng_se"]
+
+
+# tri3 ecr:k=2/fbar, generated before ecr:k had a batch kernel: Monte Carlo
+# at N = 6 with 300 episodes and seed 11 in both conditioning modes, and
+# the exact report at N = 4.
+ECR_PINNED = {
+    'each': {
+        'decision_probs': [['0x1.681b4e81b4e82p-1', '0x1.b4e81b4e81b4fp-9', '0x1.b4e81b4e81b4fp-7', '0x1.1eb851eb851ecp-2'], ['0x1.1111111111111p-6', '0x1.47ae147ae147bp-1', '0x1.b4e81b4e81b4fp-9', '0x1.5c28f5c28f5c3p-2'], ['0x1.eb851eb851eb8p-6', '0x1.b4e81b4e81b4fp-9', '0x1.5555555555555p-1', '0x1.3333333333333p-2']],
+        'psi': ['0x1.2fc962fc962fcp-2', '0x1.70a3d70a3d70ap-2', '0x1.5555555555556p-2'],
+        'phi': ['0x1.7e4b17e4b17e4p-6', '0x1.b4e81b4e81b4ep-9', '0x1.1111111111111p-7'],
+        'gamma': '0x1.7e4b17e4b17e5p-6',
+        'jng': ['0x1.b60be41a86805p-2', '0x1.31bdfdc83229ap-1', '0x1.1ab68911c1d8dp-1'],
+        'jng_se': ['0x1.26cbbc3f4610dp-6', '0x1.85992320e880cp-6', '0x1.6b1ae1ddeb5b1p-6'],
+    },
+    'prior': {
+        'decision_probs': [['0x1.6186186186186p-1', '0x0.0p+0', '0x1.8618618618618p-6', '0x1.2492492492492p-2'], ['0x1.ab68a0473c1abp-6', '0x1.5b450239e0d5bp-1', '0x0.0p+0', '0x1.2ebf7187ca92fp-2'], ['0x1.446f86562d9fbp-6', '0x1.446f86562d9fbp-7', '0x1.67ebb9079a9d2p-1', '0x1.11be1958b67ecp-2']],
+        'psi': ['0x1.3cf3cf3cf3cf4p-2', '0x1.4975fb8c3e54ap-2', '0x1.30288df0cac5cp-2'],
+        'phi': ['0x1.7b425ed097b42p-6', '0x1.623fa77016240p-8', '0x1.49539e3b2d067p-7'],
+        'gamma': '0x1.a5a80fdc22804p-6',
+        'jng': ['0x1.9d6a8f654e82dp-2', '0x1.3e3d91ee8521bp-1', '0x1.2d9d067ed2d6ap-1'],
+        'jng_se': ['0x1.cc0815a527c15p-6', '0x1.36727b0fbe42fp-5', '0x1.4a16ac85f9521p-5'],
+    },
+    'exact': {
+        'decision_probs': [['0x1.6f0068db8bac9p-1', '0x1.d7dbf487fcb95p-7', '0x1.a36e2eb1c432fp-7', '0x1.0624dd2f1a9fdp-2'], ['0x1.80346dc5d6388p-4', '0x1.3a92a30553263p-1', '0x1.4467381d7dbf5p-6', '0x1.16872b020c49cp-2'], ['0x1.9ce075f6fd21fp-4', '0x1.780346dc5d638p-5', '0x1.f8a0902de00d2p-2', '0x1.7126e978d4fe0p-2']],
+        'psi': ['0x1.21ff2e48e8a6ep-2', '0x1.8adab9f559b3ap-2', '0x1.03afb7e90ff97p-1'],
+        'phi': ['0x1.8e8a71de69ad2p-4', '0x1.edfa43fe5c91cp-6', '0x1.0b0f27bb2fec6p-6'],
+        'gamma': '0x1.8888888888888p-4',
+        'jng': ['0x1.988cb5cdcf911p-2', '0x1.268de1736d97fp-1', '0x1.edade823aea4ap-2'],
+    },
+}
+
+
+@pytest.mark.parametrize("mode", sorted(ECR_PINNED))
+def test_ecr_reports_are_pinned(mode, tri3):
+    saddles = saddle_points(tri3)
+    kw = dict(model=tri3, selection=ECRLookaheadSelection(2),
+              inference=FBarInference(saddles, min(sp.d_star for sp in saddles) / 4.0))
+    if mode == "exact":
+        report = enumerate_exact(RunConfig(horizon=4, **kw))
+    else:
+        report = monte_carlo(RunConfig(horizon=6, episodes=300, seed=11, conditioning=mode, **kw))
+    pinned = ECR_PINNED[mode]
+    assert [[float(v).hex() for v in row] for row in report.decision_probs] == pinned["decision_probs"]
+    for name in ("psi", "phi", "jng", "jng_se"):
+        if name in pinned:
+            assert [float(v).hex() for v in getattr(report, name)] == pinned[name]
+    assert float(report.gamma).hex() == pinned["gamma"]

@@ -118,6 +118,20 @@ class TestSimulateEnumerate:
         assert code == 0
         assert json.loads(out)["report"]["seed"] == 2**48 - 1
 
+    @pytest.mark.parametrize("command, extra", [
+        ("bounds", ["--infer", "map", "--horizon", "3"]),
+        ("simulate", ["--infer", "map", "--horizon", "3", "--episodes", "10"]),
+        ("enumerate", ["--horizon", "3"]),
+        ("sweep", ["--horizons", "1,2"]),
+    ])
+    @pytest.mark.parametrize("delta", ["nan", "inf", "-inf", "0", "-0.1"])
+    def test_delta_not_finite_and_positive_exit_code(self, capsys, command, extra, delta):
+        code, out, err = run_cli(capsys, command, "--model", BSC2, *extra, f"--delta={delta}")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("configuration error:")
+        assert "--delta" in err
+
     def test_budget_exceeded_exit_code(self, capsys):
         code, _, err = run_cli(
             capsys, "enumerate", "--model", TRI3, "--select", "uniform",

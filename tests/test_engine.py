@@ -14,7 +14,6 @@ from ahtest import (
     enumerate_exact,
     enumerate_pair_expectations,
     episode_seed,
-    estimate_jng,
     lambda_bound,
     monte_carlo,
     prior_belief,
@@ -333,7 +332,7 @@ class TestJng:
             model=bsc2, selection=OpenLoopSelection(0, bsc2_saddles),
             inference=MAPInference(), horizon=1,
         )
-        jng = estimate_jng(cfg)
+        jng = enumerate_exact(cfg).jng
         assert jng[0] == pytest.approx(0.8 * math.log(9), abs=1e-12)
 
     def test_jng_agrees_with_increment_fold(self, tri3, tri3_saddles):

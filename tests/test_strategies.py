@@ -9,17 +9,13 @@ from ahtest import (
     Belief,
     bllr,
     ejs_divergence,
-    infer_map_forced,
-    infer_p2_threshold,
-    infer_threshold_f_bar,
     lambda_bound,
     prior_belief,
     saddle_points,
-    select_chernoff,
     select_ecr_lookahead,
     select_ejs_greedy,
-    select_openloop,
 )
+from ahtest import strategies
 from ahtest.model import EpsilonSchedule
 from ahtest.strategies import (
     ChernoffSelection,
@@ -78,15 +74,39 @@ def bsc2_saddles(bsc2):
     return saddle_points(bsc2)
 
 
+def _select(rule, model, belief):
+    return rule.action_distribution(model, belief.log_rho, 0, 1)
+
+
+def _decide(rule, model, prior, final, horizon):
+    return rule.decide(model, prior.log_rho, final.log_rho, horizon)
+
+
+class TestInterface:
+    def test_rules_define_only_the_batch_form(self):
+        rules = [
+            cls for cls in vars(strategies).values()
+            if isinstance(cls, type)
+            and issubclass(cls, (strategies.SelectionStrategy, strategies.InferenceStrategy))
+            and cls not in (strategies.SelectionStrategy, strategies.InferenceStrategy)
+        ]
+        assert len(rules) == 9
+        for cls in rules:
+            assert "action_distribution" not in vars(cls), cls
+            assert "decide" not in vars(cls), cls
+            assert {"batch_action_distributions", "batch_decide"} & set(vars(cls)), cls
+
+
 class TestChernoff:
     def test_map_picks_matching_mixture(self, tri3, tri3_saddles):
-        dist = select_chernoff(tri3, tri3_saddles, Belief.from_probs([0.6, 0.2, 0.2]))
+        rule = ChernoffSelection(tri3_saddles)
+        dist = _select(rule, tri3, Belief.from_probs([0.6, 0.2, 0.2]))
         np.testing.assert_allclose(dist, tri3_saddles[0].alpha_star)
-        dist = select_chernoff(tri3, tri3_saddles, Belief.from_probs([0.1, 0.8, 0.1]))
+        dist = _select(rule, tri3, Belief.from_probs([0.1, 0.8, 0.1]))
         np.testing.assert_allclose(dist, tri3_saddles[1].alpha_star)
 
     def test_uniform_belief_breaks_tie_low(self, tri3, tri3_saddles):
-        dist = select_chernoff(tri3, tri3_saddles, Belief.uniform(3))
+        dist = _select(ChernoffSelection(tri3_saddles), tri3, Belief.uniform(3))
         np.testing.assert_allclose(dist, tri3_saddles[0].alpha_star)
 
     def test_other_model_is_rejected_after_first_use(self, tri3, bsc2, tri3_saddles):
@@ -106,13 +126,14 @@ class TestChernoff:
 
 class TestOpenLoop:
     def test_constant_mixture(self, tri3, tri3_saddles):
-        d1 = select_openloop(0, tri3_saddles)
-        d2 = select_openloop(0, tri3_saddles)
+        d1 = _select(OpenLoopSelection(0, tri3_saddles), tri3, Belief.uniform(3))
+        d2 = _select(OpenLoopSelection(0, tri3_saddles), tri3, Belief.from_probs([0.1, 0.8, 0.1]))
         np.testing.assert_allclose(d1, tri3_saddles[0].alpha_star, atol=1e-6)
         np.testing.assert_array_equal(d1, d2)
 
     def test_bsc2_is_point_mass(self, bsc2, bsc2_saddles):
-        np.testing.assert_allclose(select_openloop(0, bsc2_saddles), [1.0])
+        np.testing.assert_allclose(
+            _select(OpenLoopSelection(0, bsc2_saddles), bsc2, Belief.uniform(2)), [1.0])
 
 
 class TestEJS:
@@ -190,31 +211,30 @@ class TestECRLookahead:
 
     def test_node_budget_enforced(self, tri3):
         with pytest.raises(ValueError, match="budget"):
-            select_ecr_lookahead(tri3, Belief.uniform(3), 12, 12, node_budget=1000)
+            select_ecr_lookahead(tri3, Belief.uniform(3), 12, 12)
 
 
 class TestFBar:
     def test_conclusive_run_decides(self, bsc2, bsc2_saddles):
         prior = prior_belief(bsc2)
         final = Belief.from_probs([729 / 730, 1 / 730])  # three favorable steps
-        assert infer_threshold_f_bar(bsc2, bsc2_saddles, prior, final, 3, 0.4) == 0
+        assert _decide(FBarInference(bsc2_saddles, 0.4), bsc2, prior, final, 3) == 0
 
     def test_mixed_run_abstains(self, bsc2, bsc2_saddles):
         prior = prior_belief(bsc2)
         final = Belief.from_probs([0.9, 0.1])  # net one favorable step
-        assert infer_threshold_f_bar(bsc2, bsc2_saddles, prior, final, 3, 0.4) is None
+        assert _decide(FBarInference(bsc2_saddles, 0.4), bsc2, prior, final, 3) is None
 
     def test_no_evidence_abstains(self, tri3, tri3_saddles):
         prior = prior_belief(tri3)
         for n in (1, 2, 5, 20):
-            assert infer_threshold_f_bar(tri3, tri3_saddles, prior, prior, n, 0.1) is None
+            assert _decide(FBarInference(tri3_saddles, 0.1), tri3, prior, prior, n) is None
 
     def test_delta_range_enforced(self, bsc2, bsc2_saddles):
-        prior = prior_belief(bsc2)
         with pytest.raises(ValueError):
-            infer_threshold_f_bar(bsc2, bsc2_saddles, prior, prior, 3, 0.0)
+            FBarInference(bsc2_saddles, 0.0)
         with pytest.raises(ValueError):
-            infer_threshold_f_bar(bsc2, bsc2_saddles, prior, prior, 3, 5.0)
+            FBarInference(bsc2_saddles, 5.0)
 
     def test_multiple_qualifiers_resolved_by_margin(self):
         from ahtest.strategies import _decide_by_thresholds
@@ -250,7 +270,8 @@ class TestP2:
         # threshold is negative at N=1 with eps = 1/2, so zero evidence decides
         prior = prior_belief(bsc2)
         b = lambda_bound(bsc2)
-        got = infer_p2_threshold(bsc2, bsc2_saddles[0], b, 2, prior, prior, 1, 0.5)
+        rule = P2Inference(0, bsc2_saddles[0], b, 2, EpsilonSchedule("fixed", 0.5))
+        got = _decide(rule, bsc2, prior, prior, 1)
         assert got == 0
 
     def test_threshold_formula(self, bsc2, bsc2_saddles):
@@ -265,27 +286,29 @@ class TestP2:
         prior = prior_belief(bsc2)
         final = Belief.from_probs([1e-8, 1.0 - 1e-8])
         b = lambda_bound(bsc2)
-        got = infer_p2_threshold(bsc2, bsc2_saddles[0], b, 2, prior, final, 100, 0.005)
+        rule = P2Inference(0, bsc2_saddles[0], b, 2, EpsilonSchedule("fixed", 0.005))
+        got = _decide(rule, bsc2, prior, final, 100)
         assert got is None
 
-    def test_epsilon_range(self, bsc2, bsc2_saddles):
-        prior = prior_belief(bsc2)
-        b = lambda_bound(bsc2)
+    def test_epsilon_range(self):
         with pytest.raises(ValueError):
-            infer_p2_threshold(bsc2, bsc2_saddles[0], b, 2, prior, prior, 1, 0.0)
+            EpsilonSchedule("fixed", 0.0)
 
 
 class TestMAPForced:
-    def test_uniform_ties_low(self):
-        assert infer_map_forced(Belief.uniform(3)) == 0
+    def test_uniform_ties_low(self, tri3):
+        prior = prior_belief(tri3)
+        assert _decide(MAPInference(), tri3, prior, Belief.uniform(3), 1) == 0
 
-    def test_argmax(self):
-        assert infer_map_forced(Belief.from_probs([0.2, 0.7, 0.1])) == 1
+    def test_argmax(self, tri3):
+        prior = prior_belief(tri3)
+        assert _decide(MAPInference(), tri3, prior, Belief.from_probs([0.2, 0.7, 0.1]), 1) == 1
 
-    def test_scaling_free(self):
+    def test_scaling_free(self, tri3):
+        prior = prior_belief(tri3)
         rho = np.array([0.2, 0.7, 0.1])
-        assert infer_map_forced(Belief.from_probs(rho)) == infer_map_forced(
-            Belief.from_probs(rho * 3.0)
+        assert _decide(MAPInference(), tri3, prior, Belief.from_probs(rho), 1) == _decide(
+            MAPInference(), tri3, prior, Belief.from_probs(rho * 3.0), 1
         )
 
 
