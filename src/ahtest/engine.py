@@ -9,9 +9,10 @@ Philox generator from the key; the vectorized path re-keys one Philox bit
 generator per episode, which yields the same streams at a fraction of the
 cost.
 
-Exact enumeration walks the full (experiment, observation) tree depth-first,
-carrying per-hypothesis path masses, and is the oracle the Monte Carlo path
-is tested against.
+Exact enumeration walks the full (experiment, observation) tree a level at a
+time, in blocks of nodes with batch strategy calls, carrying per-hypothesis
+path masses; its leaves come in depth-first order. It is the oracle the
+Monte Carlo path is tested against.
 """
 
 from __future__ import annotations
@@ -31,6 +32,10 @@ from .strategies import INCONCLUSIVE, InferenceStrategy, SelectionStrategy
 CHUNK_SIZE = 32768
 
 DEFAULT_NODE_BUDGET = 10**7
+
+# Tree nodes expanded at once by walk_paths: wider blocks are split, so the
+# walk's memory does not grow with the horizon.
+_WALK_BLOCK_ROWS = 1 << 10
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -491,14 +496,18 @@ def _monte_carlo_prior(config: RunConfig) -> RunReport:
 
 def walk_paths(model: Model, selection: SelectionStrategy, horizon: int,
                visit, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
-    """Depth-first traversal of the full (experiment, observation) tree.
+    """Level-by-level walk of the full (experiment, observation) tree.
 
-    Calls visit(action_prob, obs_likelihood (M,), final_log_rho, lam (M,M),
-    kl_sums (M,M)) at every reachable leaf, where lam[i, j] is the summed
-    per-step log-likelihood ratio of i against j along the path and
-    kl_sums[i, j] the summed per-step divergences D(p_i^u || p_j^u) over the
-    path's experiments. Branches with zero action probability are pruned.
-    Returns the number of leaves visited.
+    Each block of nodes, one row each, takes one batch selection call; its
+    children are laid out parent-major, then by experiment, then by
+    observation, and those with zero action probability are pruned. A block
+    wider than _WALK_BLOCK_ROWS // (U * Y) rows is split into slices walked
+    in turn, so leaves come in depth-first order. Calls visit(action_prob
+    (L,), obs_likelihood (L, M), final_log_rho (L, M), lam (L, M, M),
+    kl_sums (L, M, M)) on each block of L reachable leaves, where lam[l, i, j]
+    is the summed per-step log-likelihood ratio of i against j along leaf l's
+    path and kl_sums[l, i, j] the summed divergences D(p_i^u || p_j^u) over
+    its experiments. Returns the number of leaves visited.
     """
     n_exp = model.num_experiments
     n_obs = model.num_observations
@@ -510,37 +519,39 @@ def walk_paths(model: Model, selection: SelectionStrategy, horizon: int,
         )
     lc = model.log_channel
     kl_by_u = np.einsum("iuy,ijuy->iju", model.channel, lc[:, None] - lc[None, :])
-    log_prior = np.log(model.prior)
-    visited = 0
+    # What one step adds to a node's row, by (u, y) at row u * Y + y.
+    lik_uy = np.moveaxis(model.channel, 0, 2).reshape(-1, m_hyp)
+    lc_uy = np.moveaxis(lc, 0, 2).reshape(-1, m_hyp)
+    lam_uy = lc_uy[:, :, None] - lc_uy[:, None, :]
+    kls_uy = np.repeat(np.moveaxis(kl_by_u, 2, 0), n_obs, axis=0)
+    step = max(1, _WALK_BLOCK_ROWS // (n_exp * n_obs))
 
-    def rec(n, aprob, lik, log_rho, lam, kls):
-        nonlocal visited
+    def walk(n, aprob, lik, log_rho, lam, kls) -> int:
         if n == horizon:
-            visited += 1
             visit(aprob, lik, log_rho, lam, kls)
-            return
-        dist = selection.action_distribution(model, log_rho, n, horizon)
-        for u in range(n_exp):
-            pu = float(dist[u])
-            if pu <= 0.0:
-                continue
-            for y in range(n_obs):
-                lc_uy = lc[:, u, y]
-                rec(
-                    n + 1,
-                    aprob * pu,
-                    lik * model.channel[:, u, y],
-                    log_normalize(log_rho + lc_uy),
-                    lam + (lc_uy[:, None] - lc_uy[None, :]),
-                    kls + kl_by_u[:, :, u],
-                )
+            return aprob.size
+        if aprob.size > step:
+            return sum(walk(n, *(a[s:s + step] for a in (aprob, lik, log_rho, lam, kls)))
+                       for s in range(0, aprob.size, step))
+        dist = selection.batch_action_distributions(model, log_rho, n, horizon)
+        parent, uy = np.divmod(np.flatnonzero(np.repeat(dist > 0.0, n_obs, axis=1)),
+                               n_exp * n_obs)
+        return walk(
+            n + 1,
+            aprob[parent] * dist[parent, uy // n_obs],
+            lik[parent] * lik_uy[uy],
+            log_normalize(log_rho[parent] + lc_uy[uy]),
+            lam[parent] + lam_uy[uy],
+            kls[parent] + kls_uy[uy],
+        )
 
-    rec(0, 1.0, np.ones(m_hyp), log_prior, np.zeros((m_hyp, m_hyp)), np.zeros((m_hyp, m_hyp)))
-    return visited
+    zeros = np.zeros((1, m_hyp, m_hyp))
+    return walk(0, np.ones(1), np.ones((1, m_hyp)), np.log(model.prior)[None, :], zeros, zeros)
 
 
 def enumerate_exact(config: RunConfig) -> RunReport:
-    """Exact error probabilities and confidence rates by full tree traversal."""
+    """Exact error probabilities and confidence rates by full tree traversal:
+    one batch decision and one confidence call per block of leaves."""
     model = config.model
     m_hyp = model.num_hypotheses
     horizon = config.horizon
@@ -548,14 +559,15 @@ def enumerate_exact(config: RunConfig) -> RunReport:
     base_conf = bllr_matrix(log_prior)
 
     dm = np.zeros((m_hyp, m_hyp + 1))
-    jacc = np.zeros(m_hyp)
+    jacc = np.zeros((1, m_hyp))
 
+    # np.add.at adds a block's leaves one by one in leaf order, so the sums
+    # are those of a per-leaf walk; summing the block first would re-round.
     def visit(aprob, lik, log_rho, lam, kls):
-        w = aprob * lik
-        d = config.inference.decide(model, log_prior, log_rho, horizon)
-        dm[:, m_hyp if d is None else d] += w
-        jacc_local = w * (bllr_matrix(log_rho) - base_conf)
-        jacc[:] += jacc_local
+        w = aprob[:, None] * lik
+        d = config.inference.batch_decide(model, log_prior, log_rho, horizon)
+        np.add.at(dm.T, np.where(d == INCONCLUSIVE, m_hyp, d), w)
+        np.add.at(jacc, np.zeros_like(d), w * (bllr_matrix(log_rho) - base_conf))
 
     paths = walk_paths(model, config.selection, horizon, visit, config.node_budget)
 
@@ -566,7 +578,7 @@ def enumerate_exact(config: RunConfig) -> RunReport:
         )
 
     psi, phi, gamma = _error_rates(dm, model.prior)
-    jng = [float(jacc[i] / horizon) for i in range(m_hyp)]
+    jng = [float(jacc[0, i] / horizon) for i in range(m_hyp)]
     zeros = tuple(0.0 for _ in range(m_hyp))
 
     return RunReport(
@@ -595,13 +607,14 @@ def enumerate_pair_expectations(config: RunConfig):
     """
     model = config.model
     m_hyp = model.num_hypotheses
-    lam_exp = np.zeros((m_hyp, m_hyp))
-    kl_exp = np.zeros((m_hyp, m_hyp))
+    lam_exp = np.zeros((1, m_hyp, m_hyp))
+    kl_exp = np.zeros((1, m_hyp, m_hyp))
 
     def visit(aprob, lik, log_rho, lam, kls):
-        w = aprob * lik
-        lam_exp[:] += w[:, None] * lam
-        kl_exp[:] += w[:, None] * kls
+        w = (aprob[:, None] * lik)[:, :, None]
+        first = np.zeros(aprob.size, dtype=np.intp)
+        np.add.at(lam_exp, first, w * lam)
+        np.add.at(kl_exp, first, w * kls)
 
     walk_paths(model, config.selection, config.horizon, visit, config.node_budget)
-    return lam_exp, kl_exp
+    return lam_exp[0], kl_exp[0]

@@ -212,7 +212,7 @@ class ChernoffSelection(SelectionStrategy):
 
     def batch_action_distributions(self, model, log_rho, step, horizon):
         # ndarray.argmax and take cost a fraction of np.argmax and fancy
-        # indexing on the one-row batches of the exact walker.
+        # indexing on small batches, such as run_episode's one-row calls.
         return self._ensure_table(model).take(log_rho.argmax(axis=1), axis=0)
 
     def spec_string(self):

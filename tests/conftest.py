@@ -65,7 +65,9 @@ class SoftmaxSelection(SelectionStrategy):
         self.bias = np.asarray(bias, dtype=float)         # (U,)
 
     def batch_action_distributions(self, model, log_rho, step, horizon):
-        z = np.exp(log_rho) @ self.weights.T + self.bias
+        # Row by row, not a matrix product: BLAS may round a row differently
+        # depending on the batch it comes in, and rows must not interact.
+        z = (np.exp(log_rho)[:, None, :] * self.weights).sum(axis=-1) + self.bias
         z = z - z.max(axis=-1, keepdims=True)
         e = np.exp(z)
         return e / e.sum(axis=-1, keepdims=True)

@@ -1,10 +1,12 @@
-"""Bit-identity guards for the Monte Carlo kernel and the strategy rules.
+"""Bit-identity guards for the Monte Carlo kernel, the strategy rules and the
+exact enumerator.
 
 The engine's random streams, its short-axis primitives, every rule's
 one-belief call, the EJS and ecr:k selection scores and the reports built on
 them are pinned: to the per-episode reference generator, to frozen copies of
-the plain one-belief formulas, and to float.hex values of a few small runs.
-A faster kernel or a new interface has to reproduce all of them.
+the plain one-belief formulas and of the depth-first tree walker, and to
+float.hex values of a few runs. A faster kernel or a new interface has to
+reproduce all of them.
 """
 
 import math
@@ -26,9 +28,11 @@ from ahtest import (
     OpenLoopSelection,
     P2Inference,
     RunConfig,
+    RunReport,
     UniformSelection,
     ejs_divergence,
     enumerate_exact,
+    enumerate_pair_expectations,
     episode_seed,
     lambda_bound,
     monte_carlo,
@@ -38,10 +42,15 @@ from ahtest import (
     select_ejs_greedy,
 )
 from ahtest.belief import bllr_matrix, log_normalize, logsumexp_last, normalize_belief_rows
-from ahtest.engine import _uniform_block, sample_categorical, simulate_conditioned_batch
+from ahtest.engine import (
+    _error_rates,
+    _uniform_block,
+    sample_categorical,
+    simulate_conditioned_batch,
+)
 from ahtest.strategies import INCONCLUSIVE, _ejs_scores
 
-from conftest import random_model
+from conftest import random_model, random_selection
 
 
 def _same_bits(a, b) -> bool:
@@ -604,3 +613,224 @@ def test_ecr_reports_are_pinned(mode, tri3):
         if name in pinned:
             assert [float(v).hex() for v in getattr(report, name)] == pinned[name]
     assert float(report.gamma).hex() == pinned["gamma"]
+
+
+# ---------------------------------------------------------------------------
+# every rule's row has the same bits alone and inside a large batch
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("case", SCALAR_CASES + ["random-9x2x2"])
+def test_rule_rows_do_not_depend_on_their_batch(case, request):
+    model, saddles, _ = _scalar_case(case, request)
+    rng = np.random.default_rng(sum(map(ord, case)) + 1)
+    m = model.num_hypotheses
+    rows = np.vstack([np.full((1, m), -np.log(m)),
+                      log_normalize(rng.normal(scale=8.0, size=(999, m)))])
+    horizon = 4
+    selections = [rule for rule, _ in _frozen_selections(model, saddles)]
+    selections += [EJSGreedySelection(), ECRLookaheadSelection(2), random_selection(rng, model)]
+    for rule in selections:
+        batch = rule.batch_action_distributions(model, rows, 0, horizon)
+        for t in range(0, len(rows), 37):
+            alone = rule.batch_action_distributions(model, rows[t:t + 1], 0, horizon)
+            assert _same_bits(alone[0], batch[t]), rule.spec_string()
+    log_prior = np.log(model.prior)
+    for rule, _ in _frozen_inferences(model, saddles, horizon):
+        batch = rule.batch_decide(model, log_prior, rows, horizon)
+        for t in range(0, len(rows), 37):
+            assert rule.batch_decide(model, log_prior, rows[t:t + 1], horizon)[0] == batch[t]
+
+
+# ---------------------------------------------------------------------------
+# exact enumeration against a frozen copy of the depth-first walker
+# ---------------------------------------------------------------------------
+
+def _frozen_leaves(model, selection, horizon):
+    """The leaves (action prob, likelihoods, log-belief, lam, kl sums) of the
+    depth-first walker as first written, in the order it visited them."""
+    n_exp = model.num_experiments
+    n_obs = model.num_observations
+    m_hyp = model.num_hypotheses
+    lc = model.log_channel
+    kl_by_u = np.einsum("iuy,ijuy->iju", model.channel, lc[:, None] - lc[None, :])
+    leaves = []
+
+    def rec(n, aprob, lik, log_rho, lam, kls):
+        if n == horizon:
+            leaves.append((aprob, lik, log_rho, lam, kls))
+            return
+        dist = selection.action_distribution(model, log_rho, n, horizon)
+        for u in range(n_exp):
+            pu = float(dist[u])
+            if pu <= 0.0:
+                continue
+            for y in range(n_obs):
+                lc_uy = lc[:, u, y]
+                rec(
+                    n + 1,
+                    aprob * pu,
+                    lik * model.channel[:, u, y],
+                    log_normalize(log_rho + lc_uy),
+                    lam + (lc_uy[:, None] - lc_uy[None, :]),
+                    kls + kl_by_u[:, :, u],
+                )
+
+    rec(0, 1.0, np.ones(m_hyp), np.log(model.prior),
+        np.zeros((m_hyp, m_hyp)), np.zeros((m_hyp, m_hyp)))
+    return leaves
+
+
+def _frozen_report(config, leaves):
+    """enumerate_exact's per-leaf visitor, as first written, over the leaves."""
+    model = config.model
+    m_hyp = model.num_hypotheses
+    log_prior = np.log(model.prior)
+    base_conf = bllr_matrix(log_prior)
+    dm = np.zeros((m_hyp, m_hyp + 1))
+    jacc = np.zeros(m_hyp)
+    for aprob, lik, log_rho, lam, kls in leaves:
+        w = aprob * lik
+        d = config.inference.decide(model, log_prior, log_rho, config.horizon)
+        dm[:, m_hyp if d is None else d] += w
+        jacc[:] += w * (bllr_matrix(log_rho) - base_conf)
+    psi, phi, gamma = _error_rates(dm, model.prior)
+    zeros = tuple(0.0 for _ in range(m_hyp))
+    return RunReport(
+        mode="exact", horizon=config.horizon, hypotheses=model.hypotheses,
+        psi=tuple(psi), phi=tuple(phi), gamma=gamma,
+        jng=tuple(float(jacc[i] / config.horizon) for i in range(m_hyp)),
+        psi_se=zeros, phi_se=zeros, gamma_se=0.0, jng_se=zeros,
+        decision_probs=dm, seed=None, paths=len(leaves),
+    )
+
+
+def _frozen_pairs(leaves, m_hyp):
+    """enumerate_pair_expectations' per-leaf visitor, as first written."""
+    lam_exp = np.zeros((m_hyp, m_hyp))
+    kl_exp = np.zeros((m_hyp, m_hyp))
+    for aprob, lik, _, lam, kls in leaves:
+        w = aprob * lik
+        lam_exp[:] += w[:, None] * lam
+        kl_exp[:] += w[:, None] * kls
+    return lam_exp, kl_exp
+
+
+def _hexed(value):
+    """A report's JSON form with every float spelled as float.hex."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return [_hexed(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _hexed(v) for k, v in value.items()}
+    return value
+
+
+def _assert_matches_frozen_walker(config, leaves):
+    """The exact report and both pair matrices have the frozen walker's bits."""
+    assert _hexed(enumerate_exact(config).to_json_dict()) == \
+        _hexed(_frozen_report(config, leaves).to_json_dict())
+    lam, kls = enumerate_pair_expectations(config)
+    want_lam, want_kls = _frozen_pairs(leaves, config.model.num_hypotheses)
+    assert _same_bits(lam, want_lam) and _same_bits(kls, want_kls)
+
+
+# (case, horizon): leaf counts from about a hundred to a few hundred; M up to
+# 9 takes the hypothesis sums past numpy's eight-term pairwise cutoff, and
+# the one-experiment models branch on observations only.
+WALK_CASES = [("bsc2", 7), ("tri3", 4), ("random-4x3x3", 3), ("random-9x2x2", 4),
+              ("random-3x4x5", 2), ("random-2x1x3", 5), ("random-8x1x3", 4)]
+
+
+def _all_selections(model, saddles):
+    """Every selection rule the CLI offers; ejs and ecr:k put all mass on one
+    experiment, so their trees are pruned."""
+    rules = [rule for rule, _ in _frozen_selections(model, saddles)]
+    return rules + [EJSGreedySelection(), ECRLookaheadSelection(2)]
+
+
+@pytest.mark.parametrize("case, horizon", WALK_CASES)
+def test_exact_reports_match_the_frozen_walker(case, horizon, request):
+    rng = np.random.default_rng(sum(map(ord, case)))
+    model = _case_model(case, request, rng)
+    saddles = saddle_points(model)
+    for selection in _all_selections(model, saddles):
+        leaves = _frozen_leaves(model, selection, horizon)
+        for inference, _ in _frozen_inferences(model, saddles, horizon):
+            _assert_matches_frozen_walker(
+                RunConfig(model=model, selection=selection, inference=inference,
+                          horizon=horizon), leaves)
+
+
+# (case, horizon, selection index in _all_selections, inference index in
+# _frozen_inferences): blocks of 1 and 7 rows split every level of these
+# trees, and the ejs and ecr:k=2 trees are pruned.
+BLOCK_CASES = [("tri3", 5, 0, 0), ("tri3", 4, 4, 0), ("bsc2", 7, 3, 3),
+               ("random-3x4x5", 2, 2, 2), ("random-9x2x2", 3, 1, 1)]
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, None])
+@pytest.mark.parametrize("case, horizon, sel, inf", BLOCK_CASES)
+def test_walk_block_size_moves_no_bit(case, horizon, sel, inf, block_rows, request, monkeypatch):
+    from ahtest import engine
+
+    if block_rows is not None:
+        monkeypatch.setattr(engine, "_WALK_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(sum(map(ord, case)))
+    model = _case_model(case, request, rng)
+    saddles = saddle_points(model)
+    config = RunConfig(model=model, selection=_all_selections(model, saddles)[sel],
+                       inference=_frozen_inferences(model, saddles, horizon)[inf][0],
+                       horizon=horizon)
+    _assert_matches_frozen_walker(config, _frozen_leaves(model, config.selection, horizon))
+
+
+# float.hex of the exact-tree benchmark's outputs (chernoff/fbar, default
+# delta), generated with the depth-first walker.
+EXACT_PINNED = {
+    ('tri3', 8): {
+        'decision_probs': [['0x1.1cf882ee7e0acp-1', '0x1.f6a7b499ddb9cp-9', '0x1.f9dcfee8ec84ep-9', '0x1.be2df0bbfe894p-2'], ['0x1.f39f508488c94p-7', '0x1.0ec99c9a15e77p-1', '0x1.c1dd99152dd6ep-9', '0x1.cf4c11158581fp-2'], ['0x1.f39f508488cf1p-7', '0x1.cbe5655e32283p-9', '0x1.0d1f9a2970b7ep-1', '0x1.d28c065e3dbd5p-2']],
+        'psi': ['0x1.c60efa2303ea8p-2', '0x1.e26cc6cbd4312p-2', '0x1.e5c0cbad1e904p-2'],
+        'phi': ['0x1.f39f508488cc2p-7', '0x1.e1468cfc07f0ep-9', '0x1.dddd4bff0d2ddp-9'],
+        'gamma': '0x1.ecf02f2cdeb7fp-7',
+        'jng': ['0x1.55be57ddfd0cap-2', '0x1.cd94ad0496260p-2', '0x1.cc458b836e1f8p-2'],
+        'paths': 65536,
+    },
+    ('bsc2', 15): {
+        'decision_probs': [['0x1.c34f10505575cp-1', '0x1.86eb0cde7a80bp-33', '0x1.e5877d711c178p-4'], ['0x1.86eb0cde7a80cp-33', '0x1.c34f1050556e2p-1', '0x1.e5877d711d1b9p-4']],
+        'psi': ['0x1.e5877d7d54520p-4', '0x1.e5877d7d548f0p-4'],
+        'phi': ['0x1.86eb0cde7a80cp-33', '0x1.86eb0cde7a80bp-33'],
+        'gamma': '0x1.86eb0cde7a80cp-33',
+        'jng': ['0x1.c1fdd9114d297p+0', '0x1.c1fdd9114d1dfp+0'],
+        'paths': 32768,
+    },
+}
+PAIRS_PINNED = {  # enumerate_pair_expectations, tri3 N=8, chernoff
+    'lam': [['0x0.0p+0', '0x1.b7633040a6b86p+1', '0x1.b6b39316af632p+1'], ['0x1.f97c485834ccfp+1', '0x0.0p+0', '0x1.1bedf14781b3ep+2'], ['0x1.f5ce7dbf28d2fp+1', '0x1.1c0a67eeea69ap+2', '0x0.0p+0']],
+    'kl': [['0x0.0p+0', '0x1.b7633040a696cp+1', '0x1.b6b39316af9dfp+1'], ['0x1.f97c485834d49p+1', '0x0.0p+0', '0x1.1bedf14781d78p+2'], ['0x1.f5ce7dbf28d8ap+1', '0x1.1c0a67eeea5bep+2', '0x0.0p+0']],
+}
+
+
+def _exact_tree_config(model, horizon):
+    saddles = saddle_points(model)
+    return RunConfig(model=model, selection=ChernoffSelection(saddles),
+                     inference=FBarInference(saddles, min(sp.d_star for sp in saddles) / 4.0),
+                     horizon=horizon)
+
+
+@pytest.mark.parametrize("key", sorted(EXACT_PINNED))
+def test_exact_tree_reports_are_pinned(key, request):
+    name, horizon = key
+    report = enumerate_exact(_exact_tree_config(request.getfixturevalue(name), horizon))
+    pinned = EXACT_PINNED[key]
+    assert [[float(v).hex() for v in row] for row in report.decision_probs] == pinned["decision_probs"]
+    for name in ("psi", "phi", "jng"):
+        assert [float(v).hex() for v in getattr(report, name)] == pinned[name]
+    assert float(report.gamma).hex() == pinned["gamma"]
+    assert report.paths == pinned["paths"]
+
+
+def test_exact_tree_pair_expectations_are_pinned(tri3):
+    lam, kls = enumerate_pair_expectations(_exact_tree_config(tri3, 8))
+    assert [[float(v).hex() for v in row] for row in lam] == PAIRS_PINNED["lam"]
+    assert [[float(v).hex() for v in row] for row in kls] == PAIRS_PINNED["kl"]

@@ -16,7 +16,6 @@ from ahtest import (
     episode_seed,
     lambda_bound,
     monte_carlo,
-    prior_belief,
     run_episode,
     saddle_points,
 )
@@ -309,6 +308,24 @@ class TestEnumerateExact:
         with pytest.raises(EnumerationBudgetError):
             enumerate_exact(cfg)
 
+    def test_memory_stays_flat_in_the_horizon(self, tri3, tri3_saddles):
+        # The walk splits wide blocks of nodes, so its peak allocation is a
+        # few blocks (about 1.5 MB here), not the 262144 leaves of the tree.
+        import tracemalloc
+
+        cfg = RunConfig(
+            model=tri3, selection=ChernoffSelection(tri3_saddles),
+            inference=FBarInference(tri3_saddles, min(sp.d_star for sp in tri3_saddles) / 4.0),
+            horizon=9,
+        )
+        tracemalloc.start()
+        try:
+            assert enumerate_exact(cfg).paths == 4**9
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     def test_monte_carlo_agrees_with_enumeration(self, bsc2, tri3, bsc2_saddles, tri3_saddles):
         for model, saddles in ((bsc2, bsc2_saddles), (tri3, tri3_saddles)):
             delta = min(sp.d_star for sp in saddles) / 4
@@ -337,10 +354,8 @@ class TestJng:
 
     def test_jng_agrees_with_increment_fold(self, tri3, tri3_saddles):
         # second route: average the trajectory-wise confidence increments
-        from ahtest import confidence_increment, Trajectory
         from ahtest.engine import walk_paths
 
-        prior = prior_belief(tri3)
         sel = ChernoffSelection(tri3_saddles)
         cfg = RunConfig(model=tri3, selection=sel, inference=MAPInference(), horizon=3)
         exact = enumerate_exact(cfg)
@@ -348,12 +363,9 @@ class TestJng:
         total = np.zeros(3)
 
         def visit(aprob, lik, log_rho, lam, kls):
-            inc = [
-                float(np.log(np.exp(log_rho[i]) / (1 - np.exp(log_rho[i])))
-                      - np.log(tri3.prior[i] / (1 - tri3.prior[i])))
-                for i in range(3)
-            ]
-            total[:] += aprob * lik * np.array(inc)
+            rho = np.exp(log_rho)
+            inc = np.log(rho / (1 - rho)) - np.log(tri3.prior / (1 - tri3.prior))
+            total[:] += (aprob[:, None] * lik * inc).sum(axis=0)
 
         walk_paths(tri3, sel, 3, visit)
         np.testing.assert_allclose(np.array(exact.jng), total / 3, atol=1e-9)
