@@ -1,9 +1,13 @@
 """Batch command-line front end.
 
 Subcommands: validate, divergence, simulate, enumerate, bounds, sweep.
-Every run echoes its effective defaults (epsilon rule, delta, solver
-tolerance, seed) in the output metadata, and identical configurations
-produce byte-identical output files.
+All four strategy runs share one run path: Monte Carlo with --episodes,
+exact enumeration (trees up to 10^7 nodes) without. `bounds` is a
+one-horizon `sweep` plus its run report. A strategy spec parameter the rule
+does not take, or one given twice, is rejected, and the model's label fields
+must be JSON arrays. Every run echoes its effective defaults (epsilon rule,
+delta, solver tolerance, seed) in the output metadata, and identical
+configurations produce byte-identical output files.
 
 Exit codes: 0 success, 2 usage error, 3 model load/validation error,
 4 infeasible configuration (budgets, bad strategy specs), 5 saddle solver
@@ -13,6 +17,7 @@ failure, 1 output file not writable or unexpected error.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
@@ -102,9 +107,9 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _metadata(args, model_path, saddles=None, delta=None, schedule=None) -> dict:
+def _metadata(args, saddles=None, delta=None, schedule=None) -> dict:
     md = {
-        "model": model_path,
+        "model": args.model,
         "seed": getattr(args, "seed", 0),
         "epsilon_rule": schedule.spec_string() if schedule else None,
         "delta": delta,
@@ -113,15 +118,6 @@ def _metadata(args, model_path, saddles=None, delta=None, schedule=None) -> dict
     if saddles is not None:
         md["d_star"] = [sp.d_star for sp in saddles]
     return md
-
-
-def _run_metadata(args, saddles, delta, schedule) -> dict:
-    """Metadata of a strategy run: the common fields plus both strategy specs."""
-    return {
-        **_metadata(args, args.model, saddles=saddles, delta=delta, schedule=schedule),
-        "select": args.select,
-        "infer": args.infer,
-    }
 
 
 def _resolve_delta(args, saddles) -> float:
@@ -179,7 +175,7 @@ def _cmd_validate(args) -> int:
             "pairwise_kl_positive": True,
             "prior_positive_normalized": True,
         },
-        "metadata": _metadata(args, args.model, schedule=schedule),
+        "metadata": _metadata(args, schedule=schedule),
     }
     _emit(_json_text(doc), args.out)
     return EXIT_OK
@@ -189,7 +185,7 @@ def _cmd_divergence(args) -> int:
     model = load_model(args.model)
     saddles = saddle_points(model, tol=DEFAULT_TOL)
     doc = {
-        "metadata": _metadata(args, args.model, saddles=saddles),
+        "metadata": _metadata(args, saddles=saddles),
         "saddles": [
             {
                 "hypothesis": model.hypotheses[sp.hypothesis],
@@ -210,7 +206,13 @@ def _cmd_divergence(args) -> int:
     return EXIT_OK
 
 
-def _prepare_run(args, *, need_episodes: bool):
+def _run(args, *, bound_rows: bool = False):
+    """(metadata, one RunReport per horizon, their bound rows or None).
+
+    Runs Monte Carlo when --episodes is given and exact enumeration
+    otherwise. Failures surface in this order: model load, saddles, epsilon
+    rule, delta, strategy specs, --episodes, horizon list, run configuration.
+    """
     model = load_model(args.model)
     saddles = saddle_points(model, tol=DEFAULT_TOL)
     schedule = EpsilonSchedule.parse(args.epsilon_rule)
@@ -222,122 +224,71 @@ def _prepare_run(args, *, need_episodes: bool):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     episodes = getattr(args, "episodes", None)
-    if need_episodes and episodes is None:
+    if args.command == "simulate" and episodes is None:
         raise ConfigError("this subcommand requires --episodes")
     # an inline fbar:delta=... overrides the --delta / default value
     delta = getattr(inference, "delta", delta)
-    return model, saddles, schedule, delta, b, selection, inference, episodes
-
-
-def _cmd_simulate(args) -> int:
-    model, saddles, schedule, delta, _, selection, inference, episodes = _prepare_run(
-        args, need_episodes=True
-    )
-    config = RunConfig(
-        model=model, selection=selection, inference=inference,
-        horizon=args.horizon, episodes=episodes, seed=args.seed,
-    )
-    report = monte_carlo(config)
-    return _emit_report(args, report, model, saddles, schedule, delta)
-
-
-def _cmd_enumerate(args) -> int:
-    model, saddles, schedule, delta, _, selection, inference, _ = _prepare_run(
-        args, need_episodes=False
-    )
-    config = RunConfig(
-        model=model, selection=selection, inference=inference,
-        horizon=args.horizon, episodes=None, seed=args.seed,
-    )
-    report = enumerate_exact(config)
-    return _emit_report(args, report, model, saddles, schedule, delta)
-
-
-def _emit_report(args, report, model, saddles, schedule, delta) -> int:
-    fmt = args.format or "json"
-    if fmt == "csv":
-        _emit(_report_csv(report), args.out)
-        return EXIT_OK
-    doc = {
-        "metadata": _run_metadata(args, saddles, delta, schedule),
-        "report": report.to_json_dict(),
+    horizons = _horizon_list(args.horizons) if args.command == "sweep" else [args.horizon]
+    run = enumerate_exact if episodes is None else monte_carlo
+    reports = [
+        run(RunConfig(model=model, selection=selection, inference=inference,
+                      horizon=n, episodes=episodes, seed=args.seed))
+        for n in horizons
+    ]
+    metadata = {
+        **_metadata(args, saddles=saddles, delta=delta, schedule=schedule),
+        "select": args.select,
+        "infer": args.infer,
     }
-    _emit(_json_text(doc), args.out)
-    return EXIT_OK
+    rows = bounds_mod.exponent_table(
+        model, saddles, b, reports, [schedule.epsilon(n) for n in horizons], delta
+    ) if bound_rows else None
+    return metadata, reports, rows
 
 
-def _cmd_bounds(args) -> int:
-    model, saddles, schedule, delta, b, selection, inference, episodes = _prepare_run(
-        args, need_episodes=False
-    )
-    config = RunConfig(
-        model=model, selection=selection, inference=inference,
-        horizon=args.horizon, episodes=episodes, seed=args.seed,
-    )
-    report = monte_carlo(config) if episodes is not None else enumerate_exact(config)
-    brep = bounds_mod.bound_report(
-        model, saddles, b, report, schedule.epsilon(args.horizon), delta
-    )
-    fmt = args.format or "json"
-    if fmt == "csv":
-        import io
-
-        buf = io.StringIO()
-        bounds_mod.write_exponent_csv([brep], buf)
-        _emit(buf.getvalue(), args.out)
-        return EXIT_OK
-    doc = {
-        "metadata": _run_metadata(args, saddles, delta, schedule),
-        "bounds": brep.to_json_dict(),
-        "report": report.to_json_dict(),
-    }
-    _emit(_json_text(doc), args.out)
-    return EXIT_OK
-
-
-def _cmd_sweep(args) -> int:
-    model, saddles, schedule, delta, b, selection, inference, episodes = _prepare_run(
-        args, need_episodes=False
-    )
+def _horizon_list(text: str) -> list[int]:
     try:
-        horizons = [int(tok) for tok in args.horizons.split(",") if tok.strip()]
+        horizons = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise ConfigError(f"bad horizon list {args.horizons!r}") from exc
+        raise ConfigError(f"bad horizon list {text!r}") from exc
     if not horizons:
         raise ConfigError("horizon list is empty")
-    runs = []
-    for n in horizons:
-        config = RunConfig(
-            model=model, selection=selection, inference=inference,
-            horizon=n, episodes=episodes, seed=args.seed,
-        )
-        runs.append(monte_carlo(config) if episodes is not None else enumerate_exact(config))
-    reports = bounds_mod.exponent_table(
-        model, saddles, b, runs, [schedule.epsilon(n) for n in horizons], delta
-    )
-    fmt = args.format or "csv"
-    if fmt == "csv":
-        import io
+    return horizons
 
+
+def _cmd_report(args) -> int:
+    """simulate and enumerate: one run report."""
+    metadata, (report,), _ = _run(args)
+    text = _report_csv(report) if args.format == "csv" else _json_text(
+        {"metadata": metadata, "report": report.to_json_dict()})
+    _emit(text, args.out)
+    return EXIT_OK
+
+
+def _cmd_table(args) -> int:
+    """sweep, and bounds as its one-horizon case: the bound rows (csv by
+    default for sweep); bounds' json also carries the run report."""
+    metadata, reports, rows = _run(args, bound_rows=True)
+    if (args.format or ("json" if args.command == "bounds" else "csv")) == "csv":
         buf = io.StringIO()
-        bounds_mod.write_exponent_csv(reports, buf)
-        _emit(buf.getvalue(), args.out)
+        bounds_mod.write_exponent_csv(rows, buf)
+        text = buf.getvalue()
+    elif args.command == "bounds":
+        text = _json_text({"metadata": metadata, "bounds": rows[0].to_json_dict(),
+                           "report": reports[0].to_json_dict()})
     else:
-        doc = {
-            "metadata": _run_metadata(args, saddles, delta, schedule),
-            "rows": [r.to_json_dict() for r in reports],
-        }
-        _emit(_json_text(doc), args.out)
+        text = _json_text({"metadata": metadata, "rows": [r.to_json_dict() for r in rows]})
+    _emit(text, args.out)
     return EXIT_OK
 
 
 _COMMANDS = {
     "validate": _cmd_validate,
     "divergence": _cmd_divergence,
-    "simulate": _cmd_simulate,
-    "enumerate": _cmd_enumerate,
-    "bounds": _cmd_bounds,
-    "sweep": _cmd_sweep,
+    "simulate": _cmd_report,
+    "enumerate": _cmd_report,
+    "bounds": _cmd_table,
+    "sweep": _cmd_table,
 }
 
 

@@ -31,6 +31,7 @@ from .strategies import INCONCLUSIVE, InferenceStrategy, SelectionStrategy
 # Fixed so floating-point accumulation order never depends on run parameters.
 CHUNK_SIZE = 32768
 
+# Largest tree exact enumeration walks: (experiments x observations)^horizon.
 DEFAULT_NODE_BUDGET = 10**7
 
 # Tree nodes expanded at once by walk_paths: wider blocks are split, so the
@@ -102,10 +103,12 @@ def sample_categorical(dists: np.ndarray, r) -> np.ndarray:
 class RunConfig:
     """Everything needed to reproduce a run: model, strategies, horizon, seeding.
 
-    episodes selects Monte Carlo; leaving it None selects exact enumeration.
-    conditioning "each" runs a separate episode batch per true hypothesis
-    (the variance-reducing default matching the conditional error
-    definitions); "prior" samples the true hypothesis per episode.
+    episodes selects Monte Carlo; leaving it None selects exact enumeration,
+    which refuses trees over DEFAULT_NODE_BUDGET leaves. conditioning "each"
+    runs a separate episode batch per true hypothesis (the variance-reducing
+    default matching the conditional error definitions); "prior" samples the
+    true hypothesis per episode. monte_carlo assembles one report for both;
+    they differ only in their episode loop and their phi/gamma estimator.
     """
 
     model: Model
@@ -115,7 +118,6 @@ class RunConfig:
     episodes: Optional[int] = None
     seed: int = 0
     conditioning: str = "each"
-    node_budget: int = DEFAULT_NODE_BUDGET
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -124,8 +126,6 @@ class RunConfig:
             raise ValueError("episode count must be >= 1")
         if self.conditioning not in ("each", "prior"):
             raise ValueError(f"unknown conditioning mode {self.conditioning!r}")
-        if self.node_budget < 1:
-            raise ValueError("node budget must be >= 1")
         object.__setattr__(self, "seed", _key_field("seed", self.seed, _SEED_BITS))
 
 
@@ -324,15 +324,56 @@ def _mean_se(total: float, sqtotal: float, n: int) -> Optional[float]:
 def monte_carlo(config: RunConfig) -> RunReport:
     """Monte Carlo estimates of the error probabilities and confidence rates.
 
-    Conditioned mode runs config.episodes episodes per hypothesis; the
-    misclassification probability is assembled from the per-hypothesis
-    declaration rates through its defining mixture.
+    Each conditioning mode contributes its episode loop, which yields the
+    decision counts (M, M+1) and the per-hypothesis sums of the own
+    confidence increment and its square, and its phi/gamma estimator:
+    conditioned mode mixes the per-lane declaration rates through prior
+    weights (_weighted_phi), prior mode pools the episodes of the other
+    hypotheses (_pooled_phi). psi, jng, their standard errors and the report
+    are assembled here once; a hypothesis that drew no episode gets None.
     """
     if config.episodes is None:
         raise ValueError("monte_carlo needs an episode count")
+    m_hyp = config.model.num_hypotheses
+    horizon = config.horizon
     if config.conditioning == "each":
-        return _monte_carlo_conditioned(config)
-    return _monte_carlo_prior(config)
+        lanes = [simulate_conditioned_batch(config, h)[:3] for h in range(m_hyp)]
+        counts, inc_sum, inc_sqsum = (np.array(col) for col in zip(*lanes))
+        estimate_phi = _weighted_phi
+    else:
+        counts, inc_sum, inc_sqsum = _simulate_prior_sampled(config)
+        estimate_phi = _pooled_phi
+
+    n_h = counts.sum(axis=1)
+    decision_probs = counts / np.maximum(n_h, 1)[:, None]
+    psi, psi_se, jng, jng_se = ([None] * m_hyp for _ in range(4))
+    for i in np.flatnonzero(n_h):
+        n = int(n_h[i])
+        psi[i] = float(1.0 - decision_probs[i, i])
+        psi_se[i] = _bernoulli_se(psi[i], n)
+        jng[i] = float(inc_sum[i] / (n * horizon))
+        se = _mean_se(float(inc_sum[i]), float(inc_sqsum[i]), n)
+        jng_se[i] = None if se is None else se / horizon
+    phi, phi_se, gamma, gamma_se = estimate_phi(
+        counts, decision_probs, config.model.prior, config.episodes)
+
+    return RunReport(
+        mode="mc",
+        horizon=horizon,
+        hypotheses=config.model.hypotheses,
+        psi=tuple(psi),
+        phi=tuple(phi),
+        gamma=gamma,
+        jng=tuple(jng),
+        psi_se=tuple(psi_se),
+        phi_se=tuple(phi_se),
+        gamma_se=gamma_se,
+        jng_se=tuple(jng_se),
+        decision_probs=decision_probs,
+        seed=config.seed,
+        episodes=config.episodes,
+        misclassification_count=int(counts[:, :m_hyp].sum() - np.trace(counts)),
+    )
 
 
 def _phi_weights(prior: np.ndarray) -> np.ndarray:
@@ -354,76 +395,66 @@ def _error_rates(decision_probs: np.ndarray, prior: np.ndarray):
     return psi, phi, gamma
 
 
-def _monte_carlo_conditioned(config: RunConfig) -> RunReport:
-    model = config.model
-    m_hyp = model.num_hypotheses
-    episodes = config.episodes
-    prior = model.prior
-
-    p_decide = np.zeros((m_hyp, m_hyp + 1))
-    mis_rate = np.zeros(m_hyp)
-    jng: list[Optional[float]] = []
-    jng_se: list[Optional[float]] = []
-    misclass = 0
-    for h in range(m_hyp):
-        counts, inc_sum, inc_sqsum, _, _ = simulate_conditioned_batch(config, h)
-        p_decide[h] = counts / episodes
-        jng.append(inc_sum / (episodes * config.horizon))
-        se = _mean_se(inc_sum, inc_sqsum, episodes)
-        jng_se.append(None if se is None else se / config.horizon)
-        lane_misclass = int(counts.sum() - counts[h] - counts[m_hyp])
-        mis_rate[h] = lane_misclass / episodes
-        misclass += lane_misclass
-
-    psi, phi, gamma = _error_rates(p_decide, prior)
-    psi_se = [_bernoulli_se(p, episodes) for p in psi]
+def _weighted_phi(counts, decision_probs, prior, episodes):
+    """Conditioned mode's (phi, phi_se, gamma, gamma_se): every lane ran
+    `episodes` episodes, and phi and gamma mix the lanes' rates through the
+    prior."""
+    m_hyp = prior.size
+    _, phi, gamma = _error_rates(decision_probs, prior)
     if episodes < 2:
-        phi_se = [None] * m_hyp
-        gamma_se = None
-    else:
-        weights = _phi_weights(prior)
-        phi_se = [math.sqrt(sum(
-            (weights[h, i] ** 2) * p_decide[h, i] * (1.0 - p_decide[h, i]) / (episodes - 1)
-            for h in range(m_hyp)
-        )) for i in range(m_hyp)]
-        gamma_se = math.sqrt(sum(
-            (prior[h] ** 2) * mis_rate[h] * (1.0 - mis_rate[h]) / (episodes - 1)
-            for h in range(m_hyp)
-        ))
-
-    return RunReport(
-        mode="mc",
-        horizon=config.horizon,
-        hypotheses=model.hypotheses,
-        psi=tuple(psi),
-        phi=tuple(phi),
-        gamma=gamma,
-        jng=tuple(jng),
-        psi_se=tuple(psi_se),
-        phi_se=tuple(phi_se),
-        gamma_se=gamma_se,
-        jng_se=tuple(jng_se),
-        decision_probs=p_decide,
-        seed=config.seed,
-        episodes=episodes,
-        misclassification_count=misclass,
-    )
+        return phi, [None] * m_hyp, gamma, None
+    weights = _phi_weights(prior)
+    mis_rate = (counts[:, :m_hyp].sum(axis=1) - np.diag(counts)) / episodes
+    phi_se = [math.sqrt(sum(
+        (weights[h, i] ** 2) * decision_probs[h, i] * (1.0 - decision_probs[h, i]) / (episodes - 1)
+        for h in range(m_hyp)
+    )) for i in range(m_hyp)]
+    gamma_se = math.sqrt(sum(
+        (prior[h] ** 2) * mis_rate[h] * (1.0 - mis_rate[h]) / (episodes - 1)
+        for h in range(m_hyp)
+    ))
+    return phi, phi_se, gamma, gamma_se
 
 
-def _monte_carlo_prior(config: RunConfig) -> RunReport:
+def _pooled_phi(counts, decision_probs, prior, episodes):
+    """Prior mode's (phi, phi_se, gamma, gamma_se): phi_i is the share of
+    declarations of i among the episodes whose true hypothesis is not i;
+    None, and gamma None, where no such episode was drawn."""
+    m_hyp = prior.size
+    n_h = counts.sum(axis=1)
+    phi: list[Optional[float]] = []
+    phi_se: list[Optional[float]] = []
+    for i in range(m_hyp):
+        den = int(episodes - n_h[i])
+        if den == 0:
+            phi.append(None); phi_se.append(None)
+            continue
+        p = int(counts[:, i].sum() - counts[i, i]) / den
+        phi.append(float(p))
+        phi_se.append(_bernoulli_se(p, den))
+    if any(v is None for v in phi):
+        return phi, phi_se, None, None
+    gamma = float(sum(phi[i] * (1.0 - prior[i]) for i in range(m_hyp)))
+    gamma_se = math.sqrt(sum(
+        ((1.0 - prior[i]) * se) ** 2 for i, se in enumerate(phi_se)
+    )) if all(se is not None for se in phi_se) else None
+    return phi, phi_se, gamma, gamma_se
+
+
+def _simulate_prior_sampled(config: RunConfig):
+    """Episodes whose true hypothesis is drawn from the prior, on their own
+    lane: (decision counts (M, M+1), inc_sum (M,), inc_sqsum (M,)), each row
+    and entry indexed by the drawn hypothesis."""
     model = config.model
     m_hyp = model.num_hypotheses
-    episodes = config.episodes
-    prior = model.prior
     lane = m_hyp  # distinct from all conditioned lanes
-
     counts = np.zeros((m_hyp, m_hyp + 1), dtype=np.int64)
     inc_sum = np.zeros(m_hyp)
     inc_sqsum = np.zeros(m_hyp)
-    for start in range(0, episodes, CHUNK_SIZE):
-        count = min(CHUNK_SIZE, episodes - start)
+    for start in range(0, config.episodes, CHUNK_SIZE):
+        count = min(CHUNK_SIZE, config.episodes - start)
         uniforms = _uniform_block(config.seed, lane, start, count, 2 * config.horizon + 1)
-        hs = sample_categorical(np.tile(prior, (count, 1)), uniforms[:, 0])
+        hs = sample_categorical(np.tile(model.prior, (count, 1)), uniforms[:, 0])
         decisions, increments, _ = _run_chunk(
             model, config.selection, config.inference, config.horizon,
             hs, uniforms[:, 1:],
@@ -433,69 +464,10 @@ def _monte_carlo_prior(config: RunConfig) -> RunReport:
         own = increments[np.arange(count), hs]
         np.add.at(inc_sum, hs, own)
         np.add.at(inc_sqsum, hs, own * own)
-
-    n_h = counts.sum(axis=1)
-    psi: list[Optional[float]] = []
-    psi_se: list[Optional[float]] = []
-    jng: list[Optional[float]] = []
-    jng_se: list[Optional[float]] = []
-    for i in range(m_hyp):
-        if n_h[i] == 0:
-            psi.append(None); psi_se.append(None)
-            jng.append(None); jng_se.append(None)
-            continue
-        p = 1.0 - counts[i, i] / n_h[i]
-        psi.append(float(p))
-        psi_se.append(_bernoulli_se(p, int(n_h[i])))
-        jng.append(float(inc_sum[i] / (n_h[i] * config.horizon)))
-        se = _mean_se(float(inc_sum[i]), float(inc_sqsum[i]), int(n_h[i]))
-        jng_se.append(None if se is None else se / config.horizon)
-
-    phi: list[Optional[float]] = []
-    phi_se: list[Optional[float]] = []
-    for i in range(m_hyp):
-        den = int(episodes - n_h[i])
-        if den == 0:
-            phi.append(None); phi_se.append(None)
-            continue
-        num = int(counts[:, i].sum() - counts[i, i])
-        p = num / den
-        phi.append(float(p))
-        phi_se.append(_bernoulli_se(p, den))
-
-    if any(v is None for v in phi):
-        gamma = None
-        gamma_se = None
-    else:
-        gamma = float(sum(phi[i] * (1.0 - prior[i]) for i in range(m_hyp)))
-        gamma_se = math.sqrt(sum(
-            ((1.0 - prior[i]) * se) ** 2 for i, se in enumerate(phi_se)
-        )) if all(se is not None for se in phi_se) else None
-
-    misclass = int(counts.sum() - np.trace(counts[:, :m_hyp]) - counts[:, m_hyp].sum())
-    p_decide = counts / np.maximum(n_h, 1)[:, None]
-
-    return RunReport(
-        mode="mc",
-        horizon=config.horizon,
-        hypotheses=model.hypotheses,
-        psi=tuple(psi),
-        phi=tuple(phi),
-        gamma=gamma,
-        jng=tuple(jng),
-        psi_se=tuple(psi_se),
-        phi_se=tuple(phi_se),
-        gamma_se=gamma_se,
-        jng_se=tuple(jng_se),
-        decision_probs=p_decide,
-        seed=config.seed,
-        episodes=episodes,
-        misclassification_count=misclass,
-    )
+    return counts, inc_sum, inc_sqsum
 
 
-def walk_paths(model: Model, selection: SelectionStrategy, horizon: int,
-               visit, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
+def walk_paths(model: Model, selection: SelectionStrategy, horizon: int, visit) -> int:
     """Level-by-level walk of the full (experiment, observation) tree.
 
     Each block of nodes, one row each, takes one batch selection call; its
@@ -512,10 +484,10 @@ def walk_paths(model: Model, selection: SelectionStrategy, horizon: int,
     n_exp = model.num_experiments
     n_obs = model.num_observations
     m_hyp = model.num_hypotheses
-    if (n_exp * n_obs) ** horizon > node_budget:
+    if (n_exp * n_obs) ** horizon > DEFAULT_NODE_BUDGET:
         raise EnumerationBudgetError(
             f"({n_exp} experiments x {n_obs} observations)^{horizon} exceeds "
-            f"the node budget {node_budget}"
+            f"the node budget {DEFAULT_NODE_BUDGET}"
         )
     lc = model.log_channel
     kl_by_u = np.einsum("iuy,ijuy->iju", model.channel, lc[:, None] - lc[None, :])
@@ -569,7 +541,7 @@ def enumerate_exact(config: RunConfig) -> RunReport:
         np.add.at(dm.T, np.where(d == INCONCLUSIVE, m_hyp, d), w)
         np.add.at(jacc, np.zeros_like(d), w * (bllr_matrix(log_rho) - base_conf))
 
-    paths = walk_paths(model, config.selection, horizon, visit, config.node_budget)
+    paths = walk_paths(model, config.selection, horizon, visit)
 
     mass = dm.sum(axis=1)
     if np.any(np.abs(mass - 1.0) > 1e-9):
@@ -616,5 +588,5 @@ def enumerate_pair_expectations(config: RunConfig):
         np.add.at(lam_exp, first, w * lam)
         np.add.at(kl_exp, first, w * kls)
 
-    walk_paths(model, config.selection, config.horizon, visit, config.node_budget)
+    walk_paths(model, config.selection, config.horizon, visit)
     return lam_exp[0], kl_exp[0]

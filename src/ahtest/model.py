@@ -138,10 +138,13 @@ def _validate(model: Model) -> None:
         # Deliberately an error rather than a silent renormalization: a bad
         # row sum almost always means a typo in the model file.
         raise ModelValidationError(
-            f"channel row (h={h},u={u}) sums to {row_sums[h, u]!r}, "
+            f"channel row (h={h},u={u}) sums to {float(row_sums[h, u])!r}, "
             f"violating normalization beyond tolerance {ROW_SUM_TOL}"
         )
 
+    if not np.all(np.isfinite(model.prior)):
+        i = int(np.argwhere(~np.isfinite(model.prior))[0, 0])
+        raise ModelValidationError(f"prior[{i}] = {model.prior[i]} is not finite")
     if np.any(model.prior <= 0.0):
         i = int(np.argwhere(model.prior <= 0.0)[0, 0])
         raise ModelValidationError(
@@ -149,7 +152,7 @@ def _validate(model: Model) -> None:
         )
     if abs(model.prior.sum() - 1.0) > ROW_SUM_TOL:
         raise ModelValidationError(
-            f"prior sums to {model.prior.sum()!r}, violating normalization "
+            f"prior sums to {float(model.prior.sum())!r}, violating normalization "
             f"beyond tolerance {ROW_SUM_TOL}"
         )
 
@@ -176,8 +179,9 @@ def load_model(source: Source) -> Model:
 
     Accepts a filesystem path, raw bytes, or a readable file object. The
     document must carry the keys `hypotheses`, `experiments`, `observations`
-    (arrays of strings), `prior` (array of numbers), and `channel` (3-dim
-    array indexed [hypothesis][experiment][observation]).
+    (arrays of labels; a string is not split into characters), `prior` (array
+    of numbers), and `channel` (3-dim array indexed
+    [hypothesis][experiment][observation]).
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
@@ -198,6 +202,10 @@ def load_model(source: Source) -> Model:
     missing = [k for k in ("hypotheses", "experiments", "observations", "prior", "channel") if k not in doc]
     if missing:
         raise ModelFormatError(f"model document missing keys: {', '.join(missing)}")
+    for key in ("hypotheses", "experiments", "observations"):
+        if not isinstance(doc[key], list):
+            raise ModelFormatError(
+                f"{key} must be a JSON array of labels, got {type(doc[key]).__name__}")
 
     try:
         channel = np.asarray(doc["channel"], dtype=float)

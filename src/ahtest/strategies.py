@@ -395,16 +395,25 @@ def _resolve_hypothesis(token: str, model: Model) -> int:
     return pos - 1
 
 
-def _split_spec(spec: str) -> tuple[str, dict[str, str]]:
+def _split_spec(spec: str, takes: dict[str, tuple[str, ...]]) -> tuple[str, dict[str, str]]:
+    """(rule, parameters) of `rule[:key=value,...]`; takes maps each known
+    rule to the keys it accepts. A known rule given another key, or a key
+    twice, is rejected: the run's metadata echoes the spec as written."""
     head, _, rest = spec.partition(":")
+    head = head.strip()
     params: dict[str, str] = {}
     if rest:
         for part in rest.split(","):
             key, eq, value = part.partition("=")
+            key = key.strip()
             if not eq:
                 raise ValueError(f"malformed parameter {part!r} in spec {spec!r}")
-            params[key.strip()] = value.strip()
-    return head.strip(), params
+            if head in takes and key not in takes[head]:
+                raise ValueError(f"{head} takes no parameter {key!r} (spec {spec!r})")
+            if head in takes and key in params:
+                raise ValueError(f"repeated parameter {key!r} in spec {spec!r}")
+            params[key] = value.strip()
+    return head, params
 
 
 def parse_selection(
@@ -415,7 +424,9 @@ def parse_selection(
     Recognized: `chernoff`, `openloop:i=<hyp>`, `uniform`, `ejs`, `ecr:k=<depth>`.
     Hypothesis references accept a label or a 1-based position.
     """
-    head, params = _split_spec(spec)
+    head, params = _split_spec(spec, {
+        "chernoff": (), "openloop": ("i",), "uniform": (), "ejs": (), "ecr": ("k",),
+    })
     if head == "chernoff":
         return ChernoffSelection(saddles)
     if head == "openloop":
@@ -446,7 +457,7 @@ def parse_inference(
     Recognized: `fbar` or `fbar:delta=<v>` (default delta passed in),
     `p2:i=<hyp>`, `map`.
     """
-    head, params = _split_spec(spec)
+    head, params = _split_spec(spec, {"fbar": ("delta",), "p2": ("i",), "map": ()})
     if head == "fbar":
         d = float(params["delta"]) if "delta" in params else delta
         return FBarInference(saddles, d)

@@ -7,7 +7,7 @@ import pytest
 
 from ahtest.cli import main
 
-from conftest import MODELS_DIR
+from conftest import MODELS_DIR, REPO_ROOT
 
 BSC2 = str(MODELS_DIR / "bsc2.json")
 TRI3 = str(MODELS_DIR / "tri3.json")
@@ -40,6 +40,28 @@ class TestValidate:
         code, _, err = run_cli(capsys, "validate", "--model", str(bad))
         assert code == 3
         assert "full support" in err
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("prior", "[NaN, NaN]", "is not finite"),
+        ("hypotheses", '"HK"', "hypotheses must be a JSON array"),
+        ("observations", '"01"', "observations must be a JSON array"),
+    ])
+    def test_malformed_field_exit_code(self, capsys, tmp_path, key, value, match):
+        doc = {
+            "hypotheses": ["a", "b"],
+            "experiments": ["u"],
+            "observations": ["0", "1"],
+            "prior": [0.5, 0.5],
+            "channel": [[[0.9, 0.1]], [[0.1, 0.9]]],
+        }
+        doc[key] = "@"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc).replace('"@"', value))
+        for argv in (["validate"], ["enumerate", "--horizon", "2"]):
+            code, out, err = run_cli(capsys, *argv, "--model", str(bad))
+            assert code == 3
+            assert out == ""
+            assert err.startswith("model error:") and match in err
 
     def test_missing_file_exit_code(self, capsys):
         code, _, _ = run_cli(capsys, "validate", "--model", "/nonexistent.json")
@@ -131,6 +153,20 @@ class TestSimulateEnumerate:
         assert out == ""
         assert err.startswith("configuration error:")
         assert "--delta" in err
+
+    @pytest.mark.parametrize("flag, spec", [
+        ("--select", "chernoff:foo=1"),
+        ("--select", "ejs:k=3"),
+        ("--infer", "map:delta=0.1"),
+        ("--infer", "fbar:delta=0.1,i=2"),
+        ("--select", "openloop:i=1,i=2"),
+    ])
+    def test_spec_parameter_not_taken_exit_code(self, capsys, flag, spec):
+        code, out, err = run_cli(capsys, "enumerate", "--model", BSC2, "--horizon", "2", flag, spec)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("configuration error:")
+        assert repr(spec) in err
 
     def test_budget_exceeded_exit_code(self, capsys):
         code, _, err = run_cli(
@@ -232,3 +268,63 @@ class TestFormatFlag:
         code, out, _ = run_cli(capsys, command, "--model", BSC2, *extra, "--format", "csv")
         assert code == 0
         assert not out.lstrip().startswith("{")
+
+
+class TestBoundsIsOneHorizonSweep:
+    @pytest.mark.parametrize("model, extra, run_command", [
+        (BSC2, ["--select", "chernoff", "--infer", "fbar", "--episodes", "2000", "--seed", "4"],
+         "simulate"),
+        (TRI3, ["--select", "ejs", "--infer", "map"], "enumerate"),
+    ])
+    def test_bounds_is_row_zero_of_sweep(self, capsys, model, extra, run_command):
+        common = ["--model", model, *extra]
+        outputs = [
+            run_cli(capsys, "bounds", *common, "--horizon", "5"),
+            run_cli(capsys, "sweep", *common, "--horizons", "5", "--format", "json"),
+            run_cli(capsys, "bounds", *common, "--horizon", "5", "--format", "csv"),
+            run_cli(capsys, "sweep", *common, "--horizons", "5"),
+            run_cli(capsys, run_command, *common, "--horizon", "5"),
+        ]
+        assert [(code, err) for code, _, err in outputs] == [(0, "")] * 5
+        bounds_json, sweep_json, bounds_csv, sweep_csv, run_json = (out for _, out, _ in outputs)
+        bounds_doc, sweep_doc, run_doc = map(json.loads, (bounds_json, sweep_json, run_json))
+        assert sweep_doc["rows"] == [bounds_doc["bounds"]]
+        assert bounds_csv == sweep_csv
+        assert bounds_doc["report"] == run_doc["report"]
+        assert bounds_doc["metadata"] == sweep_doc["metadata"] == run_doc["metadata"]
+
+
+# Each file holds the stdout of its command run from the repository root, so
+# the model path echoed in the metadata is relative. Only a change that moves
+# results on purpose regenerates a file (`ahtest <argv> > tests/golden/<name>`
+# from the repository root), and it lists the files it regenerated.
+GOLDEN_DIR = REPO_ROOT / "tests" / "golden"
+GOLDEN = {
+    "simulate-bsc2.json": ["simulate", "--model", "models/bsc2.json", "--horizon", "10",
+                           "--episodes", "2000", "--seed", "3"],
+    "simulate-tri3.csv": ["simulate", "--model", "models/tri3.json", "--select", "ejs",
+                          "--infer", "p2:i=1", "--horizon", "6", "--episodes", "1000",
+                          "--seed", "5", "--format", "csv"],
+    "enumerate-tri3.json": ["enumerate", "--model", "models/tri3.json", "--select", "ecr:k=2",
+                            "--infer", "map", "--horizon", "4"],
+    "enumerate-bsc2.csv": ["enumerate", "--model", "models/bsc2.json", "--select",
+                           "openloop:i=2", "--infer", "fbar:delta=0.4", "--horizon", "7",
+                           "--format", "csv"],
+    "bounds-bsc2.json": ["bounds", "--model", "models/bsc2.json", "--horizon", "8",
+                         "--episodes", "3000", "--seed", "1"],
+    "bounds-tri3.csv": ["bounds", "--model", "models/tri3.json", "--select", "uniform",
+                        "--horizon", "5", "--format", "csv"],
+    "sweep-bsc2.csv": ["sweep", "--model", "models/bsc2.json", "--horizons", "2,4,6",
+                       "--epsilon-rule", "fixed:0.05"],
+    "sweep-tri3.json": ["sweep", "--model", "models/tri3.json", "--infer", "map",
+                        "--horizons", "3,6", "--episodes", "1000", "--delta", "0.1",
+                        "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_output(capsys, monkeypatch, name):
+    monkeypatch.chdir(REPO_ROOT)
+    code, out, err = run_cli(capsys, *GOLDEN[name])
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN_DIR / name).read_bytes().decode("utf-8")

@@ -303,7 +303,7 @@ class TestEnumerateExact:
     def test_budget_enforced(self, tri3, tri3_saddles):
         cfg = RunConfig(
             model=tri3, selection=UniformSelection(), inference=MAPInference(),
-            horizon=20, node_budget=10_000,
+            horizon=13,
         )
         with pytest.raises(EnumerationBudgetError):
             enumerate_exact(cfg)

@@ -64,6 +64,35 @@ class TestLoadModel:
         with pytest.raises(ModelValidationError, match="sums to"):
             load_model(json.dumps(doc).encode())
 
+    def test_row_sum_message_prints_a_plain_number(self):
+        doc = _bsc2_doc()
+        doc["channel"][0][0] = [0.9, 0.2]
+        with pytest.raises(ModelValidationError) as exc:
+            load_model(json.dumps(doc).encode())
+        assert "sums to 1.1," in str(exc.value)
+        doc = _bsc2_doc()
+        doc["prior"] = [0.6, 0.5]
+        with pytest.raises(ModelValidationError) as exc:
+            load_model(json.dumps(doc).encode())
+        assert "prior sums to 1.1," in str(exc.value)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_prior_rejected(self, literal):
+        # json accepts these literals; a NaN prior passes every other check.
+        text = json.dumps(_bsc2_doc()).replace("[0.5, 0.5]", f"[{literal}, {literal}]")
+        with pytest.raises(ModelValidationError, match=r"prior\[0\] = .* is not finite"):
+            load_model(text.encode())
+
+    @pytest.mark.parametrize("key, value", [
+        ("hypotheses", "HK"), ("experiments", "u"), ("observations", "01"),
+        ("hypotheses", {"H": 1, "K": 2}),
+    ])
+    def test_label_fields_must_be_arrays(self, key, value):
+        doc = _bsc2_doc()
+        doc[key] = value
+        with pytest.raises(ModelFormatError, match=f"{key} must be a JSON array"):
+            load_model(json.dumps(doc).encode())
+
     def test_bad_prior_rejected(self):
         doc = _bsc2_doc()
         doc["prior"] = [1.0, 0.0]

@@ -367,3 +367,31 @@ class TestSpecStrings:
             parse_inference("bayes", tri3, tri3_saddles, b, sched, 0.05)
         with pytest.raises(ValueError):
             parse_selection("openloop:i=9", tri3, tri3_saddles)
+
+    @pytest.mark.parametrize("spec, match", [
+        ("chernoff:foo=1", "chernoff takes no parameter 'foo'"),
+        ("ejs:k=3", "ejs takes no parameter 'k'"),
+        ("uniform:i=1", "uniform takes no parameter 'i'"),
+        ("ecr:k=2,depth=3", "ecr takes no parameter 'depth'"),
+        ("openloop:i=1,i=2", "repeated parameter 'i'"),
+        ("ecr:k=2, k=3", "repeated parameter 'k'"),
+    ])
+    def test_selection_parameters_it_does_not_take_rejected(self, tri3, tri3_saddles, spec, match):
+        with pytest.raises(ValueError, match=match):
+            parse_selection(spec, tri3, tri3_saddles)
+
+    @pytest.mark.parametrize("spec, match", [
+        ("map:delta=0.1", "map takes no parameter 'delta'"),
+        ("fbar:delta=0.1,i=2", "fbar takes no parameter 'i'"),
+        ("p2:i=1,delta=0.1", "p2 takes no parameter 'delta'"),
+        ("fbar:delta=0.1,delta=0.2", "repeated parameter 'delta'"),
+    ])
+    def test_inference_parameters_it_does_not_take_rejected(self, tri3, tri3_saddles, spec, match):
+        b = lambda_bound(tri3)
+        sched = EpsilonSchedule("half-inverse")
+        with pytest.raises(ValueError, match=match):
+            parse_inference(spec, tri3, tri3_saddles, b, sched, 0.05)
+
+    def test_unknown_rule_named_before_its_parameters(self, tri3, tri3_saddles):
+        with pytest.raises(ValueError, match="unknown selection strategy spec 'oracle:x=1,x=2'"):
+            parse_selection("oracle:x=1,x=2", tri3, tri3_saddles)
