@@ -34,9 +34,15 @@ def misclassification_upper_bound(
 ) -> float:
     """sum_i (1 - rho1(i)) exp(-N (D*(i) - delta)): the achievable
     misclassification level of the MAP-phase/threshold strategy pair at
-    large horizons."""
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    large horizons.
+
+    delta must lie in (0, min_i D*(i)]: there no exponent is positive, so the
+    bound cannot overflow, and above it the bound exceeds 1 and says nothing.
+    """
+    d_star_min = min(sp.d_star for sp in saddles)
+    if not 0.0 < delta <= d_star_min:
+        raise ValueError(f"delta must lie in (0, min_i D*(i)] = (0, {d_star_min!r}], "
+                         f"got {delta!r}")
     total = 0.0
     for i, sp in enumerate(saddles):
         total += (1.0 - model.prior[i]) * math.exp(-horizon * (sp.d_star - delta))
@@ -58,8 +64,6 @@ def misclassification_lower_bound(
     correction = horizon * 2.0 * b * epsilon / (1.0 - epsilon) - math.log1p(-epsilon)
     total = 0.0
     for i in range(model.num_hypotheses):
-        if jng[i] is None:
-            raise ValueError(f"confidence rate for hypothesis {i} is undefined")
         total += (1.0 - model.prior[i]) * math.exp(-horizon * jng[i] - correction)
     return total
 
@@ -87,12 +91,12 @@ class BoundReport:
     d_star: tuple[float, ...]
     d_star_min: float
     upper_bound: float
-    lower_bound: Optional[float]
-    gamma: Optional[float]
+    lower_bound: float
+    gamma: float
     gamma_se: Optional[float]
     achieved_exponent: Optional[float]
     p2_rates: tuple[float, ...]
-    feasible: Optional[bool]          # psi_N(i) <= eps_N for every i
+    feasible: bool                    # psi_N(i) <= eps_N for every i
     reliable: bool                    # enough events to trust the exponent
     epsilon: float
     delta: float
@@ -117,17 +121,18 @@ class BoundReport:
     def csv_row(self) -> dict:
         return {
             "N": self.horizon,
-            "gamma": _fmt(self.gamma),
-            "gamma_stderr": _fmt(self.gamma_se),
-            "achieved_exponent": _fmt(self.achieved_exponent),
-            "dstar_min": _fmt(self.d_star_min),
-            "upper_bound": _fmt(self.upper_bound),
-            "lower_bound": _fmt(self.lower_bound),
-            "feasible": "" if self.feasible is None else str(self.feasible).lower(),
+            "gamma": csv_num(self.gamma),
+            "gamma_stderr": csv_num(self.gamma_se),
+            "achieved_exponent": csv_num(self.achieved_exponent),
+            "dstar_min": csv_num(self.d_star_min),
+            "upper_bound": csv_num(self.upper_bound),
+            "lower_bound": csv_num(self.lower_bound),
+            "feasible": str(self.feasible).lower(),
         }
 
 
-def _fmt(v) -> str:
+def csv_num(v) -> str:
+    """A CSV cell for an optional number: its repr, or empty for None."""
     return "" if v is None else repr(float(v))
 
 
@@ -144,10 +149,7 @@ def bound_report(
     d_star = tuple(sp.d_star for sp in saddles)
     d_star_min = min(d_star)
     upper = misclassification_upper_bound(model, saddles, report.horizon, delta)
-    lower = (
-        misclassification_lower_bound(model, report.jng, report.horizon, epsilon)
-        if all(v is not None for v in report.jng) else None
-    )
+    lower = misclassification_lower_bound(model, report.jng, report.horizon, epsilon)
     p2 = tuple(p2_achievable_rates(saddles, lam_bound, model.num_hypotheses,
                                    report.horizon, epsilon))
 
@@ -158,12 +160,10 @@ def bound_report(
 
     gamma = report.gamma
     achieved = None
-    if gamma is not None and gamma > 0.0 and reliable:
+    if gamma > 0.0 and reliable:
         achieved = -math.log(gamma) / report.horizon
 
-    feasible = None
-    if all(v is not None for v in report.psi):
-        feasible = all(v <= epsilon for v in report.psi)
+    feasible = all(v <= epsilon for v in report.psi)
 
     return BoundReport(
         horizon=report.horizon,
@@ -192,8 +192,8 @@ def exponent_table(
 ) -> list[BoundReport]:
     """Bound rows for a horizon sweep, in report order.
 
-    Rows whose misclassification estimate is zero, undefined, or backed by
-    too few events keep achieved_exponent = None and are flagged through
+    Rows whose misclassification estimate is zero or backed by too few
+    events keep achieved_exponent = None and are flagged through
     `reliable` rather than being dropped.
     """
     if len(reports) != len(epsilons):

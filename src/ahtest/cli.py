@@ -120,14 +120,21 @@ def _metadata(args, saddles=None, delta=None, schedule=None) -> dict:
     return md
 
 
-def _resolve_delta(args, saddles) -> float:
+def _resolve_delta(args, saddles, bound_rows: bool) -> float:
+    d_star_min = min(sp.d_star for sp in saddles)
     if args.delta is not None:
         # A nan or infinite delta would be echoed into the JSON output, which
         # has no spelling for it, whichever rule reads it.
         if not (math.isfinite(args.delta) and args.delta > 0.0):
             raise ConfigError(f"--delta must be finite and > 0, got {args.delta!r}")
+        # The upper bound takes delta up to min_i D*(i) only; checked here so
+        # that no episode runs first.
+        if bound_rows and args.delta > d_star_min:
+            raise ConfigError(
+                f"--delta must be <= min_i D*(i) = {d_star_min!r} for the bounds, "
+                f"got {args.delta!r}")
         return args.delta
-    return min(sp.d_star for sp in saddles) / 4.0
+    return d_star_min / 4.0
 
 
 def _report_csv(report: RunReport) -> str:
@@ -137,19 +144,15 @@ def _report_csv(report: RunReport) -> str:
         ("seed", "" if report.seed is None else report.seed),
         ("episodes", "" if report.episodes is None else report.episodes),
         ("paths", "" if report.paths is None else report.paths),
-        ("gamma", _csv_num(report.gamma)),
-        ("gamma_stderr", _csv_num(report.gamma_se)),
+        ("gamma", bounds_mod.csv_num(report.gamma)),
+        ("gamma_stderr", bounds_mod.csv_num(report.gamma_se)),
     ]
     for name, values in (("psi", report.psi), ("phi", report.phi), ("jng", report.jng)):
         for label, v in zip(report.hypotheses, values):
-            cells.append((f"{name}_{label}", _csv_num(v)))
+            cells.append((f"{name}_{label}", bounds_mod.csv_num(v)))
     header = ",".join(k for k, _ in cells)
     row = ",".join(str(v) for _, v in cells)
     return header + "\n" + row + "\n"
-
-
-def _csv_num(v) -> str:
-    return "" if v is None else repr(float(v))
 
 
 def _cmd_validate(args) -> int:
@@ -216,7 +219,7 @@ def _run(args, *, bound_rows: bool = False):
     model = load_model(args.model)
     saddles = saddle_points(model, tol=DEFAULT_TOL)
     schedule = EpsilonSchedule.parse(args.epsilon_rule)
-    delta = _resolve_delta(args, saddles)
+    delta = _resolve_delta(args, saddles, bound_rows)
     b = lambda_bound(model)
     try:
         selection = parse_selection(args.select, model, saddles)

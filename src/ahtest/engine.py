@@ -1,13 +1,13 @@
 """Episode simulation and exact enumeration under (selection, inference) pairs.
 
 Monte Carlo runs are vectorized across episodes but each episode consumes its
-own counter-based random stream keyed by (base seed, conditioning lane,
-episode index). That makes every estimate independent of batching and worker
-count, lets run_episode reproduce any single episode of a large run exactly,
-and keeps reports byte-stable across repeated runs. run_episode builds a
-Philox generator from the key; the vectorized path re-keys one Philox bit
-generator per episode, which yields the same streams at a fraction of the
-cost.
+own counter-based random stream keyed by (base seed, lane, episode index),
+one lane per true hypothesis. That makes every estimate independent of
+batching and worker count, lets run_episode reproduce any single episode of
+a large run exactly, and keeps reports byte-stable across repeated runs.
+run_episode builds a Philox generator from the key; the vectorized path
+re-keys one Philox bit generator per episode, which yields the same streams
+at a fraction of the cost.
 
 Exact enumeration walks the full (experiment, observation) tree a level at a
 time, in blocks of nodes with batch strategy calls, carrying per-hypothesis
@@ -66,8 +66,8 @@ def episode_seed(base_seed: int, lane: int, episode: int) -> int:
     (48 + 16 + 64), so distinct episodes get provably distinct keys
     regardless of scheduling. A value that does not fit its field is
     rejected rather than masked, since a masked value would share its
-    streams with another. The lane is the conditioning hypothesis index for
-    conditioned runs and the hypothesis count for prior-sampled runs.
+    streams with another. The lane is the index of the episode's true
+    hypothesis.
     """
     base_seed = _key_field("seed", base_seed, _SEED_BITS)
     lane = _key_field("lane", lane, _LANE_BITS)
@@ -103,12 +103,9 @@ def sample_categorical(dists: np.ndarray, r) -> np.ndarray:
 class RunConfig:
     """Everything needed to reproduce a run: model, strategies, horizon, seeding.
 
-    episodes selects Monte Carlo; leaving it None selects exact enumeration,
-    which refuses trees over DEFAULT_NODE_BUDGET leaves. conditioning "each"
-    runs a separate episode batch per true hypothesis (the variance-reducing
-    default matching the conditional error definitions); "prior" samples the
-    true hypothesis per episode. monte_carlo assembles one report for both;
-    they differ only in their episode loop and their phi/gamma estimator.
+    episodes selects Monte Carlo, which runs that many episodes under each
+    true hypothesis; leaving it None selects exact enumeration, which refuses
+    trees over DEFAULT_NODE_BUDGET leaves.
     """
 
     model: Model
@@ -117,15 +114,12 @@ class RunConfig:
     horizon: int
     episodes: Optional[int] = None
     seed: int = 0
-    conditioning: str = "each"
 
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.episodes is not None and self.episodes < 1:
             raise ValueError("episode count must be >= 1")
-        if self.conditioning not in ("each", "prior"):
-            raise ValueError(f"unknown conditioning mode {self.conditioning!r}")
         object.__setattr__(self, "seed", _key_field("seed", self.seed, _SEED_BITS))
 
 
@@ -133,18 +127,17 @@ class RunConfig:
 class RunReport:
     """Error probabilities and confidence rates for one run.
 
-    Per-hypothesis entries are None when the conditioning event never
-    occurred (possible in prior-sampled Monte Carlo); they are never silently
-    reported as zero. Exact reports have zero standard errors.
+    Monte Carlo standard errors are None below two episodes; exact reports
+    have zero standard errors.
     """
 
     mode: str                     # "mc" | "exact"
     horizon: int
     hypotheses: tuple[str, ...]
-    psi: tuple[Optional[float], ...]
-    phi: tuple[Optional[float], ...]
-    gamma: Optional[float]
-    jng: tuple[Optional[float], ...]
+    psi: tuple[float, ...]
+    phi: tuple[float, ...]
+    gamma: float
+    jng: tuple[float, ...]
     psi_se: tuple[Optional[float], ...]
     phi_se: tuple[Optional[float], ...]
     gamma_se: Optional[float]
@@ -214,7 +207,7 @@ def _run_chunk(
 ):
     """Advance a chunk of episodes through all steps and decide.
 
-    true_h is a per-episode array of conditioning hypotheses; uniforms has
+    true_h is a per-episode array of true hypotheses; uniforms has
     shape (chunk, 2 * horizon) laid out as (action, observation) per step.
     """
     m = uniforms.shape[0]
@@ -274,7 +267,7 @@ def _uniform_block(base_seed: int, lane: int, start: int, count: int, width: int
 def simulate_conditioned_batch(
     config: RunConfig, true_h: int, record_beliefs: bool = False
 ):
-    """All episodes of one conditioning lane, chunked.
+    """All episodes of one true hypothesis's lane, chunked.
 
     Returns (decision_counts (M+1,), inc_sum, inc_sqsum, decisions (E,),
     belief_path or None). The decisions array is always materialized; the
@@ -308,15 +301,11 @@ def simulate_conditioned_batch(
     return counts, inc_sum, inc_sqsum, all_decisions, belief_path
 
 
-def _bernoulli_se(p_hat: float, n: int) -> Optional[float]:
-    if n < 2:
-        return None
+def _bernoulli_se(p_hat: float, n: int) -> float:
     return math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / (n - 1))
 
 
-def _mean_se(total: float, sqtotal: float, n: int) -> Optional[float]:
-    if n < 2:
-        return None
+def _mean_se(total: float, sqtotal: float, n: int) -> float:
     var = max(sqtotal - total * total / n, 0.0) / (n - 1)
     return math.sqrt(var / n)
 
@@ -324,38 +313,41 @@ def _mean_se(total: float, sqtotal: float, n: int) -> Optional[float]:
 def monte_carlo(config: RunConfig) -> RunReport:
     """Monte Carlo estimates of the error probabilities and confidence rates.
 
-    Each conditioning mode contributes its episode loop, which yields the
-    decision counts (M, M+1) and the per-hypothesis sums of the own
-    confidence increment and its square, and its phi/gamma estimator:
-    conditioned mode mixes the per-lane declaration rates through prior
-    weights (_weighted_phi), prior mode pools the episodes of the other
-    hypotheses (_pooled_phi). psi, jng, their standard errors and the report
-    are assembled here once; a hypothesis that drew no episode gets None.
+    Each hypothesis runs `episodes` episodes on its own lane; psi is the
+    lane's rate of not declaring it, and phi and gamma mix the lanes' rates
+    of declaring each hypothesis through the prior, as the paper's gamma_N =
+    sum_i (1 - rho1(i)) phi_N(i) does.
     """
-    if config.episodes is None:
+    episodes = config.episodes
+    if episodes is None:
         raise ValueError("monte_carlo needs an episode count")
-    m_hyp = config.model.num_hypotheses
+    prior = config.model.prior
+    m_hyp = prior.size
     horizon = config.horizon
-    if config.conditioning == "each":
-        lanes = [simulate_conditioned_batch(config, h)[:3] for h in range(m_hyp)]
-        counts, inc_sum, inc_sqsum = (np.array(col) for col in zip(*lanes))
-        estimate_phi = _weighted_phi
-    else:
-        counts, inc_sum, inc_sqsum = _simulate_prior_sampled(config)
-        estimate_phi = _pooled_phi
+    lanes = [simulate_conditioned_batch(config, h)[:3] for h in range(m_hyp)]
+    counts, inc_sum, inc_sqsum = (np.array(col) for col in zip(*lanes))
 
-    n_h = counts.sum(axis=1)
-    decision_probs = counts / np.maximum(n_h, 1)[:, None]
-    psi, psi_se, jng, jng_se = ([None] * m_hyp for _ in range(4))
-    for i in np.flatnonzero(n_h):
-        n = int(n_h[i])
-        psi[i] = float(1.0 - decision_probs[i, i])
-        psi_se[i] = _bernoulli_se(psi[i], n)
-        jng[i] = float(inc_sum[i] / (n * horizon))
-        se = _mean_se(float(inc_sum[i]), float(inc_sqsum[i]), n)
-        jng_se[i] = None if se is None else se / horizon
-    phi, phi_se, gamma, gamma_se = estimate_phi(
-        counts, decision_probs, config.model.prior, config.episodes)
+    decision_probs = counts / episodes
+    psi, phi, gamma = _error_rates(decision_probs, prior)
+    jng = [float(inc_sum[i] / (episodes * horizon)) for i in range(m_hyp)]
+    if episodes < 2:
+        psi_se = phi_se = jng_se = [None] * m_hyp
+        gamma_se = None
+    else:
+        psi_se = [_bernoulli_se(p, episodes) for p in psi]
+        jng_se = [_mean_se(float(inc_sum[i]), float(inc_sqsum[i]), episodes) / horizon
+                  for i in range(m_hyp)]
+        weights = _phi_weights(prior)
+        phi_se = [math.sqrt(sum(
+            (weights[h, i] ** 2) * decision_probs[h, i] * (1.0 - decision_probs[h, i])
+            / (episodes - 1)
+            for h in range(m_hyp)
+        )) for i in range(m_hyp)]
+        mis_rate = (counts[:, :m_hyp].sum(axis=1) - np.diag(counts)) / episodes
+        gamma_se = math.sqrt(sum(
+            (prior[h] ** 2) * mis_rate[h] * (1.0 - mis_rate[h]) / (episodes - 1)
+            for h in range(m_hyp)
+        ))
 
     return RunReport(
         mode="mc",
@@ -371,7 +363,7 @@ def monte_carlo(config: RunConfig) -> RunReport:
         jng_se=tuple(jng_se),
         decision_probs=decision_probs,
         seed=config.seed,
-        episodes=config.episodes,
+        episodes=episodes,
         misclassification_count=int(counts[:, :m_hyp].sum() - np.trace(counts)),
     )
 
@@ -393,78 +385,6 @@ def _error_rates(decision_probs: np.ndarray, prior: np.ndarray):
     phi = [float(v) for v in (_phi_weights(prior) * decision_probs[:, :m_hyp]).sum(axis=0)]
     gamma = float(sum(phi[i] * (1.0 - prior[i]) for i in range(m_hyp)))
     return psi, phi, gamma
-
-
-def _weighted_phi(counts, decision_probs, prior, episodes):
-    """Conditioned mode's (phi, phi_se, gamma, gamma_se): every lane ran
-    `episodes` episodes, and phi and gamma mix the lanes' rates through the
-    prior."""
-    m_hyp = prior.size
-    _, phi, gamma = _error_rates(decision_probs, prior)
-    if episodes < 2:
-        return phi, [None] * m_hyp, gamma, None
-    weights = _phi_weights(prior)
-    mis_rate = (counts[:, :m_hyp].sum(axis=1) - np.diag(counts)) / episodes
-    phi_se = [math.sqrt(sum(
-        (weights[h, i] ** 2) * decision_probs[h, i] * (1.0 - decision_probs[h, i]) / (episodes - 1)
-        for h in range(m_hyp)
-    )) for i in range(m_hyp)]
-    gamma_se = math.sqrt(sum(
-        (prior[h] ** 2) * mis_rate[h] * (1.0 - mis_rate[h]) / (episodes - 1)
-        for h in range(m_hyp)
-    ))
-    return phi, phi_se, gamma, gamma_se
-
-
-def _pooled_phi(counts, decision_probs, prior, episodes):
-    """Prior mode's (phi, phi_se, gamma, gamma_se): phi_i is the share of
-    declarations of i among the episodes whose true hypothesis is not i;
-    None, and gamma None, where no such episode was drawn."""
-    m_hyp = prior.size
-    n_h = counts.sum(axis=1)
-    phi: list[Optional[float]] = []
-    phi_se: list[Optional[float]] = []
-    for i in range(m_hyp):
-        den = int(episodes - n_h[i])
-        if den == 0:
-            phi.append(None); phi_se.append(None)
-            continue
-        p = int(counts[:, i].sum() - counts[i, i]) / den
-        phi.append(float(p))
-        phi_se.append(_bernoulli_se(p, den))
-    if any(v is None for v in phi):
-        return phi, phi_se, None, None
-    gamma = float(sum(phi[i] * (1.0 - prior[i]) for i in range(m_hyp)))
-    gamma_se = math.sqrt(sum(
-        ((1.0 - prior[i]) * se) ** 2 for i, se in enumerate(phi_se)
-    )) if all(se is not None for se in phi_se) else None
-    return phi, phi_se, gamma, gamma_se
-
-
-def _simulate_prior_sampled(config: RunConfig):
-    """Episodes whose true hypothesis is drawn from the prior, on their own
-    lane: (decision counts (M, M+1), inc_sum (M,), inc_sqsum (M,)), each row
-    and entry indexed by the drawn hypothesis."""
-    model = config.model
-    m_hyp = model.num_hypotheses
-    lane = m_hyp  # distinct from all conditioned lanes
-    counts = np.zeros((m_hyp, m_hyp + 1), dtype=np.int64)
-    inc_sum = np.zeros(m_hyp)
-    inc_sqsum = np.zeros(m_hyp)
-    for start in range(0, config.episodes, CHUNK_SIZE):
-        count = min(CHUNK_SIZE, config.episodes - start)
-        uniforms = _uniform_block(config.seed, lane, start, count, 2 * config.horizon + 1)
-        hs = sample_categorical(np.tile(model.prior, (count, 1)), uniforms[:, 0])
-        decisions, increments, _ = _run_chunk(
-            model, config.selection, config.inference, config.horizon,
-            hs, uniforms[:, 1:],
-        )
-        cols = np.where(decisions == INCONCLUSIVE, m_hyp, decisions)
-        np.add.at(counts, (hs, cols), 1)
-        own = increments[np.arange(count), hs]
-        np.add.at(inc_sum, hs, own)
-        np.add.at(inc_sqsum, hs, own * own)
-    return counts, inc_sum, inc_sqsum
 
 
 def walk_paths(model: Model, selection: SelectionStrategy, horizon: int, visit) -> int:

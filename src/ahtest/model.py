@@ -78,18 +78,6 @@ class Model:
     def num_observations(self) -> int:
         return len(self.observations)
 
-    def hypothesis_index(self, label: str) -> int:
-        try:
-            return self.hypotheses.index(label)
-        except ValueError:
-            raise KeyError(f"unknown hypothesis label {label!r}") from None
-
-    def experiment_index(self, label: str) -> int:
-        try:
-            return self.experiments.index(label)
-        except ValueError:
-            raise KeyError(f"unknown experiment label {label!r}") from None
-
 
 def _validate(model: Model) -> None:
     M = len(model.hypotheses)
@@ -298,6 +286,3 @@ class EpsilonSchedule:
         if self.rule == "half-inverse":
             return "half-inverse"
         return f"fixed:{self.value!r}"
-
-
-DEFAULT_EPSILON_SCHEDULE = EpsilonSchedule("half-inverse")

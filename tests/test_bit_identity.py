@@ -495,48 +495,28 @@ def test_ecr_scores_match_the_frozen_recursion(case, depth, request):
 # pinned monte_carlo outputs
 # ---------------------------------------------------------------------------
 
-# (model, selection, inference, conditioning) -> float.hex of the report
+# (model, selection, inference) -> float.hex of the report
 # fields, for horizons and episode counts in CASES and seed 11.
 PINNED = {
-    ('bsc2', 'chernoff', 'fbar', 'each'): {
+    ('bsc2', 'chernoff', 'fbar'): {
         'decision_probs': [['0x1.ecb6f46508dffp-1', '0x0.0p+0', '0x1.3490b9af72016p-5'], ['0x0.0p+0', '0x1.efc962fc962fdp-1', '0x1.0369d0369d037p-5']],
         'jng': ['0x1.c1a1b08c5f450p+0', '0x1.c1e2f7ea87bc3p+0'],
         'jng_se': ['0x1.3c9a8f6b85bbfp-8', '0x1.3960773b7d273p-8'],
     },
-    ('bsc2', 'chernoff', 'fbar', 'prior'): {
-        'decision_probs': [['0x1.ee25b9efd4e26p-1', '0x0.0p+0', '0x1.1da46102b1da4p-5'], ['0x0.0p+0', '0x1.f11fd3b80b120p-1', '0x1.dc0588fe9dc06p-6']],
-        'jng': ['0x1.bfd4985857a2cp+0', '0x1.c20d6a4a599c9p+0'],
-        'jng_se': ['0x1.be9f0748332c3p-8', '0x1.bb33b884bcf8cp-8'],
-    },
-    ('tri3', 'chernoff', 'fbar', 'each'): {
+    ('tri3', 'chernoff', 'fbar'): {
         'decision_probs': [['0x1.27ae147ae147bp-1', '0x0.0p+0', '0x1.0624dd2f1a9fcp-11', '0x1.b020c49ba5e35p-2'], ['0x1.89374bc6a7efap-9', '0x1.1be76c8b43958p-1', '0x1.0624dd2f1a9fcp-10', '0x1.c4189374bc6a8p-2'], ['0x1.26e978d4fdf3bp-8', '0x0.0p+0', '0x1.18d4fdf3b645ap-1', '0x1.c9ba5e353f7cfp-2']],
         'jng': ['0x1.625c0aa815985p-2', '0x1.dd3996f77dbd4p-2', '0x1.d9dc6e61278e8p-2'],
         'jng_se': ['0x1.1e397b11a7e97p-8', '0x1.7f333c3d84193p-8', '0x1.86783f17c69b8p-8'],
     },
-    ('tri3', 'chernoff', 'fbar', 'prior'): {
-        'decision_probs': [['0x1.1f23fe61ded66p-1', '0x1.9e2129a7d5f0ap-10', '0x1.9e2129a7d5f0ap-10', '0x1.be7bc0e8f2a77p-2'], ['0x1.23456789abcdfp-8', '0x1.2c5f92c5f92c6p-1', '0x0.0p+0', '0x1.a2b3c4d5e6f81p-2'], ['0x0.0p+0', '0x1.7ad2208e0ecc3p-10', '0x1.0ecc35458c940p-1', '0x1.e0ecc35458c94p-2']],
-        'jng': ['0x1.652540d7c6da2p-2', '0x1.f1a576cbae38cp-2', '0x1.d6a41c1bc5bb8p-2'],
-        'jng_se': ['0x1.087a24f7743efp-7', '0x1.54e1c69c02c87p-7', '0x1.48a05804c75e4p-7'],
-    },
-    ('tri3', 'ejs', 'fbar', 'each'): {
+    ('tri3', 'ejs', 'fbar'): {
         'decision_probs': [['0x1.75810624dd2f2p-1', '0x0.0p+0', '0x1.0624dd2f1a9fcp-11', '0x1.147ae147ae148p-2'], ['0x1.89374bc6a7efap-10', '0x1.8ed916872b021p-1', '0x1.47ae147ae147bp-9', '0x1.bc6a7ef9db22dp-3'], ['0x1.0624dd2f1a9fcp-9', '0x1.0624dd2f1a9fcp-10', '0x1.7d70a3d70a3d7p-1', '0x1.020c49ba5e354p-2']],
         'jng': ['0x1.ac2127a689426p-2', '0x1.26c060b3e242ep-1', '0x1.21869140320acp-1'],
         'jng_se': ['0x1.1aeea7ddee69dp-8', '0x1.9b30b9229bf61p-8', '0x1.a3c4e703ead18p-8'],
     },
-    ('tri3', 'ejs', 'fbar', 'prior'): {
-        'decision_probs': [['0x1.7411cb6cca363p-1', '0x0.0p+0', '0x0.0p+0', '0x1.17dc69266b93ap-2'], ['0x1.23456789abcdfp-8', '0x1.851eb851eb852p-1', '0x0.0p+0', '0x1.e26af37c048d1p-3'], ['0x1.1c1d986a8b192p-8', '0x1.7ad2208e0ecc3p-9', '0x1.7dc7c4cf2ae9dp-1', '0x1.fa14b77dc7c4dp-3']],
-        'jng': ['0x1.aec3b8f22fb93p-2', '0x1.2a593b085a71bp-1', '0x1.2812602cb85acp-1'],
-        'jng_se': ['0x1.08c9548b9b3a5p-7', '0x1.686b73b8df080p-7', '0x1.707a84ec55a10p-7'],
-    },
-    ('tri3', 'uniform', 'map', 'each'): {
+    ('tri3', 'uniform', 'map'): {
         'decision_probs': [['0x1.b95810624dd2fp-1', '0x1.22d0e56041893p-4', '0x1.126e978d4fdf4p-4', '0x0.0p+0'], ['0x1.20c49ba5e353fp-4', '0x1.c624dd2f1a9fcp-1', '0x1.5c28f5c28f5c3p-5', '0x0.0p+0'], ['0x1.2b020c49ba5e3p-4', '0x1.6872b020c49bap-5', '0x1.c4189374bc6a8p-1', '0x0.0p+0']],
         'jng': ['0x1.50c7356147194p-2', '0x1.9ce5b293d06f7p-2', '0x1.9ead2e4231c13p-2'],
         'jng_se': ['0x1.5b31dfb6065f8p-8', '0x1.95cf301b09f7dp-8', '0x1.965163680acacp-8'],
-    },
-    ('tri3', 'uniform', 'map', 'prior'): {
-        'decision_probs': [['0x1.b6651b18ab79cp-1', '0x1.b8033c42534fbp-5', '0x1.70d589197a8a5p-4', '0x0.0p+0'], ['0x1.04ee2cc0a9e88p-4', '0x1.cc6bb5aa49939p-1', '0x1.2f684bda12f68p-5', '0x0.0p+0'], ['0x1.16324fe852ddfp-4', '0x1.6324fe852ddf7p-5', '0x1.c707661aa2c65p-1', '0x0.0p+0']],
-        'jng': ['0x1.4baa20403528ep-2', '0x1.ab01b730a8e83p-2', '0x1.987b0da59ea9bp-2'],
-        'jng_se': ['0x1.35665dbf6320ap-7', '0x1.57bee49c39364p-7', '0x1.4f1036f7db83ap-7'],
     },
 }
 
@@ -550,17 +530,17 @@ CASES = {
 
 @pytest.mark.parametrize("key", sorted(PINNED))
 def test_monte_carlo_reports_are_pinned(key, request):
-    name, sel, inf, conditioning = key
+    name, sel, inf = key
     model = request.getfixturevalue(name)
     saddles = saddle_points(model)
     delta = min(sp.d_star for sp in saddles) / 4.0
-    horizon, episodes = CASES[(name, sel, inf)]
+    horizon, episodes = CASES[key]
     report = monte_carlo(RunConfig(
         model=model,
         selection={"chernoff": lambda: ChernoffSelection(saddles),
                    "ejs": EJSGreedySelection, "uniform": UniformSelection}[sel](),
         inference=FBarInference(saddles, delta) if inf == "fbar" else MAPInference(),
-        horizon=horizon, episodes=episodes, seed=11, conditioning=conditioning,
+        horizon=horizon, episodes=episodes, seed=11,
     ))
     pinned = PINNED[key]
     assert [[float(v).hex() for v in row] for row in report.decision_probs] == pinned["decision_probs"]
@@ -569,8 +549,7 @@ def test_monte_carlo_reports_are_pinned(key, request):
 
 
 # tri3 ecr:k=2/fbar, generated before ecr:k had a batch kernel: Monte Carlo
-# at N = 6 with 300 episodes and seed 11 in both conditioning modes, and
-# the exact report at N = 4.
+# at N = 6 with 300 episodes and seed 11, and the exact report at N = 4.
 ECR_PINNED = {
     'each': {
         'decision_probs': [['0x1.681b4e81b4e82p-1', '0x1.b4e81b4e81b4fp-9', '0x1.b4e81b4e81b4fp-7', '0x1.1eb851eb851ecp-2'], ['0x1.1111111111111p-6', '0x1.47ae147ae147bp-1', '0x1.b4e81b4e81b4fp-9', '0x1.5c28f5c28f5c3p-2'], ['0x1.eb851eb851eb8p-6', '0x1.b4e81b4e81b4fp-9', '0x1.5555555555555p-1', '0x1.3333333333333p-2']],
@@ -579,14 +558,6 @@ ECR_PINNED = {
         'gamma': '0x1.7e4b17e4b17e5p-6',
         'jng': ['0x1.b60be41a86805p-2', '0x1.31bdfdc83229ap-1', '0x1.1ab68911c1d8dp-1'],
         'jng_se': ['0x1.26cbbc3f4610dp-6', '0x1.85992320e880cp-6', '0x1.6b1ae1ddeb5b1p-6'],
-    },
-    'prior': {
-        'decision_probs': [['0x1.6186186186186p-1', '0x0.0p+0', '0x1.8618618618618p-6', '0x1.2492492492492p-2'], ['0x1.ab68a0473c1abp-6', '0x1.5b450239e0d5bp-1', '0x0.0p+0', '0x1.2ebf7187ca92fp-2'], ['0x1.446f86562d9fbp-6', '0x1.446f86562d9fbp-7', '0x1.67ebb9079a9d2p-1', '0x1.11be1958b67ecp-2']],
-        'psi': ['0x1.3cf3cf3cf3cf4p-2', '0x1.4975fb8c3e54ap-2', '0x1.30288df0cac5cp-2'],
-        'phi': ['0x1.7b425ed097b42p-6', '0x1.623fa77016240p-8', '0x1.49539e3b2d067p-7'],
-        'gamma': '0x1.a5a80fdc22804p-6',
-        'jng': ['0x1.9d6a8f654e82dp-2', '0x1.3e3d91ee8521bp-1', '0x1.2d9d067ed2d6ap-1'],
-        'jng_se': ['0x1.cc0815a527c15p-6', '0x1.36727b0fbe42fp-5', '0x1.4a16ac85f9521p-5'],
     },
     'exact': {
         'decision_probs': [['0x1.6f0068db8bac9p-1', '0x1.d7dbf487fcb95p-7', '0x1.a36e2eb1c432fp-7', '0x1.0624dd2f1a9fdp-2'], ['0x1.80346dc5d6388p-4', '0x1.3a92a30553263p-1', '0x1.4467381d7dbf5p-6', '0x1.16872b020c49cp-2'], ['0x1.9ce075f6fd21fp-4', '0x1.780346dc5d638p-5', '0x1.f8a0902de00d2p-2', '0x1.7126e978d4fe0p-2']],
@@ -606,7 +577,7 @@ def test_ecr_reports_are_pinned(mode, tri3):
     if mode == "exact":
         report = enumerate_exact(RunConfig(horizon=4, **kw))
     else:
-        report = monte_carlo(RunConfig(horizon=6, episodes=300, seed=11, conditioning=mode, **kw))
+        report = monte_carlo(RunConfig(horizon=6, episodes=300, seed=11, **kw))
     pinned = ECR_PINNED[mode]
     assert [[float(v).hex() for v in row] for row in report.decision_probs] == pinned["decision_probs"]
     for name in ("psi", "phi", "jng", "jng_se"):

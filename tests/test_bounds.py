@@ -51,6 +51,13 @@ class TestMisclassificationUpperBound:
         with pytest.raises(ValueError):
             misclassification_upper_bound(bsc2, bsc2_saddles, 5, 0.0)
 
+    def test_delta_above_dstar_min_rejected(self, bsc2, bsc2_saddles):
+        # exp(-N (D* - delta)) overflowed here instead
+        dmin = min(sp.d_star for sp in bsc2_saddles)
+        for delta in (math.nextafter(dmin, math.inf), 3.0, 1000.0):
+            with pytest.raises(ValueError, match="delta must lie in"):
+                misclassification_upper_bound(bsc2, bsc2_saddles, 10, delta)
+
 
 class TestRemark1Lower:
     def test_small_epsilon_limit(self, bsc2, bsc2_saddles):

@@ -154,6 +154,18 @@ class TestSimulateEnumerate:
         assert err.startswith("configuration error:")
         assert "--delta" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--horizon", "10", "--infer", "map", "--delta", "1000"],
+        ["sweep", "--horizons", "2", "--infer", "p2:i=1", "--delta", "1e6"],
+        ["bounds", "--horizon", "10", "--infer", "map", "--delta", "3"],
+    ])
+    def test_delta_above_dstar_min_exit_code(self, capsys, argv):
+        # the upper bound overflowed here, after every episode had run
+        code, out, err = run_cli(capsys, *argv, "--model", BSC2)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("configuration error: --delta must be <= min_i D*(i)")
+
     @pytest.mark.parametrize("flag, spec", [
         ("--select", "chernoff:foo=1"),
         ("--select", "ejs:k=3"),
@@ -314,6 +326,8 @@ GOLDEN = {
                          "--episodes", "3000", "--seed", "1"],
     "bounds-tri3.csv": ["bounds", "--model", "models/tri3.json", "--select", "uniform",
                         "--horizon", "5", "--format", "csv"],
+    "bounds-tri3-one-episode.json": ["bounds", "--model", "models/tri3.json", "--select",
+                                     "ejs", "--horizon", "4", "--episodes", "1", "--seed", "2"],
     "sweep-bsc2.csv": ["sweep", "--model", "models/bsc2.json", "--horizons", "2,4,6",
                        "--epsilon-rule", "fixed:0.05"],
     "sweep-tri3.json": ["sweep", "--model", "models/tri3.json", "--infer", "map",

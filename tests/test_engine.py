@@ -188,17 +188,6 @@ class TestMonteCarlo:
         b = json.dumps(monte_carlo(cfg).to_json_dict())
         assert a.encode() == b.encode()
 
-    def test_prior_mode_consistent_with_conditioned(self, bsc2, bsc2_saddles):
-        kw = dict(
-            model=bsc2, selection=OpenLoopSelection(0, bsc2_saddles),
-            inference=FBarInference(bsc2_saddles, 0.4), horizon=3,
-        )
-        cond = monte_carlo(RunConfig(episodes=30_000, seed=2, **kw))
-        prio = monte_carlo(RunConfig(episodes=30_000, seed=2, conditioning="prior", **kw))
-        for i in (0, 1):
-            se = math.hypot(cond.psi_se[i], prio.psi_se[i])
-            assert abs(cond.psi[i] - prio.psi[i]) <= 4 * se
-
     def test_gamma_stderr_is_zero_without_misclassification(self, bsc2, bsc2_saddles):
         # forming each lane's rate as a difference of float rates left a
         # residue of about 1e-10 here
@@ -245,6 +234,22 @@ class TestMonteCarlo:
         assert type(cfg.seed) is int and cfg.seed == seed
         assert monte_carlo(cfg).episodes == 10
 
+    @pytest.mark.parametrize("episodes", [1, 2])
+    def test_estimates_are_floats_and_stderrs_need_two_episodes(self, tri3, episodes):
+        cfg = RunConfig(
+            model=tri3, selection=UniformSelection(), inference=MAPInference(),
+            horizon=2, episodes=episodes, seed=0,
+        )
+        rep = monte_carlo(cfg)
+        for values in (rep.psi, rep.phi, rep.jng):
+            assert [type(v) for v in values] == [float] * 3
+        assert type(rep.gamma) is float
+        stderrs = [*rep.psi_se, *rep.phi_se, *rep.jng_se, rep.gamma_se]
+        if episodes == 1:
+            assert stderrs == [None] * 10
+        else:
+            assert all(type(v) is float for v in stderrs)
+
     def test_missing_episode_count_rejected(self, bsc2, bsc2_saddles):
         cfg = RunConfig(
             model=bsc2, selection=OpenLoopSelection(0, bsc2_saddles),
@@ -252,19 +257,6 @@ class TestMonteCarlo:
         )
         with pytest.raises(ValueError):
             monte_carlo(cfg)
-
-    def test_prior_mode_reports_unseen_hypotheses_as_undefined(self, tri3, tri3_saddles):
-        # a single prior-sampled episode leaves two hypotheses unvisited;
-        # their conditional estimates must come back as None, not 0
-        cfg = RunConfig(
-            model=tri3, selection=UniformSelection(), inference=MAPInference(),
-            horizon=2, episodes=1, conditioning="prior", seed=0,
-        )
-        rep = monte_carlo(cfg)
-        assert sum(v is None for v in rep.psi) == 2
-        assert sum(v is None for v in rep.jng) == 2
-        assert rep.phi.count(None) == 1  # the drawn hypothesis has no rival episodes
-        assert rep.gamma is None
 
 
 class TestEnumerateExact:
