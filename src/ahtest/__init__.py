@@ -41,7 +41,7 @@ from .engine import (
     RunReport,
     enumerate_exact,
     enumerate_pair_expectations,
-    episode_seed,
+    lane_key,
     monte_carlo,
     run_episode,
 )

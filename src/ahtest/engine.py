@@ -1,13 +1,12 @@
 """Episode simulation and exact enumeration under (selection, inference) pairs.
 
-Monte Carlo runs are vectorized across episodes but each episode consumes its
-own counter-based random stream keyed by (base seed, lane, episode index),
-one lane per true hypothesis. That makes every estimate independent of
-batching and worker count, lets run_episode reproduce any single episode of
-a large run exactly, and keeps reports byte-stable across repeated runs.
-run_episode builds a Philox generator from the key; the vectorized path
-re-keys one Philox bit generator per episode, which yields the same streams
-at a fraction of the cost.
+Monte Carlo runs are vectorized across episodes, one lane per true
+hypothesis. A lane's Philox key packs (base seed, lane), and episode e of a
+horizon-N run reads its 2N uniforms from counter e * ceil(2N / 4) on: a
+chunk of episodes is one bulk draw, estimates do not depend on batching, and
+run_episode replays any episode exactly. Episodes carry log-prior plus summed
+log-likelihoods, unnormalized, and the tie rule (strategies) makes decisions
+blind to the shift; a selection rule not shift_invariant gets normalized rows.
 
 Exact enumeration walks the full (experiment, observation) tree a level at a
 time, in blocks of nodes with batch strategy calls, carrying per-hypothesis
@@ -59,33 +58,17 @@ def _key_field(name: str, value: int, bits: int) -> int:
     return value
 
 
-def episode_seed(base_seed: int, lane: int, episode: int) -> int:
-    """Deterministic 128-bit counter-RNG key for one episode stream.
-
-    Packs (base seed, lane, episode index) into disjoint bit fields
-    (48 + 16 + 64), so distinct episodes get provably distinct keys
-    regardless of scheduling. A value that does not fit its field is
-    rejected rather than masked, since a masked value would share its
-    streams with another. The lane is the index of the episode's true
-    hypothesis.
-    """
-    base_seed = _key_field("seed", base_seed, _SEED_BITS)
-    lane = _key_field("lane", lane, _LANE_BITS)
-    episode = _key_field("episode index", episode, 64)
-    return (((base_seed << _LANE_BITS) | lane) << 64) | episode
-
-
-def _episode_rng(key: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=key))
+def lane_key(base_seed: int, lane: int) -> int:
+    """Philox key of one lane's streams: (base seed << 16) | lane, the lane
+    being the true hypothesis. A value outside its 48- or 16-bit field is
+    rejected, not masked into another's streams."""
+    seed = _key_field("seed", base_seed, _SEED_BITS)
+    return (seed << _LANE_BITS) | _key_field("lane", lane, _LANE_BITS)
 
 
 def sample_categorical(dists: np.ndarray, r) -> np.ndarray:
-    """Inverse-CDF draw: smallest index k with r < cumsum(dists)[k].
-
-    Shared by the scalar and vectorized paths so both consume uniforms with
-    identical edge behavior. The clip guards the r > cumsum[-1] corner opened
-    by rounding in the cumulative sum.
-    """
+    """Inverse-CDF draw: smallest index k with r < cumsum(dists)[k], clipped
+    for the r > cumsum[-1] corner opened by rounding in the cumulative sum."""
     dists = np.asarray(dists, dtype=float)
     r = np.asarray(r, dtype=float)
     # One column at a time: the category axis is short, and a running sum
@@ -175,25 +158,19 @@ class RunReport:
 
 
 def run_episode(
-    config: RunConfig, true_h: int, episode_seed_value: int
+    config: RunConfig, true_h: int, episode: int
 ) -> tuple[Trajectory, Optional[int], Belief]:
-    """Simulate one episode; fully determined by (config, true_h, seed value)."""
-    model = config.model
-    n_steps = config.horizon
-    if not (0 <= true_h < model.num_hypotheses):
+    """Replay episode `episode` of true hypothesis true_h's lane: the run's
+    chunk code on a chunk of one, so it has the bits of the batch row."""
+    if not (0 <= true_h < config.model.num_hypotheses):
         raise ValueError(f"hypothesis index {true_h} out of range")
-    u01 = _episode_rng(episode_seed_value).random(2 * n_steps)
-    log_prior = np.log(model.prior)
-    log_rho = log_prior.copy()
-    steps = []
-    for n in range(n_steps):
-        dist = config.selection.action_distribution(model, log_rho, n, n_steps)
-        u = int(sample_categorical(dist, u01[2 * n]))
-        y = int(sample_categorical(model.channel[true_h, u], u01[2 * n + 1]))
-        steps.append((u, y))
-        log_rho = log_normalize(log_rho + model.log_channel[:, u, y])
-    decision = config.inference.decide(model, log_prior, log_rho, n_steps)
-    return Trajectory(tuple(steps)), decision, Belief(log_rho)
+    uniforms = _uniform_block(config.seed, true_h, episode, 1, 2 * config.horizon)
+    decisions, _, (path, steps) = _run_chunk(
+        config.model, config.selection, config.inference, config.horizon,
+        np.array([true_h]), uniforms, record=True,
+    )
+    d = int(decisions[0])
+    return Trajectory(steps[0]), None if d == INCONCLUSIVE else d, Belief(path[0, -1])
 
 
 def _run_chunk(
@@ -203,12 +180,14 @@ def _run_chunk(
     horizon: int,
     true_h: np.ndarray,
     uniforms: np.ndarray,
-    record_beliefs: bool = False,
+    record: bool = False,
 ):
     """Advance a chunk of episodes through all steps and decide.
 
     true_h is a per-episode array of true hypotheses; uniforms has
     shape (chunk, 2 * horizon) laid out as (action, observation) per step.
+    Returns (decisions, increments, (path, steps)); with record, the
+    normalized log-beliefs (chunk, horizon + 1, M) and (u, y) steps.
     """
     m = uniforms.shape[0]
     n_exp = model.num_experiments
@@ -220,48 +199,41 @@ def _run_chunk(
         -1, model.num_hypotheses)                             # row u * Y + y
     hu_base = true_h * n_exp
     log_prior = np.log(model.prior)
-    log_rho = np.tile(log_prior, (m, 1))
-    path = None
-    if record_beliefs:
+    log_rho = np.tile(log_prior, (m, 1))    # log-prior plus summed log-likelihoods
+    path = steps = None
+    if record:
         path = np.empty((m, horizon + 1, model.num_hypotheses))
-        path[:, 0, :] = log_rho
+        steps = np.empty((m, horizon, 2), dtype=np.intp)
+        path[:, 0] = log_normalize(log_rho)
     for n in range(horizon):
-        dists = selection.batch_action_distributions(model, log_rho, n, horizon)
+        rows = log_rho if selection.shift_invariant else log_normalize(log_rho)
+        dists = selection.batch_action_distributions(model, rows, n, horizon)
         u = sample_categorical(dists, uniforms[:, 2 * n])
         y = sample_categorical(
             np.take(channel_by_hu, hu_base + u, axis=0), uniforms[:, 2 * n + 1])
-        log_rho = log_normalize(log_rho + np.take(log_channel_by_uy, u * n_obs + y, axis=0))
-        if record_beliefs:
-            path[:, n + 1, :] = log_rho
+        log_rho += np.take(log_channel_by_uy, u * n_obs + y, axis=0)
+        if record:
+            path[:, n + 1] = log_normalize(log_rho)
+            steps[:, n] = np.column_stack((u, y))
     decisions = inference.batch_decide(model, log_prior, log_rho, horizon)
     increments = bllr_matrix(log_rho) - bllr_matrix(log_prior)[None, :]
-    return decisions, increments, path
+    return decisions, increments, (path, steps)
 
 
 def _uniform_block(base_seed: int, lane: int, start: int, count: int, width: int) -> np.ndarray:
     """Row t holds episode start + t's first width uniforms.
 
-    Each row equals _episode_rng(episode_seed(base_seed, lane, start + t))
-    .random(width) bit for bit. Building a Philox per episode costs more than
-    drawing its uniforms, so one bit generator is re-keyed per episode: its
-    state is reset to that of a fresh Philox with the episode's key (counter
-    zero, empty buffer).
+    Episode e reads from counter e * nb on, nb = ceil(width / 4) Philox
+    blocks of four doubles, so row t equals Generator(Philox(key=lane_key(
+    base_seed, lane), counter=(start + t) * nb)).random(width) bit for bit.
+    The block is a view of one draw; a contiguous copy would double it.
     """
-    out = np.empty((count, width))
-    if count == 0:
-        return out
-    # The keys of one block differ only in their low word, the episode index,
-    # so checking the first and the last key checks every key in between.
-    high = episode_seed(base_seed, lane, start) >> 64
-    episode_seed(base_seed, lane, start + count - 1)
-    bit_gen = np.random.Philox(key=0)
-    gen = np.random.Generator(bit_gen)
-    state = bit_gen.state
-    for t in range(count):
-        state["state"]["key"] = (start + t, high)
-        bit_gen.state = state
-        gen.random(out=out[t])
-    return out
+    nb = -(-width // 4)
+    # The first and the last index bound every index in between.
+    start = _key_field("episode index", start, 64)
+    _key_field("episode index", start + max(count, 1) - 1, 64)
+    gen = np.random.Generator(np.random.Philox(key=lane_key(base_seed, lane), counter=start * nb))
+    return gen.random(count * nb * 4).reshape(count, nb * 4)[:, :width]
 
 
 def simulate_conditioned_batch(
@@ -285,7 +257,7 @@ def simulate_conditioned_batch(
     for start in range(0, episodes, CHUNK_SIZE):
         count = min(CHUNK_SIZE, episodes - start)
         uniforms = _uniform_block(config.seed, true_h, start, count, 2 * horizon)
-        decisions, increments, path = _run_chunk(
+        decisions, increments, (path, _) = _run_chunk(
             model, config.selection, config.inference, horizon,
             np.full(count, true_h), uniforms, record_beliefs,
         )

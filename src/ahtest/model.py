@@ -52,6 +52,7 @@ class Model:
     channel: np.ndarray
     prior: np.ndarray
     log_channel: np.ndarray = field(init=False, repr=False, compare=False)
+    _lambda_bound: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         channel = np.asarray(self.channel, dtype=float)
@@ -63,6 +64,8 @@ class Model:
         object.__setattr__(self, "prior", prior)
         _validate(self)
         object.__setattr__(self, "log_channel", np.log(channel))
+        lc = self.log_channel
+        object.__setattr__(self, "_lambda_bound", float(np.max(np.abs(lc[:, None] - lc[None, :]))))
         for arr in (self.channel, self.prior, self.log_channel):
             arr.setflags(write=False)
 
@@ -227,11 +230,9 @@ def lambda_bound(model: Model) -> float:
 
     Every single-step evidence increment lies in [-B, B] for the returned B.
     Callers that need the strict form of the bound should compare against
-    B * (1 + STRICT_BOUND_SLACK).
+    B * (1 + STRICT_BOUND_SLACK). Computed once, when the model is built.
     """
-    lc = model.log_channel
-    diff = lc[:, None, :, :] - lc[None, :, :, :]
-    return float(np.max(np.abs(diff)))
+    return model._lambda_bound
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,10 @@ batch_decide for inference. The one-belief calls action_distribution and
 decide are defined once, on the base classes, as a batch of one, so a
 scalar call returns row 0 of the batch computation and cannot drift from
 it. Rows never interact, so a row's result does not depend on its batch.
+
+One tie rule serves every rule and route: scores within tie_tolerance of
+the best tie, the lowest index winning, and a threshold margin within it of
+zero counts as zero, so the path qualifies.
 """
 
 from __future__ import annotations
@@ -23,25 +27,37 @@ import numpy as np
 
 from .belief import Belief, bllr_matrix, log_normalize, logsumexp_last, normalize_belief_rows
 from .divergence import SaddlePoint
-from .model import EpsilonSchedule, Model
+from .model import EpsilonSchedule, Model, lambda_bound
 
 INCONCLUSIVE = -1  # batch encoding of the abstain decision
 
 _DEFAULT_ECR_NODE_BUDGET = 10**6
 _ECR_BLOCK_ROWS = 1 << 15   # child beliefs expanded at once by _ecr_scores
+TIE_TOL = 1e-9              # the tie rule's tolerance per unit of N * B; see tie_tolerance
 
 
-def _argmax_lowest(scores: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
-    """Along the last axis, the first index whose score is within rounding
-    noise of the maximum.
+def tie_tolerance(model: Model, horizon: int) -> float:
+    """TIE_TOL * max(1, N * B), B = lambda_bound(model): N * B bounds an
+    episode's summed log-likelihood ratios, the scale of what the rules
+    compare. Tied scores differ by a few of its ulps (summation order, a
+    carried row's shift), distinct ones by far more; not depending on the
+    row, the tolerance lets a row and the row shifted decide alike."""
+    return TIE_TOL * max(1.0, horizon * lambda_bound(model))
 
-    Symmetric models produce mathematically tied scores that differ by an
-    ulp depending on summation order; snapping keeps the documented
-    lowest-index tie rule deterministic across equivalent computations.
-    """
-    best = scores.max(axis=-1, keepdims=True)
-    cutoff = best - rel_tol * np.maximum(1.0, np.abs(best))
-    return np.argmax(scores >= cutoff, axis=-1)
+
+def _argmax_lowest(scores: np.ndarray, tol: float) -> np.ndarray:
+    """Along the last axis, the first index whose score is within tol of the
+    maximum, one column at a time (the axis is short; see logsumexp_last)."""
+    best = scores[..., 0]
+    for j in range(1, scores.shape[-1]):
+        best = np.maximum(best, scores[..., j])
+    cutoff = best - tol
+    below = scores[..., 0] < cutoff
+    idx = below.astype(np.intp)
+    for j in range(1, scores.shape[-1] - 1):
+        below &= scores[..., j] < cutoff
+        idx += below
+    return idx
 
 
 def _alpha_table(model: Model, saddles: Sequence[SaddlePoint]) -> np.ndarray:
@@ -80,9 +96,9 @@ def _ejs_scores(model: Model, log_rho: np.ndarray) -> np.ndarray:
     return gains.reshape(gains.shape[:2] + (-1,)).sum(axis=-1)
 
 
-def _ejs_choices(model: Model, log_rho: np.ndarray) -> np.ndarray:
-    """One-hot rows on the largest EJS score, lowest index on ties."""
-    return np.eye(model.num_experiments)[_argmax_lowest(_ejs_scores(model, log_rho))]
+def _one_hot_best(model: Model, scores: np.ndarray, horizon: int) -> np.ndarray:
+    """(B, U) scores -> one-hot rows on the best experiment, by the tie rule."""
+    return np.eye(model.num_experiments)[_argmax_lowest(scores, tie_tolerance(model, horizon))]
 
 
 def ejs_divergence(model: Model, belief: Belief, u: int) -> float:
@@ -91,9 +107,10 @@ def ejs_divergence(model: Model, belief: Belief, u: int) -> float:
     return float(_ejs_scores(model, belief.log_rho[None, :])[0, u])
 
 
-def select_ejs_greedy(model: Model, belief: Belief) -> np.ndarray:
-    """Point mass on the experiment with the largest expected confidence gain."""
-    return _ejs_choices(model, belief.log_rho[None, :])[0]
+def select_ejs_greedy(model: Model, belief: Belief, horizon: int = 1) -> np.ndarray:
+    """Point mass on the largest expected confidence gain; ties within the
+    tolerance of a horizon-`horizon` run (pass the run's to get its choice)."""
+    return EJSGreedySelection().action_distribution(model, belief.log_rho, 0, horizon)
 
 
 def _ecr_scores(model: Model, log_rho: np.ndarray, depth: int) -> np.ndarray:
@@ -131,43 +148,29 @@ def _ecr_scores(model: Model, log_rho: np.ndarray, depth: int) -> np.ndarray:
     return total
 
 
-def _ecr_choices(model: Model, log_rho: np.ndarray, k: int, remaining: int) -> np.ndarray:
-    """One-hot rows on the first action of a depth-min(k, remaining)
-    expectimax, lowest index on ties."""
-    if remaining < 1:
-        raise ValueError("no remaining step to plan")
-    depth = min(k, remaining)
-    branch = model.num_experiments * model.num_observations
-    nodes = sum(branch**d for d in range(1, depth + 1))
-    if nodes > _DEFAULT_ECR_NODE_BUDGET:
-        raise ValueError(
-            f"lookahead tree has {nodes} nodes, exceeding the budget {_DEFAULT_ECR_NODE_BUDGET}"
-        )
-    return np.eye(model.num_experiments)[_argmax_lowest(_ecr_scores(model, log_rho, depth))]
-
-
-def select_ecr_lookahead(model: Model, belief: Belief, k: int, remaining: int) -> np.ndarray:
+def select_ecr_lookahead(model: Model, belief: Belief, k: int, remaining: int,
+                         horizon: Optional[int] = None) -> np.ndarray:
     """Point mass on the first action of a depth-min(k, remaining) expectimax
-    maximizing the expected terminal confidence gain on the true hypothesis."""
-    if k < 1:
-        raise ValueError("lookahead depth must be >= 1")
-    return _ecr_choices(model, belief.log_rho[None, :], k, remaining)[0]
+    maximizing the expected terminal confidence gain on the true hypothesis;
+    ties within the tolerance of a horizon-`horizon` run, by default
+    `remaining` (pass the run's horizon to get its choice)."""
+    n = remaining if horizon is None else horizon
+    return ECRLookaheadSelection(k).action_distribution(model, belief.log_rho, n - remaining, n)
 
 
 # ---------------------------------------------------------------------------
 # inference rules
 # ---------------------------------------------------------------------------
 
-def _decide_by_thresholds(increments: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+def _decide_by_thresholds(increments: np.ndarray, thresholds: np.ndarray, tol: float) -> np.ndarray:
     """Batch threshold decision: pick the qualifying hypothesis with the
-    largest margin (increment minus threshold), lowest index on ties,
-    INCONCLUSIVE when none qualifies. increments has shape (..., M)."""
+    largest margin (increment minus threshold) by the tie rule, INCONCLUSIVE
+    when none qualifies. increments has shape (..., M)."""
     margins = increments - thresholds
+    margins = np.where(np.abs(margins) <= tol, 0.0, margins)
     qualified = margins >= 0.0
-    masked = np.where(qualified, margins, -np.inf)
-    winner = np.argmax(masked, axis=-1)
-    any_q = np.any(qualified, axis=-1)
-    return np.where(any_q, winner, INCONCLUSIVE).astype(np.int64)
+    winner = _argmax_lowest(np.where(qualified, margins, -np.inf), tol)
+    return np.where(np.any(qualified, axis=-1), winner, INCONCLUSIVE).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +178,11 @@ def _decide_by_thresholds(increments: np.ndarray, thresholds: np.ndarray) -> np.
 # ---------------------------------------------------------------------------
 
 class SelectionStrategy:
-    """Deterministic map (belief, step, horizon) -> distribution over experiments."""
+    """Deterministic map (belief, step, horizon) -> distribution over experiments.
+    A rule with shift_invariant = True gets the engine's Monte Carlo rows
+    unnormalized, each shifted by a constant; the others get normalized rows."""
+
+    shift_invariant = False
 
     def action_distribution(
         self, model: Model, log_rho: np.ndarray, step: int, horizon: int
@@ -210,10 +217,13 @@ class ChernoffSelection(SelectionStrategy):
             self._table_model = model
         return self._table
 
+    shift_invariant = True
+
     def batch_action_distributions(self, model, log_rho, step, horizon):
-        # ndarray.argmax and take cost a fraction of np.argmax and fancy
-        # indexing on small batches, such as run_episode's one-row calls.
-        return self._ensure_table(model).take(log_rho.argmax(axis=1), axis=0)
+        # take costs a fraction of fancy indexing on small batches, such as
+        # run_episode's one-row chunks.
+        choice = _argmax_lowest(log_rho, tie_tolerance(model, horizon))
+        return self._ensure_table(model).take(choice, axis=0)
 
     def spec_string(self):
         return "chernoff"
@@ -221,6 +231,8 @@ class ChernoffSelection(SelectionStrategy):
 
 class OpenLoopSelection(SelectionStrategy):
     """Constant mixture: hypothesis i's optimal experiment distribution."""
+
+    shift_invariant = True
 
     def __init__(self, i: int, saddles: Sequence[SaddlePoint]):
         self.i = int(i)
@@ -234,6 +246,8 @@ class OpenLoopSelection(SelectionStrategy):
 
 
 class UniformSelection(SelectionStrategy):
+    shift_invariant = True
+
     def batch_action_distributions(self, model, log_rho, step, horizon):
         u = model.num_experiments
         return np.broadcast_to(np.full(u, 1.0 / u), (log_rho.shape[0], u))
@@ -244,7 +258,7 @@ class UniformSelection(SelectionStrategy):
 
 class EJSGreedySelection(SelectionStrategy):
     def batch_action_distributions(self, model, log_rho, step, horizon):
-        return _ejs_choices(model, normalize_belief_rows(log_rho))
+        return _one_hot_best(model, _ejs_scores(model, normalize_belief_rows(log_rho)), horizon)
 
     def spec_string(self):
         return "ejs"
@@ -257,14 +271,26 @@ class ECRLookaheadSelection(SelectionStrategy):
         self.k = int(k)
 
     def batch_action_distributions(self, model, log_rho, step, horizon):
-        return _ecr_choices(model, normalize_belief_rows(log_rho), self.k, horizon - step)
+        remaining = horizon - step
+        if remaining < 1:
+            raise ValueError("no remaining step to plan")
+        depth = min(self.k, remaining)
+        branch = model.num_experiments * model.num_observations
+        nodes = sum(branch**d for d in range(1, depth + 1))
+        if nodes > _DEFAULT_ECR_NODE_BUDGET:
+            raise ValueError(f"lookahead tree has {nodes} nodes, exceeding the budget "
+                             f"{_DEFAULT_ECR_NODE_BUDGET}")
+        return _one_hot_best(model, _ecr_scores(model, normalize_belief_rows(log_rho), depth),
+                             horizon)
 
     def spec_string(self):
         return f"ecr:k={self.k}"
 
 
 class InferenceStrategy:
-    """Deterministic map from the final belief to a hypothesis or abstention."""
+    """Deterministic map from the final belief to a hypothesis or abstention.
+    Monte Carlo passes its rows unnormalized, each shifted by a constant; a
+    rule must decide alike on a row and the row shifted (the tie rule does)."""
 
     def decide(
         self, model: Model, log_prior: np.ndarray, log_final: np.ndarray, horizon: int
@@ -276,8 +302,8 @@ class InferenceStrategy:
     def batch_decide(
         self, model: Model, log_prior: np.ndarray, log_final: np.ndarray, horizon: int
     ) -> np.ndarray:
-        """(B, M) final log-beliefs -> (B,) int64 hypothesis indices, INCONCLUSIVE
-        for abstain."""
+        """(B, M) final log-beliefs, each row possibly shifted by a constant,
+        -> (B,) int64 hypothesis indices, INCONCLUSIVE for abstain."""
         raise NotImplementedError
 
     def spec_string(self) -> str:
@@ -306,7 +332,7 @@ class FBarInference(InferenceStrategy):
 
     def batch_decide(self, model, log_prior, log_final, horizon):
         inc = bllr_matrix(log_final) - bllr_matrix(log_prior)[None, :]
-        return _decide_by_thresholds(inc, self._thresholds(horizon))
+        return _decide_by_thresholds(inc, self._thresholds(horizon), tie_tolerance(model, horizon))
 
     def spec_string(self):
         return f"fbar:delta={self.delta!r}"
@@ -344,7 +370,8 @@ class P2Inference(InferenceStrategy):
 
     def batch_decide(self, model, log_prior, log_final, horizon):
         inc = bllr_matrix(log_final)[:, self.i] - bllr_matrix(log_prior)[self.i]
-        return np.where(inc >= self.threshold(horizon), self.i, INCONCLUSIVE).astype(np.int64)
+        qualified = inc - self.threshold(horizon) >= -tie_tolerance(model, horizon)
+        return np.where(qualified, self.i, INCONCLUSIVE).astype(np.int64)
 
     def spec_string(self):
         return f"p2:i={self.i + 1}"
@@ -354,7 +381,7 @@ class MAPInference(InferenceStrategy):
     """Baseline forced decision: the MAP hypothesis, lowest index on ties."""
 
     def batch_decide(self, model, log_prior, log_final, horizon):
-        return np.argmax(log_final, axis=1).astype(np.int64)
+        return _argmax_lowest(log_final, tie_tolerance(model, horizon)).astype(np.int64)
 
     def spec_string(self):
         return "map"
@@ -370,7 +397,7 @@ class FixedThresholdInference(InferenceStrategy):
 
     def batch_decide(self, model, log_prior, log_final, horizon):
         inc = bllr_matrix(log_final) - bllr_matrix(log_prior)[None, :]
-        return _decide_by_thresholds(inc, np.full(inc.shape[-1], self.theta))
+        return _decide_by_thresholds(inc, self.theta, tie_tolerance(model, horizon))
 
     def spec_string(self):
         return f"threshold:theta={self.theta!r}"

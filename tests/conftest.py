@@ -7,6 +7,8 @@ import pytest
 from hypothesis import settings
 
 from ahtest import Model, load_model
+from ahtest.belief import log_normalize
+from ahtest.engine import sample_categorical
 from ahtest.strategies import SelectionStrategy
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -81,3 +83,25 @@ def random_selection(rng: np.random.Generator, model: Model) -> SoftmaxSelection
         rng.normal(size=(model.num_experiments, model.num_hypotheses)),
         rng.normal(size=model.num_experiments),
     )
+
+
+def normalized_replay(config, true_h: int, episode: int):
+    """(steps, decision, final log-belief) of one Monte Carlo episode, replayed
+    apart from the engine's chunk code: the uniforms from a fresh Philox
+    generator keyed (seed << 16) | true_h at counter episode * ceil(2N / 4),
+    one belief normalized at every step, the rules called one belief at a
+    time."""
+    model, horizon = config.model, config.horizon
+    gen = np.random.Generator(np.random.Philox(
+        key=(config.seed << 16) | true_h, counter=episode * -(-2 * horizon // 4)))
+    uniforms = gen.random(2 * horizon)
+    log_prior = np.log(model.prior)
+    log_rho = log_prior
+    steps = []
+    for n in range(horizon):
+        dist = config.selection.action_distribution(model, log_rho, n, horizon)
+        u = int(sample_categorical(dist, uniforms[2 * n]))
+        y = int(sample_categorical(model.channel[true_h, u], uniforms[2 * n + 1]))
+        steps.append((u, y))
+        log_rho = log_normalize(log_rho + model.log_channel[:, u, y])
+    return tuple(steps), config.inference.decide(model, log_prior, log_rho, horizon), log_rho

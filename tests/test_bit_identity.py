@@ -33,8 +33,8 @@ from ahtest import (
     ejs_divergence,
     enumerate_exact,
     enumerate_pair_expectations,
-    episode_seed,
     lambda_bound,
+    lane_key,
     monte_carlo,
     run_episode,
     saddle_points,
@@ -48,9 +48,9 @@ from ahtest.engine import (
     sample_categorical,
     simulate_conditioned_batch,
 )
-from ahtest.strategies import INCONCLUSIVE, _ejs_scores
+from ahtest.strategies import INCONCLUSIVE, TIE_TOL, _ejs_scores
 
-from conftest import random_model, random_selection
+from conftest import normalized_replay, random_model, random_selection
 
 
 def _same_bits(a, b) -> bool:
@@ -73,13 +73,25 @@ def _same_bits(a, b) -> bool:
 @pytest.mark.parametrize("width", [1, 7, 50])
 def test_uniform_block_rows_match_per_episode_generators(seed, lane, start, width):
     count = 4
+    nb = -(-width // 4)
     block = _uniform_block(seed, lane, start, count, width)
     assert block.shape == (count, width)
     for t in range(count):
         ref = np.random.Generator(
-            np.random.Philox(key=episode_seed(seed, lane, start + t))
+            np.random.Philox(key=lane_key(seed, lane), counter=(start + t) * nb)
         ).random(width)
         assert _same_bits(block[t], ref)
+
+
+@pytest.mark.parametrize("width", [1, 7, 50, 401])
+@pytest.mark.parametrize("cuts", [(1,), (3, 4), (5, 6, 12)])
+def test_uniform_block_split_equals_whole(width, cuts):
+    # a run's chunking must not move a bit of any episode's stream
+    start, count = 2**40 + 3, 13
+    whole = _uniform_block(9, 2, start, count, width)
+    edges = (0,) + cuts + (count,)
+    parts = [_uniform_block(9, 2, start + a, b - a, width) for a, b in zip(edges, edges[1:])]
+    assert _same_bits(np.vstack(parts), whole)
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +102,25 @@ def _frozen_logsumexp_last(arr):
     arr = np.asarray(arr, dtype=float)
     m = np.max(arr, axis=-1, keepdims=True)
     return (m + np.log(np.sum(np.exp(arr - m), axis=-1, keepdims=True)))[..., 0]
+
+
+def _frozen_tol(model, horizon):
+    """The documented tie tolerance, TIE_TOL * max(1, N * B)."""
+    return TIE_TOL * max(1.0, horizon * lambda_bound(model))
+
+
+def _frozen_argmax_lowest(scores, tol):
+    """The documented tie rule: the first index within tol of the maximum."""
+    scores = np.asarray(scores)
+    return np.argmax(scores >= scores.max(axis=-1, keepdims=True) - tol, axis=-1)
+
+
+def _frozen_choices(model, scores, horizon):
+    """One-hot rows on each row's best score by the documented tie rule."""
+    choices = np.zeros_like(scores)
+    choices[np.arange(len(scores)),
+            _frozen_argmax_lowest(scores, _frozen_tol(model, horizon))] = 1.0
+    return choices
 
 
 def _frozen_sample_categorical(dists, r):
@@ -155,19 +186,15 @@ def _frozen_ejs_divergence(model, log_rho, u):
     return float(np.sum(weights * (conf.T - base[:, None])))
 
 
-def _frozen_ejs_rows(model, rows):
-    """Frozen scores and one-hot choices (lowest index within 1e-12 of the
-    best) of engine log-belief rows, each read as a Belief."""
+def _frozen_ejs_rows(model, rows, horizon):
+    """Frozen scores and one-hot choices (the documented tie rule at the
+    horizon) of engine log-belief rows, each read as a Belief."""
     scores = np.array([
         [_frozen_ejs_divergence(model, Belief(row).log_rho, u)
          for u in range(model.num_experiments)]
         for row in rows
     ])
-    best = scores.max(axis=1)
-    cutoff = best - 1e-12 * np.maximum(1.0, np.abs(best))
-    choices = np.zeros_like(scores)
-    choices[np.arange(len(rows)), np.argmax(scores >= cutoff[:, None], axis=1)] = 1.0
-    return scores, choices
+    return scores, _frozen_choices(model, scores, horizon)
 
 
 EJS_HORIZON = 12
@@ -219,7 +246,7 @@ EJS_CASES = ["tri3-episodes", "tri3-dirichlet", "tri3-uniform", "bsc2-dirichlet"
 @pytest.mark.parametrize("case", EJS_CASES)
 def test_ejs_matches_frozen_formula(case, request):
     model, rows = _ejs_rows(case, request)
-    scores, choices = _frozen_ejs_rows(model, rows)
+    scores, choices = _frozen_ejs_rows(model, rows, EJS_HORIZON)
     assert _same_bits(_ejs_scores(model, normalize_belief_rows(rows)), scores)
     got = EJSGreedySelection().batch_action_distributions(model, rows, 0, EJS_HORIZON)
     assert _same_bits(got, choices)
@@ -227,7 +254,8 @@ def test_ejs_matches_frozen_formula(case, request):
         belief = Belief(rows[t])
         got = [ejs_divergence(model, belief, u) for u in range(model.num_experiments)]
         assert _same_bits(np.array(got), scores[t])
-        assert _same_bits(select_ejs_greedy(model, belief), choices[t])
+        assert _same_bits(select_ejs_greedy(model, belief),
+                          _frozen_choices(model, scores[t:t + 1], 1)[0])
         assert _same_bits(
             EJSGreedySelection().action_distribution(model, rows[t], 0, EJS_HORIZON), choices[t])
 
@@ -240,7 +268,7 @@ def test_ejs_batch_rows_equal_scalar_calls(m, u, y, seed):
     spread = rng.uniform(0.1, 20.0)
     rows = np.vstack([np.full(m, -np.log(m)),
                       log_normalize(rng.normal(scale=spread, size=(7, m)))])
-    scores, choices = _frozen_ejs_rows(model, rows)
+    scores, choices = _frozen_ejs_rows(model, rows, 1)
     assert _same_bits(_ejs_scores(model, normalize_belief_rows(rows)), scores)
     batch = EJSGreedySelection().batch_action_distributions(model, rows, 0, 1)
     assert _same_bits(batch, choices)
@@ -271,32 +299,42 @@ def test_ejs_batch_rejects_what_belief_rejects(tri3, bad):
 
 class TestBatchParity:
     def test_run_episode_replays_batch_decisions(self, tri3_ejs_config, tri3_ejs_lanes):
+        # run_episode runs the chunk code on a chunk of one, so its final
+        # belief has the batch row's bits; normalized_replay is the check
+        # apart from that code (one-belief calls, per-step normalization).
         for h, (decisions, path) in enumerate(tri3_ejs_lanes):
             for e in range(EJS_EPISODES):
-                _, decision, final = run_episode(tri3_ejs_config, h, episode_seed(11, h, e))
-                assert (INCONCLUSIVE if decision is None else decision) == decisions[e]
-                assert _same_bits(final.log_rho, Belief(path[e, -1]).log_rho)
+                steps, want, final = normalized_replay(tri3_ejs_config, h, e)
+                trajectory, decision, belief = run_episode(tri3_ejs_config, h, e)
+                assert decision == want
+                assert decisions[e] == (INCONCLUSIVE if want is None else want)
+                assert trajectory.steps == steps
+                np.testing.assert_allclose(belief.log_rho, final, rtol=0, atol=1e-12)
+                assert _same_bits(belief.log_rho, Belief(path[e, -1]).log_rho)
 
 
 # ---------------------------------------------------------------------------
 # every rule's scalar call against a frozen copy of its scalar method
 # ---------------------------------------------------------------------------
 
-def _frozen_decide_by_thresholds(increments, thresholds):
+def _frozen_decide_by_thresholds(increments, thresholds, tol):
     margins = increments - thresholds
+    margins[np.abs(margins) <= tol] = 0.0
     qualified = margins >= 0.0
     if not np.any(qualified):
         return None
-    return int(np.argmax(np.where(qualified, margins, -np.inf)))
+    return int(_frozen_argmax_lowest(np.where(qualified, margins, -np.inf), tol))
 
 
-def _frozen_selections(model, saddles):
+def _frozen_selections(model, saddles, horizon=5):
     """(rule, frozen scalar method) pairs of the Chernoff, open-loop and
-    uniform rules, as their scalar methods were first written."""
+    uniform rules, as their scalar methods were first written, with the
+    documented tie rule at the horizon in place of np.argmax."""
     table = np.array([sp.alpha_star for sp in saddles], dtype=float)
     i = model.num_hypotheses - 1
+    tol = _frozen_tol(model, horizon)
     return [
-        (ChernoffSelection(saddles), lambda lr: table[int(np.argmax(lr))]),
+        (ChernoffSelection(saddles), lambda lr: table[int(_frozen_argmax_lowest(lr, tol))]),
         (OpenLoopSelection(i, saddles), lambda lr: np.array(saddles[i].alpha_star, dtype=float)),
         (UniformSelection(),
          lambda lr: np.full(model.num_experiments, 1.0 / model.num_experiments)),
@@ -304,8 +342,10 @@ def _frozen_selections(model, saddles):
 
 
 def _frozen_inferences(model, saddles, horizon):
-    """(rule, frozen scalar method) pairs of the four inference rules."""
+    """(rule, frozen scalar method) pairs of the four inference rules, with
+    the documented tie rule in place of np.argmax and of margin >= 0."""
     log_prior = np.log(model.prior)
+    tol = _frozen_tol(model, horizon)
     d_star = np.array([sp.d_star for sp in saddles])
     delta = float(d_star.min()) / 4.0
     lam = lambda_bound(model)
@@ -320,24 +360,29 @@ def _frozen_inferences(model, saddles, horizon):
 
     return [
         (FBarInference(saddles, delta),
-         lambda lf: _frozen_decide_by_thresholds(inc(lf), horizon * (d_star - delta))),
+         lambda lf: _frozen_decide_by_thresholds(inc(lf), horizon * (d_star - delta), tol)),
         (P2Inference(i, saddles[i], lam, model.num_hypotheses, EpsilonSchedule("half-inverse")),
-         lambda lf: i if float(bllr_matrix(lf)[i] - bllr_matrix(log_prior)[i]) >= p2_thr else None),
-        (MAPInference(), lambda lf: int(np.argmax(lf))),
+         lambda lf: i if float(bllr_matrix(lf)[i] - bllr_matrix(log_prior)[i]) - p2_thr >= -tol
+         else None),
+        (MAPInference(), lambda lf: int(_frozen_argmax_lowest(lf, tol))),
         (FixedThresholdInference(theta),
-         lambda lf: _frozen_decide_by_thresholds(inc(lf), np.full(lf.size, theta))),
+         lambda lf: _frozen_decide_by_thresholds(inc(lf), np.full(lf.size, theta), tol)),
     ]
 
 
 def _belief_rows(model, rng, count):
     """Engine-style log-belief rows: Dirichlet draws, some sharply peaked,
-    and rows whose largest entries tie exactly."""
+    rows whose largest entries tie exactly, and rows where the last of them
+    is one ulp above the first."""
     m = model.num_hypotheses
     rows = [np.log(rng.dirichlet(np.full(m, a), size=count)) for a in (1.0, 0.2)]
     ties = np.log(rng.dirichlet(np.ones(m), size=count // 4))
     ties[:, 0] = ties[:, -1] = ties.max(axis=1)             # first and last share the maximum
+    ties = log_normalize(ties)
+    near = ties.copy()
+    near[:, -1] = np.nextafter(near[:, -1], np.inf)
     uniform = np.full((1, m), -np.log(m))
-    return np.vstack(rows + [log_normalize(ties), uniform])
+    return np.vstack(rows + [ties, near, uniform])
 
 
 SCALAR_CASES = ["tri3", "bsc2", "random-4x3x3", "random-5x2x4", "random-2x1x3"]
@@ -424,9 +469,9 @@ def _frozen_ecr_value(model, log_rho, depth):
     return best
 
 
-def _frozen_ecr_rows(model, rows, depth):
-    """Frozen first-action scores and one-hot choices (lowest index within
-    1e-12 of the best) of engine log-belief rows, each read as a Belief."""
+def _frozen_ecr_rows(model, rows, depth, horizon):
+    """Frozen first-action scores and one-hot choices (the documented tie
+    rule at the horizon) of engine log-belief rows, each read as a Belief."""
     scores = []
     for row in rows:
         lr = Belief(row).log_rho
@@ -441,11 +486,7 @@ def _frozen_ecr_rows(model, rows, depth):
             per_u.append(total)
         scores.append(per_u)
     scores = np.array(scores)
-    best = scores.max(axis=1)
-    cutoff = best - 1e-12 * np.maximum(1.0, np.abs(best))
-    choices = np.zeros_like(scores)
-    choices[np.arange(len(rows)), np.argmax(scores >= cutoff[:, None], axis=1)] = 1.0
-    return scores, choices
+    return scores, _frozen_choices(model, scores, horizon)
 
 
 ECR_CASES = ["tri3", "bsc2", "random-4x3x3", "random-3x2x4"]
@@ -464,11 +505,12 @@ def _ecr_rows(case, request, count):
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_ecr_picks_the_frozen_recursion_choice(case, depth, request):
     model, rows = _ecr_rows(case, request, 100 if depth < 3 else 30)
-    _, choices = _frozen_ecr_rows(model, rows, depth)
+    scores, choices = _frozen_ecr_rows(model, rows, depth, depth)
     rule = ECRLookaheadSelection(depth)
     assert _same_bits(rule.batch_action_distributions(model, rows, 0, depth), choices)
     # a longer horizon does not deepen the plan beyond k
-    assert _same_bits(rule.batch_action_distributions(model, rows, 3, depth + 7), choices)
+    assert _same_bits(rule.batch_action_distributions(model, rows, 3, depth + 7),
+                      _frozen_choices(model, scores, depth + 7))
     for t in range(0, len(rows), 7):
         assert _same_bits(rule.action_distribution(model, rows[t], 0, depth), choices[t])
         assert _same_bits(select_ecr_lookahead(model, Belief(rows[t]), depth, depth), choices[t])
@@ -480,13 +522,13 @@ def test_ecr_scores_match_the_frozen_recursion(case, depth, request):
     from ahtest.strategies import _ecr_scores
 
     model, rows = _ecr_rows(case, request, 100 if depth < 3 else 30)
-    frozen, _ = _frozen_ecr_rows(model, rows, depth)
+    frozen, _ = _frozen_ecr_rows(model, rows, depth, depth)
     got = _ecr_scores(model, normalize_belief_rows(rows), depth)
     assert got.shape == frozen.shape
     # The kernel weighs outcomes with np.exp where the recursion used
     # math.exp, which may round the other way in the last bit. A score can
-    # be a near-cancelling sum, so ulps are counted on the row's scale, the
-    # scale on which _argmax_lowest snaps ties: max(1, |best score|).
+    # be a near-cancelling sum, so ulps are counted on the row's scale,
+    # max(1, |best score|), far inside the tie tolerance.
     scale = np.maximum(1.0, np.abs(frozen).max(axis=1, keepdims=True))
     assert np.all(np.abs(got - frozen) <= 4 * np.spacing(scale))
 
@@ -499,24 +541,24 @@ def test_ecr_scores_match_the_frozen_recursion(case, depth, request):
 # fields, for horizons and episode counts in CASES and seed 11.
 PINNED = {
     ('bsc2', 'chernoff', 'fbar'): {
-        'decision_probs': [['0x1.ecb6f46508dffp-1', '0x0.0p+0', '0x1.3490b9af72016p-5'], ['0x0.0p+0', '0x1.efc962fc962fdp-1', '0x1.0369d0369d037p-5']],
-        'jng': ['0x1.c1a1b08c5f450p+0', '0x1.c1e2f7ea87bc3p+0'],
-        'jng_se': ['0x1.3c9a8f6b85bbfp-8', '0x1.3960773b7d273p-8'],
+        'decision_probs': [['0x1.ee402bb0cf87ep-1', '0x0.0p+0', '0x1.1bfd44f307826p-5'], ['0x0.0p+0', '0x1.ece2a53490b9bp-1', '0x1.31d5acb6f4651p-5']],
+        'jng': ['0x1.c05b4bb594f05p+0', '0x1.c038bc83bbc02p+0'],
+        'jng_se': ['0x1.3ef9eb9525da4p-8', '0x1.41dc55c22c488p-8'],
     },
     ('tri3', 'chernoff', 'fbar'): {
-        'decision_probs': [['0x1.27ae147ae147bp-1', '0x0.0p+0', '0x1.0624dd2f1a9fcp-11', '0x1.b020c49ba5e35p-2'], ['0x1.89374bc6a7efap-9', '0x1.1be76c8b43958p-1', '0x1.0624dd2f1a9fcp-10', '0x1.c4189374bc6a8p-2'], ['0x1.26e978d4fdf3bp-8', '0x0.0p+0', '0x1.18d4fdf3b645ap-1', '0x1.c9ba5e353f7cfp-2']],
-        'jng': ['0x1.625c0aa815985p-2', '0x1.dd3996f77dbd4p-2', '0x1.d9dc6e61278e8p-2'],
-        'jng_se': ['0x1.1e397b11a7e97p-8', '0x1.7f333c3d84193p-8', '0x1.86783f17c69b8p-8'],
+        'decision_probs': [['0x1.20c49ba5e353fp-1', '0x0.0p+0', '0x1.0624dd2f1a9fcp-11', '0x1.bdf3b645a1cacp-2'], ['0x1.26e978d4fdf3bp-8', '0x1.153f7ced91687p-1', '0x0.0p+0', '0x1.d0e5604189375p-2'], ['0x1.47ae147ae147bp-9', '0x0.0p+0', '0x1.1f7ced916872bp-1', '0x1.be76c8b439581p-2']],
+        'jng': ['0x1.5ec891f3e141ap-2', '0x1.d5187f9fe7ab4p-2', '0x1.de5359b42dd11p-2'],
+        'jng_se': ['0x1.1f36b0008425dp-8', '0x1.86160919cf719p-8', '0x1.806f915139348p-8'],
     },
     ('tri3', 'ejs', 'fbar'): {
-        'decision_probs': [['0x1.75810624dd2f2p-1', '0x0.0p+0', '0x1.0624dd2f1a9fcp-11', '0x1.147ae147ae148p-2'], ['0x1.89374bc6a7efap-10', '0x1.8ed916872b021p-1', '0x1.47ae147ae147bp-9', '0x1.bc6a7ef9db22dp-3'], ['0x1.0624dd2f1a9fcp-9', '0x1.0624dd2f1a9fcp-10', '0x1.7d70a3d70a3d7p-1', '0x1.020c49ba5e354p-2']],
-        'jng': ['0x1.ac2127a689426p-2', '0x1.26c060b3e242ep-1', '0x1.21869140320acp-1'],
-        'jng_se': ['0x1.1aeea7ddee69dp-8', '0x1.9b30b9229bf61p-8', '0x1.a3c4e703ead18p-8'],
+        'decision_probs': [['0x1.726e978d4fdf4p-1', '0x0.0p+0', '0x1.0624dd2f1a9fcp-11', '0x1.1a9fbe76c8b44p-2'], ['0x1.cac083126e979p-8', '0x1.84dd2f1a9fbe7p-1', '0x1.89374bc6a7efap-10', '0x1.db22d0e560419p-3'], ['0x1.47ae147ae147bp-9', '0x0.0p+0', '0x1.8395810624dd3p-1', '0x1.ec8b439581062p-3']],
+        'jng': ['0x1.ab8fdd242e491p-2', '0x1.241ca93e9be00p-1', '0x1.28fd71819f6a5p-1'],
+        'jng_se': ['0x1.1da2868def832p-8', '0x1.a4fa247c94a64p-8', '0x1.964515ccc5e91p-8'],
     },
     ('tri3', 'uniform', 'map'): {
-        'decision_probs': [['0x1.b95810624dd2fp-1', '0x1.22d0e56041893p-4', '0x1.126e978d4fdf4p-4', '0x0.0p+0'], ['0x1.20c49ba5e353fp-4', '0x1.c624dd2f1a9fcp-1', '0x1.5c28f5c28f5c3p-5', '0x0.0p+0'], ['0x1.2b020c49ba5e3p-4', '0x1.6872b020c49bap-5', '0x1.c4189374bc6a8p-1', '0x0.0p+0']],
-        'jng': ['0x1.50c7356147194p-2', '0x1.9ce5b293d06f7p-2', '0x1.9ead2e4231c13p-2'],
-        'jng_se': ['0x1.5b31dfb6065f8p-8', '0x1.95cf301b09f7dp-8', '0x1.965163680acacp-8'],
+        'decision_probs': [['0x1.b22d0e5604189p-1', '0x1.3d70a3d70a3d7p-4', '0x1.3126e978d4fdfp-4', '0x0.0p+0'], ['0x1.1a9fbe76c8b44p-4', '0x1.c7ef9db22d0e5p-1', '0x1.4bc6a7ef9db23p-5', '0x0.0p+0'], ['0x1.1cac083126e98p-4', '0x1.645a1cac08312p-5', '0x1.c624dd2f1a9fcp-1', '0x0.0p+0']],
+        'jng': ['0x1.4f571475b5401p-2', '0x1.9da6c87e33318p-2', '0x1.a0acf188cc017p-2'],
+        'jng_se': ['0x1.6817805bec88ep-8', '0x1.8fd9c5a15ef59p-8', '0x1.9c7dc0cd91146p-8'],
     },
 }
 
@@ -552,12 +594,12 @@ def test_monte_carlo_reports_are_pinned(key, request):
 # at N = 6 with 300 episodes and seed 11, and the exact report at N = 4.
 ECR_PINNED = {
     'each': {
-        'decision_probs': [['0x1.681b4e81b4e82p-1', '0x1.b4e81b4e81b4fp-9', '0x1.b4e81b4e81b4fp-7', '0x1.1eb851eb851ecp-2'], ['0x1.1111111111111p-6', '0x1.47ae147ae147bp-1', '0x1.b4e81b4e81b4fp-9', '0x1.5c28f5c28f5c3p-2'], ['0x1.eb851eb851eb8p-6', '0x1.b4e81b4e81b4fp-9', '0x1.5555555555555p-1', '0x1.3333333333333p-2']],
-        'psi': ['0x1.2fc962fc962fcp-2', '0x1.70a3d70a3d70ap-2', '0x1.5555555555556p-2'],
-        'phi': ['0x1.7e4b17e4b17e4p-6', '0x1.b4e81b4e81b4ep-9', '0x1.1111111111111p-7'],
-        'gamma': '0x1.7e4b17e4b17e5p-6',
-        'jng': ['0x1.b60be41a86805p-2', '0x1.31bdfdc83229ap-1', '0x1.1ab68911c1d8dp-1'],
-        'jng_se': ['0x1.26cbbc3f4610dp-6', '0x1.85992320e880cp-6', '0x1.6b1ae1ddeb5b1p-6'],
+        'decision_probs': [['0x1.4b17e4b17e4b1p-1', '0x1.b4e81b4e81b4fp-9', '0x1.b4e81b4e81b4fp-7', '0x1.58bf258bf258cp-2'], ['0x1.b4e81b4e81b4fp-6', '0x1.5dddddddddddep-1', '0x1.b4e81b4e81b4fp-8', '0x1.2222222222222p-2'], ['0x1.7e4b17e4b17e5p-5', '0x1.b4e81b4e81b4fp-8', '0x1.3851eb851eb85p-1', '0x1.58bf258bf258cp-2']],
+        'psi': ['0x1.69d0369d0369ep-2', '0x1.4444444444444p-2', '0x1.8f5c28f5c28f6p-2'],
+        'phi': ['0x1.2c5f92c5f92c6p-5', '0x1.47ae147ae147ap-8', '0x1.47ae147ae147ap-7'],
+        'gamma': '0x1.1a2b3c4d5e6f8p-5',
+        'jng': ['0x1.a6ace74344c62p-2', '0x1.348e4d8bde2ffp-1', '0x1.05bdf4dcc108fp-1'],
+        'jng_se': ['0x1.104277e8a0373p-6', '0x1.951d7f3a41ee1p-6', '0x1.a165e850d5915p-6'],
     },
     'exact': {
         'decision_probs': [['0x1.6f0068db8bac9p-1', '0x1.d7dbf487fcb95p-7', '0x1.a36e2eb1c432fp-7', '0x1.0624dd2f1a9fdp-2'], ['0x1.80346dc5d6388p-4', '0x1.3a92a30553263p-1', '0x1.4467381d7dbf5p-6', '0x1.16872b020c49cp-2'], ['0x1.9ce075f6fd21fp-4', '0x1.780346dc5d638p-5', '0x1.f8a0902de00d2p-2', '0x1.7126e978d4fe0p-2']],
@@ -760,25 +802,25 @@ def test_walk_block_size_moves_no_bit(case, horizon, sel, inf, block_rows, reque
 # delta), generated with the depth-first walker.
 EXACT_PINNED = {
     ('tri3', 8): {
-        'decision_probs': [['0x1.1cf882ee7e0acp-1', '0x1.f6a7b499ddb9cp-9', '0x1.f9dcfee8ec84ep-9', '0x1.be2df0bbfe894p-2'], ['0x1.f39f508488c94p-7', '0x1.0ec99c9a15e77p-1', '0x1.c1dd99152dd6ep-9', '0x1.cf4c11158581fp-2'], ['0x1.f39f508488cf1p-7', '0x1.cbe5655e32283p-9', '0x1.0d1f9a2970b7ep-1', '0x1.d28c065e3dbd5p-2']],
-        'psi': ['0x1.c60efa2303ea8p-2', '0x1.e26cc6cbd4312p-2', '0x1.e5c0cbad1e904p-2'],
-        'phi': ['0x1.f39f508488cc2p-7', '0x1.e1468cfc07f0ep-9', '0x1.dddd4bff0d2ddp-9'],
-        'gamma': '0x1.ecf02f2cdeb7fp-7',
-        'jng': ['0x1.55be57ddfd0cap-2', '0x1.cd94ad0496260p-2', '0x1.cc458b836e1f8p-2'],
+        'decision_probs': [['0x1.1cf882ee7e0acp-1', '0x1.f7382b6fd4776p-9', '0x1.f94c8812f5c77p-9', '0x1.be2df0bbfe894p-2'], ['0x1.f39f508488c94p-7', '0x1.0f46a4ab51e5ap-1', '0x1.bf66bc0d562ecp-9', '0x1.ce56eead1d348p-2'], ['0x1.f39f508488cf1p-7', '0x1.ce5c426609d00p-9', '0x1.0ca2921834b99p-1', '0x1.d38128c6a60b9p-2']],
+        'psi': ['0x1.c60efa2303ea8p-2', '0x1.e172b6a95c34cp-2', '0x1.e6badbcf968cep-2'],
+        'phi': ['0x1.f39f508488cc2p-7', '0x1.e2ca36eaef23ap-9', '0x1.dc59a21025fb0p-9'],
+        'gamma': '0x1.ecf02f2cdeb80p-7',
+        'jng': ['0x1.55be57ddfd0cap-2', '0x1.cdefb23135517p-2', '0x1.cbea8656cef59p-2'],
         'paths': 65536,
     },
     ('bsc2', 15): {
-        'decision_probs': [['0x1.c34f10505575cp-1', '0x1.86eb0cde7a80bp-33', '0x1.e5877d711c178p-4'], ['0x1.86eb0cde7a80cp-33', '0x1.c34f1050556e2p-1', '0x1.e5877d711d1b9p-4']],
-        'psi': ['0x1.e5877d7d54520p-4', '0x1.e5877d7d548f0p-4'],
-        'phi': ['0x1.86eb0cde7a80cp-33', '0x1.86eb0cde7a80bp-33'],
-        'gamma': '0x1.86eb0cde7a80cp-33',
+        'decision_probs': [['0x1.e38e366404a44p-1', '0x1.7634115311ed4p-32', '0x1.c71c9990f0ea9p-5'], ['0x1.7634115311ebfp-32', '0x1.e38e366404974p-1', '0x1.c71c9990f0117p-5']],
+        'psi': ['0x1.c71c99bfb5bc0p-5', '0x1.c71c99bfb68c0p-5'],
+        'phi': ['0x1.7634115311ebfp-32', '0x1.7634115311ed4p-32'],
+        'gamma': '0x1.7634115311ecap-32',
         'jng': ['0x1.c1fdd9114d297p+0', '0x1.c1fdd9114d1dfp+0'],
         'paths': 32768,
     },
 }
 PAIRS_PINNED = {  # enumerate_pair_expectations, tri3 N=8, chernoff
-    'lam': [['0x0.0p+0', '0x1.b7633040a6b86p+1', '0x1.b6b39316af632p+1'], ['0x1.f97c485834ccfp+1', '0x0.0p+0', '0x1.1bedf14781b3ep+2'], ['0x1.f5ce7dbf28d2fp+1', '0x1.1c0a67eeea69ap+2', '0x0.0p+0']],
-    'kl': [['0x0.0p+0', '0x1.b7633040a696cp+1', '0x1.b6b39316af9dfp+1'], ['0x1.f97c485834d49p+1', '0x0.0p+0', '0x1.1bedf14781d78p+2'], ['0x1.f5ce7dbf28d8ap+1', '0x1.1c0a67eeea5bep+2', '0x0.0p+0']],
+    'lam': [['0x0.0p+0', '0x1.b7b045430429fp+1', '0x1.b6667e1451f19p+1'], ['0x1.fa666178cce4cp+1', '0x0.0p+0', '0x1.1be6de0ef6e15p+2'], ['0x1.f4e4649e90b8bp+1', '0x1.1c117b27753aep+2', '0x0.0p+0']],
+    'kl': [['0x0.0p+0', '0x1.b7b045430404fp+1', '0x1.b6667e14522fep+1'], ['0x1.fa666178ccefcp+1', '0x0.0p+0', '0x1.1be6de0ef7022p+2'], ['0x1.f4e4649e90bdep+1', '0x1.1c117b2775315p+2', '0x0.0p+0']],
 }
 
 

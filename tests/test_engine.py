@@ -6,20 +6,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.stats import binom
 
 from ahtest import (
     Belief,
     EnumerationBudgetError,
+    Model,
     RunConfig,
     enumerate_exact,
     enumerate_pair_expectations,
-    episode_seed,
     lambda_bound,
+    lane_key,
     monte_carlo,
     run_episode,
     saddle_points,
 )
-from ahtest.engine import sample_categorical, simulate_conditioned_batch
+from ahtest.engine import _uniform_block, sample_categorical, simulate_conditioned_batch
 from ahtest.strategies import (
     ChernoffSelection,
     EJSGreedySelection,
@@ -32,7 +36,7 @@ from ahtest.strategies import (
 )
 from ahtest.model import EpsilonSchedule
 
-from conftest import random_model, random_selection
+from conftest import normalized_replay, random_model, random_selection
 
 
 @pytest.fixture(scope="module")
@@ -63,19 +67,26 @@ class TestSampling:
         singles = [int(sample_categorical(dists[t], rs[t])) for t in range(64)]
         np.testing.assert_array_equal(batch, singles)
 
+    # An episode's stream is addressed by its seed: (base seed, lane) in the
+    # Philox key, the episode index in the counter.
     def test_episode_seed_distinct(self):
-        seen = {episode_seed(s, l, e) for s in (0, 1, 77) for l in (0, 1, 2) for e in range(50)}
-        assert len(seen) == 3 * 3 * 50
+        assert len({lane_key(s, l) for s in (0, 1, 77) for l in (0, 1, 2)}) == 3 * 3
+        rows = np.vstack([_uniform_block(s, l, 0, 50, 10) for s in (0, 1, 77) for l in (0, 1, 2)])
+        assert len({row.tobytes() for row in rows}) == 3 * 3 * 50
 
     def test_episode_seed_field_edges(self):
-        top = episode_seed(2**48 - 1, 2**16 - 1, 2**64 - 1)
-        assert top == 2**128 - 1
-        assert episode_seed(0, 0, 0) == 0
+        assert lane_key(2**48 - 1, 2**16 - 1) == 2**64 - 1
+        assert lane_key(0, 0) == 0
+        assert _uniform_block(2**48 - 1, 2**16 - 1, 2**64 - 1, 1, 3).shape == (1, 3)
 
     def test_episode_seed_numpy_integers_do_not_wrap(self):
-        assert episode_seed(np.int64(2**47), np.int64(1), np.uint64(5)) == episode_seed(2**47, 1, 5)
+        assert lane_key(np.int64(2**47), np.int64(1)) == lane_key(2**47, 1)
+        top = _uniform_block(np.int64(2**47), np.int64(1), np.uint64(2**64 - 1), 1, 5)
+        assert top.tobytes() == _uniform_block(2**47, 1, 2**64 - 1, 1, 5).tobytes()
         with pytest.raises(TypeError):
-            episode_seed(3.0, 1, 5)
+            lane_key(3.0, 1)
+        with pytest.raises(TypeError):
+            _uniform_block(0, 1, 5.0, 1, 5)
 
     @pytest.mark.parametrize("seed, lane, episode", [
         (-1, 0, 0), (2**48, 0, 0),
@@ -85,18 +96,22 @@ class TestSampling:
     def test_episode_seed_rejects_values_outside_their_field(self, seed, lane, episode):
         # masking them would alias another (seed, lane, episode)'s stream
         with pytest.raises(ValueError):
-            episode_seed(seed, lane, episode)
+            _uniform_block(seed, lane, episode, 1, 4)
+
+    def test_block_rejects_an_episode_range_past_the_field(self):
+        _uniform_block(0, 0, 2**64 - 2, 2, 4)
+        with pytest.raises(ValueError):
+            _uniform_block(0, 0, 2**64 - 2, 3, 4)
 
 
 class TestRunEpisode:
     def test_deterministic(self, tri3, tri3_saddles):
         cfg = RunConfig(
             model=tri3, selection=ChernoffSelection(tri3_saddles),
-            inference=FBarInference(tri3_saddles, 0.1), horizon=4,
+            inference=FBarInference(tri3_saddles, 0.1), horizon=4, seed=7,
         )
-        key = episode_seed(7, 1, 1)
-        a = run_episode(cfg, 1, key)
-        b = run_episode(cfg, 1, key)
+        a = run_episode(cfg, 1, 1)
+        b = run_episode(cfg, 1, 1)
         assert a[0] == b[0] and a[1] == b[1]
         np.testing.assert_array_equal(a[2].log_rho, b[2].log_rho)
 
@@ -105,7 +120,7 @@ class TestRunEpisode:
             model=bsc2, selection=OpenLoopSelection(0, bsc2_saddles),
             inference=FBarInference(bsc2_saddles, 0.4), horizon=3,
         )
-        traj, decision, final = run_episode(cfg, 0, episode_seed(0, 0, 0))
+        traj, decision, final = run_episode(cfg, 0, 0)
         assert traj.steps == ((0, 0), (0, 0), (0, 0))
         assert decision == 0
         np.testing.assert_allclose(final.probs(), [729 / 730, 1 / 730], atol=1e-12)
@@ -113,15 +128,15 @@ class TestRunEpisode:
     def test_regression_fixture_tri3(self, tri3, tri3_saddles):
         cfg = RunConfig(
             model=tri3, selection=ChernoffSelection(tri3_saddles),
-            inference=FBarInference(tri3_saddles, 0.1), horizon=4,
+            inference=FBarInference(tri3_saddles, 0.1), horizon=4, seed=7,
         )
         expected = [
-            (((0, 1), (1, 1), (0, 1), (1, 1)), None),
-            (((0, 1), (0, 1), (0, 0), (0, 1)), 1),
-            (((0, 0), (0, 1), (1, 1), (0, 0)), 2),
+            (((1, 0), (1, 1), (0, 1), (0, 1)), 1),
+            (((0, 1), (1, 0), (0, 1), (0, 1)), 1),
+            (((0, 1), (1, 0), (1, 1), (0, 1)), 1),
         ]
         for e, (steps, decision) in enumerate(expected):
-            traj, dec, _ = run_episode(cfg, 1, episode_seed(7, 1, e))
+            traj, dec, _ = run_episode(cfg, 1, e)
             assert traj.steps == steps
             assert dec == decision
 
@@ -135,6 +150,8 @@ class TestRunEpisode:
 
 class TestBatchParity:
     def test_batch_reproduces_scalar_episodes(self, tri3, tri3_saddles):
+        # The reference replays each episode with the one-belief rule calls
+        # and a belief normalized at every step, not through the chunk code.
         cfg = RunConfig(
             model=tri3, selection=ChernoffSelection(tri3_saddles),
             inference=FBarInference(tri3_saddles, 0.1), horizon=5,
@@ -143,9 +160,114 @@ class TestBatchParity:
         for h in (0, 2):
             _, _, _, decisions, _ = simulate_conditioned_batch(cfg, h)
             for e in range(0, 300, 17):
-                _, dec, _ = run_episode(cfg, h, episode_seed(11, h, e))
-                want = -1 if dec is None else dec
-                assert decisions[e] == want
+                steps, want, final = normalized_replay(cfg, h, e)
+                trajectory, dec, belief = run_episode(cfg, h, e)
+                assert dec == want
+                assert decisions[e] == (-1 if want is None else want)
+                assert trajectory.steps == steps
+                np.testing.assert_allclose(belief.log_rho, final, rtol=0, atol=1e-12)
+
+    def test_a_rule_not_shift_invariant_gets_normalized_rows(self, tri3, tri3_saddles):
+        # The test softmax rule reads exp(log_rho), so a carried row would
+        # change its mixture; not declared shift_invariant, it runs the policy
+        # of its one-belief calls on normalized beliefs.
+        selection = random_selection(np.random.default_rng(5), tri3)
+        assert not selection.shift_invariant
+        cfg = RunConfig(model=tri3, selection=selection,
+                        inference=FBarInference(tri3_saddles, 0.1), horizon=8,
+                        episodes=200, seed=2)
+        for h in range(3):
+            decisions = simulate_conditioned_batch(cfg, h)[3]
+            for e in range(200):
+                steps, want, _ = normalized_replay(cfg, h, e)
+                assert run_episode(cfg, h, e)[0].steps == steps
+                assert decisions[e] == (-1 if want is None else want)
+
+    def test_chunking_moves_no_decision(self, tri3, tri3_saddles, monkeypatch):
+        from ahtest import engine
+
+        cfg = RunConfig(
+            model=tri3, selection=EJSGreedySelection(),
+            inference=FBarInference(tri3_saddles, 0.1), horizon=6, episodes=50, seed=3,
+        )
+        whole = simulate_conditioned_batch(cfg, 1)[3]
+        monkeypatch.setattr(engine, "CHUNK_SIZE", 7)
+        assert np.array_equal(simulate_conditioned_batch(cfg, 1)[3], whole)
+
+
+def _chernoff_fbar(model, horizon, **kw):
+    saddles = saddle_points(model)
+    return RunConfig(model=model, selection=ChernoffSelection(saddles),
+                     inference=FBarInference(saddles, min(sp.d_star for sp in saddles) / 4),
+                     horizon=horizon, **kw)
+
+
+class TestTieRule:
+    """One tie rule in every route: the tree and the Monte Carlo carry decide
+    paths on an fbar threshold, and MAP ties, the same way."""
+
+    @pytest.mark.parametrize("horizon", [15, 20])
+    def test_bsc2_exact_psi_is_one_binomial_tail_under_each_hypothesis(self, bsc2, horizon):
+        # fbar declares H1 iff the count of observation 0 reaches 4N/5; a
+        # path on the threshold declares, so psi is P(count < 4N/5). The tree
+        # sums 2^N leaf masses one by one, which leaves about 5e-12 relative.
+        rep = enumerate_exact(_chernoff_fbar(bsc2, horizon))
+        tail = binom.cdf(4 * horizon // 5 - 1, horizon, 0.9)
+        assert rep.psi[0] == pytest.approx(rep.psi[1], rel=1e-11)
+        assert rep.psi[0] == pytest.approx(tail, rel=1e-11)
+
+    @pytest.mark.parametrize("horizon", [25, 50])
+    def test_bsc2_monte_carlo_abstains_alike_under_each_hypothesis(self, bsc2, horizon):
+        episodes = 65536
+        rep = monte_carlo(_chernoff_fbar(bsc2, horizon, episodes=episodes, seed=0))
+        abstain = rep.decision_probs[:, 2]
+        se = math.sqrt(sum(p * (1 - p) for p in abstain) / episodes)
+        assert abs(abstain[0] - abstain[1]) <= 3 * se
+        k = 4 * horizon // 5
+        exact = binom.cdf(k - 1, horizon, 0.9) - binom.cdf(horizon - k, horizon, 0.9)
+        for p in abstain:
+            assert abs(p - exact) <= 3 * math.sqrt(exact * (1 - exact) / episodes)
+
+    @pytest.mark.parametrize("name, horizon, rule", [
+        ("bsc2", 25, "fbar"), ("tri3", 12, "fbar"), ("tri3", 12, "map"), ("tri3", 12, "ejs"),
+    ])
+    def test_batch_decisions_equal_normalized_replays(self, name, horizon, rule, request):
+        model = request.getfixturevalue(name)
+        config = _chernoff_fbar(model, horizon, episodes=600, seed=4)
+        if rule in ("map", "ejs"):
+            selection = EJSGreedySelection() if rule == "ejs" else config.selection
+            inference = MAPInference() if rule == "map" else config.inference
+            config = RunConfig(model=model, selection=selection, inference=inference,
+                               horizon=horizon, episodes=600, seed=4)
+        for h in range(model.num_hypotheses):
+            decisions = simulate_conditioned_batch(config, h)[3]
+            for e in range(600):
+                steps, decision, _ = normalized_replay(config, h, e)
+                assert (-1 if decision is None else decision) == decisions[e]
+                if e % 10 == 0:
+                    assert run_episode(config, h, e)[0].steps == steps
+
+    @given(perm=st.permutations(range(3)), obs_perm=st.permutations(range(2)),
+           horizon=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_relabelling_permutes_the_exact_tri3_report(self, tri3, perm, obs_perm, horizon, seed):
+        # A Dirichlet prior has no exact MAP ties, which the lowest-index
+        # rule would break differently after relabelling.
+        prior = np.random.default_rng(seed).dirichlet(np.ones(3)) * 0.9 + 0.1 / 3
+        prior /= prior.sum()
+        perm, obs_perm = list(perm), list(obs_perm)
+        base = Model(tri3.hypotheses, tri3.experiments, tri3.observations, tri3.channel, prior)
+        relabelled = Model(tuple(tri3.hypotheses[i] for i in perm), tri3.experiments,
+                           tuple(tri3.observations[y] for y in obs_perm),
+                           tri3.channel[perm][:, :, obs_perm], prior[perm])
+        a = enumerate_exact(_chernoff_fbar(base, horizon))
+        b = enumerate_exact(_chernoff_fbar(relabelled, horizon))
+        assert b.hypotheses == tuple(a.hypotheses[i] for i in perm)
+        np.testing.assert_allclose(b.decision_probs, a.decision_probs[perm][:, perm + [3]],
+                                   rtol=0, atol=1e-12)
+        for field in ("psi", "phi", "jng"):
+            np.testing.assert_allclose(getattr(b, field), np.array(getattr(a, field))[perm],
+                                       rtol=0, atol=1e-12)
+        assert b.gamma == pytest.approx(a.gamma, rel=0, abs=1e-12)
 
 
 class TestMonteCarlo:

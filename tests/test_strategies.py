@@ -7,6 +7,7 @@ import pytest
 
 from ahtest import (
     Belief,
+    Model,
     bllr,
     ejs_divergence,
     lambda_bound,
@@ -167,6 +168,34 @@ class TestEJS:
                 assert ejs_divergence(tri3, b, u) == pytest.approx(expect, abs=1e-9)
 
 
+def _near_twin_experiments() -> Model:
+    """Two experiments, the second a shade more informative: their EJS and
+    depth-1 ECR scores differ by about 1e-7, above the tie tolerance of a
+    horizon-1 run (about 1.4e-9) and below that of a horizon-1000 run."""
+    e = 1e-7
+    channel = np.array([[[0.8, 0.2], [0.8 + e, 0.2 - e]], [[0.2, 0.8], [0.2 - e, 0.8 + e]]])
+    return Model(("h0", "h1"), ("u0", "u1"), ("y0", "y1"), channel, np.array([0.6, 0.4]))
+
+
+class TestHelpersTieAsTheRunDoes:
+    @pytest.mark.parametrize("horizon, best", [(1, 1), (1000, 0)])
+    def test_near_tie_follows_the_run_horizon(self, horizon, best):
+        model = _near_twin_experiments()
+        b = Belief.from_probs(np.array([0.6, 0.4]))
+        run_ejs = EJSGreedySelection().action_distribution(model, b.log_rho, 0, horizon)
+        run_ecr = ECRLookaheadSelection(1).action_distribution(model, b.log_rho, 0, horizon)
+        for dist in (select_ejs_greedy(model, b, horizon), run_ejs,
+                     select_ecr_lookahead(model, b, 1, 1, horizon), run_ecr):
+            assert int(np.argmax(dist)) == best
+
+    def test_defaults_tie_as_at_horizon_one_and_remaining(self):
+        model = _near_twin_experiments()
+        b = Belief.from_probs(np.array([0.6, 0.4]))
+        assert int(np.argmax(select_ejs_greedy(model, b))) == 1
+        assert int(np.argmax(select_ecr_lookahead(model, b, 1, 1))) == 1
+        assert int(np.argmax(select_ecr_lookahead(model, b, 1, 1000))) == 0
+
+
 class TestECRLookahead:
     def test_depth_one_equals_ejs_choice(self):
         rng = np.random.default_rng(13)
@@ -240,11 +269,24 @@ class TestFBar:
         from ahtest.strategies import _decide_by_thresholds
 
         thr = np.array([1.0, 1.0, 1.0])
-        assert int(_decide_by_thresholds(np.array([5.0, 3.0, 0.0]), thr)) == 0
-        assert int(_decide_by_thresholds(np.array([3.0, 5.0, 0.0]), thr)) == 1
-        # equal margins tie toward the lowest index
-        assert int(_decide_by_thresholds(np.array([4.0, 4.0, 0.0]), thr)) == 0
-        assert int(_decide_by_thresholds(np.array([0.0, 0.5, 0.9]), thr)) == -1
+        tol = 1e-9
+        assert int(_decide_by_thresholds(np.array([5.0, 3.0, 0.0]), thr, tol)) == 0
+        assert int(_decide_by_thresholds(np.array([3.0, 5.0, 0.0]), thr, tol)) == 1
+        # margins within tol of each other tie toward the lowest index
+        assert int(_decide_by_thresholds(np.array([4.0, 4.0, 0.0]), thr, tol)) == 0
+        assert int(_decide_by_thresholds(np.array([4.0, 4.0 + 5e-10, 0.0]), thr, tol)) == 0
+        assert int(_decide_by_thresholds(np.array([0.0, 0.5, 0.9]), thr, tol)) == -1
+
+    def test_margin_within_tolerance_counts_as_zero(self):
+        from ahtest.strategies import _decide_by_thresholds
+
+        thr = np.array([1.0, 1.0])
+        tol = 1e-9
+        assert int(_decide_by_thresholds(np.array([1.0 - 5e-10, 0.0]), thr, tol)) == 0
+        assert int(_decide_by_thresholds(np.array([1.0 - 2e-9, 0.0]), thr, tol)) == -1
+        # a margin snapped to zero ties with a margin of zero, lowest index wins
+        assert int(_decide_by_thresholds(np.array([1.0, 1.0 - 5e-10]), thr, tol)) == 0
+        assert int(_decide_by_thresholds(np.array([1.0 - 5e-10, 1.0]), thr, tol)) == 0
 
     def test_abstains_whenever_no_threshold_cleared(self, tri3, tri3_saddles):
         # sound abstention: if the best increment is below the lowest
