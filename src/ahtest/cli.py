@@ -2,7 +2,7 @@
 
 Subcommands: validate, divergence, simulate, enumerate, bounds, sweep.
 All four strategy runs share one run path: Monte Carlo with --episodes,
-exact enumeration (trees up to 10^7 nodes) without. `bounds` is a
+exact enumeration (count lattices up to 10^7 states) without. `bounds` is a
 one-horizon `sweep` plus its run report. A strategy spec parameter the rule
 does not take, or one given twice, is rejected, and the model's label fields
 must be JSON arrays. Every run echoes its effective defaults (epsilon rule,
@@ -83,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(sub.add_parser("divergence", help="per-hypothesis saddle points"))
     p = sub.add_parser("simulate", help="Monte Carlo run report")
     add_common(p, horizon=True, episodes=True, strategies=True, formats=True)
-    p = sub.add_parser("enumerate", help="exact run report by tree enumeration")
+    p = sub.add_parser("enumerate", help="exact run report by count-lattice enumeration")
     add_common(p, horizon=True, strategies=True, formats=True)
     p = sub.add_parser("bounds", help="bound report for one horizon")
     add_common(p, horizon=True, episodes=True, strategies=True, formats=True)

@@ -8,9 +8,10 @@ run_episode replays any episode exactly. Episodes carry log-prior plus summed
 log-likelihoods, unnormalized, and the tie rule (strategies) makes decisions
 blind to the shift; a selection rule not shift_invariant gets normalized rows.
 
-Exact enumeration walks the full (experiment, observation) tree a level at a
-time, in blocks of nodes with batch strategy calls, carrying per-hypothesis
-path masses; its leaves come in depth-first order. It is the oracle the
+Exact enumeration merges the (experiment, observation) tree's paths by their
+outcome counts, which fix the belief (the method of types): a forward pass
+over the count lattice, one batch selection call per level and one batch
+decision on the last, with masses in the log domain. It is the oracle the
 Monte Carlo path is tested against.
 """
 
@@ -30,16 +31,13 @@ from .strategies import INCONCLUSIVE, InferenceStrategy, SelectionStrategy
 # Fixed so floating-point accumulation order never depends on run parameters.
 CHUNK_SIZE = 32768
 
-# Largest tree exact enumeration walks: (experiments x observations)^horizon.
+# Largest count lattice exact enumeration builds: its last level has
+# C(N + K - 1, K - 1) states, K = experiments x observations.
 DEFAULT_NODE_BUDGET = 10**7
-
-# Tree nodes expanded at once by walk_paths: wider blocks are split, so the
-# walk's memory does not grow with the horizon.
-_WALK_BLOCK_ROWS = 1 << 10
 
 
 class EnumerationBudgetError(RuntimeError):
-    """The (experiments x observations)^horizon tree exceeds the node budget."""
+    """The count lattice's last level exceeds the node budget."""
 
 
 _SEED_BITS = 48
@@ -88,7 +86,7 @@ class RunConfig:
 
     episodes selects Monte Carlo, which runs that many episodes under each
     true hypothesis; leaving it None selects exact enumeration, which refuses
-    trees over DEFAULT_NODE_BUDGET leaves.
+    count lattices over DEFAULT_NODE_BUDGET states at the horizon.
     """
 
     model: Model
@@ -359,79 +357,105 @@ def _error_rates(decision_probs: np.ndarray, prior: np.ndarray):
     return psi, phi, gamma
 
 
+def _count_loglik(counts: np.ndarray, lc_uy: np.ndarray) -> np.ndarray:
+    """(S, K) outcome counts -> (S, M) summed log-likelihoods, added in
+    outcome order: a matrix product may round a row differently in another
+    batch."""
+    total = counts[:, :1] * lc_uy[0]
+    for k in range(1, counts.shape[1]):
+        total = total + counts[:, k:k + 1] * lc_uy[k]
+    return total
+
+
+def _fsum(values: np.ndarray) -> float:
+    """Correctly rounded sum: the same bits in any order of the terms."""
+    return math.fsum(values.tolist())
+
+
+def _composition_rank(counts: np.ndarray, rank_terms: np.ndarray) -> np.ndarray:
+    """Rank of each count vector among those with its sum, by the
+    combinatorial number system: the sum of C(s_j + j, j + 1) =
+    rank_terms[s_j, j] over the prefix sums s_j = c_0 + ... + c_j, j < K - 1."""
+    return rank_terms[np.cumsum(counts[:, :-1], axis=1), np.arange(counts.shape[1] - 1)].sum(axis=1)
+
+
 def walk_paths(model: Model, selection: SelectionStrategy, horizon: int, visit) -> int:
-    """Level-by-level walk of the full (experiment, observation) tree.
+    """Forward pass over the count lattice: the (experiment, observation)
+    tree with the paths of equal outcome counts merged.
 
-    Each block of nodes, one row each, takes one batch selection call; its
-    children are laid out parent-major, then by experiment, then by
-    observation, and those with zero action probability are pruned. A block
-    wider than _WALK_BLOCK_ROWS // (U * Y) rows is split into slices walked
-    in turn, so leaves come in depth-first order. Calls visit(action_prob
-    (L,), obs_likelihood (L, M), final_log_rho (L, M), lam (L, M, M),
-    kl_sums (L, M, M)) on each block of L reachable leaves, where lam[l, i, j]
-    is the summed per-step log-likelihood ratio of i against j along leaf l's
-    path and kl_sums[l, i, j] the summed divergences D(p_i^u || p_j^u) over
-    its experiments. Returns the number of leaves visited.
+    After n steps the belief is fixed by the counts c of the K = U * Y
+    outcomes (u, y), k = u * Y + y, so level n has C(n + K - 1, K - 1)
+    states, laid out by composition rank. Under h the paths into c have
+    probability A(c) prod_k p_h(k)^c_k, A(c) the sum of their action
+    probability products. Each level takes one batch selection call on its
+    normalized rows; a child adds its parents' log A terms in outcome order,
+    so no result depends on a level's layout, and counts its paths of
+    positive probability exactly. Calls visit(counts (S, K), log_mass (S, M),
+    log_rho (S, M)) once, on the last level: log_mass[s, h] is the log
+    probability under h of the paths into s, log_rho their normalized
+    belief. Returns the number of root-to-leaf paths of positive probability.
     """
-    n_exp = model.num_experiments
     n_obs = model.num_observations
-    m_hyp = model.num_hypotheses
-    if (n_exp * n_obs) ** horizon > DEFAULT_NODE_BUDGET:
+    n_out = model.num_experiments * n_obs
+    states = math.comb(horizon + n_out - 1, n_out - 1)
+    if states > DEFAULT_NODE_BUDGET:
         raise EnumerationBudgetError(
-            f"({n_exp} experiments x {n_obs} observations)^{horizon} exceeds "
-            f"the node budget {DEFAULT_NODE_BUDGET}"
-        )
-    lc = model.log_channel
-    kl_by_u = np.einsum("iuy,ijuy->iju", model.channel, lc[:, None] - lc[None, :])
-    # What one step adds to a node's row, by (u, y) at row u * Y + y.
-    lik_uy = np.moveaxis(model.channel, 0, 2).reshape(-1, m_hyp)
-    lc_uy = np.moveaxis(lc, 0, 2).reshape(-1, m_hyp)
-    lam_uy = lc_uy[:, :, None] - lc_uy[:, None, :]
-    kls_uy = np.repeat(np.moveaxis(kl_by_u, 2, 0), n_obs, axis=0)
-    step = max(1, _WALK_BLOCK_ROWS // (n_exp * n_obs))
-
-    def walk(n, aprob, lik, log_rho, lam, kls) -> int:
-        if n == horizon:
-            visit(aprob, lik, log_rho, lam, kls)
-            return aprob.size
-        if aprob.size > step:
-            return sum(walk(n, *(a[s:s + step] for a in (aprob, lik, log_rho, lam, kls)))
-                       for s in range(0, aprob.size, step))
-        dist = selection.batch_action_distributions(model, log_rho, n, horizon)
-        parent, uy = np.divmod(np.flatnonzero(np.repeat(dist > 0.0, n_obs, axis=1)),
-                               n_exp * n_obs)
-        return walk(
-            n + 1,
-            aprob[parent] * dist[parent, uy // n_obs],
-            lik[parent] * lik_uy[uy],
-            log_normalize(log_rho[parent] + lc_uy[uy]),
-            lam[parent] + lam_uy[uy],
-            kls[parent] + kls_uy[uy],
-        )
-
-    zeros = np.zeros((1, m_hyp, m_hyp))
-    return walk(0, np.ones(1), np.ones((1, m_hyp)), np.log(model.prior)[None, :], zeros, zeros)
+            f"the count lattice of {model.num_experiments} experiments x {n_obs} observations "
+            f"has {states} states at horizon {horizon}, over the node budget {DEFAULT_NODE_BUDGET}")
+    lc_uy = np.moveaxis(model.log_channel, 0, 2).reshape(n_out, -1)
+    log_prior = np.log(model.prior)
+    rank_terms = np.array([[math.comb(s + j, j + 1) for j in range(n_out - 1)]
+                           for s in range(horizon + 1)], dtype=np.int64)
+    unit = np.eye(n_out, dtype=np.int64)
+    counts = np.zeros((1, n_out), dtype=np.int64)
+    log_a = np.zeros(1)
+    paths = np.ones(1, dtype=object)      # Python ints: 2**200 paths at bsc2 N=200
+    for n in range(horizon):
+        rows = log_normalize(log_prior + _count_loglik(counts, lc_uy))
+        dist = selection.batch_action_distributions(model, rows, n, horizon)
+        with np.errstate(divide="ignore"):
+            log_dist = np.log(dist)
+        size = math.comb(n + n_out, n_out - 1)
+        child_counts = np.empty((size, n_out), dtype=np.int64)
+        child_log_a = np.full(size, -np.inf)
+        child_paths = np.zeros(size, dtype=object)
+        # One outcome at a time: c -> c + e_k is one-to-one, so each scatter
+        # writes every child once.
+        for k in range(n_out):
+            moved = counts + unit[k]
+            child = _composition_rank(moved, rank_terms)
+            child_counts[child] = moved
+            u = k // n_obs
+            child_log_a[child] = np.logaddexp(child_log_a[child], log_a + log_dist[:, u])
+            child_paths[child] += np.where(dist[:, u] > 0.0, paths, 0)
+        counts, log_a, paths = child_counts, child_log_a, child_paths
+    loglik = _count_loglik(counts, lc_uy)
+    visit(counts, log_a[:, None] + loglik, log_normalize(log_prior + loglik))
+    return int(paths.sum())
 
 
 def enumerate_exact(config: RunConfig) -> RunReport:
-    """Exact error probabilities and confidence rates by full tree traversal:
-    one batch decision and one confidence call per block of leaves."""
+    """Exact error probabilities and confidence rates on the count lattice:
+    one batch decision over its last level. Masses are summed correctly
+    rounded, and psi(i) sums hypothesis i's masses over the states not
+    declaring i, so nothing cancels deep in the tail."""
     model = config.model
     m_hyp = model.num_hypotheses
     horizon = config.horizon
     log_prior = np.log(model.prior)
-    base_conf = bllr_matrix(log_prior)
-
     dm = np.zeros((m_hyp, m_hyp + 1))
-    jacc = np.zeros((1, m_hyp))
+    psi = np.zeros(m_hyp)
+    jng = np.zeros(m_hyp)
 
-    # np.add.at adds a block's leaves one by one in leaf order, so the sums
-    # are those of a per-leaf walk; summing the block first would re-round.
-    def visit(aprob, lik, log_rho, lam, kls):
-        w = aprob[:, None] * lik
+    def visit(counts, log_mass, log_rho):
         d = config.inference.batch_decide(model, log_prior, log_rho, horizon)
-        np.add.at(dm.T, np.where(d == INCONCLUSIVE, m_hyp, d), w)
-        np.add.at(jacc, np.zeros_like(d), w * (bllr_matrix(log_rho) - base_conf))
+        col = np.where(d == INCONCLUSIVE, m_hyp, d)
+        mass = np.exp(log_mass)
+        gain = mass * (bllr_matrix(log_rho) - bllr_matrix(log_prior))
+        for h in range(m_hyp):
+            dm[h] = [_fsum(mass[col == c, h]) for c in range(m_hyp + 1)]
+            psi[h] = _fsum(mass[col != h, h])
+            jng[h] = _fsum(gain[:, h]) / horizon
 
     paths = walk_paths(model, config.selection, horizon, visit)
 
@@ -441,18 +465,17 @@ def enumerate_exact(config: RunConfig) -> RunReport:
             f"path probability mass per hypothesis deviates from 1: {mass!r}"
         )
 
-    psi, phi, gamma = _error_rates(dm, model.prior)
-    jng = [float(jacc[0, i] / horizon) for i in range(m_hyp)]
+    _, phi, gamma = _error_rates(dm, model.prior)
     zeros = tuple(0.0 for _ in range(m_hyp))
 
     return RunReport(
         mode="exact",
         horizon=horizon,
         hypotheses=model.hypotheses,
-        psi=tuple(psi),
+        psi=tuple(psi.tolist()),
         phi=tuple(phi),
         gamma=gamma,
-        jng=tuple(jng),
+        jng=tuple(jng.tolist()),
         psi_se=zeros,
         phi_se=zeros,
         gamma_se=0.0,
@@ -464,21 +487,24 @@ def enumerate_exact(config: RunConfig) -> RunReport:
 
 
 def enumerate_pair_expectations(config: RunConfig):
-    """Exact E_i[sum_n lambda(i over j)] and E_i[sum_n D(p_i^u || p_j^u)].
+    """Exact E_i[sum_n lambda(i over j)] and E_i[sum_n D(p_i^u || p_j^u)],
+    both linear in the expected outcome counts E_i[c_(u, y)].
 
     Returns two (M, M) matrices (rows condition on the true hypothesis i,
     columns index the rival j); the diagonal is zero.
     """
     model = config.model
-    m_hyp = model.num_hypotheses
-    lam_exp = np.zeros((1, m_hyp, m_hyp))
-    kl_exp = np.zeros((1, m_hyp, m_hyp))
+    lc = model.log_channel
+    expected = np.zeros((lc.shape[0], lc[0].size))
 
-    def visit(aprob, lik, log_rho, lam, kls):
-        w = (aprob[:, None] * lik)[:, :, None]
-        first = np.zeros(aprob.size, dtype=np.intp)
-        np.add.at(lam_exp, first, w * lam)
-        np.add.at(kl_exp, first, w * kls)
+    def visit(counts, log_mass, log_rho):
+        mass = np.exp(log_mass)
+        for i, k in np.ndindex(expected.shape):
+            expected[i, k] = _fsum(mass[:, i] * counts[:, k])
 
     walk_paths(model, config.selection, config.horizon, visit)
-    return lam_exp[0], kl_exp[0]
+    lam = lc[:, None] - lc[None, :]                            # (M, M, U, Y)
+    kl_by_u = np.einsum("iuy,ijuy->iju", model.channel, lam)
+    expected = expected.reshape(lc.shape)                      # E_i[c_(u, y)]
+    return (np.einsum("iuy,ijuy->ij", expected, lam),
+            np.einsum("iu,iju->ij", expected.sum(axis=2), kl_by_u))

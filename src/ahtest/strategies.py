@@ -7,7 +7,7 @@ deterministic: all sampling randomness lives in the engine, which lets the
 exact enumerator reuse the same strategy objects.
 
 Every rule implements one batch method over a matrix of log-beliefs, one
-row per episode or tree node: batch_action_distributions for selection,
+row per episode or lattice state: batch_action_distributions for selection,
 batch_decide for inference. The one-belief calls action_distribution and
 decide are defined once, on the base classes, as a batch of one, so a
 scalar call returns row 0 of the batch computation and cannot drift from

@@ -4,9 +4,11 @@ exact enumerator.
 The engine's random streams, its short-axis primitives, every rule's
 one-belief call, the EJS and ecr:k selection scores and the reports built on
 them are pinned: to the per-episode reference generator, to frozen copies of
-the plain one-belief formulas and of the depth-first tree walker, and to
-float.hex values of a few runs. A faster kernel or a new interface has to
-reproduce all of them.
+the plain one-belief formulas, and to float.hex values of a few runs. A faster
+kernel or a new interface has to reproduce all of them. The exact enumerator,
+a count lattice, agrees with a frozen copy of the depth-first tree walker
+within a stated bound (ROUTE_TOL), and its bits do not depend on the layout
+of its levels.
 """
 
 import math
@@ -602,11 +604,11 @@ ECR_PINNED = {
         'jng_se': ['0x1.104277e8a0373p-6', '0x1.951d7f3a41ee1p-6', '0x1.a165e850d5915p-6'],
     },
     'exact': {
-        'decision_probs': [['0x1.6f0068db8bac9p-1', '0x1.d7dbf487fcb95p-7', '0x1.a36e2eb1c432fp-7', '0x1.0624dd2f1a9fdp-2'], ['0x1.80346dc5d6388p-4', '0x1.3a92a30553263p-1', '0x1.4467381d7dbf5p-6', '0x1.16872b020c49cp-2'], ['0x1.9ce075f6fd21fp-4', '0x1.780346dc5d638p-5', '0x1.f8a0902de00d2p-2', '0x1.7126e978d4fe0p-2']],
-        'psi': ['0x1.21ff2e48e8a6ep-2', '0x1.8adab9f559b3ap-2', '0x1.03afb7e90ff97p-1'],
-        'phi': ['0x1.8e8a71de69ad2p-4', '0x1.edfa43fe5c91cp-6', '0x1.0b0f27bb2fec6p-6'],
+        'decision_probs': [['0x1.6f0068db8bac8p-1', '0x1.d7dbf487fcb97p-7', '0x1.a36e2eb1c4331p-7', '0x1.0624dd2f1a9fdp-2'], ['0x1.80346dc5d6389p-4', '0x1.3a92a30553262p-1', '0x1.4467381d7dbf4p-6', '0x1.16872b020c49cp-2'], ['0x1.9ce075f6fd220p-4', '0x1.780346dc5d635p-5', '0x1.f8a0902de00d2p-2', '0x1.7126e978d4fdfp-2']],
+        'psi': ['0x1.21ff2e48e8a73p-2', '0x1.8adab9f559b3dp-2', '0x1.03afb7e90ff97p-1'],
+        'phi': ['0x1.8e8a71de69ad4p-4', '0x1.edfa43fe5c91ap-6', '0x1.0b0f27bb2fec6p-6'],
         'gamma': '0x1.8888888888888p-4',
-        'jng': ['0x1.988cb5cdcf911p-2', '0x1.268de1736d97fp-1', '0x1.edade823aea4ap-2'],
+        'jng': ['0x1.988cb5cdcf90cp-2', '0x1.268de1736d97fp-1', '0x1.edade823aea4ap-2'],
     },
 }
 
@@ -739,13 +741,30 @@ def _hexed(value):
     return value
 
 
+# The count lattice merges the walker's paths by their outcome counts and sums
+# their masses correctly rounded, so it rounds differently; it must agree
+# within this bound. Worst case over the 140 configurations of
+# test_exact_reports_match_the_frozen_walker: 2.2e-15 relative on
+# decision_probs, 1.6e-15 on phi, 1.4e-15 on gamma, 9.2e-15 on jng; 1.8e-15
+# absolute on psi and 3.0e-14 on the pair matrices.
+ROUTE_TOL = 1e-13
+
+
 def _assert_matches_frozen_walker(config, leaves):
-    """The exact report and both pair matrices have the frozen walker's bits."""
-    assert _hexed(enumerate_exact(config).to_json_dict()) == \
-        _hexed(_frozen_report(config, leaves).to_json_dict())
+    """The exact report and both pair matrices agree with the frozen walker:
+    the same path count and zero entries, decision_probs, phi, gamma and jng
+    within ROUTE_TOL relative, psi and the pair matrices within it absolute."""
+    got = enumerate_exact(config)
+    want = _frozen_report(config, leaves)
+    assert got.paths == want.paths
+    assert np.array_equal(got.decision_probs == 0.0, want.decision_probs == 0.0)
+    for name in ("decision_probs", "phi", "gamma", "jng"):
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=ROUTE_TOL, atol=0)
+    np.testing.assert_allclose(got.psi, want.psi, rtol=0, atol=ROUTE_TOL)
     lam, kls = enumerate_pair_expectations(config)
     want_lam, want_kls = _frozen_pairs(leaves, config.model.num_hypotheses)
-    assert _same_bits(lam, want_lam) and _same_bits(kls, want_kls)
+    np.testing.assert_allclose(lam, want_lam, rtol=0, atol=ROUTE_TOL)
+    np.testing.assert_allclose(kls, want_kls, rtol=0, atol=ROUTE_TOL)
 
 
 # (case, horizon): leaf counts from about a hundred to a few hundred; M up to
@@ -776,53 +795,65 @@ def test_exact_reports_match_the_frozen_walker(case, horizon, request):
 
 
 # (case, horizon, selection index in _all_selections, inference index in
-# _frozen_inferences): blocks of 1 and 7 rows split every level of these
-# trees, and the ejs and ecr:k=2 trees are pruned.
+# _frozen_inferences): the ejs and ecr:k=2 lattices have unreachable states.
 BLOCK_CASES = [("tri3", 5, 0, 0), ("tri3", 4, 4, 0), ("bsc2", 7, 3, 3),
                ("random-3x4x5", 2, 2, 2), ("random-9x2x2", 3, 1, 1)]
 
 
-@pytest.mark.parametrize("block_rows", [1, 7, None])
+# The name predates the count lattice, whose unit of work is a level, not a
+# block of tree nodes: layout None keeps each level in composition rank
+# order, and a seed lays every level out in a random order of its own.
+@pytest.mark.parametrize("layout", [1, 7, None])
 @pytest.mark.parametrize("case, horizon, sel, inf", BLOCK_CASES)
-def test_walk_block_size_moves_no_bit(case, horizon, sel, inf, block_rows, request, monkeypatch):
+def test_walk_block_size_moves_no_bit(case, horizon, sel, inf, layout, request, monkeypatch):
     from ahtest import engine
 
-    if block_rows is not None:
-        monkeypatch.setattr(engine, "_WALK_BLOCK_ROWS", block_rows)
     rng = np.random.default_rng(sum(map(ord, case)))
     model = _case_model(case, request, rng)
     saddles = saddle_points(model)
     config = RunConfig(model=model, selection=_all_selections(model, saddles)[sel],
                        inference=_frozen_inferences(model, saddles, horizon)[inf][0],
                        horizon=horizon)
+    ranked = (_hexed(enumerate_exact(config).to_json_dict()), enumerate_pair_expectations(config))
+    if layout is not None:
+        rank = engine._composition_rank
+
+        def shuffled_rank(counts, rank_terms):
+            n, k = int(counts[0].sum()), counts.shape[1]
+            order = np.random.default_rng([layout, n]).permutation(math.comb(n + k - 1, k - 1))
+            return order[rank(counts, rank_terms)]
+
+        monkeypatch.setattr(engine, "_composition_rank", shuffled_rank)
+    assert _hexed(enumerate_exact(config).to_json_dict()) == ranked[0]
+    lam, kls = enumerate_pair_expectations(config)
+    assert _same_bits(lam, ranked[1][0]) and _same_bits(kls, ranked[1][1])
     _assert_matches_frozen_walker(config, _frozen_leaves(model, config.selection, horizon))
 
 
 # float.hex of the exact-tree benchmark's outputs (chernoff/fbar, default
-# delta), generated with the depth-first walker.
+# delta), generated with the count lattice.
 EXACT_PINNED = {
     ('tri3', 8): {
-        'decision_probs': [['0x1.1cf882ee7e0acp-1', '0x1.f7382b6fd4776p-9', '0x1.f94c8812f5c77p-9', '0x1.be2df0bbfe894p-2'], ['0x1.f39f508488c94p-7', '0x1.0f46a4ab51e5ap-1', '0x1.bf66bc0d562ecp-9', '0x1.ce56eead1d348p-2'], ['0x1.f39f508488cf1p-7', '0x1.ce5c426609d00p-9', '0x1.0ca2921834b99p-1', '0x1.d38128c6a60b9p-2']],
-        'psi': ['0x1.c60efa2303ea8p-2', '0x1.e172b6a95c34cp-2', '0x1.e6badbcf968cep-2'],
-        'phi': ['0x1.f39f508488cc2p-7', '0x1.e2ca36eaef23ap-9', '0x1.dc59a21025fb0p-9'],
-        'gamma': '0x1.ecf02f2cdeb80p-7',
-        'jng': ['0x1.55be57ddfd0cap-2', '0x1.cdefb23135517p-2', '0x1.cbea8656cef59p-2'],
+        'decision_probs': [['0x1.1cf882ee7e06cp-1', '0x1.f7382b6fd473ap-9', '0x1.f94c8812f5c13p-9', '0x1.be2df0bbfe5e8p-2'], ['0x1.f39f508488c56p-7', '0x1.0f46a4ab51e86p-1', '0x1.bf66bc0d56331p-9', '0x1.ce56eead1d3cfp-2'], ['0x1.f39f508488c58p-7', '0x1.ce5c426609cf3p-9', '0x1.0ca2921834bd5p-1', '0x1.d38128c6a62c2p-2']],
+        'psi': ['0x1.c60efa2303f2fp-2', '0x1.e172b6a95c2f8p-2', '0x1.e6badbcf9685fp-2'],
+        'phi': ['0x1.f39f508488c56p-7', '0x1.e2ca36eaef216p-9', '0x1.dc59a21025fa1p-9'],
+        'gamma': '0x1.ecf02f2cdeb2fp-7',
+        'jng': ['0x1.55be57ddfcfa0p-2', '0x1.cdefb231355eap-2', '0x1.cbea8656ceeb9p-2'],
         'paths': 65536,
     },
     ('bsc2', 15): {
-        'decision_probs': [['0x1.e38e366404a44p-1', '0x1.7634115311ed4p-32', '0x1.c71c9990f0ea9p-5'], ['0x1.7634115311ebfp-32', '0x1.e38e366404974p-1', '0x1.c71c9990f0117p-5']],
-        'psi': ['0x1.c71c99bfb5bc0p-5', '0x1.c71c99bfb68c0p-5'],
-        'phi': ['0x1.7634115311ebfp-32', '0x1.7634115311ed4p-32'],
-        'gamma': '0x1.7634115311ecap-32',
-        'jng': ['0x1.c1fdd9114d297p+0', '0x1.c1fdd9114d1dfp+0'],
+        'decision_probs': [['0x1.e38e366404965p-1', '0x1.7634115311ed4p-32', '0x1.c71c9990f01f8p-5'], ['0x1.7634115311ed4p-32', '0x1.e38e366404965p-1', '0x1.c71c9990f01f8p-5']],
+        'psi': ['0x1.c71c99bfb6a1ap-5', '0x1.c71c99bfb6a1ap-5'],
+        'phi': ['0x1.7634115311ed4p-32', '0x1.7634115311ed4p-32'],
+        'gamma': '0x1.7634115311ed4p-32',
+        'jng': ['0x1.c1fdd9114d1b0p+0', '0x1.c1fdd9114d1b0p+0'],
         'paths': 32768,
     },
 }
 PAIRS_PINNED = {  # enumerate_pair_expectations, tri3 N=8, chernoff
-    'lam': [['0x0.0p+0', '0x1.b7b045430429fp+1', '0x1.b6667e1451f19p+1'], ['0x1.fa666178cce4cp+1', '0x0.0p+0', '0x1.1be6de0ef6e15p+2'], ['0x1.f4e4649e90b8bp+1', '0x1.1c117b27753aep+2', '0x0.0p+0']],
-    'kl': [['0x0.0p+0', '0x1.b7b045430404fp+1', '0x1.b6667e14522fep+1'], ['0x1.fa666178ccefcp+1', '0x0.0p+0', '0x1.1be6de0ef7022p+2'], ['0x1.f4e4649e90bdep+1', '0x1.1c117b2775315p+2', '0x0.0p+0']],
+    'lam': [['0x0.0p+0', '0x1.b7b04543040ccp+1', '0x1.b6667e14520cep+1'], ['0x1.fa666178ccef8p+1', '0x0.0p+0', '0x1.1be6de0ef6ed9p+2'], ['0x1.f4e4649e90af3p+1', '0x1.1c117b2775335p+2', '0x0.0p+0']],
+    'kl': [['0x0.0p+0', '0x1.b7b04543040ccp+1', '0x1.b6667e14520cep+1'], ['0x1.fa666178ccef7p+1', '0x0.0p+0', '0x1.1be6de0ef6ed8p+2'], ['0x1.f4e4649e90af1p+1', '0x1.1c117b2775334p+2', '0x0.0p+0']],
 }
-
 
 def _exact_tree_config(model, horizon):
     saddles = saddle_points(model)

@@ -183,7 +183,7 @@ class TestSimulateEnumerate:
     def test_budget_exceeded_exit_code(self, capsys):
         code, _, err = run_cli(
             capsys, "enumerate", "--model", TRI3, "--select", "uniform",
-            "--infer", "map", "--horizon", "13",
+            "--infer", "map", "--horizon", "390",
         )
         assert code == 4
         assert "budget" in err

@@ -203,18 +203,19 @@ def _chernoff_fbar(model, horizon, **kw):
 
 
 class TestTieRule:
-    """One tie rule in every route: the tree and the Monte Carlo carry decide
-    paths on an fbar threshold, and MAP ties, the same way."""
+    """One tie rule in every route: the count lattice and the Monte Carlo
+    carry decide paths on an fbar threshold, and MAP ties, the same way."""
 
-    @pytest.mark.parametrize("horizon", [15, 20])
+    @pytest.mark.parametrize("horizon", [15, 20, 50, 100, 200])
     def test_bsc2_exact_psi_is_one_binomial_tail_under_each_hypothesis(self, bsc2, horizon):
         # fbar declares H1 iff the count of observation 0 reaches 4N/5; a
-        # path on the threshold declares, so psi is P(count < 4N/5). The tree
-        # sums 2^N leaf masses one by one, which leaves about 5e-12 relative.
+        # path on the threshold declares, so psi is P(count < 4N/5). The
+        # lattice sums one mass per count, and the channel's symmetry maps
+        # H1's masses onto H2's bit for bit.
         rep = enumerate_exact(_chernoff_fbar(bsc2, horizon))
         tail = binom.cdf(4 * horizon // 5 - 1, horizon, 0.9)
-        assert rep.psi[0] == pytest.approx(rep.psi[1], rel=1e-11)
-        assert rep.psi[0] == pytest.approx(tail, rel=1e-11)
+        assert rep.psi[0] == rep.psi[1]
+        assert rep.psi[0] == pytest.approx(tail, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("horizon", [25, 50])
     def test_bsc2_monte_carlo_abstains_alike_under_each_hypothesis(self, bsc2, horizon):
@@ -415,16 +416,26 @@ class TestEnumerateExact:
         np.testing.assert_allclose(rep.decision_probs.sum(axis=1), 1.0, atol=1e-9)
 
     def test_budget_enforced(self, tri3, tri3_saddles):
+        # The budget bounds the last level's C(N + 3, 3) states: 10 039 316
+        # at N = 390, the first horizon over 10^7. It is refused at once.
         cfg = RunConfig(
             model=tri3, selection=UniformSelection(), inference=MAPInference(),
-            horizon=13,
+            horizon=390,
         )
-        with pytest.raises(EnumerationBudgetError):
+        with pytest.raises(EnumerationBudgetError, match="budget"):
             enumerate_exact(cfg)
 
+    def test_bsc2_lattice_reaches_horizon_200(self, bsc2):
+        import time
+
+        start = time.perf_counter()
+        rep = enumerate_exact(_chernoff_fbar(bsc2, 200))
+        assert time.perf_counter() - start < 1.0
+        assert rep.paths == 2**200
+
     def test_memory_stays_flat_in_the_horizon(self, tri3, tri3_saddles):
-        # The walk splits wide blocks of nodes, so its peak allocation is a
-        # few blocks (about 1.5 MB here), not the 262144 leaves of the tree.
+        # The lattice holds one level of C(N + 3, 3) states (220 here), so
+        # its peak allocation is far below the 262144 leaves of the tree.
         import tracemalloc
 
         cfg = RunConfig(
@@ -476,10 +487,10 @@ class TestJng:
 
         total = np.zeros(3)
 
-        def visit(aprob, lik, log_rho, lam, kls):
+        def visit(counts, log_mass, log_rho):
             rho = np.exp(log_rho)
             inc = np.log(rho / (1 - rho)) - np.log(tri3.prior / (1 - tri3.prior))
-            total[:] += (aprob[:, None] * lik * inc).sum(axis=0)
+            total[:] += (np.exp(log_mass) * inc).sum(axis=0)
 
         walk_paths(tri3, sel, 3, visit)
         np.testing.assert_allclose(np.array(exact.jng), total / 3, atol=1e-9)
@@ -542,3 +553,99 @@ class TestEnumeratedInequalities:
                     lhs = -math.log(rep.phi[i]) / n
                     rhs = rep.jng[i] + 2 * b * eps / (1 - eps) - math.log(1 - eps) / n
                     assert lhs <= rhs + 1e-9
+
+
+def _perfbench_module(name):
+    """perfbench/<name>.py, imported from its file; importing it runs nothing.
+    Its dataclasses look their module up in sys.modules, so it goes there."""
+    import importlib.util
+    import sys
+
+    from conftest import REPO_ROOT
+
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", REPO_ROOT / "perfbench" / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestRouteAgreement:
+    """Exact results do not depend on the route that computes them."""
+
+    @pytest.mark.parametrize("rule", ["chernoff", "ejs"])
+    def test_lattice_agrees_with_the_reference_lattice(self, tri3, tri3_saddles, rule):
+        ref = _perfbench_module("reference")
+        d_star = np.array([sp.d_star for sp in tri3_saddles])
+        alpha = np.array([sp.alpha_star for sp in tri3_saddles])
+        lat = ref.lattice(tri3.channel, tri3.prior, rule, 8, d_star, alpha)
+        assert lat.near_boundary == 0
+        selection = ChernoffSelection(tri3_saddles) if rule == "chernoff" else EJSGreedySelection()
+        rep = enumerate_exact(RunConfig(
+            model=tri3, selection=selection,
+            inference=FBarInference(tri3_saddles, float(d_star.min()) / 4), horizon=8))
+        np.testing.assert_allclose(rep.decision_probs, lat.decision_probs, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(rep.jng, lat.jng, rtol=0, atol=1e-14)
+
+    @given(shape=st.sampled_from([(2, 1, 3), (3, 2, 2), (4, 2, 3)]), horizon=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_permuting_hypotheses_permutes_the_exact_report(self, shape, horizon, seed, data):
+        from conftest import SoftmaxSelection
+
+        m = shape[0]
+        perm = data.draw(st.permutations(range(m)))
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, *shape)
+        selection = random_selection(rng, model)
+        permuted = Model(tuple(model.hypotheses[i] for i in perm), model.experiments,
+                         model.observations, model.channel[perm], model.prior[perm])
+        a = enumerate_exact(RunConfig(model=model, selection=selection,
+                                      inference=MAPInference(), horizon=horizon))
+        b = enumerate_exact(RunConfig(
+            model=permuted, selection=SoftmaxSelection(selection.weights[:, perm], selection.bias),
+            inference=MAPInference(), horizon=horizon))
+        assert b.paths == a.paths
+        np.testing.assert_allclose(b.decision_probs, a.decision_probs[perm][:, perm + [m]],
+                                   rtol=1e-13, atol=1e-16)
+        for field in ("psi", "phi", "jng"):
+            np.testing.assert_allclose(getattr(b, field), np.array(getattr(a, field))[perm],
+                                       rtol=1e-13, atol=1e-16)
+        assert b.gamma == pytest.approx(a.gamma, rel=1e-13, abs=1e-16)
+
+    @pytest.mark.parametrize("name, horizon", [("bsc2", 50), ("tri3", 25)])
+    def test_exact_and_monte_carlo_agree_within_3_se(self, name, horizon, request):
+        model = request.getfixturevalue(name)
+        episodes = 20_000
+        exact = enumerate_exact(_chernoff_fbar(model, horizon))
+        mc = monte_carlo(_chernoff_fbar(model, horizon, episodes=episodes, seed=1))
+        # The standard errors the estimates have if the exact values hold.
+        dm = exact.decision_probs
+        w = model.prior[:, None] / (1.0 - model.prior[None, :])
+        for i in range(model.num_hypotheses):
+            psi_se = math.sqrt(exact.psi[i] * (1 - exact.psi[i]) / episodes)
+            phi_var = sum(w[h, i] ** 2 * dm[h, i] * (1 - dm[h, i])
+                          for h in range(model.num_hypotheses) if h != i)
+            assert abs(mc.psi[i] - exact.psi[i]) <= 3 * psi_se
+            assert abs(mc.phi[i] - exact.phi[i]) <= 3 * math.sqrt(phi_var / episodes)
+            assert abs(mc.jng[i] - exact.jng[i]) <= 3 * mc.jng_se[i]
+
+
+class TestTracerNames:
+    """perfbench/tracing.py wraps program names by their paths; a renamed one
+    would turn its per-layer metrics into nulls."""
+
+    def test_every_traced_name_resolves(self):
+        import importlib
+
+        for module_name, attr_path, _ in _perfbench_module("tracing").TARGETS:
+            owner = importlib.import_module(module_name)
+            for name in attr_path.split("."):
+                assert hasattr(owner, name), f"{module_name}.{attr_path} is gone"
+                owner = getattr(owner, name)
+            assert callable(owner)
+
+    def test_walk_paths_returns_the_path_count_as_an_int(self, bsc2):
+        from ahtest.engine import walk_paths
+
+        result = walk_paths(bsc2, UniformSelection(), 3, lambda *level: None)
+        assert type(result) is int and result == 8
