@@ -45,26 +45,18 @@ def log_normalize(arr: np.ndarray) -> np.ndarray:
 
 
 def normalize_belief_rows(log_rho: np.ndarray) -> np.ndarray:
-    """Log weights checked and shifted to sum to one along the last axis.
+    """Rows of log weights, each known only up to its own additive constant,
+    checked and shifted to sum to one along the last axis.
 
-    These are a Belief's checks, for one belief or for a batch of rows: at
-    least two hypotheses, every entry finite, every log mass within
-    NORMALIZATION_TOL of zero, else ValueError. Shifting by the log mass
-    once more also removes the rounding an earlier normalization left.
+    The checks are a Belief's, for one belief or for a batch of rows: at
+    least two hypotheses and every entry finite, else ValueError.
     """
     lr = np.asarray(log_rho, dtype=float)
     if lr.shape[-1] < 2:
         raise ValueError("a belief needs at least two hypotheses")
     if not np.all(np.isfinite(lr)):
         raise ValueError("belief entries must be finite log probabilities")
-    z = np.asarray(logsumexp_last(lr))
-    off = np.abs(z) > NORMALIZATION_TOL
-    if np.any(off):
-        raise ValueError(
-            f"belief is not normalized: log mass = {z[off][0]!r} exceeds tolerance "
-            f"{NORMALIZATION_TOL}"
-        )
-    return lr - z[..., None]
+    return log_normalize(lr)
 
 
 def complement_logsumexp(log_rho: np.ndarray) -> np.ndarray:
@@ -90,7 +82,12 @@ class Belief:
     log_rho: np.ndarray
 
     def __post_init__(self):
-        lr = normalize_belief_rows(np.asarray(self.log_rho, dtype=float).reshape(-1))
+        raw = np.asarray(self.log_rho, dtype=float).reshape(-1)
+        lr = normalize_belief_rows(raw)
+        z = float(logsumexp_last(raw))
+        if abs(z) > NORMALIZATION_TOL:
+            raise ValueError(f"belief is not normalized: log mass = {z!r} exceeds "
+                             f"tolerance {NORMALIZATION_TOL}")
         lr.setflags(write=False)
         object.__setattr__(self, "log_rho", lr)
 

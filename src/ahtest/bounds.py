@@ -143,7 +143,6 @@ def bound_report(
     report: RunReport,
     epsilon: float,
     delta: float,
-    min_counts: int = MIN_RELIABLE_COUNTS,
 ) -> BoundReport:
     """Evaluate all bounds for one run report."""
     d_star = tuple(sp.d_star for sp in saddles)
@@ -156,7 +155,7 @@ def bound_report(
     if report.mode == "exact":
         reliable = True
     else:
-        reliable = (report.misclassification_count or 0) >= min_counts
+        reliable = (report.misclassification_count or 0) >= MIN_RELIABLE_COUNTS
 
     gamma = report.gamma
     achieved = None

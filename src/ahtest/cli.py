@@ -303,19 +303,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OutputError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_OUTPUT
-    except ModelError as exc:
-        print(f"model error: {exc}", file=sys.stderr)
-        return EXIT_MODEL
-    except FileNotFoundError as exc:
+    except (ModelError, FileNotFoundError) as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_MODEL
     except SaddleSolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (ConfigError, EnumerationBudgetError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (ValueError, EnumerationBudgetError) as exc:   # ConfigError included
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # pragma: no cover

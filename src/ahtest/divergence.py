@@ -18,7 +18,6 @@ from scipy.optimize import linprog
 from .model import Model
 
 DEFAULT_TOL = 1e-6
-SIMPLEX_TOL = 1e-12
 
 
 class SaddleSolverError(RuntimeError):

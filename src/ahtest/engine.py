@@ -5,8 +5,8 @@ hypothesis. A lane's Philox key packs (base seed, lane), and episode e of a
 horizon-N run reads its 2N uniforms from counter e * ceil(2N / 4) on: a
 chunk of episodes is one bulk draw, estimates do not depend on batching, and
 run_episode replays any episode exactly. Episodes carry log-prior plus summed
-log-likelihoods, unnormalized, and the tie rule (strategies) makes decisions
-blind to the shift; a selection rule not shift_invariant gets normalized rows.
+log-likelihoods, unnormalized, and every rule gets those rows as they are:
+it reads a row only up to the row's own constant (see strategies).
 
 Exact enumeration merges the (experiment, observation) tree's paths by their
 outcome counts, which fix the belief (the method of types): a forward pass
@@ -204,8 +204,7 @@ def _run_chunk(
         steps = np.empty((m, horizon, 2), dtype=np.intp)
         path[:, 0] = log_normalize(log_rho)
     for n in range(horizon):
-        rows = log_rho if selection.shift_invariant else log_normalize(log_rho)
-        dists = selection.batch_action_distributions(model, rows, n, horizon)
+        dists = selection.batch_action_distributions(model, log_rho, n, horizon)
         u = sample_categorical(dists, uniforms[:, 2 * n])
         y = sample_categorical(
             np.take(channel_by_hu, hu_base + u, axis=0), uniforms[:, 2 * n + 1])
@@ -388,7 +387,7 @@ def walk_paths(model: Model, selection: SelectionStrategy, horizon: int, visit) 
     states, laid out by composition rank. Under h the paths into c have
     probability A(c) prod_k p_h(k)^c_k, A(c) the sum of their action
     probability products. Each level takes one batch selection call on its
-    normalized rows; a child adds its parents' log A terms in outcome order,
+    unnormalized rows; a child adds its parents' log A terms in outcome order,
     so no result depends on a level's layout, and counts its paths of
     positive probability exactly. Calls visit(counts (S, K), log_mass (S, M),
     log_rho (S, M)) once, on the last level: log_mass[s, h] is the log
@@ -411,7 +410,7 @@ def walk_paths(model: Model, selection: SelectionStrategy, horizon: int, visit) 
     log_a = np.zeros(1)
     paths = np.ones(1, dtype=object)      # Python ints: 2**200 paths at bsc2 N=200
     for n in range(horizon):
-        rows = log_normalize(log_prior + _count_loglik(counts, lc_uy))
+        rows = log_prior + _count_loglik(counts, lc_uy)
         dist = selection.batch_action_distributions(model, rows, n, horizon)
         with np.errstate(divide="ignore"):
             log_dist = np.log(dist)

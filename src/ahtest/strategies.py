@@ -7,11 +7,13 @@ deterministic: all sampling randomness lives in the engine, which lets the
 exact enumerator reuse the same strategy objects.
 
 Every rule implements one batch method over a matrix of log-beliefs, one
-row per episode or lattice state: batch_action_distributions for selection,
-batch_decide for inference. The one-belief calls action_distribution and
-decide are defined once, on the base classes, as a batch of one, so a
-scalar call returns row 0 of the batch computation and cannot drift from
-it. Rows never interact, so a row's result does not depend on its batch.
+row per episode or lattice state, each known only up to its own additive
+constant (a rule reading probabilities, as ejs and ecr:k do, normalizes its
+rows itself): batch_action_distributions for selection, batch_decide for
+inference. The one-belief calls action_distribution and decide are defined
+once, on the base classes, as a batch of one, so a scalar call returns row 0
+of the batch computation and cannot drift from it. Rows never interact, so
+a row's result does not depend on its batch.
 
 One tie rule serves every rule and route: scores within tie_tolerance of
 the best tie, the lowest index winning, and a threshold margin within it of
@@ -58,17 +60,6 @@ def _argmax_lowest(scores: np.ndarray, tol: float) -> np.ndarray:
         below &= scores[..., j] < cutoff
         idx += below
     return idx
-
-
-def _alpha_table(model: Model, saddles: Sequence[SaddlePoint]) -> np.ndarray:
-    if len(saddles) != model.num_hypotheses:
-        raise ValueError("need one saddle point per hypothesis")
-    table = np.empty((model.num_hypotheses, model.num_experiments))
-    for i, sp in enumerate(saddles):
-        if sp.hypothesis != i:
-            raise ValueError("saddle points must be ordered by hypothesis index")
-        table[i] = sp.alpha_star
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +170,8 @@ def _decide_by_thresholds(increments: np.ndarray, thresholds: np.ndarray, tol: f
 
 class SelectionStrategy:
     """Deterministic map (belief, step, horizon) -> distribution over experiments.
-    A rule with shift_invariant = True gets the engine's Monte Carlo rows
-    unnormalized, each shifted by a constant; the others get normalized rows."""
-
-    shift_invariant = False
+    Each row it gets is a log-belief known only up to its own additive
+    constant; a rule that reads probabilities normalizes its rows itself."""
 
     def action_distribution(
         self, model: Model, log_rho: np.ndarray, step: int, horizon: int
@@ -206,24 +195,19 @@ class ChernoffSelection(SelectionStrategy):
 
     def __init__(self, saddles: Sequence[SaddlePoint]):
         self.saddles = tuple(saddles)
-        self._table = None
-        self._table_model = None
-
-    def _ensure_table(self, model: Model) -> np.ndarray:
-        # Rebuilt for every model it is called with, so saddles that do not
-        # fit the model are rejected on each new model, not only the first.
-        if self._table_model is not model:
-            self._table = _alpha_table(model, self.saddles)
-            self._table_model = model
-        return self._table
-
-    shift_invariant = True
+        for i, sp in enumerate(self.saddles):
+            if sp.hypothesis != i:
+                raise ValueError("saddle points must be ordered by hypothesis index")
+        self._table = np.array([sp.alpha_star for sp in self.saddles], dtype=float)
 
     def batch_action_distributions(self, model, log_rho, step, horizon):
+        # Saddles that do not fit are rejected on every model they meet.
+        if self._table.shape != (model.num_hypotheses, model.num_experiments):
+            raise ValueError("need one saddle point per hypothesis of the model")
         # take costs a fraction of fancy indexing on small batches, such as
         # run_episode's one-row chunks.
         choice = _argmax_lowest(log_rho, tie_tolerance(model, horizon))
-        return self._ensure_table(model).take(choice, axis=0)
+        return self._table.take(choice, axis=0)
 
     def spec_string(self):
         return "chernoff"
@@ -231,8 +215,6 @@ class ChernoffSelection(SelectionStrategy):
 
 class OpenLoopSelection(SelectionStrategy):
     """Constant mixture: hypothesis i's optimal experiment distribution."""
-
-    shift_invariant = True
 
     def __init__(self, i: int, saddles: Sequence[SaddlePoint]):
         self.i = int(i)
@@ -246,8 +228,6 @@ class OpenLoopSelection(SelectionStrategy):
 
 
 class UniformSelection(SelectionStrategy):
-    shift_invariant = True
-
     def batch_action_distributions(self, model, log_rho, step, horizon):
         u = model.num_experiments
         return np.broadcast_to(np.full(u, 1.0 / u), (log_rho.shape[0], u))
@@ -289,8 +269,9 @@ class ECRLookaheadSelection(SelectionStrategy):
 
 class InferenceStrategy:
     """Deterministic map from the final belief to a hypothesis or abstention.
-    Monte Carlo passes its rows unnormalized, each shifted by a constant; a
-    rule must decide alike on a row and the row shifted (the tie rule does)."""
+    Each row it gets is a log-belief known only up to its own additive
+    constant; a rule must decide alike on a row and the row shifted (the tie
+    rule makes the built-in rules do)."""
 
     def decide(
         self, model: Model, log_prior: np.ndarray, log_final: np.ndarray, horizon: int
@@ -302,8 +283,8 @@ class InferenceStrategy:
     def batch_decide(
         self, model: Model, log_prior: np.ndarray, log_final: np.ndarray, horizon: int
     ) -> np.ndarray:
-        """(B, M) final log-beliefs, each row possibly shifted by a constant,
-        -> (B,) int64 hypothesis indices, INCONCLUSIVE for abstain."""
+        """(B, M) final log-beliefs, each up to its own constant, -> (B,)
+        int64 hypothesis indices, INCONCLUSIVE for abstain."""
         raise NotImplementedError
 
     def spec_string(self) -> str:
@@ -369,9 +350,11 @@ class P2Inference(InferenceStrategy):
         )
 
     def batch_decide(self, model, log_prior, log_final, horizon):
-        inc = bllr_matrix(log_final)[:, self.i] - bllr_matrix(log_prior)[self.i]
-        qualified = inc - self.threshold(horizon) >= -tie_tolerance(model, horizon)
-        return np.where(qualified, self.i, INCONCLUSIVE).astype(np.int64)
+        # Rivals get a threshold of +inf: i alone qualifies, by fbar's tie rule.
+        thresholds = np.full(model.num_hypotheses, np.inf)
+        thresholds[self.i] = self.threshold(horizon)
+        inc = bllr_matrix(log_final) - bllr_matrix(log_prior)[None, :]
+        return _decide_by_thresholds(inc, thresholds, tie_tolerance(model, horizon))
 
     def spec_string(self):
         return f"p2:i={self.i + 1}"

@@ -69,7 +69,8 @@ class SoftmaxSelection(SelectionStrategy):
     def batch_action_distributions(self, model, log_rho, step, horizon):
         # Row by row, not a matrix product: BLAS may round a row differently
         # depending on the batch it comes in, and rows must not interact.
-        z = (np.exp(log_rho)[:, None, :] * self.weights).sum(axis=-1) + self.bias
+        # It reads probabilities, so it normalizes its rows itself.
+        z = (np.exp(log_normalize(log_rho))[:, None, :] * self.weights).sum(axis=-1) + self.bias
         z = z - z.max(axis=-1, keepdims=True)
         e = np.exp(z)
         return e / e.sum(axis=-1, keepdims=True)

@@ -34,7 +34,7 @@ class TestMisclassificationUpperBound:
     def test_formula_value(self, bsc2, bsc2_saddles):
         got = misclassification_upper_bound(bsc2, bsc2_saddles, 10, 0.4)
         expect = 2 * 0.5 * math.exp(-10 * (0.8 * math.log(9) - 0.4))
-        assert got == pytest.approx(expect, rel=1e-12)
+        assert got == pytest.approx(expect, rel=1e-12, abs=0)
         assert got == pytest.approx(1.2683e-06, rel=1e-4)
 
     def test_monotone_decreasing_in_horizon(self, bsc2, bsc2_saddles):
@@ -79,7 +79,7 @@ class TestRemark1Lower:
             0.5 * math.exp(-3 * rep.jng[i] - 3 * 2 * b * eps / (1 - eps) + math.log(1 - eps))
             for i in (0, 1)
         )
-        assert got == pytest.approx(expect, rel=1e-12)
+        assert got == pytest.approx(expect, rel=1e-12, abs=0)
 
     def test_lower_bounds_exact_gamma_when_feasible(self, bsc2, bsc2_saddles):
         # discover horizons where the enumerated type-error caps hold at
@@ -102,6 +102,29 @@ class TestRemark1Lower:
     def test_epsilon_range(self, bsc2):
         with pytest.raises(ValueError):
             misclassification_lower_bound(bsc2, [1.0, 1.0], 3, 0.0)
+
+
+class TestSandwich:
+    def test_exact_gamma_between_the_bounds_where_the_caps_hold(self, bsc2, bsc2_saddles):
+        # The paper's sandwich for chernoff/fbar at delta = D*/4: at every
+        # horizon where the exact type-error caps psi(i) <= 1/(2N) hold, the
+        # exact gamma_N lies between the lower and the upper bound. c08 stops
+        # at N = 12; the lattice reaches N = 200 in milliseconds.
+        delta = min(sp.d_star for sp in bsc2_saddles) / 4
+        selection = ChernoffSelection(bsc2_saddles)
+        inference = FBarInference(bsc2_saddles, delta)
+        feasible = []
+        for n in [*range(1, 13), 25, 50, 100, 200]:
+            rep = enumerate_exact(RunConfig(
+                model=bsc2, selection=selection, inference=inference, horizon=n))
+            eps = 1 / (2 * n)
+            if all(p <= eps for p in rep.psi):
+                feasible.append(n)
+                lower = misclassification_lower_bound(bsc2, rep.jng, n, eps)
+                upper = misclassification_upper_bound(bsc2, bsc2_saddles, n, delta)
+                assert 0.0 < lower <= rep.gamma <= upper, n
+        # not vacuous: the caps hold deep in the tail
+        assert {1, 2, 50, 100, 200} <= set(feasible)
 
 
 class TestP2Rates:

@@ -167,12 +167,11 @@ class TestBatchParity:
                 assert trajectory.steps == steps
                 np.testing.assert_allclose(belief.log_rho, final, rtol=0, atol=1e-12)
 
-    def test_a_rule_not_shift_invariant_gets_normalized_rows(self, tri3, tri3_saddles):
+    def test_a_rule_reading_probabilities_normalizes_its_own_rows(self, tri3, tri3_saddles):
         # The test softmax rule reads exp(log_rho), so a carried row would
-        # change its mixture; not declared shift_invariant, it runs the policy
-        # of its one-belief calls on normalized beliefs.
+        # change its mixture unless normalized; normalizing its own rows, it
+        # runs the policy of its one-belief calls on normalized beliefs.
         selection = random_selection(np.random.default_rng(5), tri3)
-        assert not selection.shift_invariant
         cfg = RunConfig(model=tri3, selection=selection,
                         inference=FBarInference(tri3_saddles, 0.1), horizon=8,
                         episodes=200, seed=2)
@@ -338,7 +337,7 @@ class TestMonteCarlo:
         expected = math.sqrt(sum(
             tri3.prior[h] ** 2 * rates[h] * (1 - rates[h]) / (e - 1) for h in range(3)
         ))
-        assert rep.gamma_se == pytest.approx(expected, rel=1e-14)
+        assert rep.gamma_se == pytest.approx(expected, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("seed", [-1, 2**48])
     def test_seed_outside_key_field_rejected(self, bsc2, bsc2_saddles, seed):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ahtest import (
     Belief,
@@ -17,12 +19,14 @@ from ahtest import (
     select_ejs_greedy,
 )
 from ahtest import strategies
+from ahtest.belief import log_normalize
 from ahtest.model import EpsilonSchedule
 from ahtest.strategies import (
     ChernoffSelection,
     ECRLookaheadSelection,
     EJSGreedySelection,
     FBarInference,
+    FixedThresholdInference,
     MAPInference,
     OpenLoopSelection,
     P2Inference,
@@ -83,19 +87,59 @@ def _decide(rule, model, prior, final, horizon):
     return rule.decide(model, prior.log_rho, final.log_rho, horizon)
 
 
+def _rule_classes():
+    """Every built-in selection and inference rule class."""
+    return [
+        cls for cls in vars(strategies).values()
+        if isinstance(cls, type)
+        and issubclass(cls, (strategies.SelectionStrategy, strategies.InferenceStrategy))
+        and cls not in (strategies.SelectionStrategy, strategies.InferenceStrategy)
+    ]
+
+
 class TestInterface:
     def test_rules_define_only_the_batch_form(self):
-        rules = [
-            cls for cls in vars(strategies).values()
-            if isinstance(cls, type)
-            and issubclass(cls, (strategies.SelectionStrategy, strategies.InferenceStrategy))
-            and cls not in (strategies.SelectionStrategy, strategies.InferenceStrategy)
-        ]
+        rules = _rule_classes()
         assert len(rules) == 9
         for cls in rules:
             assert "action_distribution" not in vars(cls), cls
             assert "decide" not in vars(cls), cls
             assert {"batch_action_distributions", "batch_decide"} & set(vars(cls)), cls
+
+
+class TestRowContract:
+    @given(m=st.integers(2, 4), u=st.integers(1, 3), y=st.integers(2, 4),
+           horizon=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+    def test_shifting_each_row_moves_no_choice_and_no_decision(self, m, u, y, horizon, seed):
+        # A row is a log-belief known only up to its own additive constant:
+        # every built-in rule chooses and decides alike on a row and the row
+        # moved by any constant, here one in [-1e3, 1e3] per row.
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, m, u, y)
+        saddles = saddle_points(model)
+        rows = log_normalize(rng.normal(scale=rng.uniform(0.1, 20.0), size=(16, m)))
+        shifted = rows + rng.uniform(-1e3, 1e3, size=(16, 1))
+        selections = [
+            ChernoffSelection(saddles), OpenLoopSelection(m - 1, saddles), UniformSelection(),
+            EJSGreedySelection(), ECRLookaheadSelection(2),
+        ]
+        inferences = [
+            FBarInference(saddles, min(sp.d_star for sp in saddles) / 4),
+            P2Inference(m - 1, saddles[m - 1], lambda_bound(model), m,
+                        EpsilonSchedule("half-inverse")),
+            MAPInference(),
+            FixedThresholdInference(0.7),
+        ]
+        assert {type(rule) for rule in selections + inferences} == set(_rule_classes())
+        for rule in selections:
+            want = rule.batch_action_distributions(model, rows, 0, horizon)
+            got = rule.batch_action_distributions(model, shifted, 0, horizon)
+            assert np.array_equal(got, want), rule.spec_string()
+        log_prior = np.log(model.prior)
+        for rule in inferences:
+            want = rule.batch_decide(model, log_prior, rows, horizon)
+            got = rule.batch_decide(model, log_prior, shifted, horizon)
+            assert np.array_equal(got, want), rule.spec_string()
 
 
 class TestChernoff:
