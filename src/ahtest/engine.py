@@ -3,10 +3,13 @@
 Monte Carlo runs are vectorized across episodes, one lane per true
 hypothesis. A lane's Philox key packs (base seed, lane), and episode e of a
 horizon-N run reads its 2N uniforms from counter e * ceil(2N / 4) on: a
-chunk of episodes is one bulk draw, estimates do not depend on batching, and
+chunk of episodes is one block, estimates do not depend on batching, and
 run_episode replays any episode exactly. Episodes carry log-prior plus summed
 log-likelihoods, unnormalized, and every rule gets those rows as they are:
-it reads a row only up to the row's own constant (see strategies).
+it reads a row only up to the row's own constant (see strategies). A chunk
+runs in contiguous parts of episodes, one per CPU, each drawing and stepping
+its own rows; rows never interact and the joined parts are reduced as one
+chunk, so no result depends on the CPU count.
 
 Exact enumeration merges the (experiment, observation) tree's paths by their
 outcome counts, which fix the belief (the method of types): a forward pass
@@ -19,6 +22,8 @@ from __future__ import annotations
 
 import math
 import operator
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -34,6 +39,25 @@ CHUNK_SIZE = 32768
 # Largest count lattice exact enumeration builds: its last level has
 # C(N + K - 1, K - 1) states, K = experiments x observations.
 DEFAULT_NODE_BUDGET = 10**7
+
+# At most _MAX_PARTS parts of at least _MIN_PART episodes; no thread starts before one is needed.
+_MIN_PART = 4096
+_MAX_PARTS = 8
+_POOL = ThreadPoolExecutor(_MAX_PARTS - 1, thread_name_prefix="ahtest-part")
+
+
+def _in_parts(fn, count: int) -> list:
+    """[fn(lo, hi) for each even contiguous part [lo, hi) of range(count)], one per CPU,
+    part 0 in the calling thread; every part has stopped before this returns or raises."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    p = max(1, min(cpus, count // _MIN_PART, _MAX_PARTS))
+    edges = [count * i // p for i in range(p + 1)]
+    rest = [_POOL.submit(fn, lo, hi) for lo, hi in zip(edges[1:-1], edges[2:])]
+    try:
+        first = fn(edges[0], edges[1])
+    finally:
+        wait(rest)
+    return [first] + [f.result() for f in rest]
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -65,19 +89,20 @@ def lane_key(base_seed: int, lane: int) -> int:
 
 
 def sample_categorical(dists: np.ndarray, r) -> np.ndarray:
-    """Inverse-CDF draw: smallest index k with r < cumsum(dists)[k], clipped
-    for the r > cumsum[-1] corner opened by rounding in the cumulative sum."""
+    """Inverse-CDF draw: smallest index k with r < cumsum(dists)[k], else the
+    last index (rounding can leave cumsum[-1] <= r). Only the first K - 1
+    edges are counted, none when K = 1: a running sum of nonnegative entries
+    never decreases, so the last edge could only lift an index past K - 1."""
     dists = np.asarray(dists, dtype=float)
     r = np.asarray(r, dtype=float)
     # One column at a time: the category axis is short, and a running sum
     # adds in the same order as np.cumsum, so the edges are the same bits.
-    k = dists.shape[-1]
-    cum = dists[..., 0]
-    idx = (cum <= r).astype(np.intp)
-    for j in range(1, k):
+    idx = np.zeros(np.broadcast_shapes(dists.shape[:-1], r.shape), dtype=np.intp)
+    cum = 0.0
+    for j in range(dists.shape[-1] - 1):
         cum = cum + dists[..., j]
         idx += cum <= r
-    return np.minimum(idx, k - 1)
+    return idx
 
 
 @dataclass(frozen=True)
@@ -223,20 +248,23 @@ def _uniform_block(base_seed: int, lane: int, start: int, count: int, width: int
     Episode e reads from counter e * nb on, nb = ceil(width / 4) Philox
     blocks of four doubles, so row t equals Generator(Philox(key=lane_key(
     base_seed, lane), counter=(start + t) * nb)).random(width) bit for bit.
-    The block is a view of one draw; a contiguous copy would double it.
+    One buffer, allocated here, is filled in parts (see _in_parts) from each
+    part's first counter; the block is a view, since a copy would double it.
     """
     nb = -(-width // 4)
     # The first and the last index bound every index in between.
     start = _key_field("episode index", start, 64)
     _key_field("episode index", start + max(count, 1) - 1, 64)
-    gen = np.random.Generator(np.random.Philox(key=lane_key(base_seed, lane), counter=start * nb))
-    return gen.random(count * nb * 4).reshape(count, nb * 4)[:, :width]
+    block = np.empty((count, nb * 4))
+    _in_parts(lambda lo, hi: np.random.Generator(np.random.Philox(
+        key=lane_key(base_seed, lane), counter=(start + lo) * nb)).random(out=block[lo:hi]), count)
+    return block[:, :width]
 
 
 def simulate_conditioned_batch(
     config: RunConfig, true_h: int, record_beliefs: bool = False
 ):
-    """All episodes of one true hypothesis's lane, chunked.
+    """All episodes of one true hypothesis's lane, in chunks run in parts.
 
     Returns (decision_counts (M+1,), inc_sum, inc_sqsum, decisions (E,),
     belief_path or None). The decisions array is always materialized; the
@@ -254,18 +282,19 @@ def simulate_conditioned_batch(
     for start in range(0, episodes, CHUNK_SIZE):
         count = min(CHUNK_SIZE, episodes - start)
         uniforms = _uniform_block(config.seed, true_h, start, count, 2 * horizon)
-        decisions, increments, (path, _) = _run_chunk(
+        parts = _in_parts(lambda lo, hi: _run_chunk(
             model, config.selection, config.inference, horizon,
-            np.full(count, true_h), uniforms, record_beliefs,
-        )
-        all_decisions[start:start + count] = decisions
+            np.full(hi - lo, true_h), uniforms[lo:hi], record_beliefs,
+        ), count)
+        decisions = all_decisions[start:start + count] = np.concatenate([d for d, _, _ in parts])
+        increments = np.concatenate([inc for _, inc, _ in parts])
         cols = np.where(decisions == INCONCLUSIVE, m_hyp, decisions)
         counts += np.bincount(cols, minlength=m_hyp + 1)
         own = increments[:, true_h]
         inc_sum += float(own.sum())
         inc_sqsum += float((own * own).sum())
         if record_beliefs:
-            paths.append(path)
+            paths.extend(path for _, _, (path, _) in parts)
     belief_path = np.concatenate(paths, axis=0) if record_beliefs else None
     return counts, inc_sum, inc_sqsum, all_decisions, belief_path
 

@@ -13,7 +13,8 @@ rows itself): batch_action_distributions for selection, batch_decide for
 inference. The one-belief calls action_distribution and decide are defined
 once, on the base classes, as a batch of one, so a scalar call returns row 0
 of the batch computation and cannot drift from it. Rows never interact, so
-a row's result does not depend on its batch.
+a row's result does not depend on its batch. Monte Carlo calls a rule
+concurrently on disjoint row blocks, so a rule keeps no mutable shared state.
 
 One tie rule serves every rule and route: scores within tie_tolerance of
 the best tie, the lowest index winning, and a threshold margin within it of

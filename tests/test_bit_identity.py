@@ -12,6 +12,8 @@ of its levels.
 """
 
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -43,6 +45,7 @@ from ahtest import (
     select_ecr_lookahead,
     select_ejs_greedy,
 )
+from ahtest import engine
 from ahtest.belief import bllr_matrix, log_normalize, logsumexp_last, normalize_belief_rows
 from ahtest.engine import (
     _error_rates,
@@ -662,6 +665,112 @@ def test_rule_rows_do_not_depend_on_their_batch(case, request):
         batch = rule.batch_decide(model, log_prior, rows, horizon)
         for t in range(0, len(rows), 37):
             assert rule.batch_decide(model, log_prior, rows[t:t + 1], horizon)[0] == batch[t]
+
+
+# ---------------------------------------------------------------------------
+# a chunk run in parts on several threads has the bits of the whole chunk
+# ---------------------------------------------------------------------------
+
+SPLIT_EPISODES = 50
+
+
+def _split_config(name, request):
+    model = request.getfixturevalue(name)
+    saddles = saddle_points(model)
+    selection = EJSGreedySelection() if name == "tri3" else ChernoffSelection(saddles)
+    return RunConfig(model=model, selection=selection,
+                     inference=FBarInference(saddles, min(sp.d_star for sp in saddles) / 4.0),
+                     horizon=6 if name == "tri3" else 25, episodes=SPLIT_EPISODES, seed=13)
+
+
+def _force_parts(monkeypatch, cpus, min_part):
+    """Let chunks split into min(cpus, count // min_part) parts, and return
+    the (thread, rows) of every _run_chunk call from then on."""
+    monkeypatch.setattr(engine, "_MIN_PART", min_part)
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    calls = []
+    run_chunk = engine._run_chunk
+
+    def recorded(*args, **kw):
+        calls.append((threading.get_ident(), len(args[4])))
+        return run_chunk(*args, **kw)
+
+    monkeypatch.setattr(engine, "_run_chunk", recorded)
+    return calls
+
+
+def _lane_bits(config, h):
+    counts, inc_sum, inc_sqsum, decisions, path = simulate_conditioned_batch(
+        config, h, record_beliefs=True)
+    return counts.tobytes(), inc_sum.hex(), inc_sqsum.hex(), decisions.tobytes(), path.tobytes()
+
+
+@pytest.mark.parametrize("name", ["tri3", "bsc2"])
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_parts_move_no_bit(name, cpus, chunk, request, monkeypatch):
+    config = _split_config(name, request)
+    if chunk is not None:
+        monkeypatch.setattr(engine, "CHUNK_SIZE", chunk)
+    whole_report = monte_carlo(config)
+    whole_lanes = [_lane_bits(config, h) for h in range(config.model.num_hypotheses)]
+    calls = _force_parts(monkeypatch, cpus, min_part=2)
+    report = monte_carlo(config)
+    assert report.to_json_dict() == whole_report.to_json_dict()
+    assert _same_bits(report.decision_probs, whole_report.decision_probs)
+    assert [_lane_bits(config, h) for h in range(config.model.num_hypotheses)] == whole_lanes
+    # 50 episodes split into 2 or 3 parts; 7-episode chunks into 3 + 4 or
+    # 2 + 2 + 3, their last chunk of one episode not at all
+    sizes = {2: [25, 25], 3: [16, 17, 17]} if chunk is None else {2: [3, 4], 3: [2, 2, 3]}
+    assert sorted(n for _, n in calls[:cpus]) == sizes[cpus]
+    assert len({t for t, _ in calls}) > 1
+    # run_episode replays the last episode of a part that ran off the caller's thread
+    *_, decisions, path = simulate_conditioned_batch(config, 1, record_beliefs=True)
+    _, decision, belief = run_episode(config, 1, SPLIT_EPISODES - 2)
+    assert decisions[SPLIT_EPISODES - 2] == (INCONCLUSIVE if decision is None else decision)
+    assert _same_bits(belief.log_rho, Belief(path[SPLIT_EPISODES - 2, -1]).log_rho)
+
+
+class _FailingInOnePart(UniformSelection):
+    """Uniform selection that raises in one thread's part and is slow in the
+    others, counting its calls and the calls still running."""
+
+    def __init__(self, fail_in_caller: bool):
+        self.caller = threading.get_ident()
+        self.fail_in_caller = fail_in_caller
+        self.lock = threading.Lock()
+        self.calls = self.running = 0
+
+    def batch_action_distributions(self, model, log_rho, step, horizon):
+        with self.lock:
+            self.calls += 1
+            self.running += 1
+        try:
+            if (threading.get_ident() == self.caller) == self.fail_in_caller:
+                raise ArithmeticError(f"part of {len(log_rho)} rows failed at step {step}")
+            time.sleep(0.01)
+            return super().batch_action_distributions(model, log_rho, step, horizon)
+        finally:
+            with self.lock:
+                self.running -= 1
+
+
+@pytest.mark.parametrize("fail_in_caller", [False, True])
+def test_an_error_in_a_part_reaches_the_caller_after_every_part_stops(
+        fail_in_caller, tri3, request, monkeypatch):
+    _force_parts(monkeypatch, cpus=2, min_part=2)
+    rule = _FailingInOnePart(fail_in_caller)
+    config = RunConfig(model=tri3, selection=rule, inference=MAPInference(),
+                       horizon=5, episodes=SPLIT_EPISODES, seed=13)
+    with pytest.raises(ArithmeticError, match=r"^part of 25 rows failed at step 0$"):
+        monte_carlo(config)
+    # the other part had run its every step to the end
+    assert (rule.calls, rule.running) == (1 + config.horizon, 0)
+    # and the pool still runs parts
+    working = _split_config("tri3", request)
+    split = monte_carlo(working).to_json_dict()
+    monkeypatch.setattr(engine, "_MIN_PART", SPLIT_EPISODES + 1)
+    assert split == monte_carlo(working).to_json_dict()
 
 
 # ---------------------------------------------------------------------------
