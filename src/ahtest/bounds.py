@@ -17,7 +17,7 @@ import numpy as np
 
 from .divergence import SaddlePoint
 from .engine import RunReport
-from .model import Model, lambda_bound
+from .model import EpsilonSchedule, Model, lambda_bound
 
 # Exponent estimates from fewer misclassification events than this are
 # flagged unreliable: the log of a rare-event estimate is too noisy.
@@ -69,17 +69,15 @@ def misclassification_lower_bound(
 
 
 def p2_achievable_rates(
-    saddles: Sequence[SaddlePoint],
-    lam_bound: float,
-    num_hypotheses: int,
-    horizon: int,
-    epsilon: float,
+    model: Model, saddles: Sequence[SaddlePoint], horizon: int, epsilon: float
 ) -> np.ndarray:
     """Per-hypothesis finite-horizon exponent D*(i) - 2B sqrt(log(M/eps)/N)
-    guaranteed by the one-hypothesis Hoeffding construction."""
+    guaranteed by the one-hypothesis Hoeffding construction, with
+    B = lambda_bound(model) and M = model.num_hypotheses."""
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
-    margin = 2.0 * lam_bound * math.sqrt(math.log(num_hypotheses / epsilon) / horizon)
+    margin = 2.0 * lambda_bound(model) * math.sqrt(
+        math.log(model.num_hypotheses / epsilon) / horizon)
     return np.array([sp.d_star - margin for sp in saddles])
 
 
@@ -137,20 +135,15 @@ def csv_num(v) -> str:
 
 
 def bound_report(
-    model: Model,
-    saddles: Sequence[SaddlePoint],
-    lam_bound: float,
-    report: RunReport,
-    epsilon: float,
+    model: Model, saddles: Sequence[SaddlePoint], report: RunReport, epsilon: float,
     delta: float,
 ) -> BoundReport:
-    """Evaluate all bounds for one run report."""
+    """Evaluate all bounds for one run report at the type-error cap epsilon."""
     d_star = tuple(sp.d_star for sp in saddles)
     d_star_min = min(d_star)
     upper = misclassification_upper_bound(model, saddles, report.horizon, delta)
     lower = misclassification_lower_bound(model, report.jng, report.horizon, epsilon)
-    p2 = tuple(p2_achievable_rates(saddles, lam_bound, model.num_hypotheses,
-                                   report.horizon, epsilon))
+    p2 = tuple(p2_achievable_rates(model, saddles, report.horizon, epsilon))
 
     if report.mode == "exact":
         reliable = True
@@ -182,24 +175,19 @@ def bound_report(
 
 
 def exponent_table(
-    model: Model,
-    saddles: Sequence[SaddlePoint],
-    lam_bound: float,
-    reports: Sequence[RunReport],
-    epsilons: Sequence[float],
-    delta: float,
+    model: Model, saddles: Sequence[SaddlePoint], reports: Sequence[RunReport],
+    schedule: EpsilonSchedule, delta: float,
 ) -> list[BoundReport]:
-    """Bound rows for a horizon sweep, in report order.
+    """Bound rows for a horizon sweep, in report order, each at its own
+    horizon's epsilon, schedule.epsilon(report.horizon).
 
     Rows whose misclassification estimate is zero or backed by too few
     events keep achieved_exponent = None and are flagged through
     `reliable` rather than being dropped.
     """
-    if len(reports) != len(epsilons):
-        raise ValueError("need one epsilon per report")
     return [
-        bound_report(model, saddles, lam_bound, rep, eps, delta)
-        for rep, eps in zip(reports, epsilons)
+        bound_report(model, saddles, rep, schedule.epsilon(rep.horizon), delta)
+        for rep in reports
     ]
 
 

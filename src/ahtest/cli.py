@@ -17,6 +17,7 @@ failure, 1 output file not writable or unexpected error.
 from __future__ import annotations
 
 import argparse
+import csv
 import io
 import json
 import math
@@ -24,7 +25,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import bounds as bounds_mod
-from .divergence import DEFAULT_TOL, SaddleSolverError, saddle_points
+from .divergence import SADDLE_TOL, SaddleSolverError, saddle_points
 from .engine import EnumerationBudgetError, RunConfig, RunReport, enumerate_exact, monte_carlo
 from .model import EpsilonSchedule, ModelError, lambda_bound, load_model
 from .strategies import parse_inference, parse_selection
@@ -113,7 +114,7 @@ def _metadata(args, saddles=None, delta=None, schedule=None) -> dict:
         "seed": getattr(args, "seed", 0),
         "epsilon_rule": schedule.spec_string() if schedule else None,
         "delta": delta,
-        "saddle_tol": DEFAULT_TOL,
+        "saddle_tol": SADDLE_TOL,
     }
     if saddles is not None:
         md["d_star"] = [sp.d_star for sp in saddles]
@@ -150,15 +151,14 @@ def _report_csv(report: RunReport) -> str:
     for name, values in (("psi", report.psi), ("phi", report.phi), ("jng", report.jng)):
         for label, v in zip(report.hypotheses, values):
             cells.append((f"{name}_{label}", bounds_mod.csv_num(v)))
-    header = ",".join(k for k, _ in cells)
-    row = ",".join(str(v) for _, v in cells)
-    return header + "\n" + row + "\n"
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(zip(*cells))   # header, row
+    return buf.getvalue()
 
 
 def _cmd_validate(args) -> int:
     model = load_model(args.model)
     schedule = EpsilonSchedule.parse(args.epsilon_rule)
-    b = lambda_bound(model)
     from .divergence import kl_matrix
 
     min_kl = min(
@@ -170,7 +170,7 @@ def _cmd_validate(args) -> int:
         "experiments": list(model.experiments),
         "observations": list(model.observations),
         "prior": [float(x) for x in model.prior],
-        "lambda_bound": b,
+        "lambda_bound": lambda_bound(model),
         "min_pairwise_kl": min_kl,
         "checks": {
             "full_support": True,
@@ -186,7 +186,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_divergence(args) -> int:
     model = load_model(args.model)
-    saddles = saddle_points(model, tol=DEFAULT_TOL)
+    saddles = saddle_points(model)
     doc = {
         "metadata": _metadata(args, saddles=saddles),
         "saddles": [
@@ -217,13 +217,12 @@ def _run(args, *, bound_rows: bool = False):
     rule, delta, strategy specs, --episodes, horizon list, run configuration.
     """
     model = load_model(args.model)
-    saddles = saddle_points(model, tol=DEFAULT_TOL)
+    saddles = saddle_points(model)
     schedule = EpsilonSchedule.parse(args.epsilon_rule)
     delta = _resolve_delta(args, saddles, bound_rows)
-    b = lambda_bound(model)
     try:
         selection = parse_selection(args.select, model, saddles)
-        inference = parse_inference(args.infer, model, saddles, b, schedule, delta)
+        inference = parse_inference(args.infer, model, saddles, schedule, delta)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     episodes = getattr(args, "episodes", None)
@@ -244,8 +243,7 @@ def _run(args, *, bound_rows: bool = False):
         "infer": args.infer,
     }
     rows = bounds_mod.exponent_table(
-        model, saddles, b, reports, [schedule.epsilon(n) for n in horizons], delta
-    ) if bound_rows else None
+        model, saddles, reports, schedule, delta) if bound_rows else None
     return metadata, reports, rows
 
 

@@ -17,7 +17,7 @@ from scipy.optimize import linprog
 
 from .model import Model
 
-DEFAULT_TOL = 1e-6
+SADDLE_TOL = 1e-6   # largest duality gap a certified saddle point may carry
 
 
 class SaddleSolverError(RuntimeError):
@@ -104,20 +104,19 @@ def _clean_simplex(x: np.ndarray) -> np.ndarray:
     return x / s
 
 
-def solve_matrix_game(payoff: np.ndarray, tol: float = DEFAULT_TOL):
+def solve_matrix_game(payoff: np.ndarray):
     """Value and optimal mixtures of a finite zero-sum game.
 
     The row player maximizes min over columns of (alpha^T payoff); the column
     player minimizes max over rows of (payoff beta). Returns
     (value, alpha, beta, gap) where gap is the certified duality gap computed
-    by direct evaluation of both mixtures against the matrix.
+    by direct evaluation of both mixtures against the matrix; a gap above
+    SADDLE_TOL raises SaddleSolverError.
 
     Degenerate shapes (a single row or a single column) are solved exactly;
     otherwise both sides are solved as linear programs. Ties in degenerate
     argmax/argmin cases break toward the lowest index.
     """
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
     K = np.asarray(payoff, dtype=float)
     if K.ndim != 2 or K.size == 0:
         raise ValueError("payoff must be a non-empty 2-dim matrix")
@@ -163,16 +162,16 @@ def solve_matrix_game(payoff: np.ndarray, tol: float = DEFAULT_TOL):
     lower = float(np.min(alpha @ K))
     upper = float(np.max(K @ beta))
     gap = upper - lower
-    if gap > tol:
+    if gap > SADDLE_TOL:
         raise SaddleSolverError(
-            f"duality gap {gap:.3e} exceeds tolerance {tol:.1e}", best_gap=gap
+            f"duality gap {gap:.3e} exceeds tolerance {SADDLE_TOL:.1e}", best_gap=gap
         )
     return (lower + upper) / 2.0, alpha, beta, max(gap, 0.0)
 
 
-def solve_saddle(kl: KLMatrix, tol: float = DEFAULT_TOL) -> SaddlePoint:
-    """Certified saddle point of the experiment-selection game for one hypothesis."""
-    value, alpha, beta, gap = solve_matrix_game(kl.values, tol=tol)
+def solve_saddle(kl: KLMatrix) -> SaddlePoint:
+    """Certified saddle point (gap <= SADDLE_TOL) of one hypothesis's game."""
+    value, alpha, beta, gap = solve_matrix_game(kl.values)
     return SaddlePoint(
         hypothesis=kl.hypothesis,
         d_star=value,
@@ -183,6 +182,6 @@ def solve_saddle(kl: KLMatrix, tol: float = DEFAULT_TOL) -> SaddlePoint:
     )
 
 
-def saddle_points(model: Model, tol: float = DEFAULT_TOL) -> tuple[SaddlePoint, ...]:
-    """Saddle point of every hypothesis's game, in hypothesis order."""
-    return tuple(solve_saddle(kl_matrix(model, i), tol=tol) for i in range(model.num_hypotheses))
+def saddle_points(model: Model) -> tuple[SaddlePoint, ...]:
+    """Certified saddle point of every hypothesis's game, in hypothesis order."""
+    return tuple(solve_saddle(kl_matrix(model, i)) for i in range(model.num_hypotheses))

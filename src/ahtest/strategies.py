@@ -322,38 +322,31 @@ class FBarInference(InferenceStrategy):
 
 class P2Inference(InferenceStrategy):
     """One-hypothesis test: declare i iff the confidence gain on i reaches
-    N D*(i) - 2B sqrt(N log(M/eps)), else abstain.
+    N D*(i) - 2B sqrt(N log(M/eps_N)), else abstain. B = lambda_bound(model)
+    and M = model.num_hypotheses come from the model the rule runs on, eps_N
+    from the epsilon schedule.
 
     The rule is applied verbatim; at small horizons the threshold can be
     negative, in which case i is always declared.
     """
 
-    def __init__(
-        self,
-        i: int,
-        saddle_i: SaddlePoint,
-        lam_bound: float,
-        num_hypotheses: int,
-        epsilon_schedule: EpsilonSchedule,
-    ):
+    def __init__(self, i: int, saddle_i: SaddlePoint, epsilon_schedule: EpsilonSchedule):
         if saddle_i.hypothesis != i:
             raise ValueError("saddle point does not belong to the tested hypothesis")
         self.i = int(i)
         self.saddle = saddle_i
-        self.lam_bound = float(lam_bound)
-        self.num_hypotheses = int(num_hypotheses)
         self.epsilon_schedule = epsilon_schedule
 
-    def threshold(self, horizon: int) -> float:
+    def threshold(self, model: Model, horizon: int) -> float:
         eps = self.epsilon_schedule.epsilon(horizon)
-        return horizon * self.saddle.d_star - 2.0 * self.lam_bound * math.sqrt(
-            horizon * math.log(self.num_hypotheses / eps)
+        return horizon * self.saddle.d_star - 2.0 * lambda_bound(model) * math.sqrt(
+            horizon * math.log(model.num_hypotheses / eps)
         )
 
     def batch_decide(self, model, log_prior, log_final, horizon):
         # Rivals get a threshold of +inf: i alone qualifies, by fbar's tie rule.
         thresholds = np.full(model.num_hypotheses, np.inf)
-        thresholds[self.i] = self.threshold(horizon)
+        thresholds[self.i] = self.threshold(model, horizon)
         inc = bllr_matrix(log_final) - bllr_matrix(log_prior)[None, :]
         return _decide_by_thresholds(inc, thresholds, tie_tolerance(model, horizon))
 
@@ -456,12 +449,8 @@ def parse_selection(
 
 
 def parse_inference(
-    spec: str,
-    model: Model,
-    saddles: Sequence[SaddlePoint],
-    lam_bound: float,
-    epsilon_schedule: EpsilonSchedule,
-    delta: float,
+    spec: str, model: Model, saddles: Sequence[SaddlePoint],
+    epsilon_schedule: EpsilonSchedule, delta: float,
 ) -> InferenceStrategy:
     """Build an inference strategy from its CLI spec string.
 
@@ -476,7 +465,7 @@ def parse_inference(
         if "i" not in params:
             raise ValueError("p2 needs a hypothesis, e.g. p2:i=1")
         i = _resolve_hypothesis(params["i"], model)
-        return P2Inference(i, saddles[i], lam_bound, model.num_hypotheses, epsilon_schedule)
+        return P2Inference(i, saddles[i], epsilon_schedule)
     if head == "map":
         return MAPInference()
     raise ValueError(f"unknown inference strategy spec {spec!r}")

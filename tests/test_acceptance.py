@@ -112,12 +112,12 @@ def test_c02_bounded_increments(bsc2, tri3, bsc2_saddles, tri3_saddles):
 
 def test_c03_saddle_certification(bsc2, tri3):
     start = time.monotonic()
-    sp_b = solve_saddle(kl_matrix(bsc2, 0), tol=1e-6)
+    sp_b = solve_saddle(kl_matrix(bsc2, 0))
     assert sp_b.d_star == pytest.approx(0.8 * math.log(9), abs=1e-6)
     assert sp_b.gap <= 1e-6
 
     km = kl_matrix(tri3, 0)
-    sp_t = solve_saddle(km, tol=1e-6)
+    sp_t = solve_saddle(km)
     # grid-search oracle over alpha = (t, 1-t) at step 1e-5
     t = np.arange(0.0, 1.0 + 5e-6, 1e-5)
     mixed = t[:, None] * km.values[0][None, :] + (1 - t)[:, None] * km.values[1][None, :]
@@ -262,7 +262,6 @@ def test_c09_exponent_trend(bsc2, bsc2_saddles):
     episodes = 1_000_000
     dmin = min(sp.d_star for sp in bsc2_saddles)
     delta = dmin / 4
-    b = lambda_bound(bsc2)
     selection = ChernoffSelection(bsc2_saddles)
     inference = FBarInference(bsc2_saddles, delta)
     min_prior = float(min(bsc2.prior))
@@ -273,7 +272,7 @@ def test_c09_exponent_trend(bsc2, bsc2_saddles):
             model=bsc2, selection=selection, inference=inference,
             horizon=n, episodes=episodes, seed=0,
         ))
-        br = bound_report(bsc2, bsc2_saddles, b, rep, 1.0 / (2 * n), delta)
+        br = bound_report(bsc2, bsc2_saddles, rep, 1.0 / (2 * n), delta)
         rows.append((n, rep, br))
 
     lines = []

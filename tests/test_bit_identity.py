@@ -374,7 +374,7 @@ def _frozen_inferences(model, saddles, horizon):
     return [
         (FBarInference(saddles, delta),
          lambda lf: _frozen_decide_by_thresholds(inc(lf), horizon * (d_star - delta), tol)),
-        (P2Inference(i, saddles[i], lam, model.num_hypotheses, EpsilonSchedule("half-inverse")),
+        (P2Inference(i, saddles[i], EpsilonSchedule("half-inverse")),
          lambda lf: i if float(bllr_matrix(lf)[i] - bllr_matrix(log_prior)[i]) - p2_thr >= -tol
          else None),
         (MAPInference(), lambda lf: int(_frozen_argmax_lowest(lf, tol))),

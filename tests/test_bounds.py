@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ahtest import (
+    EpsilonSchedule,
     RunConfig,
     bound_report,
     enumerate_exact,
@@ -17,7 +18,7 @@ from ahtest import (
     misclassification_upper_bound,
     write_exponent_csv,
 )
-from ahtest.strategies import ChernoffSelection, FBarInference
+from ahtest.strategies import ChernoffSelection, FBarInference, P2Inference
 
 
 @pytest.fixture(scope="module")
@@ -130,17 +131,30 @@ class TestSandwich:
 class TestP2Rates:
     def test_formula(self, bsc2, bsc2_saddles):
         b = lambda_bound(bsc2)
-        rates = p2_achievable_rates(bsc2_saddles, b, 2, 100, 0.005)
+        rates = p2_achievable_rates(bsc2, bsc2_saddles, 100, 0.005)
         expect = 0.8 * math.log(9) - 2 * b * math.sqrt(math.log(400) / 100)
         np.testing.assert_allclose(rates, [expect, expect], atol=1e-12)
 
     def test_rates_approach_dstar(self, tri3, tri3_saddles):
-        b = lambda_bound(tri3)
-        r_small = p2_achievable_rates(tri3_saddles, b, 3, 10, 1 / 20)
-        r_large = p2_achievable_rates(tri3_saddles, b, 3, 10_000, 1 / 20_000)
+        r_small = p2_achievable_rates(tri3, tri3_saddles, 10, 1 / 20)
+        r_large = p2_achievable_rates(tri3, tri3_saddles, 10_000, 1 / 20_000)
         d = np.array([sp.d_star for sp in tri3_saddles])
         assert np.all(r_large > r_small)
         np.testing.assert_allclose(r_large, d, atol=0.2)
+
+
+    @pytest.mark.parametrize("rule", ["half-inverse", "fixed:0.05"])
+    @pytest.mark.parametrize("name", ["bsc2", "tri3"])
+    def test_p2_rule_threshold_is_horizon_times_its_rate(self, name, rule, request):
+        # P2Inference.threshold and p2_achievable_rates write one formula twice
+        model = request.getfixturevalue(name)
+        saddles = request.getfixturevalue(f"{name}_saddles")
+        sched = EpsilonSchedule.parse(rule)
+        for n in (1, 2, 5, 25, 1000, 10**5):
+            rates = p2_achievable_rates(model, saddles, n, sched.epsilon(n))
+            for i in range(model.num_hypotheses):
+                got = P2Inference(i, saddles[i], sched).threshold(model, n)
+                assert abs(got - n * rates[i]) <= 1e-12 * n * lambda_bound(model), (i, n)
 
 
 class TestBoundReportAndCsv:
@@ -150,7 +164,7 @@ class TestBoundReportAndCsv:
             inference=FBarInference(bsc2_saddles, 0.4), horizon=3,
         )
         rep = enumerate_exact(cfg)
-        br = bound_report(bsc2, bsc2_saddles, lambda_bound(bsc2), rep, 1 / 6, 0.4)
+        br = bound_report(bsc2, bsc2_saddles, rep, 1 / 6, 0.4)
         assert br.reliable
         assert br.feasible is False          # psi = 0.271 > 1/6
         assert br.gamma == pytest.approx(0.001, abs=1e-12)
@@ -163,7 +177,7 @@ class TestBoundReportAndCsv:
             inference=FBarInference(bsc2_saddles, 0.4), horizon=2,
         )
         rep = enumerate_exact(cfg)
-        br = bound_report(bsc2, bsc2_saddles, lambda_bound(bsc2), rep, 0.25, 0.4)
+        br = bound_report(bsc2, bsc2_saddles, rep, 0.25, 0.4)
         buf = io.StringIO()
         write_exponent_csv([br], buf)
         lines = buf.getvalue().splitlines()
@@ -183,10 +197,7 @@ class TestBoundReportAndCsv:
             ))
             for n in horizons
         ]
-        rows = exponent_table(
-            bsc2, bsc2_saddles, lambda_bound(bsc2), runs,
-            [1 / (2 * n) for n in horizons], delta,
-        )
+        rows = exponent_table(bsc2, bsc2_saddles, runs, EpsilonSchedule("half-inverse"), delta)
         assert [r.horizon for r in rows] == horizons
         assert all(r.reliable for r in rows)
         # a zero-event Monte Carlo run keeps its exponent blank but stays a row
@@ -195,7 +206,7 @@ class TestBoundReportAndCsv:
             inference=FBarInference(bsc2_saddles, delta), horizon=25,
             episodes=200, seed=0,
         ))
-        row = exponent_table(bsc2, bsc2_saddles, lambda_bound(bsc2), [mc], [0.02], delta)[0]
+        row = exponent_table(bsc2, bsc2_saddles, [mc], EpsilonSchedule("fixed", 0.02), delta)[0]
         assert row.achieved_exponent is None
         assert not row.reliable
 
@@ -210,7 +221,7 @@ class TestBoundReportAndCsv:
                 inference=FBarInference(bsc2_saddles, delta), horizon=n,
             )
             rep = enumerate_exact(cfg)
-            br = bound_report(bsc2, bsc2_saddles, lambda_bound(bsc2), rep, 1 / (2 * n), delta)
+            br = bound_report(bsc2, bsc2_saddles, rep, 1 / (2 * n), delta)
             assert br.gamma > 0
             # the threshold rule may overshoot the asymptotic exponent at
             # finite N (it fires only above N(D*-delta)); check the threshold

@@ -1,5 +1,7 @@
 """CLI subcommands: outputs, determinism, exit codes."""
 
+import csv
+import io
 import json
 import math
 
@@ -197,6 +199,21 @@ class TestSimulateEnumerate:
         header, row = out.strip().splitlines()
         assert header.split(",")[:6] == ["mode", "N", "seed", "episodes", "paths", "gamma"]
         assert row.startswith("exact,3,")
+
+    def test_csv_quotes_labels_holding_commas_and_quotes(self, capsys, tmp_path):
+        labels = ["H,1", 'H"2']
+        model = tmp_path / "labels.json"
+        model.write_text(json.dumps({
+            "hypotheses": labels, "experiments": ["u0"], "observations": ["0", "1"],
+            "prior": [0.5, 0.5], "channel": [[[0.9, 0.1]], [[0.1, 0.9]]],
+        }))
+        for extra in (["enumerate"], ["simulate", "--episodes", "50"]):
+            code, out, _ = run_cli(capsys, *extra, "--model", str(model), "--horizon", "3",
+                                   "--format", "csv")
+            assert code == 0
+            header, row = csv.reader(io.StringIO(out))
+            assert len(header) == len(row) == 7 + 3 * len(labels)
+            assert header[7:] == [f"{name}_{h}" for name in ("psi", "phi", "jng") for h in labels]
 
 
 class TestBoundsSweep:

@@ -108,7 +108,7 @@ class TestSolveSaddle:
         np.testing.assert_allclose(sp.beta_star, [0.0, 1.0])
 
     def test_tri3_against_grid_oracle(self, tri3):
-        sp = solve_saddle(kl_matrix(tri3, 0), tol=1e-6)
+        sp = solve_saddle(kl_matrix(tri3, 0))
         oracle = grid_saddle_value_2rows(kl_matrix(tri3, 0).values, 1e-5)
         assert sp.d_star == pytest.approx(oracle, abs=5e-4)
         assert sp.gap <= 1e-6
@@ -119,7 +119,7 @@ class TestSolveSaddle:
         rng = np.random.default_rng(6)
         for _ in range(50):
             payoff = rng.uniform(0.05, 2.0, size=(rng.integers(2, 5), rng.integers(2, 5)))
-            value, alpha, beta, gap = solve_matrix_game(payoff, tol=1e-6)
+            value, alpha, beta, gap = solve_matrix_game(payoff)
             lower = float((alpha @ payoff).min())
             upper = float((payoff @ beta).max())
             assert lower - 1e-9 <= value <= upper + 1e-9
@@ -147,10 +147,6 @@ class TestSolveSaddle:
         rng = np.random.default_rng(12)
         for _ in range(5):
             payoff = rng.uniform(0.05, 1.5, size=(3, 3))
-            value, *_ = solve_matrix_game(payoff, tol=1e-6)
+            value, *_ = solve_matrix_game(payoff)
             oracle = grid_saddle_value_3rows(payoff, 1e-3)
             assert value == pytest.approx(oracle, abs=5e-3)
-
-    def test_bad_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            solve_matrix_game(np.ones((2, 2)), tol=0.0)

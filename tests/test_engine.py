@@ -383,13 +383,12 @@ class TestMonteCarlo:
 
 class TestEnumerateExact:
     def test_vacuous_p2_threshold_always_decides(self, bsc2, bsc2_saddles):
-        rule = P2Inference(0, bsc2_saddles[0], lambda_bound(bsc2), 2,
-                           EpsilonSchedule("half-inverse"))
+        rule = P2Inference(0, bsc2_saddles[0], EpsilonSchedule("half-inverse"))
         cfg = RunConfig(
             model=bsc2, selection=OpenLoopSelection(0, bsc2_saddles),
             inference=rule, horizon=1,
         )
-        assert rule.threshold(1) < 0.0
+        assert rule.threshold(bsc2, 1) < 0.0
         rep = enumerate_exact(cfg)
         assert rep.phi[0] == pytest.approx(1.0, abs=1e-12)
         assert rep.psi[0] == pytest.approx(0.0, abs=1e-12)
@@ -648,3 +647,27 @@ class TestTracerNames:
 
         result = walk_paths(bsc2, UniformSelection(), 3, lambda *level: None)
         assert type(result) is int and result == 8
+
+    def test_work_counts_read_the_real_arguments(self, tri3, monkeypatch):
+        # A reordered signature would leave the names resolving but turn
+        # engine.episodes, engine.episode_steps and engine.enum_leaves null.
+        from ahtest import engine
+
+        def recording(fn, calls):
+            def wrapper(*args, **kw):
+                result = fn(*args, **kw)
+                calls.append((args, result))
+                return result
+            return wrapper
+
+        chunks, walks = [], []
+        monkeypatch.setattr(engine, "_run_chunk", recording(engine._run_chunk, chunks))
+        monkeypatch.setattr(engine, "walk_paths", recording(engine.walk_paths, walks))
+        units = _perfbench_module("tracing").UNITS
+        horizon, episodes = 4, 30
+        monte_carlo(_chernoff_fbar(tri3, horizon, episodes=episodes, seed=3))
+        exact = enumerate_exact(_chernoff_fbar(tri3, horizon))
+        assert len(chunks) == tri3.num_hypotheses      # one chunk per lane
+        for args, result in chunks:
+            assert units["engine.chunk"](args, result) == (episodes, episodes * horizon)
+        assert [units["engine.walk"](args, result) for args, result in walks] == [(exact.paths, 0)]

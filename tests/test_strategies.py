@@ -125,8 +125,7 @@ class TestRowContract:
         ]
         inferences = [
             FBarInference(saddles, min(sp.d_star for sp in saddles) / 4),
-            P2Inference(m - 1, saddles[m - 1], lambda_bound(model), m,
-                        EpsilonSchedule("half-inverse")),
+            P2Inference(m - 1, saddles[m - 1], EpsilonSchedule("half-inverse")),
             MAPInference(),
             FixedThresholdInference(0.7),
         ]
@@ -355,24 +354,22 @@ class TestP2:
     def test_vacuous_small_horizon_decides(self, bsc2, bsc2_saddles):
         # threshold is negative at N=1 with eps = 1/2, so zero evidence decides
         prior = prior_belief(bsc2)
-        b = lambda_bound(bsc2)
-        rule = P2Inference(0, bsc2_saddles[0], b, 2, EpsilonSchedule("fixed", 0.5))
+        rule = P2Inference(0, bsc2_saddles[0], EpsilonSchedule("fixed", 0.5))
         got = _decide(rule, bsc2, prior, prior, 1)
         assert got == 0
 
     def test_threshold_formula(self, bsc2, bsc2_saddles):
         b = lambda_bound(bsc2)
         sched = EpsilonSchedule("fixed", 0.005)
-        rule = P2Inference(0, bsc2_saddles[0], b, 2, sched)
+        rule = P2Inference(0, bsc2_saddles[0], sched)
         expect = 100 * 0.8 * math.log(9) - 2 * b * math.sqrt(100 * math.log(2 / 0.005))
-        assert rule.threshold(100) == pytest.approx(expect, abs=1e-9)
+        assert rule.threshold(bsc2, 100) == pytest.approx(expect, abs=1e-9)
         assert expect == pytest.approx(68.2130, abs=1e-3)
 
     def test_unfavorable_evidence_abstains(self, bsc2, bsc2_saddles):
         prior = prior_belief(bsc2)
         final = Belief.from_probs([1e-8, 1.0 - 1e-8])
-        b = lambda_bound(bsc2)
-        rule = P2Inference(0, bsc2_saddles[0], b, 2, EpsilonSchedule("fixed", 0.005))
+        rule = P2Inference(0, bsc2_saddles[0], EpsilonSchedule("fixed", 0.005))
         got = _decide(rule, bsc2, prior, final, 100)
         assert got is None
 
@@ -437,20 +434,18 @@ class TestSpecStrings:
         assert rule.i == 2
 
     def test_inference_parsing(self, tri3, tri3_saddles):
-        b = lambda_bound(tri3)
         sched = EpsilonSchedule("half-inverse")
-        assert isinstance(parse_inference("fbar:delta=0.1", tri3, tri3_saddles, b, sched, 0.05), FBarInference)
-        p2 = parse_inference("p2:i=1", tri3, tri3_saddles, b, sched, 0.05)
+        assert isinstance(parse_inference("fbar:delta=0.1", tri3, tri3_saddles, sched, 0.05), FBarInference)
+        p2 = parse_inference("p2:i=1", tri3, tri3_saddles, sched, 0.05)
         assert isinstance(p2, P2Inference) and p2.i == 0
-        assert isinstance(parse_inference("map", tri3, tri3_saddles, b, sched, 0.05), MAPInference)
+        assert isinstance(parse_inference("map", tri3, tri3_saddles, sched, 0.05), MAPInference)
 
     def test_unknown_specs_rejected(self, tri3, tri3_saddles):
-        b = lambda_bound(tri3)
         sched = EpsilonSchedule("half-inverse")
         with pytest.raises(ValueError):
             parse_selection("thompson", tri3, tri3_saddles)
         with pytest.raises(ValueError):
-            parse_inference("bayes", tri3, tri3_saddles, b, sched, 0.05)
+            parse_inference("bayes", tri3, tri3_saddles, sched, 0.05)
         with pytest.raises(ValueError):
             parse_selection("openloop:i=9", tri3, tri3_saddles)
 
@@ -473,10 +468,9 @@ class TestSpecStrings:
         ("fbar:delta=0.1,delta=0.2", "repeated parameter 'delta'"),
     ])
     def test_inference_parameters_it_does_not_take_rejected(self, tri3, tri3_saddles, spec, match):
-        b = lambda_bound(tri3)
         sched = EpsilonSchedule("half-inverse")
         with pytest.raises(ValueError, match=match):
-            parse_inference(spec, tri3, tri3_saddles, b, sched, 0.05)
+            parse_inference(spec, tri3, tri3_saddles, sched, 0.05)
 
     def test_unknown_rule_named_before_its_parameters(self, tri3, tri3_saddles):
         with pytest.raises(ValueError, match="unknown selection strategy spec 'oracle:x=1,x=2'"):
