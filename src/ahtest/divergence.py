@@ -5,7 +5,9 @@ finite zero-sum game: a maximizing player mixes over experiments, a
 minimizing player mixes over rival hypotheses. Its value D*(i) is the best
 guaranteed per-step confidence growth rate for i, and the optimizers are the
 sampling distribution used by the MAP-phase strategy and the worst-case
-rival mixture entering the confidence-rate bound.
+rival mixture entering the confidence-rate bound. One linear program per game
+yields both: alpha from its solution, beta from its duals (LP duality), and
+both are certified by direct evaluation to a duality gap of at most SADDLE_TOL.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ class SaddlePoint:
 def _clean_simplex(x: np.ndarray) -> np.ndarray:
     x = np.clip(np.asarray(x, dtype=float), 0.0, None)
     s = x.sum()
-    if s <= 0.0:
+    if not s > 0.0:   # also rejects NaN
         raise SaddleSolverError("solver returned an empty mixed strategy")
     return x / s
 
@@ -111,11 +113,11 @@ def solve_matrix_game(payoff: np.ndarray):
     player minimizes max over rows of (payoff beta). Returns
     (value, alpha, beta, gap) where gap is the certified duality gap computed
     by direct evaluation of both mixtures against the matrix; a gap above
-    SADDLE_TOL raises SaddleSolverError.
+    SADDLE_TOL, or one that is not a number, raises SaddleSolverError.
 
-    Degenerate shapes (a single row or a single column) are solved exactly;
-    otherwise both sides are solved as linear programs. Ties in degenerate
-    argmax/argmin cases break toward the lowest index.
+    Degenerate shapes (a single row or a single column) are solved exactly,
+    ties breaking toward the lowest index. Otherwise one LP is solved for
+    alpha, and beta is read from the duals of its n_cols column constraints.
     """
     K = np.asarray(payoff, dtype=float)
     if K.ndim != 2 or K.size == 0:
@@ -133,36 +135,24 @@ def solve_matrix_game(payoff: np.ndarray):
         beta[c] = 1.0
         return float(K[0, c]), np.array([1.0]), beta, 0.0
 
-    # Row LP: maximize v subject to (alpha^T K)_j >= v, alpha on the simplex.
+    # Maximize v subject to (alpha^T K)_j >= v, alpha on the simplex.
     c_row = np.zeros(n_rows + 1)
     c_row[-1] = -1.0
     a_ub = np.hstack([-K.T, np.ones((n_cols, 1))])
     a_eq = np.hstack([np.ones((1, n_rows)), np.zeros((1, 1))])
-    res_row = linprog(
+    res = linprog(
         c_row, A_ub=a_ub, b_ub=np.zeros(n_cols), A_eq=a_eq, b_eq=[1.0],
         bounds=[(0.0, None)] * n_rows + [(None, None)], method="highs",
     )
-    if not res_row.success:
-        raise SaddleSolverError(f"row LP failed: {res_row.message}")
+    if not res.success:
+        raise SaddleSolverError(f"row LP failed: {res.message}")
 
-    # Column LP: minimize w subject to (K beta)_u <= w, beta on the simplex.
-    c_col = np.zeros(n_cols + 1)
-    c_col[-1] = 1.0
-    a_ub2 = np.hstack([K, -np.ones((n_rows, 1))])
-    a_eq2 = np.hstack([np.ones((1, n_cols)), np.zeros((1, 1))])
-    res_col = linprog(
-        c_col, A_ub=a_ub2, b_ub=np.zeros(n_rows), A_eq=a_eq2, b_eq=[1.0],
-        bounds=[(0.0, None)] * n_cols + [(None, None)], method="highs",
-    )
-    if not res_col.success:
-        raise SaddleSolverError(f"column LP failed: {res_col.message}")
-
-    alpha = _clean_simplex(res_row.x[:n_rows])
-    beta = _clean_simplex(res_col.x[:n_cols])
+    alpha = _clean_simplex(res.x[:n_rows])
+    beta = _clean_simplex(-res.ineqlin.marginals)
     lower = float(np.min(alpha @ K))
     upper = float(np.max(K @ beta))
     gap = upper - lower
-    if gap > SADDLE_TOL:
+    if not gap <= SADDLE_TOL:   # also rejects NaN
         raise SaddleSolverError(
             f"duality gap {gap:.3e} exceeds tolerance {SADDLE_TOL:.1e}", best_gap=gap
         )

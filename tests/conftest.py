@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from ahtest import Model, load_model
+from ahtest import Model, divergence, load_model
 from ahtest.belief import log_normalize
 from ahtest.engine import sample_categorical
 from ahtest.strategies import SelectionStrategy
@@ -47,6 +47,24 @@ def random_model(rng: np.random.Generator, m: int, u: int, y: int) -> Model:
         channel=channel,
         prior=prior,
     )
+
+
+def corrupt_linprog(monkeypatch, field, value):
+    """Make every LP solve report `value` in `field`: "x" fills the solution,
+    "x0" only its first entry, "marginals" the duals of the inequality rows."""
+    real = divergence.linprog
+
+    def corrupted(*args, **kwargs):
+        res = real(*args, **kwargs)
+        if field == "x":
+            res.x = np.full_like(res.x, value)
+        elif field == "x0":
+            res.x[0] = value
+        else:
+            res.ineqlin.marginals = np.full_like(res.ineqlin.marginals, value)
+        return res
+
+    monkeypatch.setattr(divergence, "linprog", corrupted)
 
 
 def random_trajectory(rng: np.random.Generator, model: Model, n: int):

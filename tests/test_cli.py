@@ -5,11 +5,12 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from ahtest.cli import main
 
-from conftest import MODELS_DIR, REPO_ROOT
+from conftest import MODELS_DIR, REPO_ROOT, corrupt_linprog
 
 BSC2 = str(MODELS_DIR / "bsc2.json")
 TRI3 = str(MODELS_DIR / "tri3.json")
@@ -80,6 +81,13 @@ class TestDivergence:
         assert by_hyp["H1"]["gap"] <= 1e-6
         assert by_hyp["H1"]["alpha_star"]["u1"] == pytest.approx(0.5, abs=1e-6)
         assert sum(by_hyp["H2"]["beta_star"].values()) == pytest.approx(1.0, abs=1e-9)
+
+    def test_uncertified_saddle_exit_code(self, capsys, monkeypatch):
+        corrupt_linprog(monkeypatch, "x", np.nan)
+        code, out, err = run_cli(capsys, "divergence", "--model", TRI3)
+        assert code == 5
+        assert out == ""
+        assert err.startswith("solver error:")
 
 
 class TestSimulateEnumerate:
@@ -329,6 +337,8 @@ class TestBoundsIsOneHorizonSweep:
 # from the repository root), and it lists the files it regenerated.
 GOLDEN_DIR = REPO_ROOT / "tests" / "golden"
 GOLDEN = {
+    "divergence-bsc2.json": ["divergence", "--model", "models/bsc2.json"],
+    "divergence-tri3.json": ["divergence", "--model", "models/tri3.json"],
     "simulate-bsc2.json": ["simulate", "--model", "models/bsc2.json", "--horizon", "10",
                            "--episodes", "2000", "--seed", "3"],
     "simulate-tri3.csv": ["simulate", "--model", "models/tri3.json", "--select", "ejs",

@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ahtest import (
+    Model,
+    divergence,
     kl_divergence,
     kl_matrix,
     lambda_bound,
@@ -13,9 +17,9 @@ from ahtest import (
     solve_matrix_game,
     solve_saddle,
 )
-from ahtest.divergence import KLMatrix
+from ahtest.divergence import SADDLE_TOL, KLMatrix, SaddleSolverError
 
-from conftest import random_model
+from conftest import corrupt_linprog, random_model
 
 
 def grid_saddle_value_2rows(payoff: np.ndarray, step: float) -> float:
@@ -150,3 +154,88 @@ class TestSolveSaddle:
             value, *_ = solve_matrix_game(payoff)
             oracle = grid_saddle_value_3rows(payoff, 1e-3)
             assert value == pytest.approx(oracle, abs=5e-3)
+
+
+def count_linprog(monkeypatch) -> list:
+    calls = []
+    real = divergence.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(divergence, "linprog", counted)
+    return calls
+
+
+class TestCertification:
+    # "x0" = inf leaves alpha = (nan, 0) (inf / inf, numpy's warning muted):
+    # it passes the simplex check and only the NaN gap can stop it.
+    @pytest.mark.parametrize("field,value", [("x", np.nan), ("marginals", np.nan), ("x0", np.inf)])
+    def test_non_finite_solver_output_raises(self, monkeypatch, field, value):
+        corrupt_linprog(monkeypatch, field, value)
+        with np.errstate(invalid="ignore"), pytest.raises(SaddleSolverError):
+            solve_matrix_game([[1.0, 2.0], [2.0, 1.0]])
+
+
+class TestOneSolvePerGame:
+    @pytest.mark.parametrize("name,lps", [("tri3", 3), ("bsc2", 0)])
+    def test_reference_models(self, monkeypatch, request, name, lps):
+        # tri3 has three 2x2 games; bsc2's one 1x1 game has a closed form.
+        model = request.getfixturevalue(name)
+        calls = count_linprog(monkeypatch)
+        saddle_points(model)
+        assert len(calls) == lps
+
+    @pytest.mark.parametrize("m,u", [(3, 2), (4, 3), (2, 3), (4, 1)])
+    def test_one_lp_per_game_of_two_rows_and_two_columns(self, monkeypatch, m, u):
+        # Hypothesis i's game has u rows and m - 1 columns.
+        model = random_model(np.random.default_rng(m * 10 + u), m, u, 3)
+        calls = count_linprog(monkeypatch)
+        saddle_points(model)
+        assert len(calls) == (m if u >= 2 and m >= 3 else 0)
+
+
+def relabel(model: Model, hyp_perm, exp_perm) -> Model:
+    """Model whose hypothesis k is model's hyp_perm[k] and experiment k is exp_perm[k]."""
+    return Model(
+        hypotheses=tuple(model.hypotheses[h] for h in hyp_perm),
+        experiments=tuple(model.experiments[u] for u in exp_perm),
+        observations=model.observations,
+        channel=model.channel[np.ix_(hyp_perm, exp_perm)],
+        prior=model.prior[hyp_perm],
+    )
+
+
+class TestRelabelling:
+    """The saddle route does not depend on the order of experiments or hypotheses.
+
+    Values and certified guarantees are compared, not mixture bits: optimal
+    mixtures need not be unique.
+    """
+
+    @settings(max_examples=25)
+    @given(m=st.integers(2, 4), u=st.integers(1, 4), y=st.integers(2, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_relabelled_games_keep_values_and_guarantees(self, m, u, y, seed):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, m, u, y)
+        hyp_perm = rng.permutation(m)
+        exp_perm = rng.permutation(u)
+        base = saddle_points(model)
+        by_exp = saddle_points(relabel(model, np.arange(m), exp_perm))
+        by_hyp = saddle_points(relabel(model, hyp_perm, np.arange(u)))
+        new_index = np.argsort(hyp_perm)   # hypothesis i of model is new_index[i]
+        for i, sp in enumerate(base):
+            kl = kl_matrix(model, i)
+            for other, exp_map, hyp_map in ((by_exp[i], exp_perm, np.arange(m)),
+                                            (by_hyp[new_index[i]], np.arange(u), hyp_perm)):
+                assert abs(other.d_star - sp.d_star) <= (sp.gap + other.gap) / 2 + 1e-12
+                # Both mixtures, mapped back to the original labels, keep their
+                # guarantees on the original game.
+                alpha = np.zeros(u)
+                alpha[exp_map] = other.alpha_star
+                by_rival = dict(zip(hyp_map[list(other.rivals)], other.beta_star))
+                beta = np.array([by_rival[j] for j in kl.rivals])
+                assert float(np.min(alpha @ kl.values)) >= sp.d_star - SADDLE_TOL
+                assert float(np.max(kl.values @ beta)) <= sp.d_star + SADDLE_TOL
