@@ -8,14 +8,16 @@ sampling distribution used by the MAP-phase strategy and the worst-case
 rival mixture entering the confidence-rate bound. One linear program per game
 yields both: alpha from its solution, beta from its duals (LP duality), and
 both are certified by direct evaluation to a duality gap of at most SADDLE_TOL.
+scipy.optimize is imported at the first game that needs an LP, not before.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .model import Model
 
@@ -106,6 +108,16 @@ def _clean_simplex(x: np.ndarray) -> np.ndarray:
     return x / s
 
 
+@functools.cache
+def _scipy_optimize():
+    """scipy.optimize, imported at the first LP; gc.freeze() then keeps full
+    collections from walking its objects, as in ahtest/__init__.py."""
+    import scipy.optimize
+
+    gc.freeze()
+    return scipy.optimize
+
+
 def solve_matrix_game(payoff: np.ndarray):
     """Value and optimal mixtures of a finite zero-sum game.
 
@@ -140,7 +152,7 @@ def solve_matrix_game(payoff: np.ndarray):
     c_row[-1] = -1.0
     a_ub = np.hstack([-K.T, np.ones((n_cols, 1))])
     a_eq = np.hstack([np.ones((1, n_rows)), np.zeros((1, 1))])
-    res = linprog(
+    res = _scipy_optimize().linprog(
         c_row, A_ub=a_ub, b_ub=np.zeros(n_cols), A_eq=a_eq, b_eq=[1.0],
         bounds=[(0.0, None)] * n_rows + [(None, None)], method="highs",
     )

@@ -4,9 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import settings
 
-from ahtest import Model, divergence, load_model
+from ahtest import Model, load_model
 from ahtest.belief import log_normalize
 from ahtest.engine import sample_categorical
 from ahtest.strategies import SelectionStrategy
@@ -49,10 +50,22 @@ def random_model(rng: np.random.Generator, m: int, u: int, y: int) -> Model:
     )
 
 
+def relabel(model: Model, hyp_perm, exp_perm) -> Model:
+    """Model whose hypothesis k is model's hyp_perm[k] and experiment k is exp_perm[k]."""
+    return Model(
+        hypotheses=tuple(model.hypotheses[h] for h in hyp_perm),
+        experiments=tuple(model.experiments[u] for u in exp_perm),
+        observations=model.observations,
+        channel=model.channel[np.ix_(hyp_perm, exp_perm)],
+        prior=model.prior[hyp_perm],
+    )
+
+
 def corrupt_linprog(monkeypatch, field, value):
     """Make every LP solve report `value` in `field`: "x" fills the solution,
-    "x0" only its first entry, "marginals" the duals of the inequality rows."""
-    real = divergence.linprog
+    "x0" only its first entry, "marginals" the duals of the inequality rows.
+    ahtest looks `linprog` up on scipy.optimize at every solve."""
+    real = scipy.optimize.linprog
 
     def corrupted(*args, **kwargs):
         res = real(*args, **kwargs)
@@ -64,7 +77,7 @@ def corrupt_linprog(monkeypatch, field, value):
             res.ineqlin.marginals = np.full_like(res.ineqlin.marginals, value)
         return res
 
-    monkeypatch.setattr(divergence, "linprog", corrupted)
+    monkeypatch.setattr(scipy.optimize, "linprog", corrupted)
 
 
 def random_trajectory(rng: np.random.Generator, model: Model, n: int):

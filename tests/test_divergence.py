@@ -1,15 +1,18 @@
 """KL matrices and certified saddle points, cross-checked against grid search."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ahtest import (
-    Model,
-    divergence,
     kl_divergence,
     kl_matrix,
     lambda_bound,
@@ -19,7 +22,7 @@ from ahtest import (
 )
 from ahtest.divergence import SADDLE_TOL, KLMatrix, SaddleSolverError
 
-from conftest import corrupt_linprog, random_model
+from conftest import MODELS_DIR, REPO_ROOT, corrupt_linprog, random_model, relabel
 
 
 def grid_saddle_value_2rows(payoff: np.ndarray, step: float) -> float:
@@ -158,13 +161,13 @@ class TestSolveSaddle:
 
 def count_linprog(monkeypatch) -> list:
     calls = []
-    real = divergence.linprog
+    real = scipy.optimize.linprog
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(divergence, "linprog", counted)
+    monkeypatch.setattr(scipy.optimize, "linprog", counted)
     return calls
 
 
@@ -194,17 +197,6 @@ class TestOneSolvePerGame:
         calls = count_linprog(monkeypatch)
         saddle_points(model)
         assert len(calls) == (m if u >= 2 and m >= 3 else 0)
-
-
-def relabel(model: Model, hyp_perm, exp_perm) -> Model:
-    """Model whose hypothesis k is model's hyp_perm[k] and experiment k is exp_perm[k]."""
-    return Model(
-        hypotheses=tuple(model.hypotheses[h] for h in hyp_perm),
-        experiments=tuple(model.experiments[u] for u in exp_perm),
-        observations=model.observations,
-        channel=model.channel[np.ix_(hyp_perm, exp_perm)],
-        prior=model.prior[hyp_perm],
-    )
 
 
 class TestRelabelling:
@@ -239,3 +231,76 @@ class TestRelabelling:
                 beta = np.array([by_rival[j] for j in kl.rivals])
                 assert float(np.min(alpha @ kl.values)) >= sp.d_star - SADDLE_TOL
                 assert float(np.max(kl.values @ beta)) <= sp.d_star + SADDLE_TOL
+
+
+def fresh_python(script: str, *args) -> dict:
+    """Run `script` with JSON-encoded `args` in a new interpreter (this one
+    has scipy loaded) and return the JSON document it prints."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(args)], capture_output=True,
+                          text=True, env=env, cwd=REPO_ROOT, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+CLOSED_FORM_RUNS = """
+import contextlib, io, json, sys
+import numpy as np
+import ahtest, ahtest.cli
+bsc2, models = json.loads(sys.argv[1])
+loaded = {"import": "scipy.optimize" in sys.modules}
+ahtest.saddle_points(ahtest.load_model(bsc2))
+loaded["saddle_points"] = "scipy.optimize" in sys.modules
+for argv in (["divergence"], ["enumerate", "--horizon", "6"],
+             ["sweep", "--horizons", "4,8", "--episodes", "200"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert ahtest.cli.main([*argv, "--model", bsc2]) == 0
+    loaded[argv[0]] = "scipy.optimize" in sys.modules
+for k, (channel, prior) in enumerate(models):
+    m, u, y = np.shape(channel)
+    ahtest.saddle_points(ahtest.Model(
+        tuple(f"h{i}" for i in range(m)), tuple(f"u{i}" for i in range(u)),
+        tuple(f"y{i}" for i in range(y)), np.array(channel), np.array(prior)))
+    loaded[f"random-{k}"] = "scipy.optimize" in sys.modules
+print(json.dumps(loaded))
+"""
+
+FIRST_LP_RUN = """
+import gc, json, sys
+import ahtest
+frozen = gc.get_freeze_count()
+tracked = frozen + len(gc.get_objects())
+ahtest.saddle_points(ahtest.load_model(json.loads(sys.argv[1])[0]))
+gc.collect()
+print(json.dumps({
+    "loaded": "scipy.optimize" in sys.modules,
+    "frozen": gc.get_freeze_count() - frozen,
+    "tracked": gc.get_freeze_count() + len(gc.get_objects()) - tracked,
+    "oldest": len(gc.get_objects(2)),
+}))
+"""
+
+
+class TestLazyScipy:
+    """scipy.optimize loads at the first game that needs an LP and is then frozen."""
+
+    def test_closed_form_games_never_load_scipy(self):
+        rng = np.random.default_rng(21)
+        # One experiment, then two hypotheses: every game has one row or one column.
+        models = [random_model(rng, 4, 1, 3), random_model(rng, 2, 3, 3)]
+        loaded = fresh_python(CLOSED_FORM_RUNS, str(MODELS_DIR / "bsc2.json"),
+                              [(m.channel.tolist(), m.prior.tolist()) for m in models])
+        assert loaded == dict.fromkeys(
+            ["import", "saddle_points", "divergence", "enumerate", "sweep", "random-0", "random-1"],
+            False)
+
+    def test_first_lp_freezes_what_scipy_brought_in(self):
+        # Unfrozen, scipy.optimize's ~29k objects would sit in the oldest
+        # generation and every full collection would walk them again.
+        counts = fresh_python(FIRST_LP_RUN, str(MODELS_DIR / "tri3.json"))
+        assert counts["loaded"]
+        assert counts["frozen"] >= 20_000
+        # 116 objects of the saddle solve outlive the freeze (CPython 3.11).
+        assert counts["tracked"] - counts["frozen"] <= 1000
+        assert counts["oldest"] <= 1000

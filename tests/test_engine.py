@@ -1,12 +1,13 @@
 """Engine behavior: reproducible episodes, Monte Carlo vs exact enumeration,
 and the enumeration-certified inequalities."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
@@ -36,7 +37,7 @@ from ahtest.strategies import (
 )
 from ahtest.model import EpsilonSchedule
 
-from conftest import normalized_replay, random_model, random_selection
+from conftest import normalized_replay, random_model, random_selection, relabel
 
 
 @pytest.fixture(scope="module")
@@ -568,6 +569,23 @@ def _perfbench_module(name):
     return module
 
 
+def _fbar_report(model, rule, horizon):
+    """Exact report of chernoff/fbar or ejs/fbar with delta = min D* / 4."""
+    config = _chernoff_fbar(model, horizon)
+    if rule == "ejs":
+        config = dataclasses.replace(config, selection=EJSGreedySelection())
+    return enumerate_exact(config)
+
+
+def _assert_same_report(a, b):
+    """Every figure of two exact reports agrees within 1e-12 relative."""
+    assert b.paths == a.paths
+    np.testing.assert_allclose(b.decision_probs, a.decision_probs, rtol=1e-12, atol=0)
+    for field in ("psi", "phi", "jng"):
+        np.testing.assert_allclose(getattr(b, field), getattr(a, field), rtol=1e-12, atol=0)
+    assert b.gamma == pytest.approx(a.gamma, rel=1e-12, abs=0)
+
+
 class TestRouteAgreement:
     """Exact results do not depend on the route that computes them."""
 
@@ -609,6 +627,35 @@ class TestRouteAgreement:
             np.testing.assert_allclose(getattr(b, field), np.array(getattr(a, field))[perm],
                                        rtol=1e-13, atol=1e-16)
         assert b.gamma == pytest.approx(a.gamma, rel=1e-13, abs=1e-16)
+
+    def test_relabelling_experiments_keeps_the_exact_tri3_chernoff_report(self, tri3):
+        _assert_same_report(_fbar_report(tri3, "chernoff", 8),
+                            _fbar_report(relabel(tri3, [0, 1, 2], [1, 0]), "chernoff", 8))
+
+    @pytest.mark.parametrize("rule", ["chernoff", "ejs"])
+    @settings(max_examples=8)
+    @given(horizon=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_relabelling_experiments_keeps_the_exact_tri3_report(self, tri3, rule, horizon, seed):
+        # A Dirichlet prior leaves no exact MAP or ejs score ties, which the
+        # lowest-index rules would break differently after relabelling. (The
+        # uniform prior ties ejs's two experiments at the root.)
+        prior = np.random.default_rng(seed).dirichlet(np.ones(3)) * 0.9 + 0.1 / 3
+        prior /= prior.sum()
+        base = Model(tri3.hypotheses, tri3.experiments, tri3.observations, tri3.channel, prior)
+        _assert_same_report(_fbar_report(base, rule, horizon),
+                            _fbar_report(relabel(base, [0, 1, 2], [1, 0]), rule, horizon))
+
+    @pytest.mark.parametrize("rule", ["chernoff", "ejs"])
+    @settings(max_examples=15)
+    @given(shape=st.sampled_from([(2, 2, 3), (3, 2, 2), (3, 3, 2), (4, 3, 3), (3, 4, 2)]),
+           horizon=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_relabelling_experiments_keeps_the_exact_report(self, rule, shape, horizon, seed):
+        # Random channels and priors have no exact score ties almost surely.
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, *shape)
+        exp_perm = rng.permutation(shape[1])
+        _assert_same_report(_fbar_report(model, rule, horizon),
+                            _fbar_report(relabel(model, np.arange(shape[0]), exp_perm), rule, horizon))
 
     @pytest.mark.parametrize("name, horizon", [("bsc2", 50), ("tri3", 25)])
     def test_exact_and_monte_carlo_agree_within_3_se(self, name, horizon, request):
