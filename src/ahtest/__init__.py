@@ -73,6 +73,5 @@ from .strategies import (
 )
 
 __version__ = "0.1.0"
-# Full garbage collections skip the ~22k-object import heap (5 ms a walk, 2.1 GHz Xeon VM);
-# divergence freezes scipy.optimize's ~29k the same way when a game first loads it.
+# Full garbage collections skip the ~22k-object import heap (5 ms a walk, 2.1 GHz Xeon VM).
 _gc.freeze()

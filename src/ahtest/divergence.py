@@ -5,16 +5,13 @@ finite zero-sum game: a maximizing player mixes over experiments, a
 minimizing player mixes over rival hypotheses. Its value D*(i) is the best
 guaranteed per-step confidence growth rate for i, and the optimizers are the
 sampling distribution used by the MAP-phase strategy and the worst-case
-rival mixture entering the confidence-rate bound. One linear program per game
-yields both: alpha from its solution, beta from its duals (LP duality), and
-both are certified by direct evaluation to a duality gap of at most SADDLE_TOL.
-scipy.optimize is imported at the first game that needs an LP, not before.
+rival mixture entering the confidence-rate bound. A small simplex finds the
+support of an optimal solution, cofactors of that support give both mixtures
+exactly, and direct evaluation certifies them to a gap of at most SADDLE_TOL.
 """
 
 from __future__ import annotations
 
-import functools
-import gc
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,14 +105,68 @@ def _clean_simplex(x: np.ndarray) -> np.ndarray:
     return x / s
 
 
-@functools.cache
-def _scipy_optimize():
-    """scipy.optimize, imported at the first LP; gc.freeze() then keeps full
-    collections from walking its objects, as in ahtest/__init__.py."""
-    import scipy.optimize
+def _simplex_support(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of an optimal basis's square support.
 
-    gc.freeze()
-    return scipy.optimize
+    Dense tableau simplex with Bland's rule on the classic game LP: K is
+    mapped affinely onto [1, 2], which keeps the optimal mixtures, and
+    1^T y is maximized subject to K' y <= 1, y >= 0. The support is the rows
+    whose slack is nonbasic and the basic columns, both in index order.
+    """
+    m, n = K.shape
+    eps = 1e-12
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = (K - K.min()) / (float(np.ptp(K)) or 1.0) + 1.0
+    T[:m, n:-1] = np.eye(m)
+    T[:m, -1] = 1.0
+    T[m, :n] = -1.0
+    basis = np.arange(n, n + m)
+    for _ in range(100 * (m + n)):   # Bland's rule ends; the cap stops a rounding stall
+        entering = np.flatnonzero(T[m, :-1] < -eps)
+        if entering.size == 0:
+            return np.setdiff1d(np.arange(m), basis - n), np.sort(basis[basis < n])
+        j = entering[0]
+        rows = np.flatnonzero(T[:m, j] > eps)
+        if rows.size == 0:   # K' > 0 bounds the LP, so only rounding gets here
+            break
+        ratios = np.maximum(T[rows, -1], 0.0) / T[rows, j]
+        tied = rows[ratios <= ratios.min() + eps]
+        r = tied[np.argmin(basis[tied])]
+        pivot = T[r] / T[r, j]
+        T -= np.outer(T[:, j], pivot)
+        T[r] = pivot
+        basis[r] = j
+    raise SaddleSolverError("simplex found no optimal basis")
+
+
+def _cofactor_row_sums(A: np.ndarray) -> np.ndarray:
+    """Row sums of the cofactors of a square matrix; for 2x2 they are
+    differences of entries, taken as such because det is inexact even on 1x1."""
+    k = len(A)
+    if k == 1:
+        return np.ones(1)
+    if k == 2:
+        return np.array([A[1, 1] - A[1, 0], A[0, 0] - A[0, 1]])
+    keep = np.array([np.delete(np.arange(k), i) for i in range(k)])
+    signs = (-1.0) ** np.add.outer(np.arange(k), np.arange(k))
+    return (signs * np.linalg.det(A[keep[:, None, :, None], keep[None, :, None, :]])).sum(axis=1)
+
+
+def _support_mixtures(K: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+    """alpha and beta that equalize the square support K[rows, cols].
+
+    alpha is proportional to the cofactor row sums of the support, beta to
+    those of its transpose; adding a constant to K leaves both unchanged. The
+    last support entry is one minus the others.
+    """
+    support = K[np.ix_(rows, cols)]
+    alpha, beta = np.zeros(K.shape[0]), np.zeros(K.shape[1])
+    for mix, index, A in ((alpha, rows, support), (beta, cols, support.T)):
+        w = _cofactor_row_sums(A)
+        w = w / w.sum()
+        w[-1] = 1.0 - w[:-1].sum()
+        mix[index] = w
+    return alpha, beta
 
 
 def solve_matrix_game(payoff: np.ndarray):
@@ -128,12 +179,14 @@ def solve_matrix_game(payoff: np.ndarray):
     SADDLE_TOL, or one that is not a number, raises SaddleSolverError.
 
     Degenerate shapes (a single row or a single column) are solved exactly,
-    ties breaking toward the lowest index. Otherwise one LP is solved for
-    alpha, and beta is read from the duals of its n_cols column constraints.
+    ties breaking toward the lowest index. Otherwise one simplex run picks an
+    optimal basis, and both mixtures are read off its square support.
     """
     K = np.asarray(payoff, dtype=float)
     if K.ndim != 2 or K.size == 0:
         raise ValueError("payoff must be a non-empty 2-dim matrix")
+    if not np.all(np.isfinite(K)):
+        raise ValueError("payoff entries must be finite")
     n_rows, n_cols = K.shape
 
     if n_cols == 1:
@@ -147,20 +200,7 @@ def solve_matrix_game(payoff: np.ndarray):
         beta[c] = 1.0
         return float(K[0, c]), np.array([1.0]), beta, 0.0
 
-    # Maximize v subject to (alpha^T K)_j >= v, alpha on the simplex.
-    c_row = np.zeros(n_rows + 1)
-    c_row[-1] = -1.0
-    a_ub = np.hstack([-K.T, np.ones((n_cols, 1))])
-    a_eq = np.hstack([np.ones((1, n_rows)), np.zeros((1, 1))])
-    res = _scipy_optimize().linprog(
-        c_row, A_ub=a_ub, b_ub=np.zeros(n_cols), A_eq=a_eq, b_eq=[1.0],
-        bounds=[(0.0, None)] * n_rows + [(None, None)], method="highs",
-    )
-    if not res.success:
-        raise SaddleSolverError(f"row LP failed: {res.message}")
-
-    alpha = _clean_simplex(res.x[:n_rows])
-    beta = _clean_simplex(-res.ineqlin.marginals)
+    alpha, beta = map(_clean_simplex, _support_mixtures(K, *_simplex_support(K)))
     lower = float(np.min(alpha @ K))
     upper = float(np.max(K @ beta))
     gap = upper - lower

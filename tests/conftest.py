@@ -4,10 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import settings
 
-from ahtest import Model, load_model
+from ahtest import Model, divergence, load_model
 from ahtest.belief import log_normalize
 from ahtest.engine import sample_categorical
 from ahtest.strategies import SelectionStrategy
@@ -61,23 +60,21 @@ def relabel(model: Model, hyp_perm, exp_perm) -> Model:
     )
 
 
-def corrupt_linprog(monkeypatch, field, value):
-    """Make every LP solve report `value` in `field`: "x" fills the solution,
-    "x0" only its first entry, "marginals" the duals of the inequality rows.
-    ahtest looks `linprog` up on scipy.optimize at every solve."""
-    real = scipy.optimize.linprog
+def corrupt_mixtures(monkeypatch, field, value):
+    """Make every simplex solve report `value` in `field` before the mixtures
+    are cleaned: "alpha" or "beta" fills that mixture, "alpha0" only alpha's
+    first entry. ahtest looks `_support_mixtures` up on its module at every solve."""
+    real = divergence._support_mixtures
 
-    def corrupted(*args, **kwargs):
-        res = real(*args, **kwargs)
-        if field == "x":
-            res.x = np.full_like(res.x, value)
-        elif field == "x0":
-            res.x[0] = value
+    def corrupted(*args):
+        alpha, beta = real(*args)
+        if field == "alpha0":
+            alpha[0] = value
         else:
-            res.ineqlin.marginals = np.full_like(res.ineqlin.marginals, value)
-        return res
+            (alpha if field == "alpha" else beta)[:] = value
+        return alpha, beta
 
-    monkeypatch.setattr(scipy.optimize, "linprog", corrupted)
+    monkeypatch.setattr(divergence, "_support_mixtures", corrupted)
 
 
 def random_trajectory(rng: np.random.Generator, model: Model, n: int):

@@ -10,7 +10,7 @@ import pytest
 
 from ahtest.cli import main
 
-from conftest import MODELS_DIR, REPO_ROOT, corrupt_linprog
+from conftest import MODELS_DIR, REPO_ROOT, corrupt_mixtures
 
 BSC2 = str(MODELS_DIR / "bsc2.json")
 TRI3 = str(MODELS_DIR / "tri3.json")
@@ -83,7 +83,7 @@ class TestDivergence:
         assert sum(by_hyp["H2"]["beta_star"].values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_uncertified_saddle_exit_code(self, capsys, monkeypatch):
-        corrupt_linprog(monkeypatch, "x", np.nan)
+        corrupt_mixtures(monkeypatch, "alpha", np.nan)
         code, out, err = run_cli(capsys, "divergence", "--model", TRI3)
         assert code == 5
         assert out == ""

@@ -5,14 +5,17 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ahtest import (
+    divergence,
     kl_divergence,
     kl_matrix,
     lambda_bound,
@@ -22,7 +25,7 @@ from ahtest import (
 )
 from ahtest.divergence import SADDLE_TOL, KLMatrix, SaddleSolverError
 
-from conftest import MODELS_DIR, REPO_ROOT, corrupt_linprog, random_model, relabel
+from conftest import MODELS_DIR, REPO_ROOT, corrupt_mixtures, random_model, relabel
 
 
 def grid_saddle_value_2rows(payoff: np.ndarray, step: float) -> float:
@@ -134,6 +137,23 @@ class TestSolveSaddle:
             assert abs(alpha.sum() - 1.0) <= 1e-12 and np.all(alpha >= 0)
             assert abs(beta.sum() - 1.0) <= 1e-12 and np.all(beta >= 0)
 
+    def test_2x2_mixtures_are_the_equalizers_bit_for_bit(self):
+        # Run reports pin these bits. A 2x2 support's cofactors are its own
+        # entries, never 1x1 determinants, which np.linalg.det can round.
+        rng = np.random.default_rng(18)
+        for _ in range(200):
+            (a, d), (b, c) = rng.uniform(1.0, 2.0, 2), rng.uniform(0.0, 1.0, 2)
+            _, alpha, beta, _ = solve_matrix_game(np.array([[a, b], [c, d]]))
+            for got, first, second in ((alpha, d - c, a - b), (beta, d - b, a - c)):
+                want = np.array([first / (first + second), 0.0])
+                want[1] = 1.0 - want[0]
+                np.testing.assert_array_equal(got, want / want.sum())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_payoff_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            solve_matrix_game([[bad, 1.0], [1.0, 0.0]])
+
     def test_positive_homogeneity(self):
         rng = np.random.default_rng(8)
         payoff = rng.uniform(0.1, 1.0, size=(3, 3))
@@ -159,24 +179,73 @@ class TestSolveSaddle:
             assert value == pytest.approx(oracle, abs=5e-3)
 
 
-def count_linprog(monkeypatch) -> list:
+def count_simplex(monkeypatch) -> list:
     calls = []
-    real = scipy.optimize.linprog
+    real = divergence._simplex_support
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(1)
-        return real(*args, **kwargs)
+        return real(*args)
 
-    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    monkeypatch.setattr(divergence, "_simplex_support", counted)
     return calls
 
 
+def highs_value(payoff: np.ndarray) -> float:
+    """Oracle: the game's value from scipy's HiGHS, maximizing v subject to
+    (alpha^T payoff)_j >= v with alpha on the simplex."""
+    n_rows, n_cols = payoff.shape
+    res = scipy.optimize.linprog(
+        np.r_[np.zeros(n_rows), -1.0], A_ub=np.hstack([-payoff.T, np.ones((n_cols, 1))]),
+        b_ub=np.zeros(n_cols), A_eq=np.r_[np.ones(n_rows), 0.0][None, :], b_eq=[1.0],
+        bounds=[(0.0, None)] * n_rows + [(None, None)], method="highs",
+    )
+    assert res.success, res.message
+    return -res.fun
+
+
+class TestAgainstHighs:
+    """The in-package simplex agrees with HiGHS and certifies a zero gap."""
+
+    def test_random_games(self):
+        rng = np.random.default_rng(14)
+        for _ in range(100):
+            payoff = rng.uniform(0.0, 2.0, size=rng.integers(2, 7, size=2))
+            value, _, _, gap = solve_matrix_game(payoff)
+            assert abs(value - highs_value(payoff)) <= 1e-12
+            assert gap <= 1e-12
+
+    @example(np.zeros((3, 3)))
+    @example(np.full((2, 4), 2.0))
+    @example(np.array([[1.0, 0.0, 2.0], [1.0, 0.0, 2.0], [0.0, 2.0, 1.0]]))   # duplicate rows
+    @example(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 2.0]]))                    # duplicate columns
+    @example(np.array([[2.0, 2.0, 2.0], [0.0, 1.0, 0.0], [1.0, 0.0, 2.0]]))   # dominated rows
+    @example(np.array([[0.0, 2.0, 2.0], [2.0, 0.0, 2.0]]))                    # dominated column
+    @given(arrays(np.float64, st.tuples(st.integers(2, 6), st.integers(2, 6)),
+                  elements=st.sampled_from([0.0, 1.0, 2.0])))
+    def test_degenerate_integer_games(self, payoff):
+        value, alpha, beta, gap = solve_matrix_game(payoff)
+        assert abs(value - highs_value(payoff)) <= 1e-12
+        assert gap <= 1e-12
+        assert alpha.sum() == pytest.approx(1.0, abs=1e-12) and np.all(alpha >= 0)
+        assert beta.sum() == pytest.approx(1.0, abs=1e-12) and np.all(beta >= 0)
+
+    def test_large_game_terminates(self):
+        # Far larger than any model's game, which is U x (M - 1).
+        payoff = np.random.default_rng(16).uniform(0.0, 1.0, size=(40, 39))
+        start = time.perf_counter()
+        value, _, _, gap = solve_matrix_game(payoff)
+        assert time.perf_counter() - start < 1.0
+        assert abs(value - highs_value(payoff)) <= 1e-12
+        assert gap <= 1e-12
+
+
 class TestCertification:
-    # "x0" = inf leaves alpha = (nan, 0) (inf / inf, numpy's warning muted):
+    # "alpha0" = inf leaves alpha = (nan, 0) (inf / inf, numpy's warning muted):
     # it passes the simplex check and only the NaN gap can stop it.
-    @pytest.mark.parametrize("field,value", [("x", np.nan), ("marginals", np.nan), ("x0", np.inf)])
+    @pytest.mark.parametrize("field,value", [("alpha", np.nan), ("beta", np.nan), ("alpha0", np.inf)])
     def test_non_finite_solver_output_raises(self, monkeypatch, field, value):
-        corrupt_linprog(monkeypatch, field, value)
+        corrupt_mixtures(monkeypatch, field, value)
         with np.errstate(invalid="ignore"), pytest.raises(SaddleSolverError):
             solve_matrix_game([[1.0, 2.0], [2.0, 1.0]])
 
@@ -186,7 +255,7 @@ class TestOneSolvePerGame:
     def test_reference_models(self, monkeypatch, request, name, lps):
         # tri3 has three 2x2 games; bsc2's one 1x1 game has a closed form.
         model = request.getfixturevalue(name)
-        calls = count_linprog(monkeypatch)
+        calls = count_simplex(monkeypatch)
         saddle_points(model)
         assert len(calls) == lps
 
@@ -194,7 +263,7 @@ class TestOneSolvePerGame:
     def test_one_lp_per_game_of_two_rows_and_two_columns(self, monkeypatch, m, u):
         # Hypothesis i's game has u rows and m - 1 columns.
         model = random_model(np.random.default_rng(m * 10 + u), m, u, 3)
-        calls = count_linprog(monkeypatch)
+        calls = count_simplex(monkeypatch)
         saddle_points(model)
         assert len(calls) == (m if u >= 2 and m >= 3 else 0)
 
@@ -244,63 +313,39 @@ def fresh_python(script: str, *args) -> dict:
     return json.loads(proc.stdout)
 
 
-CLOSED_FORM_RUNS = """
+NO_SCIPY_RUNS = """
 import contextlib, io, json, sys
 import numpy as np
 import ahtest, ahtest.cli
-bsc2, models = json.loads(sys.argv[1])
-loaded = {"import": "scipy.optimize" in sys.modules}
-ahtest.saddle_points(ahtest.load_model(bsc2))
-loaded["saddle_points"] = "scipy.optimize" in sys.modules
-for argv in (["divergence"], ["enumerate", "--horizon", "6"],
-             ["sweep", "--horizons", "4,8", "--episodes", "200"]):
+tri3, models = json.loads(sys.argv[1])
+loaded = {"import": "scipy" in sys.modules}
+ahtest.saddle_points(ahtest.load_model(tri3))
+loaded["saddle_points"] = "scipy" in sys.modules
+for argv in (["divergence"], ["enumerate", "--horizon", "4"],
+             ["simulate", "--horizon", "4", "--episodes", "200"],
+             ["sweep", "--horizons", "2,4", "--episodes", "200"]):
     with contextlib.redirect_stdout(io.StringIO()):
-        assert ahtest.cli.main([*argv, "--model", bsc2]) == 0
-    loaded[argv[0]] = "scipy.optimize" in sys.modules
+        assert ahtest.cli.main([*argv, "--model", tri3]) == 0
+    loaded[argv[0]] = "scipy" in sys.modules
 for k, (channel, prior) in enumerate(models):
     m, u, y = np.shape(channel)
     ahtest.saddle_points(ahtest.Model(
         tuple(f"h{i}" for i in range(m)), tuple(f"u{i}" for i in range(u)),
         tuple(f"y{i}" for i in range(y)), np.array(channel), np.array(prior)))
-    loaded[f"random-{k}"] = "scipy.optimize" in sys.modules
+    loaded[f"random-{k}"] = "scipy" in sys.modules
 print(json.dumps(loaded))
 """
 
-FIRST_LP_RUN = """
-import gc, json, sys
-import ahtest
-frozen = gc.get_freeze_count()
-tracked = frozen + len(gc.get_objects())
-ahtest.saddle_points(ahtest.load_model(json.loads(sys.argv[1])[0]))
-gc.collect()
-print(json.dumps({
-    "loaded": "scipy.optimize" in sys.modules,
-    "frozen": gc.get_freeze_count() - frozen,
-    "tracked": gc.get_freeze_count() + len(gc.get_objects()) - tracked,
-    "oldest": len(gc.get_objects(2)),
-}))
-"""
 
+class TestNoScipy:
+    """The package solves its games itself; scipy is a test oracle only."""
 
-class TestLazyScipy:
-    """scipy.optimize loads at the first game that needs an LP and is then frozen."""
-
-    def test_closed_form_games_never_load_scipy(self):
+    def test_no_model_loads_scipy(self):
         rng = np.random.default_rng(21)
-        # One experiment, then two hypotheses: every game has one row or one column.
-        models = [random_model(rng, 4, 1, 3), random_model(rng, 2, 3, 3)]
-        loaded = fresh_python(CLOSED_FORM_RUNS, str(MODELS_DIR / "bsc2.json"),
+        # Every game of a (4, 3, 3) model is 3x3 and needs the simplex.
+        models = [random_model(rng, 4, 3, 3) for _ in range(2)]
+        loaded = fresh_python(NO_SCIPY_RUNS, str(MODELS_DIR / "tri3.json"),
                               [(m.channel.tolist(), m.prior.tolist()) for m in models])
         assert loaded == dict.fromkeys(
-            ["import", "saddle_points", "divergence", "enumerate", "sweep", "random-0", "random-1"],
-            False)
-
-    def test_first_lp_freezes_what_scipy_brought_in(self):
-        # Unfrozen, scipy.optimize's ~29k objects would sit in the oldest
-        # generation and every full collection would walk them again.
-        counts = fresh_python(FIRST_LP_RUN, str(MODELS_DIR / "tri3.json"))
-        assert counts["loaded"]
-        assert counts["frozen"] >= 20_000
-        # 116 objects of the saddle solve outlive the freeze (CPython 3.11).
-        assert counts["tracked"] - counts["frozen"] <= 1000
-        assert counts["oldest"] <= 1000
+            ["import", "saddle_points", "divergence", "enumerate", "simulate", "sweep",
+             "random-0", "random-1"], False)
