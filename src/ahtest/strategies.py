@@ -13,7 +13,9 @@ rows itself): batch_action_distributions for selection, batch_decide for
 inference. The one-belief calls action_distribution and decide are defined
 once, on the base classes, as a batch of one, so a scalar call returns row 0
 of the batch computation and cannot drift from it. Rows never interact, so
-a row's result does not depend on its batch. Monte Carlo calls a rule
+a row's result does not depend on its batch; that makes it exact for the
+rules reading probabilities to score each bitwise-distinct normalized row
+once, as Monte Carlo batches repeat rows heavily. Monte Carlo calls a rule
 concurrently on disjoint row blocks, so a rule keeps no mutable shared state.
 
 One tie rule serves every rule and route: scores within tie_tolerance of
@@ -24,7 +26,7 @@ zero counts as zero, so the path qualifies.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -91,6 +93,17 @@ def _ejs_scores(model: Model, log_rho: np.ndarray) -> np.ndarray:
 def _one_hot_best(model: Model, scores: np.ndarray, horizon: int) -> np.ndarray:
     """(B, U) scores -> one-hot rows on the best experiment, by the tie rule."""
     return np.eye(model.num_experiments)[_argmax_lowest(scores, tie_tolerance(model, horizon))]
+
+
+def _one_hot_best_distinct(model: Model, log_rho: np.ndarray, horizon: int,
+                           score: Callable[..., np.ndarray], *args) -> np.ndarray:
+    """_one_hot_best of score(model, rows, *args) over the normalized rows,
+    scoring each bitwise-distinct row once (exact: a row's scores do not
+    depend on its batch) and expanding the result back to every row."""
+    rows = np.ascontiguousarray(normalize_belief_rows(log_rho))
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[-1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return _one_hot_best(model, score(model, rows[first], *args), horizon)[inverse]
 
 
 def ejs_divergence(model: Model, belief: Belief, u: int) -> float:
@@ -239,7 +252,7 @@ class UniformSelection(SelectionStrategy):
 
 class EJSGreedySelection(SelectionStrategy):
     def batch_action_distributions(self, model, log_rho, step, horizon):
-        return _one_hot_best(model, _ejs_scores(model, normalize_belief_rows(log_rho)), horizon)
+        return _one_hot_best_distinct(model, log_rho, horizon, _ejs_scores)
 
     def spec_string(self):
         return "ejs"
@@ -261,8 +274,7 @@ class ECRLookaheadSelection(SelectionStrategy):
         if nodes > _DEFAULT_ECR_NODE_BUDGET:
             raise ValueError(f"lookahead tree has {nodes} nodes, exceeding the budget "
                              f"{_DEFAULT_ECR_NODE_BUDGET}")
-        return _one_hot_best(model, _ecr_scores(model, normalize_belief_rows(log_rho), depth),
-                             horizon)
+        return _one_hot_best_distinct(model, log_rho, horizon, _ecr_scores, depth)
 
     def spec_string(self):
         return f"ecr:k={self.k}"

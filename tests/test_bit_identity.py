@@ -289,6 +289,7 @@ def test_ejs_uniform_tri3_tie_goes_to_first_experiment(tri3):
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "mass"])
 def test_ejs_batch_rejects_what_belief_rejects(tri3, bad):
+    # ejs and ecr:k, which score each distinct row once, check every row
     rows = np.log(np.random.default_rng(3).dirichlet(np.ones(3), size=5))
     if bad == "mass":
         rows[2] += 1e-6
@@ -296,18 +297,20 @@ def test_ejs_batch_rejects_what_belief_rejects(tri3, bad):
         rows[2, 1] = float(bad)
     with pytest.raises(ValueError):
         Belief(rows[2])
-    if bad == "mass":
-        # a row is known up to its own constant: the shifted row is accepted
-        # and gets its normalized row's choice
-        got = EJSGreedySelection().batch_action_distributions(tri3, rows, 0, EJS_HORIZON)
-        want = EJSGreedySelection().batch_action_distributions(
-            tri3, log_normalize(rows), 0, EJS_HORIZON)
-        assert _same_bits(got[2], want[2])
-    else:
-        with pytest.raises(ValueError):
-            EJSGreedySelection().batch_action_distributions(tri3, rows, 0, EJS_HORIZON)
-    # the other rows are accepted on their own
-    EJSGreedySelection().batch_action_distributions(tri3, np.delete(rows, 2, axis=0), 0, 1)
+    repeated = np.vstack([rows, rows[2], rows[::-1]])   # the bad row three times
+    for rule in (EJSGreedySelection(), ECRLookaheadSelection(1), ECRLookaheadSelection(2)):
+        if bad == "mass":
+            # a row is known up to its own constant: the shifted row is
+            # accepted and gets its normalized row's choice
+            got = rule.batch_action_distributions(tri3, repeated, 0, EJS_HORIZON)
+            want = rule.batch_action_distributions(tri3, log_normalize(rows), 0, EJS_HORIZON)
+            assert all(_same_bits(got[t], want[2]) for t in (2, 5, 8)), rule.spec_string()
+        else:
+            for batch in (rows, repeated):
+                with pytest.raises(ValueError, match="belief entries must be finite"):
+                    rule.batch_action_distributions(tri3, batch, 0, EJS_HORIZON)
+        # the other rows are accepted on their own
+        rule.batch_action_distributions(tri3, np.delete(rows, 2, axis=0), 0, 1)
 
 
 class TestBatchParity:
@@ -544,6 +547,63 @@ def test_ecr_scores_match_the_frozen_recursion(case, depth, request):
     # max(1, |best score|), far inside the tie tolerance.
     scale = np.maximum(1.0, np.abs(frozen).max(axis=1, keepdims=True))
     assert np.all(np.abs(got - frozen) <= 4 * np.spacing(scale))
+
+
+# ---------------------------------------------------------------------------
+# ejs and ecr:k score each distinct row once: batches full of repeats
+# ---------------------------------------------------------------------------
+
+def _batch_with_repeats(rng, base):
+    """(batch, source) from base rows: each row three times, a shifted copy
+    of each, all shuffled; batch[t] is base[source[t]] up to a constant."""
+    source = np.concatenate([np.repeat(np.arange(len(base)), 3), np.arange(len(base))])
+    batch = base[source]
+    shifted = slice(3 * len(base), None)
+    batch[shifted] += rng.uniform(-30.0, 30.0, size=(len(base), 1))
+    order = rng.permutation(len(batch))
+    return batch[order], source[order]
+
+
+def _base_rows(drawn):
+    """A uniform row, the drawn normalized rows, the first of them with its
+    tail and with its head reversed (each sharing an entry's bits with it), a
+    normalized row holding an exact 0.0 and the same row with -0.0 there:
+    equal in value, not in bits."""
+    m = drawn.shape[1]
+    zero = np.concatenate([[0.0], -40.0 - 5.0 * np.arange(m - 1)])
+    assert _same_bits(log_normalize(zero), zero)
+    r = drawn[0]
+    return np.vstack([np.full((1, m), -np.log(m)), drawn,
+                      np.concatenate([r[:1], r[:0:-1]]), np.concatenate([r[-2::-1], r[-1:]]),
+                      zero, np.concatenate([[-0.0], zero[1:]])])
+
+
+def _assert_frozen_under_repeats(model, rng, base, depths):
+    batch, source = _batch_with_repeats(rng, base)
+    _, choices = _frozen_ejs_rows(model, base, EJS_HORIZON)
+    got = EJSGreedySelection().batch_action_distributions(model, batch, 0, EJS_HORIZON)
+    assert _same_bits(got, choices[source])
+    for k in depths:
+        _, choices = _frozen_ecr_rows(model, base, k, EJS_HORIZON)
+        got = ECRLookaheadSelection(k).batch_action_distributions(model, batch, 0, EJS_HORIZON)
+        assert _same_bits(got, choices[source]), k
+
+
+@pytest.mark.parametrize("case", ECR_CASES)
+def test_repeated_rows_get_the_frozen_choices(case, request):
+    rng = np.random.default_rng(sum(map(ord, case)) + 2)
+    model = _case_model(case, request, rng)
+    base = _base_rows(np.log(rng.dirichlet(np.ones(model.num_hypotheses), size=4)))
+    _assert_frozen_under_repeats(model, rng, base, depths=(1, 2, 3))
+
+
+@given(m=st.integers(2, 5), u=st.integers(1, 3), y=st.integers(2, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_repeated_rows_get_the_frozen_choices_random(m, u, y, seed):
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, m, u, y)
+    base = _base_rows(log_normalize(rng.normal(scale=rng.uniform(0.1, 20.0), size=(3, m))))
+    _assert_frozen_under_repeats(model, rng, base, depths=(1, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Selection and inference rules against brute-force and hand oracles."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 from ahtest import (
     Belief,
     Model,
+    RunConfig,
     bllr,
     ejs_divergence,
     lambda_bound,
+    monte_carlo,
     prior_belief,
     saddle_points,
     select_ecr_lookahead,
@@ -284,6 +287,59 @@ class TestECRLookahead:
     def test_node_budget_enforced(self, tri3):
         with pytest.raises(ValueError, match="budget"):
             select_ecr_lookahead(tri3, Belief.uniform(3), 12, 12)
+
+
+class _CountingSelection(strategies.SelectionStrategy):
+    """A rule that records the size of every batch it is given."""
+
+    def __init__(self, rule):
+        self.rule = rule
+        self.sizes = []
+
+    def batch_action_distributions(self, model, log_rho, step, horizon):
+        self.sizes.append(len(log_rho))
+        return self.rule.batch_action_distributions(model, log_rho, step, horizon)
+
+    def spec_string(self):
+        return self.rule.spec_string()
+
+
+class TestDistinctRowsScoredOnce:
+    """In Monte Carlo, episodes with the same outcomes carry the same bits;
+    ejs and ecr:k score each distinct row of a batch once."""
+
+    @pytest.mark.parametrize("rule, scores", [
+        (EJSGreedySelection(), "_ejs_scores"),
+        (ECRLookaheadSelection(2), "_ecr_scores"),
+    ], ids=["ejs", "ecr:k=2"])
+    def test_monte_carlo_scores_distinct_rows_only(self, tri3, tri3_saddles, monkeypatch,
+                                                   rule, scores):
+        scored = []
+        inside = threading.local()   # _ecr_scores recurses on child beliefs
+        real = getattr(strategies, scores)
+
+        def spy(model, rows, *args):
+            if getattr(inside, "busy", False):
+                return real(model, rows, *args)
+            scored.append(np.array(rows))
+            inside.busy = True
+            try:
+                return real(model, rows, *args)
+            finally:
+                inside.busy = False
+
+        monkeypatch.setattr(strategies, scores, spy)
+        counting = _CountingSelection(rule)
+        delta = min(sp.d_star for sp in tri3_saddles) / 4.0
+        monte_carlo(RunConfig(model=tri3, selection=counting,
+                              inference=FBarInference(tri3_saddles, delta),
+                              horizon=12, episodes=400, seed=5))
+        assert sum(counting.sizes) == 3 * 400 * 12
+        assert len(scored) == len(counting.sizes)
+        for rows in scored:
+            assert len({row.tobytes() for row in rows}) == len(rows)
+        # 1008 of 14400 rows for ejs
+        assert sum(map(len, scored)) < sum(counting.sizes) / 10
 
 
 class TestFBar:
