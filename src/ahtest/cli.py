@@ -5,8 +5,11 @@ All four strategy runs share one run path: Monte Carlo with --episodes,
 exact enumeration (count lattices up to 10^7 states) without. `bounds` is a
 one-horizon `sweep` plus its run report. A strategy spec parameter the rule
 does not take, or one given twice, is rejected, and the model's label fields
-must be JSON arrays. Every run echoes its effective defaults (epsilon rule,
-delta, solver tolerance, seed) in the output metadata, and identical
+must be JSON arrays. A subcommand takes only the flags it reads, so any
+other is a usage error: --seed only where Monte Carlo can run (simulate,
+bounds, sweep), --delta and --format only on the four runs, --epsilon-rule
+on validate and the runs. Every run echoes its effective defaults (epsilon
+rule, delta, solver tolerance, seed) in the output metadata, and identical
 configurations produce byte-identical output files.
 
 Exit codes: 0 success, 2 usage error, 3 model load/validation error,
@@ -25,7 +28,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import bounds as bounds_mod
-from .divergence import SADDLE_TOL, SaddleSolverError, saddle_points
+from .divergence import SADDLE_TOL, SaddleSolverError, kl_matrix, saddle_points
 from .engine import EnumerationBudgetError, RunConfig, RunReport, enumerate_exact, monte_carlo
 from .model import EpsilonSchedule, ModelError, lambda_bound, load_model
 from .strategies import parse_inference, parse_selection
@@ -54,18 +57,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, horizon=False, horizons=False, episodes=False, strategies=False,
-                   formats=False):
+    def add_common(p, *, epsilon=False, run=False, horizon=False, horizons=False,
+                   episodes=False):
         p.add_argument("--model", required=True, help="path to the JSON model file")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        if formats:
+        if epsilon or run:
+            p.add_argument("--epsilon-rule", default="half-inverse",
+                           help="epsilon schedule: half-inverse or fixed:V")
+        if run:
             p.add_argument("--format", choices=("json", "csv"), default=None,
                            help="output format (default json; sweep defaults to csv)")
-        p.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-        p.add_argument("--epsilon-rule", default="half-inverse",
-                       help="epsilon schedule: half-inverse or fixed:V")
-        p.add_argument("--delta", type=float, default=None,
-                       help="threshold slack delta (default min_i D*(i) / 4)")
+            p.add_argument("--delta", type=float, default=None,
+                           help="threshold slack delta (default min_i D*(i) / 4)")
+            p.add_argument("--select", default="chernoff",
+                           help="selection spec: chernoff | openloop:i=H | uniform | ejs | ecr:k=K")
+            p.add_argument("--infer", default="fbar",
+                           help="inference spec: fbar[:delta=V] | p2:i=H | map")
         if horizon:
             p.add_argument("--horizon", type=int, required=True, help="number of steps N")
         if horizons:
@@ -74,22 +81,18 @@ def _build_parser() -> argparse.ArgumentParser:
         if episodes:
             p.add_argument("--episodes", type=int, default=None,
                            help="Monte Carlo episode count per conditioning hypothesis")
-        if strategies:
-            p.add_argument("--select", default="chernoff",
-                           help="selection spec: chernoff | openloop:i=H | uniform | ejs | ecr:k=K")
-            p.add_argument("--infer", default="fbar",
-                           help="inference spec: fbar[:delta=V] | p2:i=H | map")
+            p.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
 
-    add_common(sub.add_parser("validate", help="check model invariants"))
+    add_common(sub.add_parser("validate", help="check model invariants"), epsilon=True)
     add_common(sub.add_parser("divergence", help="per-hypothesis saddle points"))
     p = sub.add_parser("simulate", help="Monte Carlo run report")
-    add_common(p, horizon=True, episodes=True, strategies=True, formats=True)
+    add_common(p, run=True, horizon=True, episodes=True)
     p = sub.add_parser("enumerate", help="exact run report by count-lattice enumeration")
-    add_common(p, horizon=True, strategies=True, formats=True)
+    add_common(p, run=True, horizon=True)
     p = sub.add_parser("bounds", help="bound report for one horizon")
-    add_common(p, horizon=True, episodes=True, strategies=True, formats=True)
+    add_common(p, run=True, horizon=True, episodes=True)
     p = sub.add_parser("sweep", help="exponent table over a horizon list")
-    add_common(p, horizons=True, episodes=True, strategies=True, formats=True)
+    add_common(p, run=True, horizons=True, episodes=True)
     return parser
 
 
@@ -159,8 +162,6 @@ def _report_csv(report: RunReport) -> str:
 def _cmd_validate(args) -> int:
     model = load_model(args.model)
     schedule = EpsilonSchedule.parse(args.epsilon_rule)
-    from .divergence import kl_matrix
-
     min_kl = min(
         float(kl_matrix(model, i).values.min()) for i in range(model.num_hypotheses)
     )
@@ -234,7 +235,7 @@ def _run(args, *, bound_rows: bool = False):
     run = enumerate_exact if episodes is None else monte_carlo
     reports = [
         run(RunConfig(model=model, selection=selection, inference=inference,
-                      horizon=n, episodes=episodes, seed=args.seed))
+                      horizon=n, episodes=episodes, seed=getattr(args, "seed", 0)))
         for n in horizons
     ]
     metadata = {

@@ -6,17 +6,19 @@ a hypothesis index or None for the inconclusive declaration. Both are
 deterministic: all sampling randomness lives in the engine, which lets the
 exact enumerator reuse the same strategy objects.
 
-Every rule implements one batch method over a matrix of log-beliefs, one
-row per episode or lattice state, each known only up to its own additive
-constant (a rule reading probabilities, as ejs and ecr:k do, normalizes its
-rows itself): batch_action_distributions for selection, batch_decide for
-inference. The one-belief calls action_distribution and decide are defined
-once, on the base classes, as a batch of one, so a scalar call returns row 0
-of the batch computation and cannot drift from it. Rows never interact, so
-a row's result does not depend on its batch; that makes it exact for the
-rules reading probabilities to score each bitwise-distinct normalized row
-once, as Monte Carlo batches repeat rows heavily. Monte Carlo calls a rule
-concurrently on disjoint row blocks, so a rule keeps no mutable shared state.
+Every rule implements one batch method, and only that, over a matrix of
+log-beliefs, one row per episode or lattice state, each known only up to
+its own additive constant (a rule reading probabilities, as ejs and ecr:k
+do, normalizes its rows itself): batch_action_distributions for selection,
+batch_decide for inference. The CLI echoes a rule's spec as typed, so a
+rule carries no spec of its own. The one-belief calls action_distribution
+and decide are defined once, on the base classes, as a batch of one, so a
+scalar call returns row 0 of the batch computation and cannot drift from
+it. Rows never interact, so a row's result does not depend on its batch;
+that makes it exact for the rules reading probabilities to score each
+bitwise-distinct normalized row once, as Monte Carlo batches repeat rows
+heavily. Monte Carlo calls a rule concurrently on disjoint row blocks, so a
+rule keeps no mutable shared state.
 
 One tie rule serves every rule and route: scores within tie_tolerance of
 the best tie, the lowest index winning, and a threshold margin within it of
@@ -90,20 +92,17 @@ def _ejs_scores(model: Model, log_rho: np.ndarray) -> np.ndarray:
     return gains.reshape(gains.shape[:2] + (-1,)).sum(axis=-1)
 
 
-def _one_hot_best(model: Model, scores: np.ndarray, horizon: int) -> np.ndarray:
-    """(B, U) scores -> one-hot rows on the best experiment, by the tie rule."""
-    return np.eye(model.num_experiments)[_argmax_lowest(scores, tie_tolerance(model, horizon))]
-
-
 def _one_hot_best_distinct(model: Model, log_rho: np.ndarray, horizon: int,
                            score: Callable[..., np.ndarray], *args) -> np.ndarray:
-    """_one_hot_best of score(model, rows, *args) over the normalized rows,
-    scoring each bitwise-distinct row once (exact: a row's scores do not
-    depend on its batch) and expanding the result back to every row."""
+    """One-hot rows on the best experiment by score(model, rows, *args) over
+    the normalized rows, by the tie rule, scoring each bitwise-distinct row
+    once (exact: a row's scores do not depend on its batch) and expanding
+    the result back to every row."""
     rows = np.ascontiguousarray(normalize_belief_rows(log_rho))
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[-1]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return _one_hot_best(model, score(model, rows[first], *args), horizon)[inverse]
+    best = _argmax_lowest(score(model, rows[first], *args), tie_tolerance(model, horizon))
+    return np.eye(model.num_experiments)[best][inverse]
 
 
 def ejs_divergence(model: Model, belief: Belief, u: int) -> float:
@@ -199,9 +198,6 @@ class SelectionStrategy:
         """(B, M) log-beliefs -> (B, U) experiment distributions."""
         raise NotImplementedError
 
-    def spec_string(self) -> str:
-        raise NotImplementedError
-
 
 class ChernoffSelection(SelectionStrategy):
     """MAP-phase rule: the current MAP estimate's optimal experiment mixture,
@@ -223,9 +219,6 @@ class ChernoffSelection(SelectionStrategy):
         choice = _argmax_lowest(log_rho, tie_tolerance(model, horizon))
         return self._table.take(choice, axis=0)
 
-    def spec_string(self):
-        return "chernoff"
-
 
 class OpenLoopSelection(SelectionStrategy):
     """Constant mixture: hypothesis i's optimal experiment distribution."""
@@ -237,25 +230,16 @@ class OpenLoopSelection(SelectionStrategy):
     def batch_action_distributions(self, model, log_rho, step, horizon):
         return np.broadcast_to(self.alpha, (log_rho.shape[0], self.alpha.size))
 
-    def spec_string(self):
-        return f"openloop:i={self.i + 1}"
-
 
 class UniformSelection(SelectionStrategy):
     def batch_action_distributions(self, model, log_rho, step, horizon):
         u = model.num_experiments
         return np.broadcast_to(np.full(u, 1.0 / u), (log_rho.shape[0], u))
 
-    def spec_string(self):
-        return "uniform"
-
 
 class EJSGreedySelection(SelectionStrategy):
     def batch_action_distributions(self, model, log_rho, step, horizon):
         return _one_hot_best_distinct(model, log_rho, horizon, _ejs_scores)
-
-    def spec_string(self):
-        return "ejs"
 
 
 class ECRLookaheadSelection(SelectionStrategy):
@@ -276,9 +260,6 @@ class ECRLookaheadSelection(SelectionStrategy):
                              f"{_DEFAULT_ECR_NODE_BUDGET}")
         return _one_hot_best_distinct(model, log_rho, horizon, _ecr_scores, depth)
 
-    def spec_string(self):
-        return f"ecr:k={self.k}"
-
 
 class InferenceStrategy:
     """Deterministic map from the final belief to a hypothesis or abstention.
@@ -298,9 +279,6 @@ class InferenceStrategy:
     ) -> np.ndarray:
         """(B, M) final log-beliefs, each up to its own constant, -> (B,)
         int64 hypothesis indices, INCONCLUSIVE for abstain."""
-        raise NotImplementedError
-
-    def spec_string(self) -> str:
         raise NotImplementedError
 
 
@@ -327,9 +305,6 @@ class FBarInference(InferenceStrategy):
     def batch_decide(self, model, log_prior, log_final, horizon):
         inc = bllr_matrix(log_final) - bllr_matrix(log_prior)[None, :]
         return _decide_by_thresholds(inc, self._thresholds(horizon), tie_tolerance(model, horizon))
-
-    def spec_string(self):
-        return f"fbar:delta={self.delta!r}"
 
 
 class P2Inference(InferenceStrategy):
@@ -362,18 +337,12 @@ class P2Inference(InferenceStrategy):
         inc = bllr_matrix(log_final) - bllr_matrix(log_prior)[None, :]
         return _decide_by_thresholds(inc, thresholds, tie_tolerance(model, horizon))
 
-    def spec_string(self):
-        return f"p2:i={self.i + 1}"
-
 
 class MAPInference(InferenceStrategy):
     """Baseline forced decision: the MAP hypothesis, lowest index on ties."""
 
     def batch_decide(self, model, log_prior, log_final, horizon):
         return _argmax_lowest(log_final, tie_tolerance(model, horizon)).astype(np.int64)
-
-    def spec_string(self):
-        return "map"
 
 
 class FixedThresholdInference(InferenceStrategy):
@@ -387,9 +356,6 @@ class FixedThresholdInference(InferenceStrategy):
     def batch_decide(self, model, log_prior, log_final, horizon):
         inc = bllr_matrix(log_final) - bllr_matrix(log_prior)[None, :]
         return _decide_by_thresholds(inc, self.theta, tie_tolerance(model, horizon))
-
-    def spec_string(self):
-        return f"threshold:theta={self.theta!r}"
 
 
 # ---------------------------------------------------------------------------

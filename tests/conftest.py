@@ -103,9 +103,6 @@ class SoftmaxSelection(SelectionStrategy):
         e = np.exp(z)
         return e / e.sum(axis=-1, keepdims=True)
 
-    def spec_string(self):
-        return "test-softmax"
-
 
 def random_selection(rng: np.random.Generator, model: Model) -> SoftmaxSelection:
     return SoftmaxSelection(

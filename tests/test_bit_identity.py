@@ -304,7 +304,7 @@ def test_ejs_batch_rejects_what_belief_rejects(tri3, bad):
             # accepted and gets its normalized row's choice
             got = rule.batch_action_distributions(tri3, repeated, 0, EJS_HORIZON)
             want = rule.batch_action_distributions(tri3, log_normalize(rows), 0, EJS_HORIZON)
-            assert all(_same_bits(got[t], want[2]) for t in (2, 5, 8)), rule.spec_string()
+            assert all(_same_bits(got[t], want[2]) for t in (2, 5, 8)), type(rule).__name__
         else:
             for batch in (rows, repeated):
                 with pytest.raises(ValueError, match="belief entries must be finite"):
@@ -719,7 +719,7 @@ def test_rule_rows_do_not_depend_on_their_batch(case, request):
         batch = rule.batch_action_distributions(model, rows, 0, horizon)
         for t in range(0, len(rows), 37):
             alone = rule.batch_action_distributions(model, rows[t:t + 1], 0, horizon)
-            assert _same_bits(alone[0], batch[t]), rule.spec_string()
+            assert _same_bits(alone[0], batch[t]), type(rule).__name__
     log_prior = np.log(model.prior)
     for rule, _ in _frozen_inferences(model, saddles, horizon):
         batch = rule.batch_decide(model, log_prior, rows, horizon)

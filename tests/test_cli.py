@@ -288,12 +288,37 @@ class TestOutputErrors:
 
 
 class TestFormatFlag:
-    @pytest.mark.parametrize("command", ["validate", "divergence"])
-    def test_rejected_where_it_would_be_ignored(self, capsys, command):
+    """A subcommand takes only the flags it reads: --format, --seed, --delta
+    and --epsilon-rule are usage errors where they would be ignored."""
+
+    @pytest.mark.parametrize("command, flag, value", [
+        pytest.param("validate", "--format", "csv", id="validate"),
+        pytest.param("divergence", "--format", "csv", id="divergence"),
+        pytest.param("validate", "--seed", "1", id="validate-seed"),
+        pytest.param("validate", "--delta", "0.1", id="validate-delta"),
+        pytest.param("divergence", "--seed", "1", id="divergence-seed"),
+        pytest.param("divergence", "--delta", "0.1", id="divergence-delta"),
+        pytest.param("divergence", "--epsilon-rule", "fixed:0.05", id="divergence-epsilon-rule"),
+        pytest.param("enumerate", "--seed", "1", id="enumerate-seed"),
+    ])
+    def test_rejected_where_it_would_be_ignored(self, capsys, command, flag, value):
+        extra = ["--horizon", "2"] if command == "enumerate" else []
         with pytest.raises(SystemExit) as exc:
-            main([command, "--model", BSC2, "--format", "csv"])
+            main([command, "--model", BSC2, *extra, flag, value])
         assert exc.value.code == 2
-        assert "--format" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, extra", [
+        ("bounds", ["--horizon", "2"]),
+        ("sweep", ["--horizons", "1,2"]),
+    ])
+    def test_seed_accepted_without_episodes(self, capsys, command, extra):
+        # bounds and sweep run Monte Carlo once --episodes is given, so they
+        # take --seed without it too; the exact run does not read it.
+        code, out, err = run_cli(capsys, command, "--model", BSC2, *extra, "--seed", "7")
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, command, "--model", BSC2, *extra)[1].replace(
+            '"seed": 0', '"seed": 7')
 
     @pytest.mark.parametrize("command, extra", [
         ("simulate", ["--horizon", "2", "--episodes", "10"]),

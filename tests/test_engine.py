@@ -217,6 +217,26 @@ class TestTieRule:
         assert rep.psi[0] == rep.psi[1]
         assert rep.psi[0] == pytest.approx(tail, rel=1e-13, abs=0)
 
+    @pytest.mark.parametrize("horizon", [300, 500])
+    def test_bsc2_exact_tails_past_horizon_200_match_log_domain_sums(self, bsc2, horizon):
+        # H1 is declared iff the count k of observation 0 reaches 4N/5, H2
+        # iff it is at most N/5; at k = 4N/5 the margin is zero up to
+        # rounding and the tie rule declares. Under H1, k ~ Binomial(N, 0.9):
+        # psi(H1) = P(k < 4N/5), and gamma = P(k <= N/5) (uniform prior,
+        # symmetric channel). gamma is near 1e-298 at N = 500 and underflows
+        # from N = 540 on, so the reference sums in the log domain.
+        def log_tail(ks):
+            terms = [math.lgamma(horizon + 1) - math.lgamma(k + 1) - math.lgamma(horizon - k + 1)
+                     + k * math.log(0.9) + (horizon - k) * math.log(0.1) for k in ks]
+            top = max(terms)
+            return top + math.log(math.fsum(math.exp(t - top) for t in terms))
+
+        rep = enumerate_exact(_chernoff_fbar(bsc2, horizon))
+        k = 4 * horizon // 5
+        assert rep.psi[0] == pytest.approx(math.exp(log_tail(range(k))), rel=1e-12, abs=0)
+        assert rep.gamma == pytest.approx(
+            math.exp(log_tail(range(horizon - k + 1))), rel=1e-12, abs=0)
+
     @pytest.mark.parametrize("horizon", [25, 50])
     def test_bsc2_monte_carlo_abstains_alike_under_each_hypothesis(self, bsc2, horizon):
         episodes = 65536
