@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -50,7 +51,9 @@ class OutputError(Exception):
     """The --out file could not be written."""
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ahtest",
         description="Fixed-horizon active hypothesis testing with an inconclusive option",

@@ -14,12 +14,14 @@ chunk, so no result depends on the CPU count.
 Exact enumeration merges the (experiment, observation) tree's paths by their
 outcome counts, which fix the belief (the method of types): a forward pass
 over the count lattice, one batch selection call per level and one batch
-decision on the last, with masses in the log domain. It is the oracle the
-Monte Carlo path is tested against.
+decision on the last, with masses in the log domain. A level advances as
+whole arrays, its path counts int64 until (U * Y)^n reaches 2^62 and Python
+ints after. It is the oracle the Monte Carlo path is tested against.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
@@ -386,13 +388,10 @@ def _error_rates(decision_probs: np.ndarray, prior: np.ndarray):
 
 
 def _count_loglik(counts: np.ndarray, lc_uy: np.ndarray) -> np.ndarray:
-    """(S, K) outcome counts -> (S, M) summed log-likelihoods, added in
+    """(K, S) outcome counts -> (S, M) summed log-likelihoods, added in
     outcome order: a matrix product may round a row differently in another
     batch."""
-    total = counts[:, :1] * lc_uy[0]
-    for k in range(1, counts.shape[1]):
-        total = total + counts[:, k:k + 1] * lc_uy[k]
-    return total
+    return functools.reduce(operator.add, counts[:, :, None] * lc_uy[:, None, :])
 
 
 def _fsum(values: np.ndarray) -> float:
@@ -400,11 +399,9 @@ def _fsum(values: np.ndarray) -> float:
     return math.fsum(values.tolist())
 
 
-def _composition_rank(counts: np.ndarray, rank_terms: np.ndarray) -> np.ndarray:
-    """Rank of each count vector among those with its sum, by the
-    combinatorial number system: the sum of C(s_j + j, j + 1) =
-    rank_terms[s_j, j] over the prefix sums s_j = c_0 + ... + c_j, j < K - 1."""
-    return rank_terms[np.cumsum(counts[:, :-1], axis=1), np.arange(counts.shape[1] - 1)].sum(axis=1)
+def _slot(ranks: np.ndarray, level: int) -> np.ndarray:
+    """Row of each state of a level, given its composition rank: the rank."""
+    return ranks
 
 
 def walk_paths(model: Model, selection: SelectionStrategy, horizon: int, visit) -> int:
@@ -413,15 +410,18 @@ def walk_paths(model: Model, selection: SelectionStrategy, horizon: int, visit) 
 
     After n steps the belief is fixed by the counts c of the K = U * Y
     outcomes (u, y), k = u * Y + y, so level n has C(n + K - 1, K - 1)
-    states, laid out by composition rank. Under h the paths into c have
-    probability A(c) prod_k p_h(k)^c_k, A(c) the sum of their action
-    probability products. Each level takes one batch selection call on its
-    unnormalized rows; a child adds its parents' log A terms in outcome order,
-    so no result depends on a level's layout, and counts its paths of
-    positive probability exactly. Calls visit(counts (S, K), log_mass (S, M),
-    log_rho (S, M)) once, on the last level: log_mass[s, h] is the log
-    probability under h of the paths into s, log_rho their normalized
-    belief. Returns the number of root-to-leaf paths of positive probability.
+    states, each in the row _slot gives its composition rank. Under h the
+    paths into c have probability A(c) prod_k p_h(k)^c_k, A(c) the sum of
+    their action probability products. A level takes one batch selection
+    call on its unnormalized rows and advances as whole (outcome, state)
+    arrays: all K child ranks from the prefix sums, one scatter of the
+    counts, and each child's log A terms merged in outcome order from -inf,
+    so no result depends on a level's layout. Paths of positive probability
+    are counted in int64 while K^n < 2^62, in Python ints after. Calls
+    visit(counts (S, K), log_mass (S, M), log_rho (S, M)) once, on the last
+    level: log_mass[s, h] is the log probability under h of the paths into
+    s, log_rho their normalized belief. Returns the number of root-to-leaf
+    paths of positive probability.
     """
     n_obs = model.num_observations
     n_out = model.num_experiments * n_obs
@@ -432,33 +432,39 @@ def walk_paths(model: Model, selection: SelectionStrategy, horizon: int, visit) 
             f"has {states} states at horizon {horizon}, over the node budget {DEFAULT_NODE_BUDGET}")
     lc_uy = np.moveaxis(model.log_channel, 0, 2).reshape(n_out, -1)
     log_prior = np.log(model.prior)
-    rank_terms = np.array([[math.comb(s + j, j + 1) for j in range(n_out - 1)]
-                           for s in range(horizon + 1)], dtype=np.int64)
-    unit = np.eye(n_out, dtype=np.int64)
-    counts = np.zeros((1, n_out), dtype=np.int64)
-    log_a = np.zeros(1)
-    paths = np.ones(1, dtype=object)      # Python ints: 2**200 paths at bsc2 N=200
+    # A rank sums C(s_j + j, j + 1) over the prefix sums s_j = c_0 + ... + c_j, j < K - 1;
+    # c + e_k steps each s_j, j >= k, by rise[s_j, j] = C(s_j + j, j) (0 for j = K - 1).
+    rise = np.array([[math.comb(s + j, j) for j in range(n_out - 1)] + [0]
+                     for s in range(horizon)], dtype=np.int64)
+    outcomes = np.arange(n_out)[:, None]
+    unit = np.eye(n_out, dtype=np.int64)[:, :, None]
+    # Levels are outcome-major (K, S) tables: a sum over outcomes adds whole rows.
+    counts = np.zeros((n_out, 1), dtype=np.int64)
+    ranks = np.zeros(1, dtype=np.int64)
+    log_a, paths = np.zeros(1), np.ones(1, dtype=np.int64)
     for n in range(horizon):
         rows = log_prior + _count_loglik(counts, lc_uy)
-        dist = selection.batch_action_distributions(model, rows, n, horizon)
+        dist = selection.batch_action_distributions(model, rows, n, horizon).T
         with np.errstate(divide="ignore"):
             log_dist = np.log(dist)
+        if paths.dtype != object and n_out ** (n + 1) >= 1 << 62:
+            paths = paths.astype(object)
         size = math.comb(n + n_out, n_out - 1)
-        child_counts = np.empty((size, n_out), dtype=np.int64)
-        child_log_a = np.full(size, -np.inf)
-        child_paths = np.zeros(size, dtype=object)
-        # One outcome at a time: c -> c + e_k is one-to-one, so each scatter
-        # writes every child once.
-        for k in range(n_out):
-            moved = counts + unit[k]
-            child = _composition_rank(moved, rank_terms)
-            child_counts[child] = moved
-            u = k // n_obs
-            child_log_a[child] = np.logaddexp(child_log_a[child], log_a + log_dist[:, u])
-            child_paths[child] += np.where(dist[:, u] > 0.0, paths, 0)
-        counts, log_a, paths = child_counts, child_log_a, child_paths
+        steps = rise[counts.cumsum(axis=0), outcomes]
+        child_ranks = ranks + steps[::-1].cumsum(axis=0)[::-1]
+        # c -> c + e_k is one-to-one, so each (k, child) cell is written at most once.
+        child = _slot(child_ranks, n + 1)
+        ranks = np.empty(size, dtype=np.int64)
+        ranks[child] = child_ranks
+        next_counts = np.empty((n_out, size), dtype=np.int64)
+        next_counts[:, child] = counts[:, None, :] + unit
+        log_in = np.full((n_out, size), -np.inf)
+        log_in[outcomes, child] = (log_a + log_dist).repeat(n_obs, axis=0)
+        paths_in = np.zeros((n_out, size), dtype=paths.dtype)
+        paths_in[outcomes, child] = np.where(dist > 0.0, paths, 0).repeat(n_obs, axis=0)
+        counts, log_a, paths = next_counts, np.logaddexp.reduce(log_in), paths_in.sum(axis=0)
     loglik = _count_loglik(counts, lc_uy)
-    visit(counts, log_a[:, None] + loglik, log_normalize(log_prior + loglik))
+    visit(counts.T, log_a[:, None] + loglik, log_normalize(log_prior + loglik))
     return int(paths.sum())
 
 
@@ -480,9 +486,10 @@ def enumerate_exact(config: RunConfig) -> RunReport:
         col = np.where(d == INCONCLUSIVE, m_hyp, d)
         mass = np.exp(log_mass)
         gain = mass * (bllr_matrix(log_rho) - bllr_matrix(log_prior))
+        picks = [col == c for c in range(m_hyp + 1)]     # one mask per decision column
         for h in range(m_hyp):
-            dm[h] = [_fsum(mass[col == c, h]) for c in range(m_hyp + 1)]
-            psi[h] = _fsum(mass[col != h, h])
+            dm[h] = [_fsum(mass[pick, h]) for pick in picks]
+            psi[h] = _fsum(mass[~picks[h], h])
             jng[h] = _fsum(gain[:, h]) / horizon
 
     paths = walk_paths(model, config.selection, horizon, visit)

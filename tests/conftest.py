@@ -1,5 +1,9 @@
 """Shared fixtures: the two reference models and random-instance helpers."""
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +17,18 @@ from ahtest.strategies import SelectionStrategy
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 MODELS_DIR = REPO_ROOT / "models"
+
+
+def fresh_python(script: str, *args):
+    """Run `script` with JSON-encoded `args` in a new interpreter (this one
+    has scipy loaded and a parser built) and return the JSON document it prints."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(args)], capture_output=True,
+                          text=True, env=env, cwd=REPO_ROOT, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
 
 # Property tests draw the same examples on every run and keep no example
 # database, so the suite stays deterministic.

@@ -979,7 +979,8 @@ BLOCK_CASES = [("tri3", 5, 0, 0), ("tri3", 4, 4, 0), ("bsc2", 7, 3, 3),
 
 # The name predates the count lattice, whose unit of work is a level, not a
 # block of tree nodes: layout None keeps each level in composition rank
-# order, and a seed lays every level out in a random order of its own.
+# order, and a seed lays every level out in a random order of its own
+# through engine._slot, the one map from a state's rank to its row.
 @pytest.mark.parametrize("layout", [1, 7, None])
 @pytest.mark.parametrize("case, horizon, sel, inf", BLOCK_CASES)
 def test_walk_block_size_moves_no_bit(case, horizon, sel, inf, layout, request, monkeypatch):
@@ -992,19 +993,23 @@ def test_walk_block_size_moves_no_bit(case, horizon, sel, inf, layout, request, 
                        inference=_frozen_inferences(model, saddles, horizon)[inf][0],
                        horizon=horizon)
     ranked = (_hexed(enumerate_exact(config).to_json_dict()), enumerate_pair_expectations(config))
+    shuffled = set()
     if layout is not None:
-        rank = engine._composition_rank
+        k = model.num_experiments * model.num_observations
 
-        def shuffled_rank(counts, rank_terms):
-            n, k = int(counts[0].sum()), counts.shape[1]
-            order = np.random.default_rng([layout, n]).permutation(math.comb(n + k - 1, k - 1))
-            return order[rank(counts, rank_terms)]
+        def shuffled_slot(ranks, level):
+            shuffled.add(level)
+            order = np.random.default_rng([layout, level]).permutation(
+                math.comb(level + k - 1, k - 1))
+            return order[ranks]
 
-        monkeypatch.setattr(engine, "_composition_rank", shuffled_rank)
+        monkeypatch.setattr(engine, "_slot", shuffled_slot)
     assert _hexed(enumerate_exact(config).to_json_dict()) == ranked[0]
     lam, kls = enumerate_pair_expectations(config)
     assert _same_bits(lam, ranked[1][0]) and _same_bits(kls, ranked[1][1])
     _assert_matches_frozen_walker(config, _frozen_leaves(model, config.selection, horizon))
+    # Every level past the root was laid out by the patched map.
+    assert shuffled == (set() if layout is None else set(range(1, horizon + 1)))
 
 
 # float.hex of the exact-tree benchmark's outputs (chernoff/fbar, default

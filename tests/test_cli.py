@@ -10,7 +10,7 @@ import pytest
 
 from ahtest.cli import main
 
-from conftest import MODELS_DIR, REPO_ROOT, corrupt_mixtures
+from conftest import MODELS_DIR, REPO_ROOT, corrupt_mixtures, fresh_python
 
 BSC2 = str(MODELS_DIR / "bsc2.json")
 TRI3 = str(MODELS_DIR / "tri3.json")
@@ -394,3 +394,31 @@ def test_golden_output(capsys, monkeypatch, name):
     code, out, err = run_cli(capsys, *GOLDEN[name])
     assert (code, err) == (0, "")
     assert out == (GOLDEN_DIR / name).read_bytes().decode("utf-8")
+
+
+class TestParserReuse:
+    """main builds its parser once per process, on first use, and a usage
+    error or --help leaves it as it was."""
+
+    def test_import_builds_no_parser(self):
+        built = fresh_python(
+            "import json, ahtest.cli; print(json.dumps(ahtest.cli._build_parser.cache_info().currsize))")
+        assert built == 0
+
+    @pytest.mark.parametrize("name", ["enumerate-tri3.json", "sweep-bsc2.csv"])
+    def test_reused_parser_gives_the_same_bytes(self, capsys, monkeypatch, name):
+        from ahtest import cli
+
+        monkeypatch.chdir(REPO_ROOT)
+        argv = GOLDEN[name]
+        cli._build_parser.cache_clear()
+        runs = [run_cli(capsys, *argv)]                 # the first call builds the parser
+        for bad, code in ((argv + ["--no-such-flag"], 2), ([argv[0], "--help"], 0)):
+            with pytest.raises(SystemExit) as exc:
+                main(bad)
+            assert exc.value.code == code
+            capsys.readouterr()
+            runs.append(run_cli(capsys, *argv))
+        golden = (GOLDEN_DIR / name).read_bytes().decode("utf-8")
+        assert runs == [(0, golden, "")] * 3
+        assert cli._build_parser.cache_info().misses == 1

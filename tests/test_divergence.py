@@ -1,10 +1,6 @@
 """KL matrices and certified saddle points, cross-checked against grid search."""
 
-import json
 import math
-import os
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -25,7 +21,7 @@ from ahtest import (
 )
 from ahtest.divergence import SADDLE_TOL, KLMatrix, SaddleSolverError
 
-from conftest import MODELS_DIR, REPO_ROOT, corrupt_mixtures, random_model, relabel
+from conftest import MODELS_DIR, corrupt_mixtures, fresh_python, random_model, relabel
 
 
 def grid_saddle_value_2rows(payoff: np.ndarray, step: float) -> float:
@@ -300,17 +296,6 @@ class TestRelabelling:
                 beta = np.array([by_rival[j] for j in kl.rivals])
                 assert float(np.min(alpha @ kl.values)) >= sp.d_star - SADDLE_TOL
                 assert float(np.max(kl.values @ beta)) <= sp.d_star + SADDLE_TOL
-
-
-def fresh_python(script: str, *args) -> dict:
-    """Run `script` with JSON-encoded `args` in a new interpreter (this one
-    has scipy loaded) and return the JSON document it prints."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", script, json.dumps(args)], capture_output=True,
-                          text=True, env=env, cwd=REPO_ROOT, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
 
 
 NO_SCIPY_RUNS = """

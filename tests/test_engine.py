@@ -2,8 +2,10 @@
 and the enumeration-certified inequalities."""
 
 import dataclasses
+import functools
 import json
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -513,6 +515,44 @@ class TestJng:
 
         walk_paths(tri3, sel, 3, visit)
         np.testing.assert_allclose(np.array(exact.jng), total / 3, atol=1e-9)
+
+
+class TestPathCountWidth:
+    """Path counts are int64 while K^n < 2^62 and Python ints after: exact on
+    both sides of the switch (bsc2 switches at level 62, tri3 at level 31)."""
+
+    @pytest.mark.parametrize("name, horizon", [("bsc2", n) for n in range(61, 65)]
+                             + [("tri3", n) for n in range(30, 34)])
+    def test_uniform_counts_every_path(self, name, horizon, request):
+        model = request.getfixturevalue(name)
+        paths = enumerate_exact(RunConfig(model=model, selection=UniformSelection(),
+                                          inference=MAPInference(), horizon=horizon)).paths
+        assert type(paths) is int
+        assert paths == (model.num_experiments * model.num_observations) ** horizon
+
+    @pytest.mark.parametrize("horizon", [32, 33])
+    def test_chernoff_counts_match_a_python_int_forward_count(self, tri3, tri3_saddles, horizon):
+        selection = ChernoffSelection(tri3_saddles)
+        lc_uy = np.moveaxis(tri3.log_channel, 0, 2).reshape(-1, tri3.num_hypotheses)
+        n_out, n_obs = len(lc_uy), tri3.num_observations
+        level = {(0,) * n_out: 1}            # reachable count vector -> its paths
+        for n in range(horizon):
+            states = list(level)
+            counts = np.array(states)
+            # The engine's rows: log-likelihoods added in outcome order.
+            rows = np.log(tri3.prior) + functools.reduce(
+                operator.add, [counts[:, k:k + 1] * lc_uy[k] for k in range(n_out)])
+            dist = selection.batch_action_distributions(tri3, rows, n, horizon)
+            children = {}
+            for state, d in zip(states, dist):
+                for k in range(n_out):
+                    if d[k // n_obs] > 0.0:
+                        child = state[:k] + (state[k] + 1,) + state[k + 1:]
+                        children[child] = children.get(child, 0) + level[state]
+            level = children
+        paths = enumerate_exact(RunConfig(model=tri3, selection=selection,
+                                          inference=MAPInference(), horizon=horizon)).paths
+        assert type(paths) is int and paths == sum(level.values())
 
 
 class TestEnumeratedInequalities:
