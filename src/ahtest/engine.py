@@ -4,12 +4,15 @@ Monte Carlo runs are vectorized across episodes, one lane per true
 hypothesis. A lane's Philox key packs (base seed, lane), and episode e of a
 horizon-N run reads its 2N uniforms from counter e * ceil(2N / 4) on: a
 chunk of episodes is one block, estimates do not depend on batching, and
-run_episode replays any episode exactly. Episodes carry log-prior plus summed
-log-likelihoods, unnormalized, and every rule gets those rows as they are:
-it reads a row only up to the row's own constant (see strategies). A chunk
-runs in contiguous parts of episodes, one per CPU, each drawing and stepping
-its own rows; rows never interact and the joined parts are reduced as one
-chunk, so no result depends on the CPU count.
+run_episode replays any episode exactly. Step n reads the episode's values
+2n (experiment) and 2n + 1 (observation), copied step-major so that a step
+reads contiguous rows; a model with one experiment copies no experiment
+values, since its experiment is always 0. Episodes carry log-prior plus
+summed log-likelihoods, unnormalized, and every rule gets those rows as they
+are: it reads a row only up to the row's own constant (see strategies). A
+chunk runs in contiguous parts of episodes, one per CPU, each drawing its own
+uniforms and stepping them; rows never interact and the joined parts are
+reduced as one chunk, so no result depends on the CPU count.
 
 Exact enumeration merges the (experiment, observation) tree's paths by their
 outcome counts, which fix the belief (the method of types): a forward pass
@@ -42,6 +45,10 @@ CHUNK_SIZE = 32768
 # C(N + K - 1, K - 1) states, K = experiments x observations.
 DEFAULT_NODE_BUDGET = 10**7
 
+# Bytes of _uniform_block's Philox scratch, a tile of whole episodes: small
+# enough to stay in cache while it is copied into the step rows.
+_TILE_BYTES = 1 << 19
+
 # At most _MAX_PARTS parts of at least _MIN_PART episodes; no thread starts before one is needed.
 _MIN_PART = 4096
 _MAX_PARTS = 8
@@ -50,7 +57,8 @@ _POOL = ThreadPoolExecutor(_MAX_PARTS - 1, thread_name_prefix="ahtest-part")
 
 def _in_parts(fn, count: int) -> list:
     """[fn(lo, hi) for each even contiguous part [lo, hi) of range(count)], one per CPU,
-    part 0 in the calling thread; every part has stopped before this returns or raises."""
+    part 0 in the calling thread; every part has stopped before this returns or raises.
+    A Monte Carlo part draws its own uniforms in its own thread and steps them."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     p = max(1, min(cpus, count // _MIN_PART, _MAX_PARTS))
     edges = [count * i // p for i in range(p + 1)]
@@ -189,10 +197,11 @@ def run_episode(
     chunk code on a chunk of one, so it has the bits of the batch row."""
     if not (0 <= true_h < config.model.num_hypotheses):
         raise ValueError(f"hypothesis index {true_h} out of range")
-    uniforms = _uniform_block(config.seed, true_h, episode, 1, 2 * config.horizon)
+    act, obs = _uniform_block(config.seed, true_h, episode, 1, config.horizon,
+                              config.model.num_experiments > 1)
     decisions, _, (path, steps) = _run_chunk(
         config.model, config.selection, config.inference, config.horizon,
-        np.array([true_h]), uniforms, record=True,
+        np.array([true_h]), act, obs, record=True,
     )
     d = int(decisions[0])
     return Trajectory(steps[0]), None if d == INCONCLUSIVE else d, Belief(path[0, -1])
@@ -204,17 +213,20 @@ def _run_chunk(
     inference: InferenceStrategy,
     horizon: int,
     true_h: np.ndarray,
-    uniforms: np.ndarray,
+    act: Optional[np.ndarray],
+    obs: np.ndarray,
     record: bool = False,
 ):
     """Advance a chunk of episodes through all steps and decide.
 
-    true_h is a per-episode array of true hypotheses; uniforms has
-    shape (chunk, 2 * horizon) laid out as (action, observation) per step.
+    true_h is a per-episode array of true hypotheses; act and obs are the
+    step-major (horizon, chunk) experiment and observation uniforms of
+    _uniform_block, act None on a one-experiment model, whose experiment is
+    always 0 (the selection is still called, so its checks still run).
     Returns (decisions, increments, (path, steps)); with record, the
     normalized log-beliefs (chunk, horizon + 1, M) and (u, y) steps.
     """
-    m = uniforms.shape[0]
+    m = obs.shape[1]
     n_exp = model.num_experiments
     n_obs = model.num_observations
     # Per-step gathers take rows of 2-D tables by one flat index: np.take is
@@ -225,6 +237,9 @@ def _run_chunk(
     hu_base = true_h * n_exp
     log_prior = np.log(model.prior)
     log_rho = np.tile(log_prior, (m, 1))    # log-prior plus summed log-likelihoods
+    # With one experiment u stays 0, so its observation channel rows never change.
+    u = np.zeros(m, dtype=np.intp)
+    channel = np.take(channel_by_hu, hu_base + u, axis=0)
     path = steps = None
     if record:
         path = np.empty((m, horizon + 1, model.num_hypotheses))
@@ -232,9 +247,10 @@ def _run_chunk(
         path[:, 0] = log_normalize(log_rho)
     for n in range(horizon):
         dists = selection.batch_action_distributions(model, log_rho, n, horizon)
-        u = sample_categorical(dists, uniforms[:, 2 * n])
-        y = sample_categorical(
-            np.take(channel_by_hu, hu_base + u, axis=0), uniforms[:, 2 * n + 1])
+        if n_exp > 1:
+            u = sample_categorical(dists, act[n])
+            channel = np.take(channel_by_hu, hu_base + u, axis=0)
+        y = sample_categorical(channel, obs[n])
         log_rho += np.take(log_channel_by_uy, u * n_obs + y, axis=0)
         if record:
             path[:, n + 1] = log_normalize(log_rho)
@@ -244,29 +260,43 @@ def _run_chunk(
     return decisions, increments, (path, steps)
 
 
-def _uniform_block(base_seed: int, lane: int, start: int, count: int, width: int) -> np.ndarray:
-    """Row t holds episode start + t's first width uniforms.
+def _uniform_block(base_seed: int, lane: int, start: int, count: int, horizon: int,
+                   actions: bool = True):
+    """(act, obs): the step-major (horizon, count) experiment and observation
+    uniforms of episodes start .. start + count - 1; act is None unless
+    actions, so a one-experiment run holds horizon * count * 8 bytes, not twice that.
 
-    Episode e reads from counter e * nb on, nb = ceil(width / 4) Philox
-    blocks of four doubles, so row t equals Generator(Philox(key=lane_key(
-    base_seed, lane), counter=(start + t) * nb)).random(width) bit for bit.
-    One buffer, allocated here, is filled in parts (see _in_parts) from each
-    part's first counter; the block is a view, since a copy would double it.
+    Episode e reads from counter e * nb on, nb = ceil(2 * horizon / 4) Philox
+    blocks of four doubles: column t of act and obs holds the even and the
+    odd values of Generator(Philox(key=lane_key(base_seed, lane),
+    counter=(start + t) * nb)).random(2 * horizon), bit for bit. One
+    generator in the calling thread draws the episodes in order, whole
+    episodes into a scratch of about _TILE_BYTES at a time, and a transposed
+    copy moves each tile into the step rows.
     """
-    nb = -(-width // 4)
+    nb = -(-2 * horizon // 4)
     # The first and the last index bound every index in between.
     start = _key_field("episode index", start, 64)
     _key_field("episode index", start + max(count, 1) - 1, 64)
-    block = np.empty((count, nb * 4))
-    _in_parts(lambda lo, hi: np.random.Generator(np.random.Philox(
-        key=lane_key(base_seed, lane), counter=(start + lo) * nb)).random(out=block[lo:hi]), count)
-    return block[:, :width]
+    gen = np.random.Generator(np.random.Philox(key=lane_key(base_seed, lane), counter=start * nb))
+    obs = np.empty((horizon, count))
+    act = np.empty((horizon, count)) if actions else None
+    rows = max(1, _TILE_BYTES // (32 * nb))
+    scratch = np.empty((min(rows, count), 4 * nb))
+    for lo in range(0, count, rows):
+        tile = scratch[:min(rows, count - lo)]
+        gen.random(out=tile)
+        obs[:, lo:lo + len(tile)] = tile[:, 1:2 * horizon:2].T
+        if actions:
+            act[:, lo:lo + len(tile)] = tile[:, 0:2 * horizon:2].T
+    return act, obs
 
 
 def simulate_conditioned_batch(
     config: RunConfig, true_h: int, record_beliefs: bool = False
 ):
-    """All episodes of one true hypothesis's lane, in chunks run in parts.
+    """All episodes of one true hypothesis's lane, in chunks run in parts;
+    each part draws its own step rows (see _uniform_block) and steps them.
 
     Returns (decision_counts (M+1,), inc_sum, inc_sqsum, decisions (E,),
     belief_path or None). The decisions array is always materialized; the
@@ -283,11 +313,14 @@ def simulate_conditioned_batch(
     paths = [] if record_beliefs else None
     for start in range(0, episodes, CHUNK_SIZE):
         count = min(CHUNK_SIZE, episodes - start)
-        uniforms = _uniform_block(config.seed, true_h, start, count, 2 * horizon)
-        parts = _in_parts(lambda lo, hi: _run_chunk(
-            model, config.selection, config.inference, horizon,
-            np.full(hi - lo, true_h), uniforms[lo:hi], record_beliefs,
-        ), count)
+
+        def part(lo, hi):
+            act, obs = _uniform_block(config.seed, true_h, start + lo, hi - lo, horizon,
+                                      model.num_experiments > 1)
+            return _run_chunk(model, config.selection, config.inference, horizon,
+                              np.full(hi - lo, true_h), act, obs, record_beliefs)
+
+        parts = _in_parts(part, count)
         decisions = all_decisions[start:start + count] = np.concatenate([d for d, _, _ in parts])
         increments = np.concatenate([inc for _, inc, _ in parts])
         cols = np.where(decisions == INCONCLUSIVE, m_hyp, decisions)
@@ -413,7 +446,9 @@ def walk_paths(model: Model, selection: SelectionStrategy, horizon: int, visit) 
     states, each in the row _slot gives its composition rank. Under h the
     paths into c have probability A(c) prod_k p_h(k)^c_k, A(c) the sum of
     their action probability products. A level takes one batch selection
-    call on its unnormalized rows and advances as whole (outcome, state)
+    call on the unnormalized rows of its live states, those with A(c) > 0;
+    the others get an all-zero distribution, so their children get neither
+    paths nor mass. It advances as whole (outcome, state)
     arrays: all K child ranks from the prefix sums, one scatter of the
     counts, and each child's log A terms merged in outcome order from -inf,
     so no result depends on a level's layout. Paths of positive probability
@@ -444,7 +479,14 @@ def walk_paths(model: Model, selection: SelectionStrategy, horizon: int, visit) 
     log_a, paths = np.zeros(1), np.ones(1, dtype=np.int64)
     for n in range(horizon):
         rows = log_prior + _count_loglik(counts, lc_uy)
-        dist = selection.batch_action_distributions(model, rows, n, horizon).T
+        if log_a.min() > -np.inf:
+            dist = selection.batch_action_distributions(model, rows, n, horizon).T
+        else:
+            # States no path of positive probability reaches get no selection call:
+            # an all-zero distribution gives their children no paths and no mass.
+            live = log_a > -np.inf
+            dist = np.zeros((model.num_experiments, log_a.size))
+            dist[:, live] = selection.batch_action_distributions(model, rows[live], n, horizon).T
         with np.errstate(divide="ignore"):
             log_dist = np.log(dist)
         if paths.dtype != object and n_out ** (n + 1) >= 1 << 62:

@@ -209,11 +209,21 @@ class ChernoffSelection(SelectionStrategy):
             if sp.hypothesis != i:
                 raise ValueError("saddle points must be ordered by hypothesis index")
         self._table = np.array([sp.alpha_star for sp in self.saddles], dtype=float)
+        # With every row the same bits (bsc2: one experiment), the MAP choice
+        # cannot matter; the batch is then that row read with a zero stride.
+        self._row = None
+        if len({row.tobytes() for row in self._table}) == 1:
+            self._row = self._table[0].copy()
+            self._row.setflags(write=False)
 
     def batch_action_distributions(self, model, log_rho, step, horizon):
         # Saddles that do not fit are rejected on every model they meet.
         if self._table.shape != (model.num_hypotheses, model.num_experiments):
             raise ValueError("need one saddle point per hypothesis of the model")
+        if self._row is not None:
+            # np.broadcast_to's Python checks cost more than the argmax on small batches.
+            return np.ndarray((log_rho.shape[0], self._row.size), buffer=self._row,
+                              strides=(0, self._row.itemsize))
         # take costs a fraction of fancy indexing on small batches, such as
         # run_episode's one-row chunks.
         choice = _argmax_lowest(log_rho, tie_tolerance(model, horizon))

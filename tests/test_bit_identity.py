@@ -11,6 +11,7 @@ within a stated bound (ROUTE_TOL), and its bits do not depend on the layout
 of its levels.
 """
 
+import dataclasses
 import math
 import threading
 import time
@@ -68,6 +69,18 @@ def _same_bits(a, b) -> bool:
 # random streams
 # ---------------------------------------------------------------------------
 
+def _episode_stream(seed, lane, episode, horizon):
+    """Episode `episode`'s 2N uniforms from its own generator: counter
+    episode * ceil(2N / 4), values 2n (experiment) and 2n + 1 (observation)."""
+    return np.random.Generator(np.random.Philox(
+        key=lane_key(seed, lane), counter=episode * -(-2 * horizon // 4))).random(2 * horizon)
+
+
+def _tile_rows(horizon):
+    """Episodes in one of _uniform_block's tiles at this horizon."""
+    return max(1, engine._TILE_BYTES // (32 * -(-horizon // 2)))
+
+
 @pytest.mark.parametrize("seed, lane, start", [
     (0, 0, 0),
     (2**48 - 1, 0, 5),
@@ -75,28 +88,49 @@ def _same_bits(a, b) -> bool:
     (2**48 - 1, 2**16 - 1, 2**64 - 4),
     (12345, 2, 2**63 - 2),
 ])
-@pytest.mark.parametrize("width", [1, 7, 50])
-def test_uniform_block_rows_match_per_episode_generators(seed, lane, start, width):
+@pytest.mark.parametrize("horizon", [1, 7, 50])
+def test_uniform_block_rows_match_per_episode_generators(seed, lane, start, horizon, monkeypatch):
+    # tiles of three episodes, so the four episodes cross a tile edge
     count = 4
-    nb = -(-width // 4)
-    block = _uniform_block(seed, lane, start, count, width)
-    assert block.shape == (count, width)
+    monkeypatch.setattr(engine, "_TILE_BYTES", 3 * 32 * -(-horizon // 2))
+    assert _tile_rows(horizon) == 3
+    act, obs = _uniform_block(seed, lane, start, count, horizon)
+    assert act.shape == obs.shape == (horizon, count)
     for t in range(count):
-        ref = np.random.Generator(
-            np.random.Philox(key=lane_key(seed, lane), counter=(start + t) * nb)
-        ).random(width)
-        assert _same_bits(block[t], ref)
+        ref = _episode_stream(seed, lane, start + t, horizon)
+        assert _same_bits(act[:, t], ref[0::2])
+        assert _same_bits(obs[:, t], ref[1::2])
 
 
-@pytest.mark.parametrize("width", [1, 7, 50, 401])
+@pytest.mark.parametrize("horizon", [1, 7, 50, 401])
 @pytest.mark.parametrize("cuts", [(1,), (3, 4), (5, 6, 12)])
-def test_uniform_block_split_equals_whole(width, cuts):
-    # a run's chunking must not move a bit of any episode's stream
-    start, count = 2**40 + 3, 13
-    whole = _uniform_block(9, 2, start, count, width)
+def test_uniform_block_split_equals_whole(horizon, cuts):
+    # a run's chunking must not move a bit of any episode's stream; the
+    # block runs two episodes past its first tile
+    tile = _tile_rows(horizon)
+    start, count = 2**40 + 3, tile + 2
+    whole = _uniform_block(9, 2, start, count, horizon)
     edges = (0,) + cuts + (count,)
-    parts = [_uniform_block(9, 2, start + a, b - a, width) for a, b in zip(edges, edges[1:])]
-    assert _same_bits(np.vstack(parts), whole)
+    parts = [_uniform_block(9, 2, start + a, b - a, horizon) for a, b in zip(edges, edges[1:])]
+    for k in range(2):
+        assert _same_bits(np.hstack([part[k] for part in parts]), whole[k])
+    for t in (tile - 1, tile):
+        ref = _episode_stream(9, 2, start + t, horizon)
+        assert _same_bits(whole[0][:, t], ref[0::2])
+        assert _same_bits(whole[1][:, t], ref[1::2])
+
+
+@pytest.mark.parametrize("horizon", [1, 7, 401])
+def test_uniform_block_without_actions_draws_observation_rows_only(horizon):
+    # one-experiment models: no experiment rows, and the observation rows
+    # are those of the same block with them
+    tile = _tile_rows(horizon)
+    start, count = 2**33 + 1, tile + 3
+    act, obs = _uniform_block(4, 1, start, count, horizon, actions=False)
+    assert act is None
+    assert _same_bits(obs, _uniform_block(4, 1, start, count, horizon)[1])
+    for t in (0, tile - 1, tile, count - 1):
+        assert _same_bits(obs[:, t], _episode_stream(4, 1, start + t, horizon)[1::2])
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +389,35 @@ def _frozen_selections(model, saddles, horizon=5):
         (UniformSelection(),
          lambda lr: np.full(model.num_experiments, 1.0 / model.num_experiments)),
     ]
+
+
+def test_chernoff_with_equal_rows_has_the_argmax_bits(bsc2, tri3):
+    # every alpha* row the same bits: the MAP choice cannot move a bit, and
+    # the shape check still runs
+    rng = np.random.default_rng(8)
+    model = random_model(rng, 3, 2, 2)
+    shared = saddle_points(model)
+    shared = [dataclasses.replace(sp, alpha_star=np.array([0.25, 0.75])) for sp in shared]
+    # equal in value, not in bits: hypothesis 1's row keeps its -0.0
+    signed = [dataclasses.replace(sp, alpha_star=np.array([-0.0 if sp.hypothesis == 1 else 0.0,
+                                                           1.0]))
+              for sp in shared]
+    for m, saddles in ((bsc2, saddle_points(bsc2)), (model, shared), (model, signed)):
+        rule = ChernoffSelection(saddles)
+        table = np.array([sp.alpha_star for sp in saddles], dtype=float)
+        rows = rng.normal(size=(40, m.num_hypotheses)) * 3.0
+        rows[:5] = 0.0                    # MAP ties
+        for horizon in (1, 200):
+            want = table[_frozen_argmax_lowest(rows, _frozen_tol(m, horizon))]
+            assert _same_bits(rule.batch_action_distributions(m, rows, 0, horizon), want)
+            assert _same_bits(rule.batch_action_distributions(m, rows[:1], 0, horizon), want[:1])
+        other = tri3 if m is bsc2 else bsc2
+        with pytest.raises(ValueError, match="one saddle point per hypothesis"):
+            rule.batch_action_distributions(other, np.zeros((4, other.num_hypotheses)), 0, 5)
+    # bsc2's two rows have one experiment, so both shapes are checked
+    narrow = ChernoffSelection(saddle_points(bsc2))
+    with pytest.raises(ValueError, match="one saddle point per hypothesis"):
+        narrow.batch_action_distributions(random_model(rng, 2, 2, 2), np.zeros((4, 2)), 0, 5)
 
 
 def _frozen_inferences(model, saddles, horizon):
@@ -789,6 +852,28 @@ def test_parts_move_no_bit(name, cpus, chunk, request, monkeypatch):
     _, decision, belief = run_episode(config, 1, SPLIT_EPISODES - 2)
     assert decisions[SPLIT_EPISODES - 2] == (INCONCLUSIVE if decision is None else decision)
     assert _same_bits(belief.log_rho, Belief(path[SPLIT_EPISODES - 2, -1]).log_rho)
+
+
+def test_run_episode_replays_rows_at_part_and_tile_edges(bsc2, monkeypatch):
+    # bsc2 has one experiment, so its chunks draw no experiment uniforms;
+    # a replay still has the batch row's bits on both sides of every edge
+    saddles = saddle_points(bsc2)
+    horizon, tile = 200, _tile_rows(200)
+    episodes = 2 * tile + 74
+    config = RunConfig(model=bsc2, selection=ChernoffSelection(saddles),
+                       inference=FBarInference(saddles, min(sp.d_star for sp in saddles) / 4.0),
+                       horizon=horizon, episodes=episodes, seed=31)
+    calls = _force_parts(monkeypatch, 2, min_part=2)
+    half = episodes // 2
+    for h in range(bsc2.num_hypotheses):
+        calls.clear()
+        *_, decisions, path = simulate_conditioned_batch(config, h, record_beliefs=True)
+        assert sorted(n for _, n in calls) == [half, half]
+        # part 0's tile edge, the part edge, part 1's tile edge, the ends
+        for e in (0, tile - 1, tile, half - 1, half, half + tile - 1, half + tile, episodes - 1):
+            _, decision, belief = run_episode(config, h, e)
+            assert decisions[e] == (INCONCLUSIVE if decision is None else decision)
+            assert _same_bits(belief.log_rho, Belief(path[e, -1]).log_rho)
 
 
 class _FailingInOnePart(UniformSelection):

@@ -29,12 +29,14 @@ from ahtest import (
 from ahtest.engine import _uniform_block, sample_categorical, simulate_conditioned_batch
 from ahtest.strategies import (
     ChernoffSelection,
+    ECRLookaheadSelection,
     EJSGreedySelection,
     FBarInference,
     FixedThresholdInference,
     MAPInference,
     OpenLoopSelection,
     P2Inference,
+    SelectionStrategy,
     UniformSelection,
 )
 from ahtest.model import EpsilonSchedule
@@ -72,20 +74,33 @@ class TestSampling:
 
     # An episode's stream is addressed by its seed: (base seed, lane) in the
     # Philox key, the episode index in the counter.
+    @staticmethod
+    def _episodes(seed, lane, start, count, horizon):
+        """(count, 2N): each episode's experiment then observation uniforms,
+        read from the step-major block."""
+        return np.vstack(_uniform_block(seed, lane, start, count, horizon)).T
+
     def test_episode_seed_distinct(self):
         assert len({lane_key(s, l) for s in (0, 1, 77) for l in (0, 1, 2)}) == 3 * 3
-        rows = np.vstack([_uniform_block(s, l, 0, 50, 10) for s in (0, 1, 77) for l in (0, 1, 2)])
+        rows = np.vstack([self._episodes(s, l, 0, 50, 5) for s in (0, 1, 77) for l in (0, 1, 2)])
+        assert rows.shape == (3 * 3 * 50, 10)
         assert len({row.tobytes() for row in rows}) == 3 * 3 * 50
 
     def test_episode_seed_field_edges(self):
         assert lane_key(2**48 - 1, 2**16 - 1) == 2**64 - 1
         assert lane_key(0, 0) == 0
-        assert _uniform_block(2**48 - 1, 2**16 - 1, 2**64 - 1, 1, 3).shape == (1, 3)
+        act, obs = _uniform_block(2**48 - 1, 2**16 - 1, 2**64 - 1, 1, 3)
+        assert act.shape == obs.shape == (3, 1)
+        # the top key and the top episode's counter, (2**64 - 1) * ceil(6 / 4)
+        ref = np.random.Generator(np.random.Philox(
+            key=2**64 - 1, counter=(2**64 - 1) * 2)).random(6)
+        assert act[:, 0].tobytes() == ref[0::2].tobytes()
+        assert obs[:, 0].tobytes() == ref[1::2].tobytes()
 
     def test_episode_seed_numpy_integers_do_not_wrap(self):
         assert lane_key(np.int64(2**47), np.int64(1)) == lane_key(2**47, 1)
-        top = _uniform_block(np.int64(2**47), np.int64(1), np.uint64(2**64 - 1), 1, 5)
-        assert top.tobytes() == _uniform_block(2**47, 1, 2**64 - 1, 1, 5).tobytes()
+        top = self._episodes(np.int64(2**47), np.int64(1), np.uint64(2**64 - 1), 1, 5)
+        assert top.tobytes() == self._episodes(2**47, 1, 2**64 - 1, 1, 5).tobytes()
         with pytest.raises(TypeError):
             lane_key(3.0, 1)
         with pytest.raises(TypeError):
@@ -553,6 +568,46 @@ class TestPathCountWidth:
         paths = enumerate_exact(RunConfig(model=tri3, selection=selection,
                                           inference=MAPInference(), horizon=horizon)).paths
         assert type(paths) is int and paths == sum(level.values())
+
+
+class TestLiveStates:
+    """The count lattice calls the selection on the states that some path of
+    positive probability reaches, each once, and on no other state."""
+
+    @pytest.mark.parametrize("rule", ["ejs", "ecr", "chernoff"])
+    def test_selection_sees_exactly_the_live_rows(self, tri3, tri3_saddles, rule):
+        inner = {"ejs": EJSGreedySelection(), "ecr": ECRLookaheadSelection(2),
+                 "chernoff": ChernoffSelection(tri3_saddles)}[rule]
+        horizon = 8
+        seen = {}
+
+        class Recording(SelectionStrategy):
+            def batch_action_distributions(self, model, log_rho, step, horizon):
+                seen.setdefault(step, []).extend(row.tobytes() for row in log_rho)
+                return inner.batch_action_distributions(model, log_rho, step, horizon)
+
+        report = enumerate_exact(RunConfig(model=tri3, selection=Recording(),
+                                           inference=MAPInference(), horizon=horizon))
+        assert report.to_json_dict() == enumerate_exact(RunConfig(
+            model=tri3, selection=inner, inference=MAPInference(), horizon=horizon)).to_json_dict()
+        lc_uy = np.moveaxis(tri3.log_channel, 0, 2).reshape(-1, tri3.num_hypotheses)
+        n_out, n_obs = len(lc_uy), tri3.num_observations
+        level = {(0,) * n_out}                 # count vectors a positive path reaches
+        dead = 0
+        for n in range(horizon):
+            states = sorted(level)
+            counts = np.array(states)
+            # The engine's rows: log-likelihoods added in outcome order.
+            rows = np.log(tri3.prior) + functools.reduce(
+                operator.add, [counts[:, k:k + 1] * lc_uy[k] for k in range(n_out)])
+            assert sorted(seen[n]) == sorted(row.tobytes() for row in rows), n
+            dead += math.comb(n + n_out - 1, n_out - 1) - len(states)
+            dist = inner.batch_action_distributions(tri3, rows, n, horizon)
+            level = {state[:k] + (state[k] + 1,) + state[k + 1:]
+                     for state, d in zip(states, dist)
+                     for k in range(n_out) if d[k // n_obs] > 0.0}
+        # the one-hot rules leave states no path reaches; chernoff's mixtures do not
+        assert (dead > 0) == (rule != "chernoff")
 
 
 class TestEnumeratedInequalities:
