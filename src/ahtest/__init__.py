@@ -68,8 +68,6 @@ from .strategies import (
     P2Inference,
     UniformSelection,
     ejs_divergence,
-    select_ecr_lookahead,
-    select_ejs_greedy,
 )
 
 __version__ = "0.1.0"

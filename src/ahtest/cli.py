@@ -9,8 +9,8 @@ must be JSON arrays. A subcommand takes only the flags it reads, so any
 other is a usage error: --seed only where Monte Carlo can run (simulate,
 bounds, sweep), --delta and --format only on the four runs, --epsilon-rule
 on validate and the runs. Every run echoes its effective defaults (epsilon
-rule, delta, solver tolerance, seed) in the output metadata, and identical
-configurations produce byte-identical output files.
+rule, delta, solver tolerance, seed: null without --episodes) in the output
+metadata, and identical configurations produce byte-identical output files.
 
 Exit codes: 0 success, 2 usage error, 3 model load/validation error,
 4 infeasible configuration (budgets, bad strategy specs), 5 saddle solver
@@ -117,7 +117,7 @@ def _json_text(obj) -> str:
 def _metadata(args, saddles=None, delta=None, schedule=None) -> dict:
     md = {
         "model": args.model,
-        "seed": getattr(args, "seed", 0),
+        "seed": args.seed if getattr(args, "episodes", None) is not None else None,
         "epsilon_rule": schedule.spec_string() if schedule else None,
         "delta": delta,
         "saddle_tol": SADDLE_TOL,

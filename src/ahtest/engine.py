@@ -16,10 +16,11 @@ reduced as one chunk, so no result depends on the CPU count.
 
 Exact enumeration merges the (experiment, observation) tree's paths by their
 outcome counts, which fix the belief (the method of types): a forward pass
-over the count lattice, one batch selection call per level and one batch
-decision on the last, with masses in the log domain. A level advances as
-whole arrays, its path counts int64 until (U * Y)^n reaches 2^62 and Python
-ints after. It is the oracle the Monte Carlo path is tested against.
+over the count lattice, one batch selection call per level, that returns
+its last level, with masses in the log domain; a report takes one batch
+decision over that level. A level advances as whole arrays, its path counts
+int64 until (U * Y)^n reaches 2^62 and Python ints after. It is the oracle
+the Monte Carlo path is tested against.
 """
 
 from __future__ import annotations
@@ -437,7 +438,24 @@ def _slot(ranks: np.ndarray, level: int) -> np.ndarray:
     return ranks
 
 
-def walk_paths(model: Model, selection: SelectionStrategy, horizon: int, visit) -> int:
+@dataclass(frozen=True)
+class LastLevel:
+    """The count lattice's last level, one row per state: counts[s, k] of
+    outcome k = u * Y + y, log_mass[s, h] the log probability under h of the
+    paths into s (-inf where none has positive probability), log_rho[s] their
+    normalized log-belief, and paths the number of root-to-leaf paths of
+    positive probability, which int() returns."""
+
+    counts: np.ndarray      # (S, K)
+    log_mass: np.ndarray    # (S, M)
+    log_rho: np.ndarray     # (S, M)
+    paths: int
+
+    def __int__(self) -> int:
+        return self.paths
+
+
+def walk_paths(model: Model, selection: SelectionStrategy, horizon: int) -> LastLevel:
     """Forward pass over the count lattice: the (experiment, observation)
     tree with the paths of equal outcome counts merged.
 
@@ -452,11 +470,8 @@ def walk_paths(model: Model, selection: SelectionStrategy, horizon: int, visit) 
     arrays: all K child ranks from the prefix sums, one scatter of the
     counts, and each child's log A terms merged in outcome order from -inf,
     so no result depends on a level's layout. Paths of positive probability
-    are counted in int64 while K^n < 2^62, in Python ints after. Calls
-    visit(counts (S, K), log_mass (S, M), log_rho (S, M)) once, on the last
-    level: log_mass[s, h] is the log probability under h of the paths into
-    s, log_rho their normalized belief. Returns the number of root-to-leaf
-    paths of positive probability.
+    are counted in int64 while K^n < 2^62, in Python ints after. Returns the
+    last level, dead states included (see LastLevel).
     """
     n_obs = model.num_observations
     n_out = model.num_experiments * n_obs
@@ -506,8 +521,8 @@ def walk_paths(model: Model, selection: SelectionStrategy, horizon: int, visit) 
         paths_in[outcomes, child] = np.where(dist > 0.0, paths, 0).repeat(n_obs, axis=0)
         counts, log_a, paths = next_counts, np.logaddexp.reduce(log_in), paths_in.sum(axis=0)
     loglik = _count_loglik(counts, lc_uy)
-    visit(counts.T, log_a[:, None] + loglik, log_normalize(log_prior + loglik))
-    return int(paths.sum())
+    return LastLevel(counts.T, log_a[:, None] + loglik, log_normalize(log_prior + loglik),
+                     int(paths.sum()))
 
 
 def enumerate_exact(config: RunConfig) -> RunReport:
@@ -519,22 +534,15 @@ def enumerate_exact(config: RunConfig) -> RunReport:
     m_hyp = model.num_hypotheses
     horizon = config.horizon
     log_prior = np.log(model.prior)
-    dm = np.zeros((m_hyp, m_hyp + 1))
-    psi = np.zeros(m_hyp)
-    jng = np.zeros(m_hyp)
-
-    def visit(counts, log_mass, log_rho):
-        d = config.inference.batch_decide(model, log_prior, log_rho, horizon)
-        col = np.where(d == INCONCLUSIVE, m_hyp, d)
-        mass = np.exp(log_mass)
-        gain = mass * (bllr_matrix(log_rho) - bllr_matrix(log_prior))
-        picks = [col == c for c in range(m_hyp + 1)]     # one mask per decision column
-        for h in range(m_hyp):
-            dm[h] = [_fsum(mass[pick, h]) for pick in picks]
-            psi[h] = _fsum(mass[~picks[h], h])
-            jng[h] = _fsum(gain[:, h]) / horizon
-
-    paths = walk_paths(model, config.selection, horizon, visit)
+    level = walk_paths(model, config.selection, horizon)
+    d = config.inference.batch_decide(model, log_prior, level.log_rho, horizon)
+    col = np.where(d == INCONCLUSIVE, m_hyp, d)
+    mass = np.exp(level.log_mass)
+    gain = mass * (bllr_matrix(level.log_rho) - bllr_matrix(log_prior))
+    picks = [col == c for c in range(m_hyp + 1)]     # one mask per decision column
+    dm = np.array([[_fsum(mass[pick, h]) for pick in picks] for h in range(m_hyp)])
+    psi = [_fsum(mass[~picks[h], h]) for h in range(m_hyp)]
+    jng = [_fsum(gain[:, h]) / horizon for h in range(m_hyp)]
 
     mass = dm.sum(axis=1)
     if np.any(np.abs(mass - 1.0) > 1e-9):
@@ -549,17 +557,17 @@ def enumerate_exact(config: RunConfig) -> RunReport:
         mode="exact",
         horizon=horizon,
         hypotheses=model.hypotheses,
-        psi=tuple(psi.tolist()),
+        psi=tuple(psi),
         phi=tuple(phi),
         gamma=gamma,
-        jng=tuple(jng.tolist()),
+        jng=tuple(jng),
         psi_se=zeros,
         phi_se=zeros,
         gamma_se=0.0,
         jng_se=zeros,
         decision_probs=dm,
         seed=None,
-        paths=paths,
+        paths=level.paths,
     )
 
 
@@ -572,16 +580,11 @@ def enumerate_pair_expectations(config: RunConfig):
     """
     model = config.model
     lc = model.log_channel
-    expected = np.zeros((lc.shape[0], lc[0].size))
-
-    def visit(counts, log_mass, log_rho):
-        mass = np.exp(log_mass)
-        for i, k in np.ndindex(expected.shape):
-            expected[i, k] = _fsum(mass[:, i] * counts[:, k])
-
-    walk_paths(model, config.selection, config.horizon, visit)
+    level = walk_paths(model, config.selection, config.horizon)
+    mass = np.exp(level.log_mass)
+    expected = np.array([[_fsum(mass[:, i] * c) for c in level.counts.T]
+                         for i in range(lc.shape[0])]).reshape(lc.shape)   # E_i[c_(u, y)]
     lam = lc[:, None] - lc[None, :]                            # (M, M, U, Y)
     kl_by_u = np.einsum("iuy,ijuy->iju", model.channel, lam)
-    expected = expected.reshape(lc.shape)                      # E_i[c_(u, y)]
     return (np.einsum("iuy,ijuy->ij", expected, lam),
             np.einsum("iu,iju->ij", expected.sum(axis=2), kl_by_u))

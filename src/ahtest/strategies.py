@@ -111,12 +111,6 @@ def ejs_divergence(model: Model, belief: Belief, u: int) -> float:
     return float(_ejs_scores(model, belief.log_rho[None, :])[0, u])
 
 
-def select_ejs_greedy(model: Model, belief: Belief, horizon: int = 1) -> np.ndarray:
-    """Point mass on the largest expected confidence gain; ties within the
-    tolerance of a horizon-`horizon` run (pass the run's to get its choice)."""
-    return EJSGreedySelection().action_distribution(model, belief.log_rho, 0, horizon)
-
-
 def _ecr_scores(model: Model, log_rho: np.ndarray, depth: int) -> np.ndarray:
     """Expected terminal confidence on the (random) true hypothesis of each
     first experiment, the next depth - 1 chosen optimally (belief-MDP
@@ -152,16 +146,6 @@ def _ecr_scores(model: Model, log_rho: np.ndarray, depth: int) -> np.ndarray:
     return total
 
 
-def select_ecr_lookahead(model: Model, belief: Belief, k: int, remaining: int,
-                         horizon: Optional[int] = None) -> np.ndarray:
-    """Point mass on the first action of a depth-min(k, remaining) expectimax
-    maximizing the expected terminal confidence gain on the true hypothesis;
-    ties within the tolerance of a horizon-`horizon` run, by default
-    `remaining` (pass the run's horizon to get its choice)."""
-    n = remaining if horizon is None else horizon
-    return ECRLookaheadSelection(k).action_distribution(model, belief.log_rho, n - remaining, n)
-
-
 # ---------------------------------------------------------------------------
 # inference rules
 # ---------------------------------------------------------------------------
@@ -180,6 +164,14 @@ def _decide_by_thresholds(increments: np.ndarray, thresholds: np.ndarray, tol: f
 # ---------------------------------------------------------------------------
 # strategy objects (engine interface)
 # ---------------------------------------------------------------------------
+
+def _same_rows(row: np.ndarray, count: int) -> np.ndarray:
+    """count read-only rows, each `row`: one zero-stride view of it, made
+    without numpy's broadcasting checks, which cost more than the view."""
+    rows = np.ndarray((count, row.size), buffer=row, strides=(0, row.itemsize))
+    rows.setflags(write=False)
+    return rows
+
 
 class SelectionStrategy:
     """Deterministic map (belief, step, horizon) -> distribution over experiments.
@@ -211,19 +203,14 @@ class ChernoffSelection(SelectionStrategy):
         self._table = np.array([sp.alpha_star for sp in self.saddles], dtype=float)
         # With every row the same bits (bsc2: one experiment), the MAP choice
         # cannot matter; the batch is then that row read with a zero stride.
-        self._row = None
-        if len({row.tobytes() for row in self._table}) == 1:
-            self._row = self._table[0].copy()
-            self._row.setflags(write=False)
+        self._row = self._table[0] if len({row.tobytes() for row in self._table}) == 1 else None
 
     def batch_action_distributions(self, model, log_rho, step, horizon):
         # Saddles that do not fit are rejected on every model they meet.
         if self._table.shape != (model.num_hypotheses, model.num_experiments):
             raise ValueError("need one saddle point per hypothesis of the model")
         if self._row is not None:
-            # np.broadcast_to's Python checks cost more than the argmax on small batches.
-            return np.ndarray((log_rho.shape[0], self._row.size), buffer=self._row,
-                              strides=(0, self._row.itemsize))
+            return _same_rows(self._row, log_rho.shape[0])
         # take costs a fraction of fancy indexing on small batches, such as
         # run_episode's one-row chunks.
         choice = _argmax_lowest(log_rho, tie_tolerance(model, horizon))
@@ -238,13 +225,13 @@ class OpenLoopSelection(SelectionStrategy):
         self.alpha = np.array(saddles[self.i].alpha_star, dtype=float)
 
     def batch_action_distributions(self, model, log_rho, step, horizon):
-        return np.broadcast_to(self.alpha, (log_rho.shape[0], self.alpha.size))
+        return _same_rows(self.alpha, log_rho.shape[0])
 
 
 class UniformSelection(SelectionStrategy):
     def batch_action_distributions(self, model, log_rho, step, horizon):
         u = model.num_experiments
-        return np.broadcast_to(np.full(u, 1.0 / u), (log_rho.shape[0], u))
+        return _same_rows(np.full(u, 1.0 / u), log_rho.shape[0])
 
 
 class EJSGreedySelection(SelectionStrategy):

@@ -29,8 +29,6 @@ from ahtest import (
     prior_belief,
     misclassification_lower_bound,
     saddle_points,
-    select_ecr_lookahead,
-    select_ejs_greedy,
     solve_saddle,
     misclassification_upper_bound,
 )
@@ -39,6 +37,7 @@ from ahtest.model import STRICT_BOUND_SLACK
 from ahtest.belief import bllr_matrix
 from ahtest.strategies import (
     ChernoffSelection,
+    ECRLookaheadSelection,
     EJSGreedySelection,
     FBarInference,
     FixedThresholdInference,
@@ -355,8 +354,8 @@ def test_c11_one_step_lookahead_matches_greedy(bsc2):
         rho = rng.dirichlet(np.ones(model.num_hypotheses)) * 0.9 + 0.1 / model.num_hypotheses
         rho /= rho.sum()
         belief = Belief.from_probs(rho)
-        a = int(np.argmax(select_ecr_lookahead(model, belief, 1, 5)))
-        b = int(np.argmax(select_ejs_greedy(model, belief)))
+        a = int(np.argmax(ECRLookaheadSelection(1).action_distribution(model, belief.log_rho, 0, 5)))
+        b = int(np.argmax(EJSGreedySelection().action_distribution(model, belief.log_rho, 0, 1)))
         assert a == b
         agreements += 1
     _report(11, f"EJS at uniform = {ejs_val:.7f}; {agreements}/1000 argmax agreements")

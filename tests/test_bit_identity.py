@@ -43,8 +43,6 @@ from ahtest import (
     monte_carlo,
     run_episode,
     saddle_points,
-    select_ecr_lookahead,
-    select_ejs_greedy,
 )
 from ahtest import engine
 from ahtest.belief import bllr_matrix, log_normalize, logsumexp_last, normalize_belief_rows
@@ -293,7 +291,7 @@ def test_ejs_matches_frozen_formula(case, request):
         belief = Belief(rows[t])
         got = [ejs_divergence(model, belief, u) for u in range(model.num_experiments)]
         assert _same_bits(np.array(got), scores[t])
-        assert _same_bits(select_ejs_greedy(model, belief),
+        assert _same_bits(EJSGreedySelection().action_distribution(model, belief.log_rho, 0, 1),
                           _frozen_choices(model, scores[t:t + 1], 1)[0])
         assert _same_bits(
             EJSGreedySelection().action_distribution(model, rows[t], 0, EJS_HORIZON), choices[t])
@@ -592,7 +590,8 @@ def test_ecr_picks_the_frozen_recursion_choice(case, depth, request):
                       _frozen_choices(model, scores, depth + 7))
     for t in range(0, len(rows), 7):
         assert _same_bits(rule.action_distribution(model, rows[t], 0, depth), choices[t])
-        assert _same_bits(select_ecr_lookahead(model, Belief(rows[t]), depth, depth), choices[t])
+        assert _same_bits(ECRLookaheadSelection(depth).action_distribution(
+            model, Belief(rows[t]).log_rho, 0, depth), choices[t])
 
 
 @pytest.mark.parametrize("case", ECR_CASES)

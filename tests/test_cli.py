@@ -1,9 +1,12 @@
 """CLI subcommands: outputs, determinism, exit codes."""
 
 import csv
+import importlib
 import io
 import json
 import math
+import re
+import shlex
 
 import numpy as np
 import pytest
@@ -314,11 +317,25 @@ class TestFormatFlag:
     ])
     def test_seed_accepted_without_episodes(self, capsys, command, extra):
         # bounds and sweep run Monte Carlo once --episodes is given, so they
-        # take --seed without it too; the exact run does not read it.
+        # take --seed without it too; the exact run does not read it, and the
+        # metadata echoes no seed.
         code, out, err = run_cli(capsys, command, "--model", BSC2, *extra, "--seed", "7")
         assert (code, err) == (0, "")
-        assert out == run_cli(capsys, command, "--model", BSC2, *extra)[1].replace(
-            '"seed": 0', '"seed": 7')
+        assert out == run_cli(capsys, command, "--model", BSC2, *extra)[1]
+
+    @pytest.mark.parametrize("argv, seed", [
+        (["validate", "--model", BSC2], None),
+        (["divergence", "--model", BSC2], None),
+        (["enumerate", "--model", BSC2, "--horizon", "2"], None),
+        (["bounds", "--model", BSC2, "--horizon", "2", "--seed", "7"], None),
+        (["bounds", "--model", BSC2, "--horizon", "2", "--episodes", "10", "--seed", "7"], 7),
+        (["sweep", "--model", BSC2, "--horizons", "1,2", "--episodes", "10", "--format", "json"], 0),
+        (["simulate", "--model", BSC2, "--horizon", "2", "--episodes", "10", "--seed", "7"], 7),
+    ])
+    def test_metadata_echoes_the_seed_a_monte_carlo_run_reads(self, capsys, argv, seed):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["metadata"]["seed"] == seed
 
     @pytest.mark.parametrize("command, extra", [
         ("simulate", ["--horizon", "2", "--episodes", "10"]),
@@ -422,3 +439,40 @@ class TestParserReuse:
         golden = (GOLDEN_DIR / name).read_bytes().decode("utf-8")
         assert runs == [(0, golden, "")] * 3
         assert cli._build_parser.cache_info().misses == 1
+
+
+class TestReadme:
+    """README.md's CLI block runs as written, and the names it cites exist."""
+
+    README = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+
+    def _cli_commands(self):
+        block = self.README.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+                if line.strip()]
+
+    def test_every_cli_command_exits_zero(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(REPO_ROOT)
+        commands = self._cli_commands()
+        assert len(commands) == 6
+        for n, argv in enumerate(commands):
+            if "--out" in argv:
+                at = argv.index("--out") + 1
+                argv[at] = str(tmp_path / argv[at])
+            else:
+                argv += ["--out", str(tmp_path / f"out-{n}")]
+            code, _, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+
+    def test_every_cited_name_resolves(self):
+        names = {m.group(0) for span in re.findall(r"`([^`\n]+)`", self.README)
+                 for m in re.finditer(r"\bahtest(\.[A-Za-z_]\w*)+", span)}
+        assert "ahtest.cli.main" in names
+        for name in sorted(names):
+            parts = name.split(".")
+            obj = importlib.import_module(parts[0])
+            for i, attr in enumerate(parts[1:], 2):
+                if not hasattr(obj, attr) and hasattr(obj, "__path__"):
+                    importlib.import_module(".".join(parts[:i]))   # a submodule not yet imported
+                assert hasattr(obj, attr), f"{name} does not resolve"
+                obj = getattr(obj, attr)

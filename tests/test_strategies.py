@@ -18,8 +18,6 @@ from ahtest import (
     monte_carlo,
     prior_belief,
     saddle_points,
-    select_ecr_lookahead,
-    select_ejs_greedy,
 )
 from ahtest import strategies
 from ahtest.belief import log_normalize
@@ -119,6 +117,25 @@ class TestInterface:
         assert public_methods(strategies.InferenceStrategy) == {"decide", "batch_decide"}
 
 
+class TestConstantRows:
+    @pytest.mark.parametrize("batch", [1, 16, 16384])
+    def test_constant_rules_return_one_read_only_row(self, bsc2, tri3, bsc2_saddles,
+                                                     tri3_saddles, batch):
+        # openloop, uniform and chernoff with equal alpha* rows (bsc2: one
+        # experiment) return their one row for every belief, as a broadcast would
+        rows = np.random.default_rng(batch).normal(size=(batch, 3))
+        for model, rule, row in (
+            (tri3, OpenLoopSelection(1, tri3_saddles), tri3_saddles[1].alpha_star),
+            (tri3, UniformSelection(), np.full(2, 0.5)),
+            (bsc2, ChernoffSelection(bsc2_saddles), bsc2_saddles[0].alpha_star),
+        ):
+            got = rule.batch_action_distributions(model, rows[:, :model.num_hypotheses], 0, 10)
+            want = np.broadcast_to(np.asarray(row, dtype=float), (batch, model.num_experiments))
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+
+
 class TestRowContract:
     @given(m=st.integers(2, 4), u=st.integers(1, 3), y=st.integers(2, 4),
            horizon=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
@@ -198,11 +215,12 @@ class TestEJS:
         assert ejs == pytest.approx(0.8 * math.log(9), abs=1e-9)
 
     def test_tri3_symmetric_tie_goes_low(self, tri3):
-        dist = select_ejs_greedy(tri3, Belief.uniform(3))
+        dist = EJSGreedySelection().action_distribution(tri3, Belief.uniform(3).log_rho, 0, 1)
         np.testing.assert_array_equal(dist, [1.0, 0.0])
 
     def test_single_experiment_point_mass(self, bsc2):
-        np.testing.assert_array_equal(select_ejs_greedy(bsc2, Belief.uniform(2)), [1.0])
+        np.testing.assert_array_equal(
+            EJSGreedySelection().action_distribution(bsc2, Belief.uniform(2).log_rho, 0, 1), [1.0])
 
     def test_matches_direct_expectation(self, tri3):
         rng = np.random.default_rng(42)
@@ -233,22 +251,17 @@ def _near_twin_experiments() -> Model:
 
 
 class TestHelpersTieAsTheRunDoes:
+    """A one-belief call through a rule object judges ties at the tolerance
+    of the horizon it is given, at the first step and at the last."""
+
     @pytest.mark.parametrize("horizon, best", [(1, 1), (1000, 0)])
     def test_near_tie_follows_the_run_horizon(self, horizon, best):
         model = _near_twin_experiments()
         b = Belief.from_probs(np.array([0.6, 0.4]))
-        run_ejs = EJSGreedySelection().action_distribution(model, b.log_rho, 0, horizon)
-        run_ecr = ECRLookaheadSelection(1).action_distribution(model, b.log_rho, 0, horizon)
-        for dist in (select_ejs_greedy(model, b, horizon), run_ejs,
-                     select_ecr_lookahead(model, b, 1, 1, horizon), run_ecr):
-            assert int(np.argmax(dist)) == best
-
-    def test_defaults_tie_as_at_horizon_one_and_remaining(self):
-        model = _near_twin_experiments()
-        b = Belief.from_probs(np.array([0.6, 0.4]))
-        assert int(np.argmax(select_ejs_greedy(model, b))) == 1
-        assert int(np.argmax(select_ecr_lookahead(model, b, 1, 1))) == 1
-        assert int(np.argmax(select_ecr_lookahead(model, b, 1, 1000))) == 0
+        for rule in (EJSGreedySelection(), ECRLookaheadSelection(1)):
+            for step in (0, horizon - 1):
+                dist = rule.action_distribution(model, b.log_rho, step, horizon)
+                assert int(np.argmax(dist)) == best
 
 
 class TestECRLookahead:
@@ -259,19 +272,20 @@ class TestECRLookahead:
             rho = rng.dirichlet(np.ones(model.num_hypotheses)) * 0.9 + 0.1 / model.num_hypotheses
             rho /= rho.sum()
             b = Belief.from_probs(rho)
-            d_ecr = select_ecr_lookahead(model, b, 1, 10)
-            d_ejs = select_ejs_greedy(model, b)
+            d_ecr = ECRLookaheadSelection(1).action_distribution(model, b.log_rho, 0, 10)
+            d_ejs = EJSGreedySelection().action_distribution(model, b.log_rho, 0, 1)
             assert int(np.argmax(d_ecr)) == int(np.argmax(d_ejs))
 
     def test_depth_two_symmetric_tie_goes_low(self, tri3):
         # swapping hypotheses 2 and 3 maps one experiment onto the other, so
         # the two depth-2 scores tie exactly; the tie rule picks u1
-        choice = select_ecr_lookahead(tri3, Belief.uniform(3), 2, 10)
+        choice = ECRLookaheadSelection(2).action_distribution(tri3, Belief.uniform(3).log_rho, 0, 10)
         assert int(np.argmax(choice)) == 0
 
     def test_depth_two_matches_brute_oracle(self, tri3):
         rho = np.array([0.5, 0.3, 0.2])
-        choice = select_ecr_lookahead(tri3, Belief.from_probs(rho), 2, 10)
+        choice = ECRLookaheadSelection(2).action_distribution(
+            tri3, Belief.from_probs(rho).log_rho, 0, 10)
         oracle = brute_expectimax_action(tri3, rho, 2)
         assert int(np.argmax(choice)) == oracle
 
@@ -281,21 +295,23 @@ class TestECRLookahead:
             model = random_model(rng, 3, 2, 2)
             rho = rng.dirichlet(np.ones(3)) * 0.9 + 0.1 / 3
             rho /= rho.sum()
-            got = int(np.argmax(select_ecr_lookahead(model, Belief.from_probs(rho), 2, 10)))
+            got = int(np.argmax(ECRLookaheadSelection(2).action_distribution(
+                model, Belief.from_probs(rho).log_rho, 0, 10)))
             assert got == brute_expectimax_action(model, rho, 2)
 
     def test_depth_clipped_to_remaining(self, tri3):
-        d_deep = select_ecr_lookahead(tri3, Belief.uniform(3), 5, 1)
-        d_one = select_ecr_lookahead(tri3, Belief.uniform(3), 1, 1)
+        uniform = Belief.uniform(3).log_rho
+        d_deep = ECRLookaheadSelection(5).action_distribution(tri3, uniform, 0, 1)
+        d_one = ECRLookaheadSelection(1).action_distribution(tri3, uniform, 0, 1)
         np.testing.assert_array_equal(d_deep, d_one)
 
     def test_no_remaining_step_rejected(self, tri3):
         with pytest.raises(ValueError):
-            select_ecr_lookahead(tri3, Belief.uniform(3), 1, 0)
+            ECRLookaheadSelection(1).action_distribution(tri3, Belief.uniform(3).log_rho, 0, 0)
 
     def test_node_budget_enforced(self, tri3):
         with pytest.raises(ValueError, match="budget"):
-            select_ecr_lookahead(tri3, Belief.uniform(3), 12, 12)
+            ECRLookaheadSelection(12).action_distribution(tri3, Belief.uniform(3).log_rho, 0, 12)
 
 
 class _CountingSelection(strategies.SelectionStrategy):
