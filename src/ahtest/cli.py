@@ -3,13 +3,13 @@
 Subcommands: validate, divergence, simulate, enumerate, bounds, sweep.
 All four strategy runs share one run path: Monte Carlo with --episodes,
 exact enumeration (count lattices up to 10^7 states) without. `bounds` is a
-one-horizon `sweep` plus its run report. A strategy spec parameter the rule
-does not take, or one given twice, is rejected, and the model's label fields
-must be JSON arrays. A subcommand takes only the flags it reads, so any
-other is a usage error: --seed only where Monte Carlo can run (simulate,
-bounds, sweep), --delta and --format only on the four runs, --epsilon-rule
-on validate and the runs. Every run echoes its effective defaults (epsilon
-rule, delta, solver tolerance, seed: null without --episodes) in the output
+one-horizon `sweep` plus its run report. The strategy spec language lives
+here, in one rule table per kind: a key the rule does not take, or one given
+twice, is rejected. A subcommand takes only the flags it reads, so any other
+is a usage error: --seed only where Monte Carlo can run (simulate, bounds,
+sweep), --delta and --format only on the four runs, --epsilon-rule on
+validate and the runs. Every run echoes its effective defaults (epsilon rule,
+delta, solver tolerance, seed: null without --episodes) in the output
 metadata, and identical configurations produce byte-identical output files.
 
 Exit codes: 0 success, 2 usage error, 3 model load/validation error,
@@ -32,7 +32,9 @@ from . import bounds as bounds_mod
 from .divergence import SADDLE_TOL, SaddleSolverError, kl_matrix, saddle_points
 from .engine import EnumerationBudgetError, RunConfig, RunReport, enumerate_exact, monte_carlo
 from .model import EpsilonSchedule, ModelError, lambda_bound, load_model
-from .strategies import parse_inference, parse_selection
+from .strategies import (ChernoffSelection, ECRLookaheadSelection, EJSGreedySelection,
+                         FBarInference, MAPInference, OpenLoopSelection, P2Inference,
+                         UniformSelection)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -49,6 +51,68 @@ class ConfigError(ValueError):
 
 class OutputError(Exception):
     """The --out file could not be written."""
+
+
+def _hypothesis(token: str, model) -> int:
+    """A hypothesis reference: exact label first, else 1-based position."""
+    if token in model.hypotheses:
+        return model.hypotheses.index(token)
+    try:
+        pos = int(token)
+    except ValueError:
+        raise ConfigError(f"{token!r} is neither a hypothesis label nor a 1-based index") from None
+    if not 1 <= pos <= model.num_hypotheses:
+        raise ConfigError(f"hypothesis index {pos} out of range 1..{model.num_hypotheses}")
+    return pos - 1
+
+
+# The spec language, one table per rule kind: rule -> (its keys, its constructor).
+# A key maps to what its value names, None where the rule has a default. The
+# constructors take the parameters and the rest of the call parse_selection(spec,
+# model, saddles) or parse_inference(spec, model, saddles, schedule, delta) gets.
+SELECTION_RULES = {
+    "chernoff": ({}, lambda p, m, saddles: ChernoffSelection(saddles)),
+    "openloop": ({"i": "hypothesis"},
+                 lambda p, m, saddles: OpenLoopSelection(_hypothesis(p["i"], m), saddles)),
+    "uniform": ({}, lambda *_: UniformSelection()),
+    "ejs": ({}, lambda *_: EJSGreedySelection()),
+    "ecr": ({"k": "depth"}, lambda p, *_: ECRLookaheadSelection(int(p["k"]))),
+}
+INFERENCE_RULES = {
+    "fbar": ({"delta": None},
+             lambda p, m, saddles, eps, delta: FBarInference(saddles, float(p.get("delta", delta)))),
+    "p2": ({"i": "hypothesis"},
+           lambda p, m, saddles, eps, _: P2Inference(i := _hypothesis(p["i"], m), saddles[i], eps)),
+    "map": ({}, lambda *_: MAPInference()),
+}
+
+
+def _parse(kind: str, rules: dict, spec: str, *context):
+    """The rule `rule[:key=value,...]` names in its kind's table, built from
+    context. Errors name an unknown rule before its parameters."""
+    rule, _, rest = spec.partition(":")
+    rule = rule.strip()
+    if rule not in rules:
+        raise ConfigError(f"unknown {kind} strategy spec {spec!r}")
+    keys, build = rules[rule]
+    params: dict[str, str] = {}
+    for part in rest.split(",") if rest else ():
+        key, eq, value = (s.strip() for s in part.partition("="))
+        if not eq:
+            raise ConfigError(f"malformed parameter {part!r} in spec {spec!r}")
+        if key not in keys:
+            raise ConfigError(f"{rule} takes no parameter {key!r} (spec {spec!r})")
+        if key in params:   # the run's metadata echoes the spec as typed
+            raise ConfigError(f"repeated parameter {key!r} in spec {spec!r}")
+        params[key] = value
+    for key, noun in keys.items():
+        if noun and key not in params:
+            raise ConfigError(f"{rule} needs a {noun}, e.g. {rule}:{key}=2")
+    return build(params, *context)
+
+
+parse_selection = functools.partial(_parse, "selection", SELECTION_RULES)
+parse_inference = functools.partial(_parse, "inference", INFERENCE_RULES)
 
 
 @functools.cache
@@ -218,17 +282,15 @@ def _run(args, *, bound_rows: bool = False):
 
     Runs Monte Carlo when --episodes is given and exact enumeration
     otherwise. Failures surface in this order: model load, saddles, epsilon
-    rule, delta, strategy specs, --episodes, horizon list, run configuration.
+    rule, delta, --select (its rule, its parameters, the rule's constructor),
+    --infer (likewise), --episodes, horizon list, run configuration.
     """
     model = load_model(args.model)
     saddles = saddle_points(model)
     schedule = EpsilonSchedule.parse(args.epsilon_rule)
     delta = _resolve_delta(args, saddles, bound_rows)
-    try:
-        selection = parse_selection(args.select, model, saddles)
-        inference = parse_inference(args.infer, model, saddles, schedule, delta)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    selection = parse_selection(args.select, model, saddles)
+    inference = parse_inference(args.infer, model, saddles, schedule, delta)
     episodes = getattr(args, "episodes", None)
     if args.command == "simulate" and episodes is None:
         raise ConfigError("this subcommand requires --episodes")

@@ -146,6 +146,9 @@ def _validate(model: Model) -> None:
             f"prior sums to {float(model.prior.sum())!r}, violating normalization "
             f"beyond tolerance {ROW_SUM_TOL}"
         )
+    if np.any(model.prior >= 1.0):   # 1 - prior[i] <= 0: no mass left for i's rivals
+        i = int(np.argmax(model.prior))
+        raise ModelValidationError(f"prior[{i}] = {float(model.prior[i])!r} leaves its rivals no mass")
 
     # Every experiment must discriminate every ordered pair of hypotheses.
     logc = np.log(model.channel)

@@ -10,15 +10,15 @@ Every rule implements one batch method, and only that, over a matrix of
 log-beliefs, one row per episode or lattice state, each known only up to
 its own additive constant (a rule reading probabilities, as ejs and ecr:k
 do, normalizes its rows itself): batch_action_distributions for selection,
-batch_decide for inference. The CLI echoes a rule's spec as typed, so a
-rule carries no spec of its own. The one-belief calls action_distribution
-and decide are defined once, on the base classes, as a batch of one, so a
-scalar call returns row 0 of the batch computation and cannot drift from
-it. Rows never interact, so a row's result does not depend on its batch;
-that makes it exact for the rules reading probabilities to score each
-bitwise-distinct normalized row once, as Monte Carlo batches repeat rows
-heavily. Monte Carlo calls a rule concurrently on disjoint row blocks, so a
-rule keeps no mutable shared state.
+batch_decide for inference. Rules know no spec syntax: the CLI parses specs
+by its rule tables and echoes them as typed. The one-belief calls
+action_distribution and decide are defined once, on the base classes, as a
+batch of one, so a scalar call returns row 0 of the batch computation and
+cannot drift from it. Rows never interact, so a row's result does not
+depend on its batch; that makes it exact for the rules reading
+probabilities to score each bitwise-distinct normalized row once, as Monte
+Carlo batches repeat rows heavily. Monte Carlo calls a rule concurrently on
+disjoint row blocks, so a rule keeps no mutable shared state.
 
 One tie rule serves every rule and route: scores within tie_tolerance of
 the best tie, the lowest index winning, and a threshold margin within it of
@@ -77,10 +77,11 @@ def _ejs_scores(model: Model, log_rho: np.ndarray) -> np.ndarray:
 
     Entry (b, u) is sum_h rho(h) sum_y p_h^u(y) [C_h(rho') - C_h(rho)], with
     rho = exp(log_rho[b]) a normalized belief (see normalize_belief_rows) and
-    rho' its Bayes update after (u, y). Each (b, u) block is laid out as the
-    one-belief formula lays out its (M, Y) block: the posterior's hypothesis
-    axis strided, the M*Y gains summed as one contiguous run. That keeps each
-    row's scores bit-identical to the one-belief formula, whatever the batch.
+    rho' its Bayes update after (u, y). Each (b, u) block is laid out as
+    tests/test_bit_identity.py's frozen one-belief _frozen_ejs_divergence
+    lays out its (M, Y) block: the posterior's hypothesis axis strided, the
+    M*Y gains summed as one contiguous run, keeping each row bit-identical to
+    it whatever the batch.
     """
     lr = log_rho                                             # (B, M)
     logp = np.moveaxis(model.log_channel, 1, 0)              # (U, M, Y)
@@ -353,94 +354,3 @@ class FixedThresholdInference(InferenceStrategy):
     def batch_decide(self, model, log_prior, log_final, horizon):
         inc = bllr_matrix(log_final) - bllr_matrix(log_prior)[None, :]
         return _decide_by_thresholds(inc, self.theta, tie_tolerance(model, horizon))
-
-
-# ---------------------------------------------------------------------------
-# CLI spec strings
-# ---------------------------------------------------------------------------
-
-def _resolve_hypothesis(token: str, model: Model) -> int:
-    """Resolve a hypothesis reference: exact label first, else 1-based position."""
-    if token in model.hypotheses:
-        return model.hypotheses.index(token)
-    try:
-        pos = int(token)
-    except ValueError:
-        raise ValueError(
-            f"{token!r} is neither a hypothesis label nor a 1-based index"
-        ) from None
-    if not (1 <= pos <= model.num_hypotheses):
-        raise ValueError(f"hypothesis index {pos} out of range 1..{model.num_hypotheses}")
-    return pos - 1
-
-
-def _split_spec(spec: str, takes: dict[str, tuple[str, ...]]) -> tuple[str, dict[str, str]]:
-    """(rule, parameters) of `rule[:key=value,...]`; takes maps each known
-    rule to the keys it accepts. A known rule given another key, or a key
-    twice, is rejected: the run's metadata echoes the spec as written."""
-    head, _, rest = spec.partition(":")
-    head = head.strip()
-    params: dict[str, str] = {}
-    if rest:
-        for part in rest.split(","):
-            key, eq, value = part.partition("=")
-            key = key.strip()
-            if not eq:
-                raise ValueError(f"malformed parameter {part!r} in spec {spec!r}")
-            if head in takes and key not in takes[head]:
-                raise ValueError(f"{head} takes no parameter {key!r} (spec {spec!r})")
-            if head in takes and key in params:
-                raise ValueError(f"repeated parameter {key!r} in spec {spec!r}")
-            params[key] = value.strip()
-    return head, params
-
-
-def parse_selection(
-    spec: str, model: Model, saddles: Sequence[SaddlePoint]
-) -> SelectionStrategy:
-    """Build a selection strategy from its CLI spec string.
-
-    Recognized: `chernoff`, `openloop:i=<hyp>`, `uniform`, `ejs`, `ecr:k=<depth>`.
-    Hypothesis references accept a label or a 1-based position.
-    """
-    head, params = _split_spec(spec, {
-        "chernoff": (), "openloop": ("i",), "uniform": (), "ejs": (), "ecr": ("k",),
-    })
-    if head == "chernoff":
-        return ChernoffSelection(saddles)
-    if head == "openloop":
-        if "i" not in params:
-            raise ValueError("openloop needs a hypothesis, e.g. openloop:i=2")
-        return OpenLoopSelection(_resolve_hypothesis(params["i"], model), saddles)
-    if head == "uniform":
-        return UniformSelection()
-    if head == "ejs":
-        return EJSGreedySelection()
-    if head == "ecr":
-        if "k" not in params:
-            raise ValueError("ecr needs a depth, e.g. ecr:k=2")
-        return ECRLookaheadSelection(int(params["k"]))
-    raise ValueError(f"unknown selection strategy spec {spec!r}")
-
-
-def parse_inference(
-    spec: str, model: Model, saddles: Sequence[SaddlePoint],
-    epsilon_schedule: EpsilonSchedule, delta: float,
-) -> InferenceStrategy:
-    """Build an inference strategy from its CLI spec string.
-
-    Recognized: `fbar` or `fbar:delta=<v>` (default delta passed in),
-    `p2:i=<hyp>`, `map`.
-    """
-    head, params = _split_spec(spec, {"fbar": ("delta",), "p2": ("i",), "map": ()})
-    if head == "fbar":
-        d = float(params["delta"]) if "delta" in params else delta
-        return FBarInference(saddles, d)
-    if head == "p2":
-        if "i" not in params:
-            raise ValueError("p2 needs a hypothesis, e.g. p2:i=1")
-        i = _resolve_hypothesis(params["i"], model)
-        return P2Inference(i, saddles[i], epsilon_schedule)
-    if head == "map":
-        return MAPInference()
-    raise ValueError(f"unknown inference strategy spec {spec!r}")

@@ -11,7 +11,7 @@ import shlex
 import numpy as np
 import pytest
 
-from ahtest.cli import main
+from ahtest.cli import INFERENCE_RULES, SELECTION_RULES, _build_parser, main
 
 from conftest import MODELS_DIR, REPO_ROOT, corrupt_mixtures, fresh_python
 
@@ -72,6 +72,50 @@ class TestValidate:
     def test_missing_file_exit_code(self, capsys):
         code, _, _ = run_cli(capsys, "validate", "--model", "/nonexistent.json")
         assert code == 3
+
+
+def _bsc2_with_prior(tmp_path, prior):
+    path = tmp_path / "prior.json"
+    path.write_text(json.dumps({
+        "hypotheses": ["H1", "H2"], "experiments": ["u0"], "observations": ["0", "1"],
+        "prior": prior, "channel": [[[0.9, 0.1]], [[0.1, 0.9]]],
+    }))
+    return str(path)
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise AssertionError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestSkewedPrior:
+    """A prior entry of 1.0 (the rest within the sum tolerance) is refused;
+    a skewed prior short of it runs to finite reports."""
+
+    RUNS = [
+        ["validate"],
+        ["enumerate", "--horizon", "3", "--infer", "map"],
+        ["simulate", "--horizon", "3", "--episodes", "50"],
+        ["sweep", "--horizons", "2,3", "--format", "json"],
+    ]
+
+    @pytest.mark.parametrize("argv", RUNS[1:], ids=lambda argv: argv[0])
+    def test_valid_skewed_prior_gives_finite_reports(self, capsys, tmp_path, argv):
+        model = _bsc2_with_prior(tmp_path, [1.0 - 1e-10, 1e-10])
+        code, out, err = run_cli(capsys, *argv, "--model", model)
+        assert (code, err) == (0, "")
+        doc = _strict_json(out)
+        for report in [doc["report"]] if "report" in doc else doc["rows"]:
+            assert math.isfinite(report["gamma"])
+            assert all(math.isfinite(v) for v in report.get("phi", []))
+
+    @pytest.mark.parametrize("argv", RUNS, ids=lambda argv: argv[0])
+    def test_prior_entry_of_one_exit_code(self, capsys, tmp_path, argv):
+        model = _bsc2_with_prior(tmp_path, [1.0, 1e-12])
+        code, out, err = run_cli(capsys, *argv, "--model", model)
+        assert (code, out) == (3, "")
+        assert err.startswith("model error: prior[0] = 1.0 leaves its rivals no mass")
 
 
 class TestDivergence:
@@ -225,6 +269,31 @@ class TestSimulateEnumerate:
             header, row = csv.reader(io.StringIO(out))
             assert len(header) == len(row) == 7 + 3 * len(labels)
             assert header[7:] == [f"{name}_{h}" for name in ("psi", "phi", "jng") for h in labels]
+
+
+# Every rule of each table, a spec as typed (odd spacing included).
+SELECT_SPECS = ["chernoff", "openloop:i=1", "uniform", "ejs", "ecr:k=2", "ecr: k=2"]
+INFER_SPECS = ["fbar", "map", "p2:i=1"]
+
+
+class TestEveryRuleRuns:
+    """Each table's constructors are wired to their rules: every selection
+    rule runs with every inference rule on tri3, exactly and by Monte Carlo,
+    and the metadata echoes both specs as typed."""
+
+    def test_specs_cover_every_table_rule(self):
+        for specs, rules in ((SELECT_SPECS, SELECTION_RULES), (INFER_SPECS, INFERENCE_RULES)):
+            assert {spec.partition(":")[0] for spec in specs} == set(rules)
+
+    @pytest.mark.parametrize("infer", INFER_SPECS)
+    @pytest.mark.parametrize("select", SELECT_SPECS)
+    def test_enumerate_and_simulate(self, capsys, select, infer):
+        for extra in (["enumerate"], ["simulate", "--episodes", "20"]):
+            code, out, err = run_cli(capsys, *extra, "--model", TRI3, "--horizon", "3",
+                                     "--select", select, "--infer", infer)
+            assert (code, err) == (0, ""), extra
+            metadata = json.loads(out)["metadata"]
+            assert (metadata["select"], metadata["infer"]) == (select, infer)
 
 
 class TestBoundsSweep:
@@ -441,6 +510,28 @@ class TestParserReuse:
         assert cli._build_parser.cache_info().misses == 1
 
 
+def _rules_and_keys(specs):
+    """{rule: its keys} of spec texts such as `ecr:k=<depth>` or `fbar[:delta=V]`."""
+    return {re.match(r"\s*(\w+)", spec).group(1): set(re.findall(r"(\w+)=", spec))
+            for spec in specs}
+
+
+def _table_rules_and_keys(rules):
+    return {rule: set(keys) for rule, (keys, _) in rules.items()}
+
+
+class TestSpecHelp:
+    """--select and --infer help name exactly each table's rules and keys."""
+
+    @pytest.mark.parametrize("command", ["simulate", "enumerate", "bounds", "sweep"])
+    def test_help_matches_rule_tables(self, command):
+        sub = next(a for a in _build_parser()._actions if a.dest == "command")
+        helps = {a.dest: a.help for a in sub.choices[command]._actions}
+        for dest, rules in (("select", SELECTION_RULES), ("infer", INFERENCE_RULES)):
+            specs = helps[dest].split(":", 1)[1].split("|")
+            assert _rules_and_keys(specs) == _table_rules_and_keys(rules)
+
+
 class TestReadme:
     """README.md's CLI block runs as written, and the names it cites exist."""
 
@@ -463,6 +554,14 @@ class TestReadme:
                 argv += ["--out", str(tmp_path / f"out-{n}")]
             code, _, err = run_cli(capsys, *argv)
             assert (code, err) == (0, ""), argv
+
+    def test_strategy_specs_name_each_table_rule_and_key(self):
+        text = " ".join(self.README.split())
+        sentence = text.split("Strategy specs:", 1)[1].split("for inference.", 1)[0]
+        selection, inference = sentence.split("for selection;")
+        for part, rules in ((selection, SELECTION_RULES), (inference, INFERENCE_RULES)):
+            specs = re.findall(r"`([^`]+)`", part)
+            assert _rules_and_keys(specs) == _table_rules_and_keys(rules)
 
     def test_every_cited_name_resolves(self):
         names = {m.group(0) for span in re.findall(r"`([^`\n]+)`", self.README)

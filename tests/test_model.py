@@ -99,6 +99,20 @@ class TestLoadModel:
         with pytest.raises(ModelValidationError, match="prior"):
             load_model(json.dumps(doc).encode())
 
+    @pytest.mark.parametrize("prior", [[1.0, 1e-12], [1e-12, 1.0], [1.0 + 5e-10, 1e-12]])
+    def test_prior_entry_leaving_no_rival_mass_rejected(self, prior):
+        # Positive, and normalized within tolerance, yet 1 - prior[i] <= 0:
+        # the decision weights would divide by zero.
+        doc = _bsc2_doc()
+        doc["prior"] = prior
+        with pytest.raises(ModelValidationError, match=r"prior\[\d\] = .* leaves its rivals no mass"):
+            load_model(json.dumps(doc).encode())
+
+    def test_skewed_prior_keeps_every_bit(self):
+        doc = _bsc2_doc()
+        doc["prior"] = [1.0 - 1e-10, 1e-10]
+        assert load_model(json.dumps(doc).encode()).prior.tolist() == [1.0 - 1e-10, 1e-10]
+
     def test_single_hypothesis_rejected(self):
         doc = {
             "hypotheses": ["only"],

@@ -20,7 +20,7 @@ from ahtest import (
     saddle_points,
 )
 from ahtest import strategies
-from ahtest.belief import log_normalize
+from ahtest.belief import bllr_matrix, log_normalize
 from ahtest.model import EpsilonSchedule
 from ahtest.strategies import (
     ChernoffSelection,
@@ -32,9 +32,8 @@ from ahtest.strategies import (
     OpenLoopSelection,
     P2Inference,
     UniformSelection,
-    parse_inference,
-    parse_selection,
 )
+from ahtest.cli import parse_inference, parse_selection
 
 from conftest import random_model
 
@@ -275,6 +274,20 @@ class TestECRLookahead:
             d_ecr = ECRLookaheadSelection(1).action_distribution(model, b.log_rho, 0, 10)
             d_ejs = EJSGreedySelection().action_distribution(model, b.log_rho, 0, 1)
             assert int(np.argmax(d_ecr)) == int(np.argmax(d_ejs))
+
+    def test_depth_one_is_ejs_up_to_a_constant_of_the_belief(self):
+        # ecr:1 scores sum_h rho(h) E[C_h(rho')], EJS the gain over
+        # sum_h rho(h) C_h(rho): the lookahead heuristic at depth one is EJS
+        # (Naghshvar & Javidi, Ann. Stat. 2013), score for score.
+        rng = np.random.default_rng(28)
+        for _ in range(300):
+            m, u, y = (int(v) for v in rng.integers([2, 1, 2], [6, 5, 6]))
+            model = random_model(rng, m, u, y)
+            b = Belief.from_probs(rng.dirichlet(np.ones(m)))
+            base = float(np.sum(np.exp(b.log_rho) * bllr_matrix(b.log_rho)))
+            scores = strategies._ecr_scores(model, b.log_rho[None, :], 1)[0]
+            for a, score in enumerate(scores):
+                assert abs(ejs_divergence(model, b, a) + base - score) <= 1e-12 * max(1.0, abs(score))
 
     def test_depth_two_symmetric_tie_goes_low(self, tri3):
         # swapping hypotheses 2 and 3 maps one experiment onto the other, so
