@@ -63,7 +63,7 @@ def complement_logsumexp(log_rho: np.ndarray) -> np.ndarray:
     """For each i, log sum_{j != i} exp(log_rho[..., j])."""
     lr = np.asarray(log_rho, dtype=float)
     m = lr.shape[-1]
-    tiled = np.broadcast_to(lr[..., None, :], lr.shape[:-1] + (m, m)).copy()
+    tiled = np.repeat(lr[..., None, :], m, axis=-2)
     idx = np.arange(m)
     tiled[..., idx, idx] = -np.inf
     return logsumexp_last(tiled)

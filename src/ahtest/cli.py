@@ -67,24 +67,25 @@ def _hypothesis(token: str, model) -> int:
 
 
 # The spec language, one table per rule kind: rule -> (its keys, its constructor).
-# A key maps to what its value names, None where the rule has a default. The
-# constructors take the parameters and the rest of the call parse_selection(spec,
-# model, saddles) or parse_inference(spec, model, saddles, schedule, delta) gets.
+# A key maps to what its value names (None where the rule has a default) and its
+# value's type. The constructors take the typed values and the rest of the call
+# parse_selection(spec, model, saddles) or parse_inference(..., schedule, delta) gets.
 SELECTION_RULES = {
     "chernoff": ({}, lambda p, m, saddles: ChernoffSelection(saddles)),
-    "openloop": ({"i": "hypothesis"},
+    "openloop": ({"i": ("hypothesis", str)},
                  lambda p, m, saddles: OpenLoopSelection(_hypothesis(p["i"], m), saddles)),
     "uniform": ({}, lambda *_: UniformSelection()),
     "ejs": ({}, lambda *_: EJSGreedySelection()),
-    "ecr": ({"k": "depth"}, lambda p, *_: ECRLookaheadSelection(int(p["k"]))),
+    "ecr": ({"k": ("depth", int)}, lambda p, *_: ECRLookaheadSelection(p["k"])),
 }
 INFERENCE_RULES = {
-    "fbar": ({"delta": None},
+    "fbar": ({"delta": (None, float)},
              lambda p, m, saddles, eps, delta: FBarInference(saddles, float(p.get("delta", delta)))),
-    "p2": ({"i": "hypothesis"},
+    "p2": ({"i": ("hypothesis", str)},
            lambda p, m, saddles, eps, _: P2Inference(i := _hypothesis(p["i"], m), saddles[i], eps)),
     "map": ({}, lambda *_: MAPInference()),
 }
+_TYPE_NOUNS = {int: "an integer", float: "a number"}
 
 
 def _parse(kind: str, rules: dict, spec: str, *context):
@@ -95,7 +96,7 @@ def _parse(kind: str, rules: dict, spec: str, *context):
     if rule not in rules:
         raise ConfigError(f"unknown {kind} strategy spec {spec!r}")
     keys, build = rules[rule]
-    params: dict[str, str] = {}
+    params: dict = {}
     for part in rest.split(",") if rest else ():
         key, eq, value = (s.strip() for s in part.partition("="))
         if not eq:
@@ -104,8 +105,13 @@ def _parse(kind: str, rules: dict, spec: str, *context):
             raise ConfigError(f"{rule} takes no parameter {key!r} (spec {spec!r})")
         if key in params:   # the run's metadata echoes the spec as typed
             raise ConfigError(f"repeated parameter {key!r} in spec {spec!r}")
-        params[key] = value
-    for key, noun in keys.items():
+        convert = keys[key][1]
+        try:
+            params[key] = convert(value)
+        except ValueError:
+            raise ConfigError(f"{rule}: {key} must be {_TYPE_NOUNS[convert]}, "
+                              f"got {value!r} (spec {spec!r})") from None
+    for key, (noun, _) in keys.items():
         if noun and key not in params:
             raise ConfigError(f"{rule} needs a {noun}, e.g. {rule}:{key}=2")
     return build(params, *context)

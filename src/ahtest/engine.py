@@ -2,17 +2,18 @@
 
 Monte Carlo runs are vectorized across episodes, one lane per true
 hypothesis. A lane's Philox key packs (base seed, lane), and episode e of a
-horizon-N run reads its 2N uniforms from counter e * ceil(2N / 4) on: a
-chunk of episodes is one block, estimates do not depend on batching, and
+horizon-N run reads its 2N uniforms from counter e * ceil(2N / 4) on: a lane's
+episodes are one block, estimates do not depend on batching, and
 run_episode replays any episode exactly. Step n reads the episode's values
 2n (experiment) and 2n + 1 (observation), copied step-major so that a step
 reads contiguous rows; a model with one experiment copies no experiment
 values, since its experiment is always 0. Episodes carry log-prior plus
 summed log-likelihoods, unnormalized, and every rule gets those rows as they
-are: it reads a row only up to the row's own constant (see strategies). A
-chunk runs in contiguous parts of episodes, one per CPU, each drawing its own
-uniforms and stepping them; rows never interact and the joined parts are
-reduced as one chunk, so no result depends on the CPU count.
+are: it reads a row only up to the row's own constant (see strategies).
+All lanes step together in one lane-major row space of chunks, each run
+in contiguous parts, one per CPU, that draw their rows' uniforms lane by
+lane and step them. Rows never interact and reductions stay per lane, over
+the lane's own episode blocks, so no result depends on layout or CPU count.
 
 Exact enumeration merges the (experiment, observation) tree's paths by their
 outcome counts, which fix the belief (the method of types): a forward pass
@@ -262,10 +263,11 @@ def _run_chunk(
 
 
 def _uniform_block(base_seed: int, lane: int, start: int, count: int, horizon: int,
-                   actions: bool = True):
+                   actions: bool = True, out=None):
     """(act, obs): the step-major (horizon, count) experiment and observation
     uniforms of episodes start .. start + count - 1; act is None unless
     actions, so a one-experiment run holds horizon * count * 8 bytes, not twice that.
+    With out, an (act or None, obs) pair of (horizon, count) views, fills those.
 
     Episode e reads from counter e * nb on, nb = ceil(2 * horizon / 4) Philox
     blocks of four doubles: column t of act and obs holds the even and the
@@ -280,59 +282,67 @@ def _uniform_block(base_seed: int, lane: int, start: int, count: int, horizon: i
     start = _key_field("episode index", start, 64)
     _key_field("episode index", start + max(count, 1) - 1, 64)
     gen = np.random.Generator(np.random.Philox(key=lane_key(base_seed, lane), counter=start * nb))
-    obs = np.empty((horizon, count))
-    act = np.empty((horizon, count)) if actions else None
+    act, obs = out or (np.empty((horizon, count)) if actions else None, np.empty((horizon, count)))
     rows = max(1, _TILE_BYTES // (32 * nb))
     scratch = np.empty((min(rows, count), 4 * nb))
     for lo in range(0, count, rows):
         tile = scratch[:min(rows, count - lo)]
         gen.random(out=tile)
         obs[:, lo:lo + len(tile)] = tile[:, 1:2 * horizon:2].T
-        if actions:
+        if act is not None:
             act[:, lo:lo + len(tile)] = tile[:, 0:2 * horizon:2].T
     return act, obs
 
 
-def simulate_conditioned_batch(
-    config: RunConfig, true_h: int, record_beliefs: bool = False
-):
-    """All episodes of one true hypothesis's lane, in chunks run in parts;
-    each part draws its own step rows (see _uniform_block) and steps them.
-
-    Returns (decision_counts (M+1,), inc_sum, inc_sqsum, decisions (E,),
-    belief_path or None). The decisions array is always materialized; the
-    belief path only on request and only for desk-scale batches.
-    """
-    model = config.model
-    episodes = config.episodes
-    horizon = config.horizon
+def _simulate_lanes(config: RunConfig, lanes, record_beliefs: bool = False):
+    """Every episode of the given lanes, stepped together: row r is episode
+    r % E of lane lanes[r // E], and a part draws each lane's segment of its
+    rows in place (see _uniform_block). Counts and increment sums are
+    reduced per lane over its episode blocks of CHUNK_SIZE, in order.
+    Returns (decision_counts (L, M+1), inc_sum (L,), inc_sqsum (L,),
+    decisions (L * E,), belief_path or None, the path only on request)."""
+    model, episodes, horizon = config.model, config.episodes, config.horizon
     m_hyp = model.num_hypotheses
-    counts = np.zeros(m_hyp + 1, dtype=np.int64)
-    inc_sum = 0.0
-    inc_sqsum = 0.0
-    all_decisions = np.empty(episodes, dtype=np.int64)
+    true_h = np.repeat(lanes, episodes)
+    rows = true_h.size
+    decisions = np.empty(rows, dtype=np.int64)
+    own = np.empty(rows)
     paths = [] if record_beliefs else None
-    for start in range(0, episodes, CHUNK_SIZE):
-        count = min(CHUNK_SIZE, episodes - start)
+    for start in range(0, rows, CHUNK_SIZE):
+        count = min(CHUNK_SIZE, rows - start)
 
         def part(lo, hi):
-            act, obs = _uniform_block(config.seed, true_h, start + lo, hi - lo, horizon,
-                                      model.num_experiments > 1)
+            lo, hi = start + lo, start + hi
+            act = np.empty((horizon, hi - lo)) if model.num_experiments > 1 else None
+            obs = np.empty((horizon, hi - lo))
+            for i in range(lo // episodes, -(-hi // episodes)):
+                a, b = max(lo, i * episodes), min(hi, (i + 1) * episodes)
+                seg = slice(a - lo, b - lo)
+                _uniform_block(config.seed, lanes[i], a - i * episodes, b - a, horizon,
+                               out=(None if act is None else act[:, seg], obs[:, seg]))
             return _run_chunk(model, config.selection, config.inference, horizon,
-                              np.full(hi - lo, true_h), act, obs, record_beliefs)
+                              true_h[lo:hi], act, obs, record_beliefs)
 
         parts = _in_parts(part, count)
-        decisions = all_decisions[start:start + count] = np.concatenate([d for d, _, _ in parts])
+        decisions[start:start + count] = np.concatenate([d for d, _, _ in parts])
         increments = np.concatenate([inc for _, inc, _ in parts])
-        cols = np.where(decisions == INCONCLUSIVE, m_hyp, decisions)
-        counts += np.bincount(cols, minlength=m_hyp + 1)
-        own = increments[:, true_h]
-        inc_sum += float(own.sum())
-        inc_sqsum += float((own * own).sum())
+        own[start:start + count] = increments[np.arange(count), true_h[start:start + count]]
         if record_beliefs:
             paths.extend(path for _, _, (path, _) in parts)
+    cols = np.where(decisions == INCONCLUSIVE, m_hyp, decisions).reshape(-1, episodes)
+    counts = np.array([np.bincount(c, minlength=m_hyp + 1) for c in cols])
+    blocks = [own.reshape(-1, episodes)[:, k:k + CHUNK_SIZE] for k in range(0, episodes, CHUNK_SIZE)]
+    inc_sum = functools.reduce(operator.add, (b.sum(axis=1) for b in blocks), 0.0)
+    inc_sqsum = functools.reduce(operator.add, ((b * b).sum(axis=1) for b in blocks), 0.0)
     belief_path = np.concatenate(paths, axis=0) if record_beliefs else None
-    return counts, inc_sum, inc_sqsum, all_decisions, belief_path
+    return counts, inc_sum, inc_sqsum, decisions, belief_path
+
+
+def simulate_conditioned_batch(config: RunConfig, true_h: int, record_beliefs: bool = False):
+    """All episodes of lane true_h: the run's path on one lane. Returns
+    (decision_counts (M+1,), inc_sum, inc_sqsum, decisions (E,), belief_path or None)."""
+    counts, inc_sum, inc_sqsum, decisions, path = _simulate_lanes(config, [true_h], record_beliefs)
+    return counts[0], float(inc_sum[0]), float(inc_sqsum[0]), decisions, path
 
 
 def _bernoulli_se(p_hat: float, n: int) -> float:
@@ -358,8 +368,7 @@ def monte_carlo(config: RunConfig) -> RunReport:
     prior = config.model.prior
     m_hyp = prior.size
     horizon = config.horizon
-    lanes = [simulate_conditioned_batch(config, h)[:3] for h in range(m_hyp)]
-    counts, inc_sum, inc_sqsum = (np.array(col) for col in zip(*lanes))
+    counts, inc_sum, inc_sqsum, _, _ = _simulate_lanes(config, range(m_hyp))
 
     decision_probs = counts / episodes
     psi, phi, gamma = _error_rates(decision_probs, prior)

@@ -841,9 +841,10 @@ def test_parts_move_no_bit(name, cpus, chunk, request, monkeypatch):
     assert report.to_json_dict() == whole_report.to_json_dict()
     assert _same_bits(report.decision_probs, whole_report.decision_probs)
     assert [_lane_bits(config, h) for h in range(config.model.num_hypotheses)] == whole_lanes
-    # 50 episodes split into 2 or 3 parts; 7-episode chunks into 3 + 4 or
-    # 2 + 2 + 3, their last chunk of one episode not at all
-    sizes = {2: [25, 25], 3: [16, 17, 17]} if chunk is None else {2: [3, 4], 3: [2, 2, 3]}
+    # every lane's 50 episodes step together: tri3's 150 rows and bsc2's 100
+    # split into 2 or 3 parts; the first 7-row chunk into 3 + 4 or 2 + 2 + 3
+    whole = {"tri3": {2: [75, 75], 3: [50, 50, 50]}, "bsc2": {2: [50, 50], 3: [33, 33, 34]}}
+    sizes = whole[name] if chunk is None else {2: [3, 4], 3: [2, 2, 3]}
     assert sorted(n for _, n in calls[:cpus]) == sizes[cpus]
     assert len({t for t, _ in calls}) > 1
     # run_episode replays the last episode of a part that ran off the caller's thread
@@ -873,6 +874,38 @@ def test_run_episode_replays_rows_at_part_and_tile_edges(bsc2, monkeypatch):
             _, decision, belief = run_episode(config, h, e)
             assert decisions[e] == (INCONCLUSIVE if decision is None else decision)
             assert _same_bits(belief.log_rho, Belief(path[e, -1]).log_rho)
+
+
+@pytest.mark.parametrize("name", ["tri3", "bsc2"])
+def test_run_episode_replays_rows_at_lane_edges(name, request, monkeypatch):
+    # Every lane's rows step together, lane-major: with 64-row chunks in two
+    # parts, the edge between lanes 0 and 1 (row 50) lies inside chunk [0, 64)
+    # and part [32, 64), and tri3's edge at row 100 inside chunk [64, 128) and
+    # part [96, 128). A replay has the batch row's bits on both sides of each
+    # part edge and at both ends of every lane, and the report is the one of
+    # unpatched chunks, whose reductions stay per lane.
+    config = _split_config(name, request)
+    lanes, episodes = range(config.model.num_hypotheses), config.episodes
+    unpatched = monte_carlo(config)
+    monkeypatch.setattr(engine, "CHUNK_SIZE", 64)
+    calls = _force_parts(monkeypatch, 2, min_part=2)
+    report = monte_carlo(config)
+    assert _hexed(report.to_json_dict()) == _hexed(unpatched.to_json_dict())
+    assert _same_bits(report.decision_probs, unpatched.decision_probs)
+    rows = len(lanes) * episodes
+    chunks = [(s, min(s + 64, rows)) for s in range(0, rows, 64)]
+    part_edges = sorted({e for lo, hi in chunks for e in (lo, (lo + hi) // 2, hi)})
+    lane_edges = [h * episodes for h in lanes[1:]]
+    assert not set(lane_edges) & set(part_edges)   # each lane edge lies inside a part
+    calls.clear()
+    *_, decisions, path = engine._simulate_lanes(config, lanes, record_beliefs=True)
+    assert sorted(n for _, n in calls) == sorted(np.diff(part_edges))
+    ends = [e for h in lanes for e in (h * episodes, (h + 1) * episodes - 1)]
+    for row in sorted(set(ends) | {r for e in part_edges[1:-1] for r in (e - 1, e)}):
+        h, e = divmod(row, episodes)
+        _, decision, belief = run_episode(config, h, e)
+        assert decisions[row] == (INCONCLUSIVE if decision is None else decision)
+        assert _same_bits(belief.log_rho, Belief(path[row, -1]).log_rho)
 
 
 class _FailingInOnePart(UniformSelection):
@@ -906,7 +939,8 @@ def test_an_error_in_a_part_reaches_the_caller_after_every_part_stops(
     rule = _FailingInOnePart(fail_in_caller)
     config = RunConfig(model=tri3, selection=rule, inference=MAPInference(),
                        horizon=5, episodes=SPLIT_EPISODES, seed=13)
-    with pytest.raises(ArithmeticError, match=r"^part of 25 rows failed at step 0$"):
+    # the 150 rows of tri3's three lanes step together, in two parts
+    with pytest.raises(ArithmeticError, match=r"^part of 75 rows failed at step 0$"):
         monte_carlo(config)
     # the other part had run its every step to the end
     assert (rule.calls, rule.running) == (1 + config.horizon, 0)

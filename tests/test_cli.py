@@ -237,6 +237,19 @@ class TestSimulateEnumerate:
         assert err.startswith("configuration error:")
         assert repr(spec) in err
 
+    @pytest.mark.parametrize("flag, spec, message", [
+        ("--select", "ecr:k=x", "ecr: k must be an integer, got 'x' (spec 'ecr:k=x')"),
+        ("--select", "ecr:k=2.5", "ecr: k must be an integer, got '2.5' (spec 'ecr:k=2.5')"),
+        ("--infer", "fbar:delta=x",
+         "fbar: delta must be a number, got 'x' (spec 'fbar:delta=x')"),
+        ("--infer", "fbar: delta = 1e-2x",
+         "fbar: delta must be a number, got '1e-2x' (spec 'fbar: delta = 1e-2x')"),
+    ])
+    def test_spec_value_not_converting_exit_code(self, capsys, flag, spec, message):
+        code, out, err = run_cli(capsys, "enumerate", "--model", TRI3, "--horizon", "2", flag, spec)
+        assert (code, out) == (4, "")
+        assert err == f"configuration error: {message}\n"
+
     def test_budget_exceeded_exit_code(self, capsys):
         code, _, err = run_cli(
             capsys, "enumerate", "--model", TRI3, "--select", "uniform",
