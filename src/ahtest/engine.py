@@ -2,18 +2,20 @@
 
 Monte Carlo runs are vectorized across episodes, one lane per true
 hypothesis. A lane's Philox key packs (base seed, lane), and episode e of a
-horizon-N run reads its 2N uniforms from counter e * ceil(2N / 4) on: a lane's
-episodes are one block, estimates do not depend on batching, and
+horizon-N run reads its 2N uniforms from counter e * ceil(2N / 4) on: a
+lane's episodes are one block, estimates do not depend on batching, and
 run_episode replays any episode exactly. Step n reads the episode's values
-2n (experiment) and 2n + 1 (observation), copied step-major so that a step
-reads contiguous rows; a model with one experiment copies no experiment
-values, since its experiment is always 0. Episodes carry log-prior plus
-summed log-likelihoods, unnormalized, and every rule gets those rows as they
-are: it reads a row only up to the row's own constant (see strategies).
-All lanes step together in one lane-major row space of chunks, each run
-in contiguous parts, one per CPU, that draw their rows' uniforms lane by
-lane and step them. Rows never interact and reductions stay per lane, over
-the lane's own episode blocks, so no result depends on layout or CPU count.
+2n (experiment) and 2n + 1 (observation). A lane fixes the true hypothesis,
+so each observation value becomes an outcome u * Y + y per experiment u as
+it is drawn, one byte each, kept step-major with the experiment values; a
+model with one experiment keeps no experiment values, since its experiment
+is always 0. Episodes carry log-prior plus summed log-likelihoods,
+unnormalized, and every rule gets those rows as they are: it reads a row
+only up to the row's own constant (see strategies). All lanes step together
+in one lane-major row space of chunks, each run in contiguous parts, one per
+CPU, that draw their rows' outcomes lane by lane and step them. Rows never
+interact and every chunk is reduced per lane as it finishes, so no result
+depends on layout or CPU count.
 
 Exact enumeration merges the (experiment, observation) tree's paths by their
 outcome counts, which fix the belief (the method of types): a forward pass
@@ -199,11 +201,11 @@ def run_episode(
     chunk code on a chunk of one, so it has the bits of the batch row."""
     if not (0 <= true_h < config.model.num_hypotheses):
         raise ValueError(f"hypothesis index {true_h} out of range")
-    act, obs = _uniform_block(config.seed, true_h, episode, 1, config.horizon,
-                              config.model.num_experiments > 1)
+    act, outcomes = _uniform_block(config.seed, true_h, episode, 1, config.horizon,
+                                   config.model.channel[true_h])
     decisions, _, (path, steps) = _run_chunk(
         config.model, config.selection, config.inference, config.horizon,
-        np.array([true_h]), act, obs, record=True,
+        np.array([true_h]), act, outcomes, record=True,
     )
     d = int(decisions[0])
     return Trajectory(steps[0]), None if d == INCONCLUSIVE else d, Belief(path[0, -1])
@@ -216,32 +218,26 @@ def _run_chunk(
     horizon: int,
     true_h: np.ndarray,
     act: Optional[np.ndarray],
-    obs: np.ndarray,
+    outcomes: np.ndarray,
     record: bool = False,
 ):
     """Advance a chunk of episodes through all steps and decide.
 
-    true_h is a per-episode array of true hypotheses; act and obs are the
-    step-major (horizon, chunk) experiment and observation uniforms of
-    _uniform_block, act None on a one-experiment model, whose experiment is
-    always 0 (the selection is still called, so its checks still run).
-    Returns (decisions, increments, (path, steps)); with record, the
+    true_h holds each episode's true hypothesis; act and outcomes are
+    _uniform_block's, drawn under it, act None on a one-experiment model,
+    whose experiment is always 0 (the selection is still called, so its
+    checks still run). Step n reads outcomes[u, n] of the experiment u it
+    draws. Returns (decisions, increments, (path, steps)); with record, the
     normalized log-beliefs (chunk, horizon + 1, M) and (u, y) steps.
     """
-    m = obs.shape[1]
-    n_exp = model.num_experiments
-    n_obs = model.num_observations
-    # Per-step gathers take rows of 2-D tables by one flat index: np.take is
-    # several times faster than indexing a 3-D array with two index arrays.
-    channel_by_hu = model.channel.reshape(-1, n_obs)          # row h * U + u
+    m = len(true_h)
+    # Outcome k = u * Y + y takes row k of a 2-D table: np.take is several
+    # times faster than indexing a 3-D array with two index arrays.
     log_channel_by_uy = np.moveaxis(model.log_channel, 0, 2).reshape(
-        -1, model.num_hypotheses)                             # row u * Y + y
-    hu_base = true_h * n_exp
+        -1, model.num_hypotheses)
     log_prior = np.log(model.prior)
     log_rho = np.tile(log_prior, (m, 1))    # log-prior plus summed log-likelihoods
-    # With one experiment u stays 0, so its observation channel rows never change.
-    u = np.zeros(m, dtype=np.intp)
-    channel = np.take(channel_by_hu, hu_base + u, axis=0)
+    rows = np.arange(m)
     path = steps = None
     if record:
         path = np.empty((m, horizon + 1, model.num_hypotheses))
@@ -249,93 +245,116 @@ def _run_chunk(
         path[:, 0] = log_normalize(log_rho)
     for n in range(horizon):
         dists = selection.batch_action_distributions(model, log_rho, n, horizon)
-        if n_exp > 1:
-            u = sample_categorical(dists, act[n])
-            channel = np.take(channel_by_hu, hu_base + u, axis=0)
-        y = sample_categorical(channel, obs[n])
-        log_rho += np.take(log_channel_by_uy, u * n_obs + y, axis=0)
+        if act is None:
+            k = outcomes[0, n]
+        else:
+            k = outcomes[sample_categorical(dists, act[n]), n, rows]
+        log_rho += np.take(log_channel_by_uy, k, axis=0)
         if record:
             path[:, n + 1] = log_normalize(log_rho)
-            steps[:, n] = np.column_stack((u, y))
+            steps[:, n] = np.column_stack(np.divmod(k, model.num_observations))
     decisions = inference.batch_decide(model, log_prior, log_rho, horizon)
     increments = bllr_matrix(log_rho) - bllr_matrix(log_prior)[None, :]
     return decisions, increments, (path, steps)
 
 
 def _uniform_block(base_seed: int, lane: int, start: int, count: int, horizon: int,
-                   actions: bool = True, out=None):
-    """(act, obs): the step-major (horizon, count) experiment and observation
-    uniforms of episodes start .. start + count - 1; act is None unless
-    actions, so a one-experiment run holds horizon * count * 8 bytes, not twice that.
-    With out, an (act or None, obs) pair of (horizon, count) views, fills those.
+                   channel: np.ndarray, out=None):
+    """(act, outcomes) of episodes start .. start + count - 1 of a lane whose
+    true hypothesis has the (U, Y) channel: the step-major (horizon, count)
+    experiment uniforms, None when U = 1, and (U, horizon, count) outcomes
+    u * Y + y, y drawn from channel[u] as sample_categorical draws it, in the
+    smallest unsigned type that holds U * Y - 1 (uint8 for U * Y <= 256).
+    With out, an (act or None, outcomes) pair of views, fills those.
 
     Episode e reads from counter e * nb on, nb = ceil(2 * horizon / 4) Philox
-    blocks of four doubles: column t of act and obs holds the even and the
-    odd values of Generator(Philox(key=lane_key(base_seed, lane),
-    counter=(start + t) * nb)).random(2 * horizon), bit for bit. One
-    generator in the calling thread draws the episodes in order, whole
-    episodes into a scratch of about _TILE_BYTES at a time, and a transposed
-    copy moves each tile into the step rows.
+    blocks of four doubles: column t of act holds the even values of
+    Generator(Philox(key=lane_key(base_seed, lane), counter=(start + t) *
+    nb)).random(2 * horizon), bit for bit, and the odd values draw the
+    outcomes. One generator in the calling thread draws the episodes in
+    order, whole episodes into a scratch of about _TILE_BYTES at a time, and
+    each tile's outcomes and experiment uniforms go straight into the step rows.
     """
     nb = -(-2 * horizon // 4)
     # The first and the last index bound every index in between.
     start = _key_field("episode index", start, 64)
     _key_field("episode index", start + max(count, 1) - 1, 64)
     gen = np.random.Generator(np.random.Philox(key=lane_key(base_seed, lane), counter=start * nb))
-    act, obs = out or (np.empty((horizon, count)) if actions else None, np.empty((horizon, count)))
+    n_exp, n_obs = channel.shape
+    act, outcomes = out or (np.empty((horizon, count)) if n_exp > 1 else None,
+                            np.empty((n_exp, horizon, count), np.min_scalar_type(channel.size - 1)))
+    # sample_categorical's edges: a running sum, as np.cumsum adds.
+    edges = np.cumsum(channel[:, :-1], axis=1)
     rows = max(1, _TILE_BYTES // (32 * nb))
     scratch = np.empty((min(rows, count), 4 * nb))
     for lo in range(0, count, rows):
         tile = scratch[:min(rows, count - lo)]
         gen.random(out=tile)
-        obs[:, lo:lo + len(tile)] = tile[:, 1:2 * horizon:2].T
+        cols, r = slice(lo, lo + len(tile)), tile[:, 1:2 * horizon:2].T
+        for u, cum in enumerate(edges):
+            outcomes[u, :, cols] = u * n_obs
+            for c in cum:
+                outcomes[u, :, cols] += c <= r
         if act is not None:
-            act[:, lo:lo + len(tile)] = tile[:, 0:2 * horizon:2].T
-    return act, obs
+            act[:, cols] = tile[:, 0:2 * horizon:2].T
+    return act, outcomes
 
 
-def _simulate_lanes(config: RunConfig, lanes, record_beliefs: bool = False):
+def _simulate_lanes(config: RunConfig, lanes, record_beliefs: bool = False,
+                    keep_decisions: bool = True):
     """Every episode of the given lanes, stepped together: row r is episode
     r % E of lane lanes[r // E], and a part draws each lane's segment of its
-    rows in place (see _uniform_block). Counts and increment sums are
-    reduced per lane over its episode blocks of CHUNK_SIZE, in order.
-    Returns (decision_counts (L, M+1), inc_sum (L,), inc_sqsum (L,),
-    decisions (L * E,), belief_path or None, the path only on request)."""
+    rows in place (see _uniform_block). Each chunk's counts are added as it
+    finishes, and a lane's increments are summed over its episode blocks of
+    CHUNK_SIZE, in order, each as it completes. Returns (decision_counts
+    (L, M+1), inc_sum (L,), inc_sqsum (L,), decisions (L * E,) if
+    keep_decisions else None, belief_path if record_beliefs else None)."""
     model, episodes, horizon = config.model, config.episodes, config.horizon
-    m_hyp = model.num_hypotheses
-    true_h = np.repeat(lanes, episodes)
-    rows = true_h.size
-    decisions = np.empty(rows, dtype=np.int64)
-    own = np.empty(rows)
-    paths = [] if record_beliefs else None
+    m_hyp, n_exp = model.num_hypotheses, model.num_experiments
+    lanes = np.asarray(lanes)
+    rows = lanes.size * episodes
+    counts = np.zeros((lanes.size, m_hyp + 1), dtype=np.int64)
+    inc_sum, inc_sqsum = np.zeros(lanes.size), np.zeros(lanes.size)
+    # Lane i's block k holds its rows i * E + [k, min(k + CHUNK_SIZE, E)).
+    ends = [i * episodes + min(k + CHUNK_SIZE, episodes)
+            for i in range(lanes.size) for k in range(0, episodes, CHUNK_SIZE)]
+    own, first = np.empty(0), 0     # own increments of rows first, first + 1, ... not yet summed
+    kept, paths = [], []
     for start in range(0, rows, CHUNK_SIZE):
         count = min(CHUNK_SIZE, rows - start)
+        lane = np.arange(start, start + count) // episodes
+        true_h = lanes[lane]
 
         def part(lo, hi):
-            lo, hi = start + lo, start + hi
-            act = np.empty((horizon, hi - lo)) if model.num_experiments > 1 else None
-            obs = np.empty((horizon, hi - lo))
-            for i in range(lo // episodes, -(-hi // episodes)):
-                a, b = max(lo, i * episodes), min(hi, (i + 1) * episodes)
-                seg = slice(a - lo, b - lo)
+            act = np.empty((horizon, hi - lo)) if n_exp > 1 else None
+            outcomes = np.empty((n_exp, horizon, hi - lo),
+                                np.min_scalar_type(model.channel[0].size - 1))
+            for i in range((start + lo) // episodes, -(-(start + hi) // episodes)):
+                a, b = max(start + lo, i * episodes), min(start + hi, (i + 1) * episodes)
+                seg = slice(a - start - lo, b - start - lo)
                 _uniform_block(config.seed, lanes[i], a - i * episodes, b - a, horizon,
-                               out=(None if act is None else act[:, seg], obs[:, seg]))
+                               model.channel[lanes[i]],
+                               out=(None if act is None else act[:, seg], outcomes[..., seg]))
             return _run_chunk(model, config.selection, config.inference, horizon,
-                              true_h[lo:hi], act, obs, record_beliefs)
+                              true_h[lo:hi], act, outcomes, record_beliefs)
 
         parts = _in_parts(part, count)
-        decisions[start:start + count] = np.concatenate([d for d, _, _ in parts])
+        decisions = np.concatenate([d for d, _, _ in parts])
+        cols = np.where(decisions == INCONCLUSIVE, m_hyp, decisions)
+        counts += np.bincount(lane * (m_hyp + 1) + cols, minlength=counts.size).reshape(counts.shape)
         increments = np.concatenate([inc for _, inc, _ in parts])
-        own[start:start + count] = increments[np.arange(count), true_h[start:start + count]]
+        own = np.concatenate([own, increments[np.arange(count), true_h]])
+        while ends and ends[0] <= start + count:
+            block, own = np.split(own, [ends[0] - first])
+            inc_sum[first // episodes] += block.sum()
+            inc_sqsum[first // episodes] += (block * block).sum()
+            first = ends.pop(0)
+        if keep_decisions:
+            kept.append(decisions)
         if record_beliefs:
             paths.extend(path for _, _, (path, _) in parts)
-    cols = np.where(decisions == INCONCLUSIVE, m_hyp, decisions).reshape(-1, episodes)
-    counts = np.array([np.bincount(c, minlength=m_hyp + 1) for c in cols])
-    blocks = [own.reshape(-1, episodes)[:, k:k + CHUNK_SIZE] for k in range(0, episodes, CHUNK_SIZE)]
-    inc_sum = functools.reduce(operator.add, (b.sum(axis=1) for b in blocks), 0.0)
-    inc_sqsum = functools.reduce(operator.add, ((b * b).sum(axis=1) for b in blocks), 0.0)
-    belief_path = np.concatenate(paths, axis=0) if record_beliefs else None
-    return counts, inc_sum, inc_sqsum, decisions, belief_path
+    return (counts, inc_sum, inc_sqsum, np.concatenate(kept) if keep_decisions else None,
+            np.concatenate(paths, axis=0) if record_beliefs else None)
 
 
 def simulate_conditioned_batch(config: RunConfig, true_h: int, record_beliefs: bool = False):
@@ -368,7 +387,7 @@ def monte_carlo(config: RunConfig) -> RunReport:
     prior = config.model.prior
     m_hyp = prior.size
     horizon = config.horizon
-    counts, inc_sum, inc_sqsum, _, _ = _simulate_lanes(config, range(m_hyp))
+    counts, inc_sum, inc_sqsum, _, _ = _simulate_lanes(config, range(m_hyp), keep_decisions=False)
 
     decision_probs = counts / episodes
     psi, phi, gamma = _error_rates(decision_probs, prior)

@@ -79,6 +79,26 @@ def _tile_rows(horizon):
     return max(1, engine._TILE_BYTES // (32 * -(-horizon // 2)))
 
 
+# One lane's (U, Y) channel: two experiments, three observations.
+CHANNEL = np.array([[0.25, 0.5, 0.25], [0.7, 0.1, 0.2]])
+
+
+def _outcome_ref(channel, obs):
+    """(U, ...) outcome indices u * Y + y, y drawn by sample_categorical from
+    channel[u] on the observation uniforms obs."""
+    n_obs = channel.shape[1]
+    return np.array([u * n_obs + sample_categorical(row, obs) for u, row in enumerate(channel)])
+
+
+def _matches_stream(block, t, seed, lane, episode, horizon, channel=CHANNEL):
+    """Column t of an (act, outcomes) block is episode `episode`'s stream:
+    act bit for bit, the outcomes those sample_categorical draws."""
+    act, outcomes = block
+    ref = _episode_stream(seed, lane, episode, horizon)
+    return ((act is None or _same_bits(act[:, t], ref[0::2]))
+            and np.array_equal(outcomes[:, :, t], _outcome_ref(channel, ref[1::2])))
+
+
 @pytest.mark.parametrize("seed, lane, start", [
     (0, 0, 0),
     (2**48 - 1, 0, 5),
@@ -92,12 +112,10 @@ def test_uniform_block_rows_match_per_episode_generators(seed, lane, start, hori
     count = 4
     monkeypatch.setattr(engine, "_TILE_BYTES", 3 * 32 * -(-horizon // 2))
     assert _tile_rows(horizon) == 3
-    act, obs = _uniform_block(seed, lane, start, count, horizon)
-    assert act.shape == obs.shape == (horizon, count)
+    act, outcomes = block = _uniform_block(seed, lane, start, count, horizon, CHANNEL)
+    assert act.shape == (horizon, count) and outcomes.shape == (2, horizon, count)
     for t in range(count):
-        ref = _episode_stream(seed, lane, start + t, horizon)
-        assert _same_bits(act[:, t], ref[0::2])
-        assert _same_bits(obs[:, t], ref[1::2])
+        assert _matches_stream(block, t, seed, lane, start + t, horizon)
 
 
 @pytest.mark.parametrize("horizon", [1, 7, 50, 401])
@@ -107,28 +125,58 @@ def test_uniform_block_split_equals_whole(horizon, cuts):
     # block runs two episodes past its first tile
     tile = _tile_rows(horizon)
     start, count = 2**40 + 3, tile + 2
-    whole = _uniform_block(9, 2, start, count, horizon)
+    whole = _uniform_block(9, 2, start, count, horizon, CHANNEL)
     edges = (0,) + cuts + (count,)
-    parts = [_uniform_block(9, 2, start + a, b - a, horizon) for a, b in zip(edges, edges[1:])]
+    parts = [_uniform_block(9, 2, start + a, b - a, horizon, CHANNEL)
+             for a, b in zip(edges, edges[1:])]
     for k in range(2):
-        assert _same_bits(np.hstack([part[k] for part in parts]), whole[k])
+        assert _same_bits(np.concatenate([part[k] for part in parts], axis=-1), whole[k])
     for t in (tile - 1, tile):
-        ref = _episode_stream(9, 2, start + t, horizon)
-        assert _same_bits(whole[0][:, t], ref[0::2])
-        assert _same_bits(whole[1][:, t], ref[1::2])
+        assert _matches_stream(whole, t, 9, 2, start + t, horizon)
 
 
 @pytest.mark.parametrize("horizon", [1, 7, 401])
 def test_uniform_block_without_actions_draws_observation_rows_only(horizon):
-    # one-experiment models: no experiment rows, and the observation rows
-    # are those of the same block with them
+    # one-experiment models: no experiment rows, and the outcomes are those
+    # of the same block with them
     tile = _tile_rows(horizon)
     start, count = 2**33 + 1, tile + 3
-    act, obs = _uniform_block(4, 1, start, count, horizon, actions=False)
+    act, outcomes = block = _uniform_block(4, 1, start, count, horizon, CHANNEL[:1])
     assert act is None
-    assert _same_bits(obs, _uniform_block(4, 1, start, count, horizon)[1])
+    assert _same_bits(outcomes, _uniform_block(4, 1, start, count, horizon, CHANNEL)[1][:1])
     for t in (0, tile - 1, tile, count - 1):
-        assert _same_bits(obs[:, t], _episode_stream(4, 1, start + t, horizon)[1::2])
+        assert _matches_stream(block, t, 4, 1, start + t, horizon, CHANNEL[:1])
+
+
+@pytest.mark.parametrize("n_exp, n_obs, dtype", [
+    (1, 2, np.uint8), (2, 3, np.uint8), (1, 256, np.uint8), (2, 128, np.uint8),
+    (1, 257, np.uint16), (2, 129, np.uint16),
+])
+def test_uniform_block_outcome_layout_and_type(n_exp, n_obs, dtype):
+    # outcomes are (U, N, count) indices u * Y + y in the smallest unsigned
+    # type that holds U * Y - 1
+    channel = np.random.default_rng(n_obs).dirichlet(np.ones(n_obs), size=n_exp)
+    horizon, count = 9, 40
+    act, outcomes = block = _uniform_block(6, 0, 11, count, horizon, channel)
+    assert outcomes.dtype == dtype and outcomes.shape == (n_exp, horizon, count)
+    assert (act is None) == (n_exp == 1)
+    for u in range(n_exp):
+        assert u * n_obs <= outcomes[u].min() and outcomes[u].max() < (u + 1) * n_obs
+    for t in range(count):
+        assert _matches_stream(block, t, 6, 0, 11 + t, horizon, channel)
+
+
+def test_uniform_block_clips_to_the_last_observation_as_sample_categorical_does():
+    # rows summing to 0.9: a tenth of the uniforms lies at or above every edge
+    channel = np.array([[0.2, 0.3, 0.4], [0.5, 0.25, 0.15]])
+    horizon, count = 50, 200
+    _, outcomes = _uniform_block(8, 1, 0, count, horizon, channel)
+    obs = np.array([_episode_stream(8, 1, e, horizon)[1::2] for e in range(count)]).T
+    top = obs >= channel.sum(axis=1).max()
+    assert top.sum() > 500
+    ref = _outcome_ref(channel, obs)
+    assert _same_bits(outcomes.astype(ref.dtype), ref)
+    assert (outcomes[:, top] == [[2], [5]]).all()
 
 
 # ---------------------------------------------------------------------------

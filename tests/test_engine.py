@@ -75,28 +75,33 @@ class TestSampling:
 
     # An episode's stream is addressed by its seed: (base seed, lane) in the
     # Philox key, the episode index in the counter.
-    @staticmethod
-    def _episodes(seed, lane, start, count, horizon):
-        """(count, 2N): each episode's experiment then observation uniforms,
-        read from the step-major block."""
-        return np.vstack(_uniform_block(seed, lane, start, count, horizon)).T
+    CHANNEL = np.array([[0.5, 0.5], [0.9, 0.1]])    # one lane's (U, Y) channel
+
+    @classmethod
+    def _episodes(cls, seed, lane, start, count, horizon):
+        """(count, N + U * N): each episode's experiment uniforms, then its
+        outcomes, read from the step-major block."""
+        act, outcomes = _uniform_block(seed, lane, start, count, horizon, cls.CHANNEL)
+        return np.vstack([act, outcomes.reshape(-1, count)]).T
 
     def test_episode_seed_distinct(self):
         assert len({lane_key(s, l) for s in (0, 1, 77) for l in (0, 1, 2)}) == 3 * 3
         rows = np.vstack([self._episodes(s, l, 0, 50, 5) for s in (0, 1, 77) for l in (0, 1, 2)])
-        assert rows.shape == (3 * 3 * 50, 10)
+        assert rows.shape == (3 * 3 * 50, 15)
         assert len({row.tobytes() for row in rows}) == 3 * 3 * 50
 
     def test_episode_seed_field_edges(self):
         assert lane_key(2**48 - 1, 2**16 - 1) == 2**64 - 1
         assert lane_key(0, 0) == 0
-        act, obs = _uniform_block(2**48 - 1, 2**16 - 1, 2**64 - 1, 1, 3)
-        assert act.shape == obs.shape == (3, 1)
+        act, outcomes = _uniform_block(2**48 - 1, 2**16 - 1, 2**64 - 1, 1, 3, self.CHANNEL)
+        assert act.shape == (3, 1) and outcomes.shape == (2, 3, 1)
         # the top key and the top episode's counter, (2**64 - 1) * ceil(6 / 4)
         ref = np.random.Generator(np.random.Philox(
             key=2**64 - 1, counter=(2**64 - 1) * 2)).random(6)
         assert act[:, 0].tobytes() == ref[0::2].tobytes()
-        assert obs[:, 0].tobytes() == ref[1::2].tobytes()
+        for u in range(2):
+            np.testing.assert_array_equal(
+                outcomes[u, :, 0], 2 * u + sample_categorical(self.CHANNEL[u], ref[1::2]))
 
     def test_episode_seed_numpy_integers_do_not_wrap(self):
         assert lane_key(np.int64(2**47), np.int64(1)) == lane_key(2**47, 1)
@@ -105,7 +110,7 @@ class TestSampling:
         with pytest.raises(TypeError):
             lane_key(3.0, 1)
         with pytest.raises(TypeError):
-            _uniform_block(0, 1, 5.0, 1, 5)
+            _uniform_block(0, 1, 5.0, 1, 5, self.CHANNEL)
 
     @pytest.mark.parametrize("seed, lane, episode", [
         (-1, 0, 0), (2**48, 0, 0),
@@ -115,12 +120,12 @@ class TestSampling:
     def test_episode_seed_rejects_values_outside_their_field(self, seed, lane, episode):
         # masking them would alias another (seed, lane, episode)'s stream
         with pytest.raises(ValueError):
-            _uniform_block(seed, lane, episode, 1, 4)
+            _uniform_block(seed, lane, episode, 1, 4, self.CHANNEL)
 
     def test_block_rejects_an_episode_range_past_the_field(self):
-        _uniform_block(0, 0, 2**64 - 2, 2, 4)
+        _uniform_block(0, 0, 2**64 - 2, 2, 4, self.CHANNEL)
         with pytest.raises(ValueError):
-            _uniform_block(0, 0, 2**64 - 2, 3, 4)
+            _uniform_block(0, 0, 2**64 - 2, 3, 4, self.CHANNEL)
 
 
 class TestRunEpisode:
@@ -418,6 +423,22 @@ class TestMonteCarlo:
         )
         with pytest.raises(ValueError):
             monte_carlo(cfg)
+
+    # A part holds its outcomes as one byte per step and row, and a run
+    # reduces each chunk as it finishes, so the peak allocation depends on
+    # neither the horizon's float rows nor the episode count.
+    @pytest.mark.parametrize("horizon, episodes", [(200, 33000), (25, 300000)])
+    def test_peak_allocation_stays_small(self, bsc2, horizon, episodes):
+        import tracemalloc
+
+        cfg = _chernoff_fbar(bsc2, horizon, episodes=episodes, seed=1)
+        tracemalloc.start()
+        try:
+            monte_carlo(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
 
 class TestEnumerateExact:
