@@ -1,21 +1,22 @@
 """Episode simulation and exact enumeration under (selection, inference) pairs.
 
 Monte Carlo runs are vectorized across episodes, one lane per true
-hypothesis. A lane's Philox key packs (base seed, lane), and episode e of a
-horizon-N run reads its 2N uniforms from counter e * ceil(2N / 4) on: a
-lane's episodes are one block, estimates do not depend on batching, and
-run_episode replays any episode exactly. Step n reads the episode's values
-2n (experiment) and 2n + 1 (observation). A lane fixes the true hypothesis,
-so each observation value becomes an outcome u * Y + y per experiment u as
-it is drawn, one byte each, kept step-major with the experiment values; a
-model with one experiment keeps no experiment values, since its experiment
-is always 0. Episodes carry log-prior plus summed log-likelihoods,
-unnormalized, and every rule gets those rows as they are: it reads a row
-only up to the row's own constant (see strategies). All lanes step together
-in one lane-major row space of chunks, each run in contiguous parts, one per
-CPU, that draw their rows' outcomes lane by lane and step them. Rows never
-interact and every chunk is reduced per lane as it finishes, so no result
-depends on layout or CPU count.
+hypothesis. Under stream v3 a lane's Philox key packs (base seed, lane), and
+episode e of a horizon-N run reads its N observation values under that key
+from counter e * ceil(N / 4) on, and its N experiment values from the same
+counter under the key with word 1 set: a lane's episodes are one block in
+each stream, estimates do not depend on batching, and run_episode replays
+any episode exactly. Step n reads value n of each. A lane fixes the true
+hypothesis, so each observation value becomes an outcome u * Y + y per
+experiment u as it is drawn, one byte each, kept step-major with the
+experiment values; a model with one experiment draws no experiment values,
+since its experiment is always 0. Episodes carry log-prior plus summed
+log-likelihoods, unnormalized, and every rule gets those rows as they are:
+it reads a row only up to the row's own constant (see strategies). All
+lanes step together in one lane-major row space of chunks, each run in
+contiguous parts, one per CPU, that draw their rows' outcomes lane by lane
+and step them. Rows never interact and every chunk is reduced per lane as
+it finishes, so no result depends on layout or CPU count.
 
 Exact enumeration merges the (experiment, observation) tree's paths by their
 outcome counts, which fix the belief (the method of types): a forward pass
@@ -49,8 +50,9 @@ CHUNK_SIZE = 32768
 # C(N + K - 1, K - 1) states, K = experiments x observations.
 DEFAULT_NODE_BUDGET = 10**7
 
-# Bytes of _uniform_block's Philox scratch, a tile of whole episodes: small
-# enough to stay in cache while it is copied into the step rows.
+# Bytes of one stream's Philox words that _uniform_block draws at a time, a
+# tile of whole episodes of ceil(N / 4) blocks of 32 bytes each: small enough
+# to stay in cache while its outcomes or experiment values go into the step rows.
 _TILE_BYTES = 1 << 19
 
 # At most _MAX_PARTS parts of at least _MIN_PART episodes; no thread starts before one is needed.
@@ -198,7 +200,8 @@ def run_episode(
     config: RunConfig, true_h: int, episode: int
 ) -> tuple[Trajectory, Optional[int], Belief]:
     """Replay episode `episode` of true hypothesis true_h's lane: the run's
-    chunk code on a chunk of one, so it has the bits of the batch row."""
+    chunk code on a chunk of one, drawing that episode's stream v3 values
+    (see _uniform_block), so it has the bits of the batch row."""
     if not (0 <= true_h < config.model.num_hypotheses):
         raise ValueError(f"hypothesis index {true_h} out of range")
     act, outcomes = _uniform_block(config.seed, true_h, episode, 1, config.horizon,
@@ -267,36 +270,46 @@ def _uniform_block(base_seed: int, lane: int, start: int, count: int, horizon: i
     smallest unsigned type that holds U * Y - 1 (uint8 for U * Y <= 256).
     With out, an (act or None, outcomes) pair of views, fills those.
 
-    Episode e reads from counter e * nb on, nb = ceil(2 * horizon / 4) Philox
-    blocks of four doubles: column t of act holds the even values of
-    Generator(Philox(key=lane_key(base_seed, lane), counter=(start + t) *
-    nb)).random(2 * horizon), bit for bit, and the odd values draw the
-    outcomes. One generator in the calling thread draws the episodes in
-    order, whole episodes into a scratch of about _TILE_BYTES at a time, and
-    each tile's outcomes and experiment uniforms go straight into the step rows.
+    Stream v3: with k = lane_key(base_seed, lane) and nb = ceil(horizon / 4)
+    Philox blocks of four words per episode, column t's observation values
+    are Generator(Philox(key=k, counter=(start + t) * nb)).random(horizon),
+    which draw the outcomes, and column t of act is, bit for bit,
+    Generator(Philox(key=(1 << 64) | k, counter=(start + t) * nb)).random(horizon):
+    key word 1 sets the experiment streams apart from every observation
+    stream. A one-experiment block builds no experiment generator and reads
+    nb blocks per episode. The outcomes compare the raw words, from which
+    random() takes its doubles, with integer edges. Each generator draws the
+    episodes in order in the calling thread, whole episodes of about
+    _TILE_BYTES at a time, and each tile's outcomes and experiment uniforms
+    go straight into the step rows.
     """
-    nb = -(-2 * horizon // 4)
+    nb = -(-horizon // 4)
     # The first and the last index bound every index in between.
     start = _key_field("episode index", start, 64)
     _key_field("episode index", start + max(count, 1) - 1, 64)
-    gen = np.random.Generator(np.random.Philox(key=lane_key(base_seed, lane), counter=start * nb))
+    key = lane_key(base_seed, lane)
+    obs_bits = np.random.Philox(key=key, counter=start * nb)
     n_exp, n_obs = channel.shape
     act, outcomes = out or (np.empty((horizon, count)) if n_exp > 1 else None,
                             np.empty((n_exp, horizon, count), np.min_scalar_type(channel.size - 1)))
-    # sample_categorical's edges: a running sum, as np.cumsum adds.
-    edges = np.cumsum(channel[:, :-1], axis=1)
+    act_gen = None if act is None else np.random.Generator(
+        np.random.Philox(key=(1 << 64) | key, counter=start * nb))
+    # sample_categorical's edges, a running sum as np.cumsum adds, on the raw
+    # words: c <= (w >> 11) * 2**-53 exactly when w >= ceil(c * 2**53) << 11,
+    # and an edge c >= 1 never holds.
+    edges = [np.array([math.ceil(c * 2**53) << 11 for c in cum if c < 1.0], np.uint64)
+             for cum in np.cumsum(channel[:, :-1], axis=1)]
     rows = max(1, _TILE_BYTES // (32 * nb))
-    scratch = np.empty((min(rows, count), 4 * nb))
     for lo in range(0, count, rows):
-        tile = scratch[:min(rows, count - lo)]
-        gen.random(out=tile)
-        cols, r = slice(lo, lo + len(tile)), tile[:, 1:2 * horizon:2].T
+        size = min(rows, count - lo)
+        cols = slice(lo, lo + size)
+        words = obs_bits.random_raw(4 * nb * size).reshape(size, 4 * nb)[:, :horizon].T
         for u, cum in enumerate(edges):
             outcomes[u, :, cols] = u * n_obs
             for c in cum:
-                outcomes[u, :, cols] += c <= r
-        if act is not None:
-            act[:, cols] = tile[:, 0:2 * horizon:2].T
+                outcomes[u, :, cols] += words >= c
+        if act_gen is not None:
+            act[:, cols] = act_gen.random((size, 4 * nb))[:, :horizon].T
     return act, outcomes
 
 

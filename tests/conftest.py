@@ -12,7 +12,7 @@ from hypothesis import settings
 
 from ahtest import Model, divergence, load_model
 from ahtest.belief import log_normalize
-from ahtest.engine import sample_categorical
+from ahtest.engine import lane_key, sample_categorical
 from ahtest.strategies import SelectionStrategy
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -127,23 +127,37 @@ def random_selection(rng: np.random.Generator, model: Model) -> SoftmaxSelection
     )
 
 
+def stream_blocks(horizon: int) -> int:
+    """Philox blocks of four words an episode reads from each of its
+    streams: ceil(N / 4)."""
+    return -(-horizon // 4)
+
+
+def episode_uniforms(seed: int, lane: int, episode: int, horizon: int):
+    """(experiment values, observation values), N each, of one Monte Carlo
+    episode under stream v3: the observation values from a fresh Philox
+    generator keyed lane_key(seed, lane), the experiment values from one
+    keyed (1 << 64) | lane_key(seed, lane), both from counter
+    episode * stream_blocks(N). This is the one statement of the stream law
+    the tests hold the engine to."""
+    key, counter = lane_key(seed, lane), episode * stream_blocks(horizon)
+    return tuple(np.random.Generator(np.random.Philox(key=k, counter=counter)).random(horizon)
+                 for k in ((1 << 64) | key, key))
+
+
 def normalized_replay(config, true_h: int, episode: int):
     """(steps, decision, final log-belief) of one Monte Carlo episode, replayed
-    apart from the engine's chunk code: the uniforms from a fresh Philox
-    generator keyed (seed << 16) | true_h at counter episode * ceil(2N / 4),
-    one belief normalized at every step, the rules called one belief at a
-    time."""
+    apart from the engine's chunk code: the uniforms of episode_uniforms, one
+    belief normalized at every step, the rules called one belief at a time."""
     model, horizon = config.model, config.horizon
-    gen = np.random.Generator(np.random.Philox(
-        key=(config.seed << 16) | true_h, counter=episode * -(-2 * horizon // 4)))
-    uniforms = gen.random(2 * horizon)
+    act, obs = episode_uniforms(config.seed, true_h, episode, horizon)
     log_prior = np.log(model.prior)
     log_rho = log_prior
     steps = []
     for n in range(horizon):
         dist = config.selection.action_distribution(model, log_rho, n, horizon)
-        u = int(sample_categorical(dist, uniforms[2 * n]))
-        y = int(sample_categorical(model.channel[true_h, u], uniforms[2 * n + 1]))
+        u = int(sample_categorical(dist, act[n]))
+        y = int(sample_categorical(model.channel[true_h, u], obs[n]))
         steps.append((u, y))
         log_rho = log_normalize(log_rho + model.log_channel[:, u, y])
     return tuple(steps), config.inference.decide(model, log_prior, log_rho, horizon), log_rho

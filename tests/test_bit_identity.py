@@ -39,7 +39,6 @@ from ahtest import (
     enumerate_exact,
     enumerate_pair_expectations,
     lambda_bound,
-    lane_key,
     monte_carlo,
     run_episode,
     saddle_points,
@@ -54,7 +53,13 @@ from ahtest.engine import (
 )
 from ahtest.strategies import INCONCLUSIVE, TIE_TOL, _ejs_scores
 
-from conftest import normalized_replay, random_model, random_selection
+from conftest import (
+    episode_uniforms,
+    normalized_replay,
+    random_model,
+    random_selection,
+    stream_blocks,
+)
 
 
 def _same_bits(a, b) -> bool:
@@ -67,16 +72,9 @@ def _same_bits(a, b) -> bool:
 # random streams
 # ---------------------------------------------------------------------------
 
-def _episode_stream(seed, lane, episode, horizon):
-    """Episode `episode`'s 2N uniforms from its own generator: counter
-    episode * ceil(2N / 4), values 2n (experiment) and 2n + 1 (observation)."""
-    return np.random.Generator(np.random.Philox(
-        key=lane_key(seed, lane), counter=episode * -(-2 * horizon // 4))).random(2 * horizon)
-
-
 def _tile_rows(horizon):
     """Episodes in one of _uniform_block's tiles at this horizon."""
-    return max(1, engine._TILE_BYTES // (32 * -(-horizon // 2)))
+    return max(1, engine._TILE_BYTES // (32 * stream_blocks(horizon)))
 
 
 # One lane's (U, Y) channel: two experiments, three observations.
@@ -94,9 +92,9 @@ def _matches_stream(block, t, seed, lane, episode, horizon, channel=CHANNEL):
     """Column t of an (act, outcomes) block is episode `episode`'s stream:
     act bit for bit, the outcomes those sample_categorical draws."""
     act, outcomes = block
-    ref = _episode_stream(seed, lane, episode, horizon)
-    return ((act is None or _same_bits(act[:, t], ref[0::2]))
-            and np.array_equal(outcomes[:, :, t], _outcome_ref(channel, ref[1::2])))
+    ref_act, ref_obs = episode_uniforms(seed, lane, episode, horizon)
+    return ((act is None or _same_bits(act[:, t], ref_act))
+            and np.array_equal(outcomes[:, :, t], _outcome_ref(channel, ref_obs)))
 
 
 @pytest.mark.parametrize("seed, lane, start", [
@@ -110,7 +108,7 @@ def _matches_stream(block, t, seed, lane, episode, horizon, channel=CHANNEL):
 def test_uniform_block_rows_match_per_episode_generators(seed, lane, start, horizon, monkeypatch):
     # tiles of three episodes, so the four episodes cross a tile edge
     count = 4
-    monkeypatch.setattr(engine, "_TILE_BYTES", 3 * 32 * -(-horizon // 2))
+    monkeypatch.setattr(engine, "_TILE_BYTES", 3 * 32 * stream_blocks(horizon))
     assert _tile_rows(horizon) == 3
     act, outcomes = block = _uniform_block(seed, lane, start, count, horizon, CHANNEL)
     assert act.shape == (horizon, count) and outcomes.shape == (2, horizon, count)
@@ -171,12 +169,25 @@ def test_uniform_block_clips_to_the_last_observation_as_sample_categorical_does(
     channel = np.array([[0.2, 0.3, 0.4], [0.5, 0.25, 0.15]])
     horizon, count = 50, 200
     _, outcomes = _uniform_block(8, 1, 0, count, horizon, channel)
-    obs = np.array([_episode_stream(8, 1, e, horizon)[1::2] for e in range(count)]).T
+    obs = np.array([episode_uniforms(8, 1, e, horizon)[1] for e in range(count)]).T
     top = obs >= channel.sum(axis=1).max()
     assert top.sum() > 500
     ref = _outcome_ref(channel, obs)
     assert _same_bits(outcomes.astype(ref.dtype), ref)
     assert (outcomes[:, top] == [[2], [5]]).all()
+
+
+def test_uniform_block_edges_at_zero_and_above_one_compare_as_doubles_do():
+    # outcomes compare raw Philox words: an edge of 0 holds for every value
+    # and an edge rounded above 1 for none, as on the doubles
+    channel = np.array([[0.0, 0.5, 0.5], [0.6, 0.4000000000000002, 0.0]])
+    edges = np.cumsum(channel[:, :-1], axis=1)
+    assert edges[0, 0] == 0.0 and edges[1, 1] > 1.0
+    horizon, count = 9, 300
+    block = _uniform_block(3, 0, 0, count, horizon, channel)
+    for t in range(count):
+        assert _matches_stream(block, t, 3, 0, t, horizon, channel)
+    assert set(np.unique(block[1][0])) == {1, 2} and set(np.unique(block[1][1])) == {3, 4}
 
 
 # ---------------------------------------------------------------------------
@@ -720,28 +731,28 @@ def test_repeated_rows_get_the_frozen_choices_random(m, u, y, seed):
 # pinned monte_carlo outputs
 # ---------------------------------------------------------------------------
 
-# (model, selection, inference) -> float.hex of the report
-# fields, for horizons and episode counts in CASES and seed 11.
+# (model, selection, inference) -> float.hex of the report fields, for
+# horizons and episode counts in CASES and seed 11, under stream v3.
 PINNED = {
     ('bsc2', 'chernoff', 'fbar'): {
-        'decision_probs': [['0x1.ee402bb0cf87ep-1', '0x0.0p+0', '0x1.1bfd44f307826p-5'], ['0x0.0p+0', '0x1.ece2a53490b9bp-1', '0x1.31d5acb6f4651p-5']],
-        'jng': ['0x1.c05b4bb594f05p+0', '0x1.c038bc83bbc02p+0'],
-        'jng_se': ['0x1.3ef9eb9525da4p-8', '0x1.41dc55c22c488p-8'],
+        'decision_probs': [['0x1.ee6bdc805761ap-1', '0x0.0p+0', '0x1.194237fa89e61p-5'], ['0x0.0p+0', '0x1.ed65b7a328470p-1', '0x1.29a485cd7b901p-5']],
+        'jng': ['0x1.c1644033c0b68p+0', '0x1.c1f62b063948cp+0'],
+        'jng_se': ['0x1.3bf1605fad9edp-8', '0x1.3ba0dadfe2fd4p-8'],
     },
     ('tri3', 'chernoff', 'fbar'): {
-        'decision_probs': [['0x1.20c49ba5e353fp-1', '0x0.0p+0', '0x1.0624dd2f1a9fcp-11', '0x1.bdf3b645a1cacp-2'], ['0x1.26e978d4fdf3bp-8', '0x1.153f7ced91687p-1', '0x0.0p+0', '0x1.d0e5604189375p-2'], ['0x1.47ae147ae147bp-9', '0x0.0p+0', '0x1.1f7ced916872bp-1', '0x1.be76c8b439581p-2']],
-        'jng': ['0x1.5ec891f3e141ap-2', '0x1.d5187f9fe7ab4p-2', '0x1.de5359b42dd11p-2'],
-        'jng_se': ['0x1.1f36b0008425dp-8', '0x1.86160919cf719p-8', '0x1.806f915139348p-8'],
+        'decision_probs': [['0x1.1df3b645a1cacp-1', '0x1.0624dd2f1a9fcp-11', '0x1.0624dd2f1a9fcp-11', '0x1.c3126e978d4fep-2'], ['0x1.0624dd2f1a9fcp-8', '0x1.1c28f5c28f5c3p-1', '0x0.0p+0', '0x1.c395810624dd3p-2'], ['0x1.47ae147ae147bp-9', '0x1.0624dd2f1a9fcp-11', '0x1.1b645a1cac083p-1', '0x1.c624dd2f1a9fcp-2']],
+        'jng': ['0x1.5afa7e6d190a2p-2', '0x1.d8dfadc967a98p-2', '0x1.d886a3850e7cbp-2'],
+        'jng_se': ['0x1.2ead8d4b15ff4p-8', '0x1.8b23d40a6e34dp-8', '0x1.85848fc0805c9p-8'],
     },
     ('tri3', 'ejs', 'fbar'): {
-        'decision_probs': [['0x1.726e978d4fdf4p-1', '0x0.0p+0', '0x1.0624dd2f1a9fcp-11', '0x1.1a9fbe76c8b44p-2'], ['0x1.cac083126e979p-8', '0x1.84dd2f1a9fbe7p-1', '0x1.89374bc6a7efap-10', '0x1.db22d0e560419p-3'], ['0x1.47ae147ae147bp-9', '0x0.0p+0', '0x1.8395810624dd3p-1', '0x1.ec8b439581062p-3']],
-        'jng': ['0x1.ab8fdd242e491p-2', '0x1.241ca93e9be00p-1', '0x1.28fd71819f6a5p-1'],
-        'jng_se': ['0x1.1da2868def832p-8', '0x1.a4fa247c94a64p-8', '0x1.964515ccc5e91p-8'],
+        'decision_probs': [['0x1.6d0e560418937p-1', '0x0.0p+0', '0x1.0624dd2f1a9fcp-10', '0x1.24dd2f1a9fbe7p-2'], ['0x1.0624dd2f1a9fcp-9', '0x1.83126e978d4fep-1', '0x1.0624dd2f1a9fcp-11', '0x1.ee978d4fdf3b6p-3'], ['0x1.0624dd2f1a9fcp-9', '0x1.89374bc6a7efap-9', '0x1.789374bc6a7f0p-1', '0x1.09ba5e353f7cfp-2']],
+        'jng': ['0x1.a702db8e799fdp-2', '0x1.27c8bacc20c74p-1', '0x1.241e80587da78p-1'],
+        'jng_se': ['0x1.2b6869ff116b3p-8', '0x1.a13647a95fe05p-8', '0x1.b0466dbe03781p-8'],
     },
     ('tri3', 'uniform', 'map'): {
-        'decision_probs': [['0x1.b22d0e5604189p-1', '0x1.3d70a3d70a3d7p-4', '0x1.3126e978d4fdfp-4', '0x0.0p+0'], ['0x1.1a9fbe76c8b44p-4', '0x1.c7ef9db22d0e5p-1', '0x1.4bc6a7ef9db23p-5', '0x0.0p+0'], ['0x1.1cac083126e98p-4', '0x1.645a1cac08312p-5', '0x1.c624dd2f1a9fcp-1', '0x0.0p+0']],
-        'jng': ['0x1.4f571475b5401p-2', '0x1.9da6c87e33318p-2', '0x1.a0acf188cc017p-2'],
-        'jng_se': ['0x1.6817805bec88ep-8', '0x1.8fd9c5a15ef59p-8', '0x1.9c7dc0cd91146p-8'],
+        'decision_probs': [['0x1.ae5604189374cp-1', '0x1.24dd2f1a9fbe7p-4', '0x1.6872b020c49bap-4', '0x0.0p+0'], ['0x1.395810624dd2fp-4', '0x1.c5604189374bcp-1', '0x1.374bc6a7ef9dbp-5', '0x0.0p+0'], ['0x1.126e978d4fdf4p-4', '0x1.78d4fdf3b645ap-5', '0x1.c624dd2f1a9fcp-1', '0x0.0p+0']],
+        'jng': ['0x1.44a93217dd756p-2', '0x1.9cbd48031dfa1p-2', '0x1.a13dd23073c86p-2'],
+        'jng_se': ['0x1.6cf334eb859b7p-8', '0x1.9830aaab79642p-8', '0x1.9d392099f251bp-8'],
     },
 }
 
@@ -773,16 +784,17 @@ def test_monte_carlo_reports_are_pinned(key, request):
     assert [float(v).hex() for v in report.jng_se] == pinned["jng_se"]
 
 
-# tri3 ecr:k=2/fbar, generated before ecr:k had a batch kernel: Monte Carlo
-# at N = 6 with 300 episodes and seed 11, and the exact report at N = 4.
+# tri3 ecr:k=2/fbar: the exact report at N = 4, generated before ecr:k had a
+# batch kernel, and Monte Carlo at N = 6 with 300 episodes and seed 11, under
+# stream v3.
 ECR_PINNED = {
     'each': {
-        'decision_probs': [['0x1.4b17e4b17e4b1p-1', '0x1.b4e81b4e81b4fp-9', '0x1.b4e81b4e81b4fp-7', '0x1.58bf258bf258cp-2'], ['0x1.b4e81b4e81b4fp-6', '0x1.5dddddddddddep-1', '0x1.b4e81b4e81b4fp-8', '0x1.2222222222222p-2'], ['0x1.7e4b17e4b17e5p-5', '0x1.b4e81b4e81b4fp-8', '0x1.3851eb851eb85p-1', '0x1.58bf258bf258cp-2']],
-        'psi': ['0x1.69d0369d0369ep-2', '0x1.4444444444444p-2', '0x1.8f5c28f5c28f6p-2'],
-        'phi': ['0x1.2c5f92c5f92c6p-5', '0x1.47ae147ae147ap-8', '0x1.47ae147ae147ap-7'],
-        'gamma': '0x1.1a2b3c4d5e6f8p-5',
-        'jng': ['0x1.a6ace74344c62p-2', '0x1.348e4d8bde2ffp-1', '0x1.05bdf4dcc108fp-1'],
-        'jng_se': ['0x1.104277e8a0373p-6', '0x1.951d7f3a41ee1p-6', '0x1.a165e850d5915p-6'],
+        'decision_probs': [['0x1.3f258bf258bf2p-1', '0x0.0p+0', '0x1.1111111111111p-6', '0x1.70a3d70a3d70ap-2'], ['0x1.7e4b17e4b17e5p-6', '0x1.4444444444444p-1', '0x1.b4e81b4e81b4fp-9', '0x1.5c28f5c28f5c3p-2'], ['0x1.1111111111111p-5', '0x1.b4e81b4e81b4fp-9', '0x1.3333333333333p-1', '0x1.740da740da741p-2']],
+        'psi': ['0x1.81b4e81b4e81cp-2', '0x1.7777777777778p-2', '0x1.999999999999ap-2'],
+        'phi': ['0x1.d0369d0369d02p-6', '0x1.b4e81b4e81b4ep-10', '0x1.47ae147ae147ap-7'],
+        'gamma': '0x1.b4e81b4e81b4ep-6',
+        'jng': ['0x1.948b9a4316d77p-2', '0x1.2b2a81ce63906p-1', '0x1.06976897312c7p-1'],
+        'jng_se': ['0x1.22b8e0b9f8debp-6', '0x1.863dbd830b12cp-6', '0x1.9ea72af504601p-6'],
     },
     'exact': {
         'decision_probs': [['0x1.6f0068db8bac8p-1', '0x1.d7dbf487fcb97p-7', '0x1.a36e2eb1c4331p-7', '0x1.0624dd2f1a9fdp-2'], ['0x1.80346dc5d6389p-4', '0x1.3a92a30553262p-1', '0x1.4467381d7dbf4p-6', '0x1.16872b020c49cp-2'], ['0x1.9ce075f6fd220p-4', '0x1.780346dc5d635p-5', '0x1.f8a0902de00d2p-2', '0x1.7126e978d4fdfp-2']],

@@ -495,6 +495,58 @@ def test_golden_output(capsys, monkeypatch, name):
     assert out == (GOLDEN_DIR / name).read_bytes().decode("utf-8")
 
 
+def _golden_estimates(name):
+    """[{field: value}] of a Monte Carlo golden file, one per horizon: psi,
+    phi and gamma, and decision_probs where the file has them."""
+    text = (GOLDEN_DIR / name).read_text()
+    if name.endswith(".csv"):
+        row = next(csv.DictReader(io.StringIO(text)))
+        return [{"gamma": float(row["gamma"])} | {
+            field: [float(row[k]) for k in row if k.startswith(field + "_")]
+            for field in ("psi", "phi")}]
+    doc = json.loads(text)
+    return [{"gamma": r["gamma"]} for r in doc["rows"]] if "rows" in doc else [doc["report"]]
+
+
+def _exact_se(report, prior, episodes):
+    """{field: standard errors} an estimate from `episodes` episodes per lane
+    has when the exact report's values hold (binomial, mixed over the lanes
+    as monte_carlo mixes them)."""
+    dm, m = report.decision_probs, len(prior)
+    var = dm * (1.0 - dm) / episodes
+    w = prior[:, None] / (1.0 - prior[None, :])
+    np.fill_diagonal(w, 0.0)
+    mis = dm[:, :m].sum(axis=1) - np.diag(dm)
+    return {"decision_probs": np.sqrt(var),
+            "psi": np.sqrt(np.array(report.psi) * (1.0 - np.array(report.psi)) / episodes),
+            "phi": np.sqrt((w ** 2 * var[:, :m]).sum(axis=0)),
+            "gamma": math.sqrt(float((prior ** 2 * mis * (1.0 - mis)).sum()) / episodes)}
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, argv in GOLDEN.items()
+    if "--episodes" in argv and int(argv[argv.index("--episodes") + 1]) >= 1000))
+def test_monte_carlo_golden_lies_within_5_se_of_the_exact_report(name, monkeypatch):
+    # The check reads no stream bits, so a biased stream cannot be pinned
+    # into the goldens. The exact side is the same command's configuration
+    # without --episodes; 1e-12 absorbs rounding where an se is 0.
+    from ahtest import cli, load_model
+
+    monkeypatch.chdir(REPO_ROOT)
+    args = _build_parser().parse_args(GOLDEN[name])
+    episodes, args.episodes = args.episodes, None
+    args.command = "enumerate" if args.command == "simulate" else args.command
+    _, reports, _ = cli._run(args)
+    prior = load_model(args.model).prior
+    estimates = _golden_estimates(name)
+    assert len(estimates) == len(reports)
+    for got, exact in zip(estimates, reports):
+        se = _exact_se(exact, prior, episodes)
+        for field in se.keys() & got.keys():
+            want = exact.decision_probs if field == "decision_probs" else getattr(exact, field)
+            assert np.all(np.abs(np.array(got[field]) - want) <= 5 * se[field] + 1e-12), field
+
+
 class TestParserReuse:
     """main builds its parser once per process, on first use, and a usage
     error or --help leaves it as it was."""

@@ -27,6 +27,7 @@ from ahtest import (
     run_episode,
     saddle_points,
 )
+from ahtest import engine
 from ahtest.engine import _uniform_block, sample_categorical, simulate_conditioned_batch
 from ahtest.strategies import (
     ChernoffSelection,
@@ -42,7 +43,14 @@ from ahtest.strategies import (
 )
 from ahtest.model import EpsilonSchedule
 
-from conftest import normalized_replay, random_model, random_selection, relabel
+from conftest import (
+    episode_uniforms,
+    normalized_replay,
+    random_model,
+    random_selection,
+    relabel,
+    stream_blocks,
+)
 
 
 @pytest.fixture(scope="module")
@@ -95,13 +103,84 @@ class TestSampling:
         assert lane_key(0, 0) == 0
         act, outcomes = _uniform_block(2**48 - 1, 2**16 - 1, 2**64 - 1, 1, 3, self.CHANNEL)
         assert act.shape == (3, 1) and outcomes.shape == (2, 3, 1)
-        # the top key and the top episode's counter, (2**64 - 1) * ceil(6 / 4)
-        ref = np.random.Generator(np.random.Philox(
-            key=2**64 - 1, counter=(2**64 - 1) * 2)).random(6)
-        assert act[:, 0].tobytes() == ref[0::2].tobytes()
+        # the top key and the top episode's counter, (2**64 - 1) * ceil(3 / 4)
+        ref_act, ref_obs = episode_uniforms(2**48 - 1, 2**16 - 1, 2**64 - 1, 3)
+        assert act[:, 0].tobytes() == ref_act.tobytes()
         for u in range(2):
             np.testing.assert_array_equal(
-                outcomes[u, :, 0], 2 * u + sample_categorical(self.CHANNEL[u], ref[1::2]))
+                outcomes[u, :, 0], 2 * u + sample_categorical(self.CHANNEL[u], ref_obs))
+
+    @staticmethod
+    def _record_philox(monkeypatch):
+        """The (key words, counter words) each Philox generator starts from,
+        and the generator, for every Philox built from now on."""
+        made, philox = [], np.random.Philox
+
+        def recording(*args, **kw):
+            bits = philox(*args, **kw)
+            state = bits.state["state"]
+            made.append((state["key"].tolist(), state["counter"].tolist(), bits))
+            return bits
+
+        monkeypatch.setattr(np.random, "Philox", recording)
+        return made
+
+    @pytest.mark.parametrize("horizon", [1, 3, 4, 5, 200])
+    def test_one_experiment_block_reads_ceil_n_over_4_blocks_per_episode(self, horizon,
+                                                                          monkeypatch):
+        # one generator, under the lane key, that ends on the block after the
+        # last episode's with no word of a further block drawn; the count
+        # crosses a tile edge
+        made = self._record_philox(monkeypatch)
+        monkeypatch.setattr(engine, "_TILE_BYTES", 3 * 32 * stream_blocks(horizon))
+        start, count, nb = 2**40 + 3, 7, stream_blocks(horizon)
+        act, outcomes = _uniform_block(5, 1, start, count, horizon, self.CHANNEL[:1])
+        assert act is None and outcomes.shape == (1, horizon, count)
+        assert [(key, counter) for key, counter, _ in made] == [
+            ([lane_key(5, 1), 0], [start * nb, 0, 0, 0])]
+        bits = made[0][2]
+        assert bits.state["state"]["counter"].tolist() == [(start + count) * nb, 0, 0, 0]
+        assert bits.state["buffer_pos"] == 4
+
+    def test_experiment_values_come_from_key_word_1(self, monkeypatch):
+        made = self._record_philox(monkeypatch)
+        start, count, horizon = 2**40 + 3, 5, 7
+        act, _ = _uniform_block(5, 1, start, count, horizon, self.CHANNEL)
+        counter = [start * stream_blocks(horizon), 0, 0, 0]
+        assert [(key, c) for key, c, _ in made] == [
+            ([lane_key(5, 1), 0], counter), ([lane_key(5, 1), 1], counter)]
+        for t in range(count):
+            ref_act, ref_obs = episode_uniforms(5, 1, start + t, horizon)
+            assert act[:, t].tobytes() == ref_act.tobytes()
+            assert ref_act.tobytes() != ref_obs.tobytes()
+
+    def test_experiment_stream_is_apart_from_every_observation_stream_at_the_field_edges(
+            self, monkeypatch):
+        # every observation key has word 1 = 0, since lane_key stays below
+        # 2**64, and every experiment key has word 1 = 1; at the top key and
+        # episode the two streams hold different values
+        made = self._record_philox(monkeypatch)
+        top = 2**48 - 1, 2**16 - 1
+        act, _ = _uniform_block(*top, 2**64 - 1, 1, 5, self.CHANNEL)
+        assert [key for key, _, _ in made] == [[2**64 - 1, 0], [2**64 - 1, 1]]
+        ref_act, ref_obs = episode_uniforms(*top, 2**64 - 1, 5)
+        assert act[:, 0].tobytes() == ref_act.tobytes()
+        observations = [ref_obs, episode_uniforms(*top, 0, 5)[1], episode_uniforms(0, 0, 0, 5)[1]]
+        assert all(ref_act.tobytes() != obs.tobytes() for obs in observations)
+
+    @pytest.mark.parametrize("seed, lane, episode", [
+        (-1, 0, 0), (2**48, 0, 0),
+        (0, -1, 0), (0, 2**16, 0),
+        (0, 0, -1), (0, 0, 2**64),
+    ])
+    def test_one_experiment_block_rejects_values_outside_their_field(self, seed, lane, episode,
+                                                                     monkeypatch):
+        made = self._record_philox(monkeypatch)
+        with pytest.raises(ValueError):
+            _uniform_block(seed, lane, episode, 1, 4, self.CHANNEL[:1])
+        with pytest.raises(ValueError):
+            _uniform_block(0, 0, 2**64 - 2, 3, 4, self.CHANNEL[:1])
+        assert made == []
 
     def test_episode_seed_numpy_integers_do_not_wrap(self):
         assert lane_key(np.int64(2**47), np.int64(1)) == lane_key(2**47, 1)
@@ -155,9 +234,9 @@ class TestRunEpisode:
             inference=FBarInference(tri3_saddles, 0.1), horizon=4, seed=7,
         )
         expected = [
-            (((1, 0), (1, 1), (0, 1), (0, 1)), 1),
-            (((0, 1), (1, 0), (0, 1), (0, 1)), 1),
-            (((0, 1), (1, 0), (1, 1), (0, 1)), 1),
+            (((1, 0), (0, 1), (0, 1), (0, 1)), 1),
+            (((1, 0), (0, 1), (0, 0), (0, 1)), None),
+            (((0, 0), (1, 0), (1, 1), (0, 1)), None),
         ]
         for e, (steps, decision) in enumerate(expected):
             traj, dec, _ = run_episode(cfg, 1, e)
@@ -741,6 +820,15 @@ def _assert_same_report(a, b):
     assert b.gamma == pytest.approx(a.gamma, rel=1e-12, abs=0)
 
 
+def _tri3_permutations(xfail, also=""):
+    """The permutations of tri3's hypotheses, those in xfail marked strict."""
+    reason = ("the lowest-index MAP tie at tri3's uniform prior picks hypothesis 0's "
+              "alpha*, so the exact report moves" + also)
+    mark = pytest.mark.xfail(strict=True, reason=reason)
+    return [pytest.param(list(perm), id="".join(map(str, perm)), marks=[mark] if perm in xfail else [])
+            for perm in itertools.permutations(range(3))]
+
+
 class TestRouteAgreement:
     """Exact results do not depend on the route that computes them."""
 
@@ -812,12 +900,23 @@ class TestRouteAgreement:
         _assert_same_report(_fbar_report(model, rule, horizon),
                             _fbar_report(relabel(model, np.arange(shape[0]), exp_perm), rule, horizon))
 
-    @pytest.mark.parametrize("perm", [
-        pytest.param(list(perm), id="".join(map(str, perm)), marks=[pytest.mark.xfail(
-            strict=True, reason="the lowest-index MAP tie at tri3's uniform prior picks "
-                                "hypothesis 0's alpha*: the exact report moves too")]
-            if perm in ((1, 2, 0), (2, 0, 1), (2, 1, 0)) else [])
-        for perm in itertools.permutations(range(3))])
+    @pytest.mark.parametrize("perm", _tri3_permutations(
+        xfail=((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))))
+    def test_permuting_hypotheses_permutes_the_exact_tri3_report(self, tri3, perm):
+        a = enumerate_exact(_chernoff_fbar(tri3, 12))
+        b = enumerate_exact(_chernoff_fbar(relabel(tri3, perm, [0, 1]), 12))
+        assert b.hypotheses == tuple(a.hypotheses[i] for i in perm) and b.paths == a.paths
+        np.testing.assert_allclose(b.decision_probs, a.decision_probs[perm][:, perm + [3]],
+                                   rtol=1e-13, atol=0)
+        for field in ("psi", "phi", "jng"):
+            np.testing.assert_allclose(getattr(b, field), np.array(getattr(a, field))[perm],
+                                       rtol=1e-13, atol=0)
+        assert b.gamma == pytest.approx(a.gamma, rel=1e-13, abs=0)
+
+    # The exact leg above is the defect's guard. At seed 1 and 20 000
+    # episodes this leg misses by more than 3 se only where it is marked.
+    @pytest.mark.parametrize("perm", _tri3_permutations(
+        xfail=((2, 0, 1), (2, 1, 0)), also=", and this leg misses at seed 1"))
     def test_permuting_hypotheses_permutes_the_monte_carlo_report(self, tri3, perm):
         # Lanes are keyed by hypothesis index, so the permuted run reads other
         # streams; the standard errors of the difference are those the two
