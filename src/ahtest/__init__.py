@@ -25,7 +25,6 @@ from .bounds import (
     p2_achievable_rates,
     misclassification_lower_bound,
     misclassification_upper_bound,
-    write_exponent_csv,
 )
 from .divergence import (
     KLMatrix,

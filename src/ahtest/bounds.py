@@ -4,29 +4,30 @@ Evaluates the achievability upper bound and the explicit-constant lower
 bound on the misclassification probability, the asymptotic exponent
 min_i D*(i), and the finite-horizon rate achievable by the one-hypothesis
 Hoeffding construction, then lines them up against measured engine output.
+BoundReport's fields are a bound row's schema and BOUND_CSV its CSV columns;
+engine.report_json and engine.csv_text write them as they write run reports.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .divergence import SaddlePoint
-from .engine import RunReport
+from .engine import RunReport, report_json
 from .model import EpsilonSchedule, Model, lambda_bound
 
 # Exponent estimates from fewer misclassification events than this are
 # flagged unreliable: the log of a rare-event estimate is too noisy.
 MIN_RELIABLE_COUNTS = 10
 
-CSV_COLUMNS = (
-    "N", "gamma", "gamma_stderr", "achieved_exponent",
-    "dstar_min", "upper_bound", "lower_bound", "feasible",
-)
+# sweep and bounds --format csv: column -> key of BoundReport.to_json_dict.
+BOUND_CSV = {"N": "horizon", "gamma": "gamma", "gamma_stderr": "gamma_stderr",
+             "achieved_exponent": "achieved_exponent", "dstar_min": "d_star_min",
+             "upper_bound": "upper_bound", "lower_bound": "lower_bound", "feasible": "feasible"}
 
 
 def misclassification_upper_bound(
@@ -91,7 +92,7 @@ class BoundReport:
     upper_bound: float
     lower_bound: float
     gamma: float
-    gamma_se: Optional[float]
+    gamma_se: Optional[float] = field(metadata={"json": "gamma_stderr"})
     achieved_exponent: Optional[float]
     p2_rates: tuple[float, ...]
     feasible: bool                    # psi_N(i) <= eps_N for every i
@@ -99,39 +100,7 @@ class BoundReport:
     epsilon: float
     delta: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "d_star": list(self.d_star),
-            "d_star_min": self.d_star_min,
-            "upper_bound": self.upper_bound,
-            "lower_bound": self.lower_bound,
-            "gamma": self.gamma,
-            "gamma_stderr": self.gamma_se,
-            "achieved_exponent": self.achieved_exponent,
-            "p2_rates": list(self.p2_rates),
-            "feasible": self.feasible,
-            "reliable": self.reliable,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-        }
-
-    def csv_row(self) -> dict:
-        return {
-            "N": self.horizon,
-            "gamma": csv_num(self.gamma),
-            "gamma_stderr": csv_num(self.gamma_se),
-            "achieved_exponent": csv_num(self.achieved_exponent),
-            "dstar_min": csv_num(self.d_star_min),
-            "upper_bound": csv_num(self.upper_bound),
-            "lower_bound": csv_num(self.lower_bound),
-            "feasible": str(self.feasible).lower(),
-        }
-
-
-def csv_num(v) -> str:
-    """A CSV cell for an optional number: its repr, or empty for None."""
-    return "" if v is None else repr(float(v))
+    to_json_dict = report_json
 
 
 def bound_report(
@@ -189,11 +158,3 @@ def exponent_table(
         bound_report(model, saddles, rep, schedule.epsilon(rep.horizon), delta)
         for rep in reports
     ]
-
-
-def write_exponent_csv(rows: Sequence[BoundReport], fh) -> None:
-    """Write the sweep table with the documented column set."""
-    writer = csv.DictWriter(fh, fieldnames=list(CSV_COLUMNS), lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row.csv_row())

@@ -11,6 +11,9 @@ sweep), --delta and --format only on the four runs, --epsilon-rule on
 validate and the runs. Every run echoes its effective defaults (epsilon rule,
 delta, solver tolerance, seed: null without --episodes) in the output
 metadata, and identical configurations produce byte-identical output files.
+Reports are written from their dataclasses' own fields: engine.report_json
+gives the JSON of RunReport and bounds.BoundReport, and engine.csv_text their
+CSV through the column tables engine.RUN_CSV and bounds.BOUND_CSV.
 
 Exit codes: 0 success, 2 usage error, 3 model load/validation error,
 4 infeasible configuration (budgets, bad strategy specs), 5 saddle solver
@@ -20,9 +23,7 @@ failure, 1 output file not writable or unexpected error.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import sys
@@ -30,7 +31,8 @@ from typing import Optional, Sequence
 
 from . import bounds as bounds_mod
 from .divergence import SADDLE_TOL, SaddleSolverError, kl_matrix, saddle_points
-from .engine import EnumerationBudgetError, RunConfig, RunReport, enumerate_exact, monte_carlo
+from .engine import (RUN_CSV, EnumerationBudgetError, RunConfig, csv_text, enumerate_exact,
+                     monte_carlo)
 from .model import EpsilonSchedule, ModelError, lambda_bound, load_model
 from .strategies import (ChernoffSelection, ECRLookaheadSelection, EJSGreedySelection,
                          FBarInference, MAPInference, OpenLoopSelection, P2Inference,
@@ -214,24 +216,6 @@ def _resolve_delta(args, saddles, bound_rows: bool) -> float:
     return d_star_min / 4.0
 
 
-def _report_csv(report: RunReport) -> str:
-    cells = [
-        ("mode", report.mode),
-        ("N", report.horizon),
-        ("seed", "" if report.seed is None else report.seed),
-        ("episodes", "" if report.episodes is None else report.episodes),
-        ("paths", "" if report.paths is None else report.paths),
-        ("gamma", bounds_mod.csv_num(report.gamma)),
-        ("gamma_stderr", bounds_mod.csv_num(report.gamma_se)),
-    ]
-    for name, values in (("psi", report.psi), ("phi", report.phi), ("jng", report.jng)):
-        for label, v in zip(report.hypotheses, values):
-            cells.append((f"{name}_{label}", bounds_mod.csv_num(v)))
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(zip(*cells))   # header, row
-    return buf.getvalue()
-
-
 def _cmd_validate(args) -> int:
     model = load_model(args.model)
     schedule = EpsilonSchedule.parse(args.epsilon_rule)
@@ -332,7 +316,7 @@ def _horizon_list(text: str) -> list[int]:
 def _cmd_report(args) -> int:
     """simulate and enumerate: one run report."""
     metadata, (report,), _ = _run(args)
-    text = _report_csv(report) if args.format == "csv" else _json_text(
+    text = csv_text(RUN_CSV, [report.to_json_dict()]) if args.format == "csv" else _json_text(
         {"metadata": metadata, "report": report.to_json_dict()})
     _emit(text, args.out)
     return EXIT_OK
@@ -343,9 +327,7 @@ def _cmd_table(args) -> int:
     default for sweep); bounds' json also carries the run report."""
     metadata, reports, rows = _run(args, bound_rows=True)
     if (args.format or ("json" if args.command == "bounds" else "csv")) == "csv":
-        buf = io.StringIO()
-        bounds_mod.write_exponent_csv(rows, buf)
-        text = buf.getvalue()
+        text = csv_text(bounds_mod.BOUND_CSV, [r.to_json_dict() for r in rows])
     elif args.command == "bounds":
         text = _json_text({"metadata": metadata, "bounds": rows[0].to_json_dict(),
                            "report": reports[0].to_json_dict()})

@@ -29,12 +29,14 @@ the Monte Carlo path is tested against.
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
 import math
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -145,12 +147,64 @@ class RunConfig:
         object.__setattr__(self, "seed", _key_field("seed", self.seed, _SEED_BITS))
 
 
+def report_json(report) -> dict:
+    """The JSON object of a report dataclass, from its fields in order. Field
+    metadata may rename a key ("json"; "outer.key" nests it in the object outer)
+    and list the modes it appears in ("modes"). Tuples and arrays become lists."""
+    doc: dict = {}
+    mode = getattr(report, "mode", None)
+    for f in fields(report):
+        modes = f.metadata.get("modes")
+        if modes is not None and mode not in modes:
+            continue
+        outer, _, key = f.metadata.get("json", f.name).rpartition(".")
+        value = getattr(report, f.name)
+        if isinstance(value, tuple):
+            value = list(value)
+        elif isinstance(value, np.ndarray):
+            value = value.tolist()
+        (doc.setdefault(outer, {}) if outer else doc)[key] = value
+    return doc
+
+
+def csv_cell(value) -> str:
+    """The one CSV cell rule: empty for None, true/false for a bool, the
+    digits of an int, repr(float(value)) for a float, a string as it is."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):      # np.float64 included
+        return repr(float(value))
+    return "" if value is None else str(value)
+
+
+def csv_text(columns: dict, docs: list) -> str:
+    """CSV of report_json objects: a header, then a row of csv_cell cells per
+    object. columns maps a column to its key ("outer.key" reads in outer); a
+    "<label>" column stands for one per hypothesis. A missing key leaves a blank."""
+    def cells(doc):
+        for column, path in columns.items():
+            outer, _, key = path.rpartition(".")
+            value = (doc[outer] if outer else doc).get(key)
+            if "<label>" in column:
+                yield from ((column.replace("<label>", h), v)
+                            for h, v in zip(doc["hypotheses"], value))
+            else:
+                yield column, value
+
+    rows = [list(cells(doc)) for doc in docs]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([column for column, _ in rows[0]])
+    writer.writerows([csv_cell(v) for _, v in row] for row in rows)
+    return buf.getvalue()
+
+
 @dataclass(frozen=True)
 class RunReport:
     """Error probabilities and confidence rates for one run.
 
     Monte Carlo standard errors are None below two episodes; exact reports
-    have zero standard errors.
+    have zero standard errors. The fields are the JSON schema (report_json).
     """
 
     mode: str                     # "mc" | "exact"
@@ -160,40 +214,23 @@ class RunReport:
     phi: tuple[float, ...]
     gamma: float
     jng: tuple[float, ...]
-    psi_se: tuple[Optional[float], ...]
-    phi_se: tuple[Optional[float], ...]
-    gamma_se: Optional[float]
-    jng_se: tuple[Optional[float], ...]
+    psi_se: tuple[Optional[float], ...] = field(metadata={"json": "stderr.psi"})
+    phi_se: tuple[Optional[float], ...] = field(metadata={"json": "stderr.phi"})
+    gamma_se: Optional[float] = field(metadata={"json": "stderr.gamma"})
+    jng_se: tuple[Optional[float], ...] = field(metadata={"json": "stderr.jng"})
     decision_probs: np.ndarray = field(repr=False)   # (M, M+1), last col abstain
     seed: Optional[int] = None
-    episodes: Optional[int] = None
-    paths: Optional[int] = None
-    misclassification_count: Optional[int] = None
+    episodes: Optional[int] = field(default=None, metadata={"modes": ("mc",)})
+    paths: Optional[int] = field(default=None, metadata={"modes": ("exact",)})
+    misclassification_count: Optional[int] = field(default=None, metadata={"modes": ("mc",)})
 
-    def to_json_dict(self) -> dict:
-        d = {
-            "mode": self.mode,
-            "horizon": self.horizon,
-            "hypotheses": list(self.hypotheses),
-            "psi": list(self.psi),
-            "phi": list(self.phi),
-            "gamma": self.gamma,
-            "jng": list(self.jng),
-            "stderr": {
-                "psi": list(self.psi_se),
-                "phi": list(self.phi_se),
-                "gamma": self.gamma_se,
-                "jng": list(self.jng_se),
-            },
-            "decision_probs": [list(row) for row in self.decision_probs],
-            "seed": self.seed,
-        }
-        if self.mode == "mc":
-            d["episodes"] = self.episodes
-            d["misclassification_count"] = self.misclassification_count
-        else:
-            d["paths"] = self.paths
-        return d
+    to_json_dict = report_json
+
+
+# simulate and enumerate --format csv: column -> key of RunReport.to_json_dict.
+RUN_CSV = {"mode": "mode", "N": "horizon", "seed": "seed", "episodes": "episodes",
+           "paths": "paths", "gamma": "gamma", "gamma_stderr": "stderr.gamma",
+           "psi_<label>": "psi", "phi_<label>": "phi", "jng_<label>": "jng"}
 
 
 def run_episode(

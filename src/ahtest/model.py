@@ -268,11 +268,6 @@ class EpsilonSchedule:
             return 1.0 / (2.0 * horizon)
         return float(self.value)
 
-    def meets_type_error_cap(self, horizon: int) -> bool:
-        """True when 0 < eps_N <= 1/(2N) at this horizon."""
-        eps = self.epsilon(horizon)
-        return 0.0 < eps <= 1.0 / (2.0 * horizon)
-
     @classmethod
     def parse(cls, spec: str) -> "EpsilonSchedule":
         """Parse a CLI rule string: `half-inverse` or `fixed:V`."""

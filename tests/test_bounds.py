@@ -1,6 +1,5 @@
 """Closed-form bound evaluation and the sweep table."""
 
-import io
 import math
 
 import numpy as np
@@ -16,8 +15,9 @@ from ahtest import (
     misclassification_lower_bound,
     saddle_points,
     misclassification_upper_bound,
-    write_exponent_csv,
 )
+from ahtest.bounds import BOUND_CSV
+from ahtest.engine import csv_text
 from ahtest.strategies import ChernoffSelection, FBarInference, P2Inference
 
 
@@ -178,9 +178,7 @@ class TestBoundReportAndCsv:
         )
         rep = enumerate_exact(cfg)
         br = bound_report(bsc2, bsc2_saddles, rep, 0.25, 0.4)
-        buf = io.StringIO()
-        write_exponent_csv([br], buf)
-        lines = buf.getvalue().splitlines()
+        lines = csv_text(BOUND_CSV, [br.to_json_dict()]).splitlines()
         assert lines[0] == "N,gamma,gamma_stderr,achieved_exponent,dstar_min,upper_bound,lower_bound,feasible"
         assert lines[1].startswith("2,")
         assert len(lines) == 2

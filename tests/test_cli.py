@@ -484,6 +484,13 @@ GOLDEN = {
     "sweep-tri3.json": ["sweep", "--model", "models/tri3.json", "--infer", "map",
                         "--horizons", "3,6", "--episodes", "1000", "--delta", "0.1",
                         "--format", "json"],
+    # Blank cells: paths and gamma_stderr of a one-episode run, and
+    # achieved_exponent wherever gamma is 0.
+    "simulate-tri3-one-episode.csv": ["simulate", "--model", "models/tri3.json", "--select",
+                                      "ejs", "--horizon", "4", "--episodes", "1", "--seed", "2",
+                                      "--format", "csv"],
+    "sweep-bsc2-mc.csv": ["sweep", "--model", "models/bsc2.json", "--horizons", "4,8,12",
+                          "--episodes", "500", "--seed", "1"],
 }
 
 
@@ -627,6 +634,16 @@ class TestReadme:
         for part, rules in ((selection, SELECTION_RULES), (inference, INFERENCE_RULES)):
             specs = re.findall(r"`([^`]+)`", part)
             assert _rules_and_keys(specs) == _table_rules_and_keys(rules)
+
+    def test_csv_columns_name_each_table_column(self):
+        from ahtest.bounds import BOUND_CSV
+        from ahtest.engine import RUN_CSV
+
+        text = " ".join(self.README.split())
+        for anchor, table in (("`enumerate` has columns", RUN_CSV),
+                              ("bounds CSVs have columns", BOUND_CSV)):
+            columns = re.search(re.escape(anchor) + r" `([^`]+)`", text).group(1)
+            assert columns.replace("…", "").split(",") == list(table)
 
     def test_every_cited_name_resolves(self):
         names = {m.group(0) for span in re.findall(r"`([^`\n]+)`", self.README)

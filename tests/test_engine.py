@@ -28,6 +28,7 @@ from ahtest import (
     saddle_points,
 )
 from ahtest import engine
+from ahtest.bounds import BoundReport, bound_report
 from ahtest.engine import _uniform_block, sample_categorical, simulate_conditioned_batch
 from ahtest.strategies import (
     ChernoffSelection,
@@ -786,6 +787,80 @@ class TestEnumeratedInequalities:
                     lhs = -math.log(rep.phi[i]) / n
                     rhs = rep.jng[i] + 2 * b * eps / (1 - eps) - math.log(1 - eps) / n
                     assert lhs <= rhs + 1e-9
+
+
+# Throwaway reports with fields the schema has not seen: one plain, one that
+# nests under stderr, and one limited to a mode.
+@dataclasses.dataclass(frozen=True)
+class _ExtendedRunReport(engine.RunReport):
+    log_gamma: float = 0.0
+    log_gamma_se: float = dataclasses.field(default=0.0, metadata={"json": "stderr.log_gamma"})
+    tail_paths: int = dataclasses.field(default=0, metadata={"modes": ("exact",)})
+
+
+@dataclasses.dataclass(frozen=True)
+class _ExtendedBoundReport(BoundReport):
+    log_upper: float = dataclasses.field(default=0.0, metadata={"json": "log_upper_bound"})
+
+
+def _extended(cls, report, **extra):
+    return cls(**{f.name: getattr(report, f.name) for f in dataclasses.fields(report)}, **extra)
+
+
+class TestReportSchema:
+    """A report's JSON and CSV are read from its dataclass fields and the
+    column tables: a new field needs no other edit to reach the JSON, and
+    reaches the CSV only through its table."""
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_a_new_run_report_field_appears_at_its_position_in_its_modes(self, bsc2, mode):
+        base = (enumerate_exact if mode == "exact" else monte_carlo)(
+            _chernoff_fbar(bsc2, 3, **({"episodes": 40, "seed": 1} if mode == "mc" else {})))
+        report = _extended(_ExtendedRunReport, base, log_gamma=-6.9, log_gamma_se=0.25,
+                           tail_paths=2**70)
+        doc, base_doc = report.to_json_dict(), base.to_json_dict()
+        tail = ["log_gamma", "tail_paths"] if mode == "exact" else ["log_gamma"]
+        assert list(doc) == list(base_doc) + tail
+        assert list(doc["stderr"]) == list(base_doc["stderr"]) + ["log_gamma"]
+        assert (doc["log_gamma"], doc["stderr"]["log_gamma"]) == (-6.9, 0.25)
+        # the CSV moves only once its table lists the fields
+        assert engine.csv_text(engine.RUN_CSV, [doc]) == engine.csv_text(engine.RUN_CSV, [base_doc])
+        columns = {**engine.RUN_CSV, "log_gamma": "log_gamma",
+                   "log_gamma_stderr": "stderr.log_gamma", "tail_paths": "tail_paths"}
+        header, row = engine.csv_text(columns, [doc]).splitlines()
+        base_header, base_row = engine.csv_text(engine.RUN_CSV, [base_doc]).splitlines()
+        assert header == base_header + ",log_gamma,log_gamma_stderr,tail_paths"
+        assert row == base_row + ",-6.9,0.25," + (str(2**70) if mode == "exact" else "")
+        # and no other key moves
+        del doc["stderr"]["log_gamma"]
+        assert {k: doc[k] for k in base_doc} == base_doc
+
+    def test_a_new_bound_report_field_appears_under_its_key(self, bsc2, bsc2_saddles):
+        from ahtest.bounds import BOUND_CSV
+
+        run = enumerate_exact(_chernoff_fbar(bsc2, 3))
+        base = bound_report(bsc2, bsc2_saddles, run, 1 / 6, 0.4)
+        doc = _extended(_ExtendedBoundReport, base, log_upper=-2.5).to_json_dict()
+        base_doc = base.to_json_dict()
+        assert list(doc) == list(base_doc) + ["log_upper_bound"]
+        assert doc["log_upper_bound"] == -2.5
+        assert engine.csv_text(BOUND_CSV, [doc]) == engine.csv_text(BOUND_CSV, [base_doc])
+        text = engine.csv_text({**BOUND_CSV, "log_upper_bound": "log_upper_bound"}, [doc, doc])
+        assert text.splitlines()[0].endswith(",feasible,log_upper_bound")
+        assert [line.rsplit(",", 1)[1] for line in text.splitlines()[1:]] == ["-2.5", "-2.5"]
+
+    @pytest.mark.parametrize("value, cell", [
+        (None, ""),
+        (True, "true"),
+        (False, "false"),
+        (1208925819614629174706176, "1208925819614629174706176"),   # paths of tri3 at N=40
+        (0.1, "0.1"),
+        (np.float64(2.5e-310), "2.5e-310"),
+        (np.float64(0.0), "0.0"),
+        ("exact", "exact"),
+    ])
+    def test_cell_rule(self, value, cell):
+        assert engine.csv_cell(value) == cell
 
 
 def _perfbench_module(name):

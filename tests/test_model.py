@@ -185,7 +185,6 @@ class TestEpsilonSchedule:
         sched = EpsilonSchedule("half-inverse")
         for n in [1, 2, 3, 10, 100, 10_000]:
             assert sched.epsilon(n) == pytest.approx(1.0 / (2 * n))
-            assert sched.meets_type_error_cap(n)
 
     def test_half_inverse_log_rate_vanishes(self):
         # (-log eps_N) / N is decreasing from N0 = 2 onward.
@@ -194,11 +193,6 @@ class TestEpsilonSchedule:
         rates = [-math.log(sched.epsilon(n)) / n for n in ns]
         assert all(a > b for a, b in zip(rates, rates[1:]))
         assert rates[-1] < 1e-3
-
-    def test_fixed_rule_cap_fails_at_large_horizon(self):
-        sched = EpsilonSchedule("fixed", 0.05)
-        assert sched.meets_type_error_cap(5)
-        assert not sched.meets_type_error_cap(100)
 
     def test_parse(self):
         assert EpsilonSchedule.parse("half-inverse").rule == "half-inverse"
