@@ -127,13 +127,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def validate_against(self, model: Model) -> None:
-        for n, (u, y) in enumerate(self.steps):
-            if not (0 <= u < model.num_experiments):
-                raise ValueError(f"step {n}: experiment index {u} out of range")
-            if not (0 <= y < model.num_observations):
-                raise ValueError(f"step {n}: observation index {y} out of range")
-
     def dump(self) -> str:
         """Debug dump: one line per step, tab-separated `n u y`, zero-based."""
         return "\n".join(f"{n}\t{u}\t{y}" for n, (u, y) in enumerate(self.steps))

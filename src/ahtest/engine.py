@@ -267,8 +267,9 @@ def _run_chunk(
     _uniform_block's, drawn under it, act None on a one-experiment model,
     whose experiment is always 0 (the selection is still called, so its
     checks still run). Step n reads outcomes[u, n] of the experiment u it
-    draws. Returns (decisions, increments, (path, steps)); with record, the
-    normalized log-beliefs (chunk, horizon + 1, M) and (u, y) steps.
+    draws. Returns (decisions, gains, (path, steps)): gains[r] is row r's
+    confidence gain on its own hypothesis true_h[r], and with record, path and
+    steps are the normalized log-beliefs (chunk, horizon + 1, M) and (u, y) steps.
     """
     m = len(true_h)
     # Outcome k = u * Y + y takes row k of a 2-D table: np.take is several
@@ -294,8 +295,8 @@ def _run_chunk(
             path[:, n + 1] = log_normalize(log_rho)
             steps[:, n] = np.column_stack(np.divmod(k, model.num_observations))
     decisions = inference.batch_decide(model, log_prior, log_rho, horizon)
-    increments = bllr_matrix(log_rho) - bllr_matrix(log_prior)[None, :]
-    return decisions, increments, (path, steps)
+    gains = bllr_matrix(log_rho)[rows, true_h] - bllr_matrix(log_prior)[true_h]
+    return decisions, gains, (path, steps)
 
 
 def _uniform_block(base_seed: int, lane: int, start: int, count: int, horizon: int,
@@ -350,25 +351,24 @@ def _uniform_block(base_seed: int, lane: int, start: int, count: int, horizon: i
     return act, outcomes
 
 
-def _simulate_lanes(config: RunConfig, lanes, record_beliefs: bool = False,
-                    keep_decisions: bool = True):
+def _simulate_lanes(config: RunConfig, lanes, record: bool = False):
     """Every episode of the given lanes, stepped together: row r is episode
     r % E of lane lanes[r // E], and a part draws each lane's segment of its
     rows in place (see _uniform_block). Each chunk's counts are added as it
-    finishes, and a lane's increments are summed over its episode blocks of
+    finishes, and a lane's gains are summed over its episode blocks of
     CHUNK_SIZE, in order, each as it completes. Returns (decision_counts
-    (L, M+1), inc_sum (L,), inc_sqsum (L,), decisions (L * E,) if
-    keep_decisions else None, belief_path if record_beliefs else None)."""
+    (L, M+1), gain_sum (L,), gain_sqsum (L,), decisions (L * E,), belief_path
+    (L * E, N + 1, M)); without record, the last two are None."""
     model, episodes, horizon = config.model, config.episodes, config.horizon
     m_hyp, n_exp = model.num_hypotheses, model.num_experiments
     lanes = np.asarray(lanes)
     rows = lanes.size * episodes
     counts = np.zeros((lanes.size, m_hyp + 1), dtype=np.int64)
-    inc_sum, inc_sqsum = np.zeros(lanes.size), np.zeros(lanes.size)
+    gain_sum, gain_sqsum = np.zeros(lanes.size), np.zeros(lanes.size)
     # Lane i's block k holds its rows i * E + [k, min(k + CHUNK_SIZE, E)).
     ends = [i * episodes + min(k + CHUNK_SIZE, episodes)
             for i in range(lanes.size) for k in range(0, episodes, CHUNK_SIZE)]
-    own, first = np.empty(0), 0     # own increments of rows first, first + 1, ... not yet summed
+    gains, first = np.empty(0), 0     # gains of rows first, first + 1, ... not yet summed
     kept, paths = [], []
     for start in range(0, rows, CHUNK_SIZE):
         count = min(CHUNK_SIZE, rows - start)
@@ -386,41 +386,24 @@ def _simulate_lanes(config: RunConfig, lanes, record_beliefs: bool = False,
                                model.channel[lanes[i]],
                                out=(None if act is None else act[:, seg], outcomes[..., seg]))
             return _run_chunk(model, config.selection, config.inference, horizon,
-                              true_h[lo:hi], act, outcomes, record_beliefs)
+                              true_h[lo:hi], act, outcomes, record)
 
         parts = _in_parts(part, count)
         decisions = np.concatenate([d for d, _, _ in parts])
         cols = np.where(decisions == INCONCLUSIVE, m_hyp, decisions)
         counts += np.bincount(lane * (m_hyp + 1) + cols, minlength=counts.size).reshape(counts.shape)
-        increments = np.concatenate([inc for _, inc, _ in parts])
-        own = np.concatenate([own, increments[np.arange(count), true_h]])
+        gains = np.concatenate([gains, *(g for _, g, _ in parts)])
         while ends and ends[0] <= start + count:
-            block, own = np.split(own, [ends[0] - first])
-            inc_sum[first // episodes] += block.sum()
-            inc_sqsum[first // episodes] += (block * block).sum()
+            block, gains = np.split(gains, [ends[0] - first])
+            gain_sum[first // episodes] += block.sum()
+            gain_sqsum[first // episodes] += (block * block).sum()
             first = ends.pop(0)
-        if keep_decisions:
+        if record:
             kept.append(decisions)
-        if record_beliefs:
             paths.extend(path for _, _, (path, _) in parts)
-    return (counts, inc_sum, inc_sqsum, np.concatenate(kept) if keep_decisions else None,
-            np.concatenate(paths, axis=0) if record_beliefs else None)
-
-
-def simulate_conditioned_batch(config: RunConfig, true_h: int, record_beliefs: bool = False):
-    """All episodes of lane true_h: the run's path on one lane. Returns
-    (decision_counts (M+1,), inc_sum, inc_sqsum, decisions (E,), belief_path or None)."""
-    counts, inc_sum, inc_sqsum, decisions, path = _simulate_lanes(config, [true_h], record_beliefs)
-    return counts[0], float(inc_sum[0]), float(inc_sqsum[0]), decisions, path
-
-
-def _bernoulli_se(p_hat: float, n: int) -> float:
-    return math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / (n - 1))
-
-
-def _mean_se(total: float, sqtotal: float, n: int) -> float:
-    var = max(sqtotal - total * total / n, 0.0) / (n - 1)
-    return math.sqrt(var / n)
+    if not record:
+        return counts, gain_sum, gain_sqsum, None, None
+    return counts, gain_sum, gain_sqsum, np.concatenate(kept), np.concatenate(paths)
 
 
 def monte_carlo(config: RunConfig) -> RunReport:
@@ -429,7 +412,9 @@ def monte_carlo(config: RunConfig) -> RunReport:
     Each hypothesis runs `episodes` episodes on its own lane; psi is the
     lane's rate of not declaring it, and phi and gamma mix the lanes' rates
     of declaring each hypothesis through the prior, as the paper's gamma_N =
-    sum_i (1 - rho1(i)) phi_N(i) does.
+    sum_i (1 - rho1(i)) phi_N(i) does. Their standard errors are the plug-in
+    binomial ones of those lane rates, mixed through the same weights, and
+    jng's is the sample standard error of the lane's mean gain, over N.
     """
     episodes = config.episodes
     if episodes is None:
@@ -437,29 +422,25 @@ def monte_carlo(config: RunConfig) -> RunReport:
     prior = config.model.prior
     m_hyp = prior.size
     horizon = config.horizon
-    counts, inc_sum, inc_sqsum, _, _ = _simulate_lanes(config, range(m_hyp), keep_decisions=False)
+    counts, gain_sum, gain_sqsum, _, _ = _simulate_lanes(config, range(m_hyp))
 
     decision_probs = counts / episodes
+    misclassified = counts[:, :m_hyp].sum(axis=1) - np.diag(counts)    # per lane
     psi, phi, gamma = _error_rates(decision_probs, prior)
-    jng = [float(inc_sum[i] / (episodes * horizon)) for i in range(m_hyp)]
+    jng = (gain_sum / (episodes * horizon)).tolist()
     if episodes < 2:
         psi_se = phi_se = jng_se = [None] * m_hyp
         gamma_se = None
     else:
-        psi_se = [_bernoulli_se(p, episodes) for p in psi]
-        jng_se = [_mean_se(float(inc_sum[i]), float(inc_sqsum[i]), episodes) / horizon
-                  for i in range(m_hyp)]
-        weights = _phi_weights(prior)
-        phi_se = [math.sqrt(sum(
-            (weights[h, i] ** 2) * decision_probs[h, i] * (1.0 - decision_probs[h, i])
-            / (episodes - 1)
-            for h in range(m_hyp)
-        )) for i in range(m_hyp)]
-        mis_rate = (counts[:, :m_hyp].sum(axis=1) - np.diag(counts)) / episodes
-        gamma_se = math.sqrt(sum(
-            (prior[h] ** 2) * mis_rate[h] * (1.0 - mis_rate[h]) / (episodes - 1)
-            for h in range(m_hyp)
-        ))
+        missed, declared = np.array(psi), decision_probs[:, :m_hyp]
+        psi_se = np.sqrt(np.maximum(missed * (1.0 - missed), 0.0) / (episodes - 1)).tolist()
+        # A column sum over axis 0 adds the hypotheses in index order.
+        phi_se = np.sqrt((_phi_weights(prior) ** 2 * declared * (1.0 - declared) / (episodes - 1))
+                         .sum(axis=0)).tolist()
+        wrong = misclassified / episodes
+        gamma_se = math.sqrt(sum((prior ** 2 * wrong * (1.0 - wrong) / (episodes - 1)).tolist()))
+        var = np.maximum(gain_sqsum - gain_sum * gain_sum / episodes, 0.0) / (episodes - 1)
+        jng_se = (np.sqrt(var / episodes) / horizon).tolist()
 
     return RunReport(
         mode="mc",
@@ -476,7 +457,7 @@ def monte_carlo(config: RunConfig) -> RunReport:
         decision_probs=decision_probs,
         seed=config.seed,
         episodes=episodes,
-        misclassification_count=int(counts[:, :m_hyp].sum() - np.trace(counts)),
+        misclassification_count=int(misclassified.sum()),
     )
 
 

@@ -12,7 +12,7 @@ from hypothesis import settings
 
 from ahtest import Model, divergence, load_model
 from ahtest.belief import log_normalize
-from ahtest.engine import lane_key, sample_categorical
+from ahtest.engine import _simulate_lanes, lane_key, sample_categorical
 from ahtest.strategies import SelectionStrategy
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -143,6 +143,13 @@ def episode_uniforms(seed: int, lane: int, episode: int, horizon: int):
     key, counter = lane_key(seed, lane), episode * stream_blocks(horizon)
     return tuple(np.random.Generator(np.random.Philox(key=k, counter=counter)).random(horizon)
                  for k in ((1 << 64) | key, key))
+
+
+def lane_run(config, true_h: int):
+    """Every episode of lane true_h, stepped as a Monte Carlo run steps it and
+    recorded: (decision_counts (1, M+1), gain_sum (1,), gain_sqsum (1,),
+    decisions (E,), belief_path (E, N + 1, M))."""
+    return _simulate_lanes(config, [true_h], record=True)
 
 
 def normalized_replay(config, true_h: int, episode: int):

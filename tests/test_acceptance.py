@@ -32,7 +32,6 @@ from ahtest import (
     solve_saddle,
     misclassification_upper_bound,
 )
-from ahtest.engine import simulate_conditioned_batch
 from ahtest.model import STRICT_BOUND_SLACK
 from ahtest.belief import bllr_matrix
 from ahtest.strategies import (
@@ -45,7 +44,7 @@ from ahtest.strategies import (
     UniformSelection,
 )
 
-from conftest import random_model, random_selection, random_trajectory
+from conftest import lane_run, random_model, random_selection, random_trajectory
 
 
 def _report(criterion, detail):
@@ -98,7 +97,7 @@ def test_c02_bounded_increments(bsc2, tri3, bsc2_saddles, tri3_saddles):
             horizon=horizon, episodes=per_h, seed=2,
         )
         for h in range(model.num_hypotheses):
-            *_, path = simulate_conditioned_batch(cfg, h, record_beliefs=True)
+            *_, path = lane_run(cfg, h)
             conf = bllr_matrix(path)                    # (E, N+1, M)
             steps = np.abs(np.diff(conf, axis=1))
             total = np.abs(conf[:, -1, :] - conf[:, 0, :])

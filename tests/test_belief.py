@@ -176,10 +176,3 @@ class TestTrajectory:
     def test_dump_parse_round_trip(self):
         traj = Trajectory(((1, 0), (0, 2), (3, 1)))
         assert Trajectory.parse(traj.dump()) == traj
-
-    def test_validate_against(self, bsc2):
-        Trajectory(((0, 1),)).validate_against(bsc2)
-        with pytest.raises(ValueError):
-            Trajectory(((1, 0),)).validate_against(bsc2)
-        with pytest.raises(ValueError):
-            Trajectory(((0, 2),)).validate_against(bsc2)

@@ -45,16 +45,12 @@ from ahtest import (
 )
 from ahtest import engine
 from ahtest.belief import bllr_matrix, log_normalize, logsumexp_last, normalize_belief_rows
-from ahtest.engine import (
-    _error_rates,
-    _uniform_block,
-    sample_categorical,
-    simulate_conditioned_batch,
-)
+from ahtest.engine import _error_rates, _uniform_block, sample_categorical
 from ahtest.strategies import INCONCLUSIVE, TIE_TOL, _ejs_scores
 
 from conftest import (
     episode_uniforms,
+    lane_run,
     normalized_replay,
     random_model,
     random_selection,
@@ -312,7 +308,7 @@ def tri3_ejs_lanes(tri3_ejs_config):
     """(decisions, belief path) of every conditioning lane of a tri3 ejs run."""
     lanes = []
     for h in range(tri3_ejs_config.model.num_hypotheses):
-        *_, decisions, path = simulate_conditioned_batch(tri3_ejs_config, h, record_beliefs=True)
+        *_, decisions, path = lane_run(tri3_ejs_config, h)
         lanes.append((decisions, path))
     return lanes
 
@@ -882,9 +878,9 @@ def _force_parts(monkeypatch, cpus, min_part):
 
 
 def _lane_bits(config, h):
-    counts, inc_sum, inc_sqsum, decisions, path = simulate_conditioned_batch(
-        config, h, record_beliefs=True)
-    return counts.tobytes(), inc_sum.hex(), inc_sqsum.hex(), decisions.tobytes(), path.tobytes()
+    counts, gain_sum, gain_sqsum, decisions, path = lane_run(config, h)
+    return (counts.tobytes(), gain_sum.tobytes(), gain_sqsum.tobytes(), decisions.tobytes(),
+            path.tobytes())
 
 
 @pytest.mark.parametrize("name", ["tri3", "bsc2"])
@@ -908,7 +904,7 @@ def test_parts_move_no_bit(name, cpus, chunk, request, monkeypatch):
     assert sorted(n for _, n in calls[:cpus]) == sizes[cpus]
     assert len({t for t, _ in calls}) > 1
     # run_episode replays the last episode of a part that ran off the caller's thread
-    *_, decisions, path = simulate_conditioned_batch(config, 1, record_beliefs=True)
+    *_, decisions, path = lane_run(config, 1)
     _, decision, belief = run_episode(config, 1, SPLIT_EPISODES - 2)
     assert decisions[SPLIT_EPISODES - 2] == (INCONCLUSIVE if decision is None else decision)
     assert _same_bits(belief.log_rho, Belief(path[SPLIT_EPISODES - 2, -1]).log_rho)
@@ -927,7 +923,7 @@ def test_run_episode_replays_rows_at_part_and_tile_edges(bsc2, monkeypatch):
     half = episodes // 2
     for h in range(bsc2.num_hypotheses):
         calls.clear()
-        *_, decisions, path = simulate_conditioned_batch(config, h, record_beliefs=True)
+        *_, decisions, path = lane_run(config, h)
         assert sorted(n for _, n in calls) == [half, half]
         # part 0's tile edge, the part edge, part 1's tile edge, the ends
         for e in (0, tile - 1, tile, half - 1, half, half + tile - 1, half + tile, episodes - 1):
@@ -958,7 +954,7 @@ def test_run_episode_replays_rows_at_lane_edges(name, request, monkeypatch):
     lane_edges = [h * episodes for h in lanes[1:]]
     assert not set(lane_edges) & set(part_edges)   # each lane edge lies inside a part
     calls.clear()
-    *_, decisions, path = engine._simulate_lanes(config, lanes, record_beliefs=True)
+    *_, decisions, path = engine._simulate_lanes(config, lanes, record=True)
     assert sorted(n for _, n in calls) == sorted(np.diff(part_edges))
     ends = [e for h in lanes for e in (h * episodes, (h + 1) * episodes - 1)]
     for row in sorted(set(ends) | {r for e in part_edges[1:-1] for r in (e - 1, e)}):

@@ -19,17 +19,19 @@ from ahtest import (
     EnumerationBudgetError,
     Model,
     RunConfig,
+    confidence_increment,
     enumerate_exact,
     enumerate_pair_expectations,
     lambda_bound,
     lane_key,
     monte_carlo,
+    prior_belief,
     run_episode,
     saddle_points,
 )
 from ahtest import engine
 from ahtest.bounds import BoundReport, bound_report
-from ahtest.engine import _uniform_block, sample_categorical, simulate_conditioned_batch
+from ahtest.engine import _uniform_block, sample_categorical
 from ahtest.strategies import (
     ChernoffSelection,
     ECRLookaheadSelection,
@@ -46,6 +48,7 @@ from ahtest.model import EpsilonSchedule
 
 from conftest import (
     episode_uniforms,
+    lane_run,
     normalized_replay,
     random_model,
     random_selection,
@@ -262,7 +265,7 @@ class TestBatchParity:
             episodes=300, seed=11,
         )
         for h in (0, 2):
-            _, _, _, decisions, _ = simulate_conditioned_batch(cfg, h)
+            _, _, _, decisions, _ = lane_run(cfg, h)
             for e in range(0, 300, 17):
                 steps, want, final = normalized_replay(cfg, h, e)
                 trajectory, dec, belief = run_episode(cfg, h, e)
@@ -280,7 +283,7 @@ class TestBatchParity:
                         inference=FBarInference(tri3_saddles, 0.1), horizon=8,
                         episodes=200, seed=2)
         for h in range(3):
-            decisions = simulate_conditioned_batch(cfg, h)[3]
+            decisions = lane_run(cfg, h)[3]
             for e in range(200):
                 steps, want, _ = normalized_replay(cfg, h, e)
                 assert run_episode(cfg, h, e)[0].steps == steps
@@ -293,9 +296,9 @@ class TestBatchParity:
             model=tri3, selection=EJSGreedySelection(),
             inference=FBarInference(tri3_saddles, 0.1), horizon=6, episodes=50, seed=3,
         )
-        whole = simulate_conditioned_batch(cfg, 1)[3]
+        whole = lane_run(cfg, 1)[3]
         monkeypatch.setattr(engine, "CHUNK_SIZE", 7)
-        assert np.array_equal(simulate_conditioned_batch(cfg, 1)[3], whole)
+        assert np.array_equal(lane_run(cfg, 1)[3], whole)
 
 
 def _chernoff_fbar(model, horizon, **kw):
@@ -364,7 +367,7 @@ class TestTieRule:
             config = RunConfig(model=model, selection=selection, inference=inference,
                                horizon=horizon, episodes=600, seed=4)
         for h in range(model.num_hypotheses):
-            decisions = simulate_conditioned_batch(config, h)[3]
+            decisions = lane_run(config, h)[3]
             for e in range(600):
                 steps, decision, _ = normalized_replay(config, h, e)
                 assert (-1 if decision is None else decision) == decisions[e]
@@ -462,6 +465,34 @@ class TestMonteCarlo:
             tri3.prior[h] ** 2 * rates[h] * (1 - rates[h]) / (e - 1) for h in range(3)
         ))
         assert rep.gamma_se == pytest.approx(expected, rel=1e-14, abs=0)
+        # psi's and phi's plug-in binomial SEs, phi's mixed as phi mixes the lane rates
+        for i in range(3):
+            miss = 1 - counts[i, i] / e
+            assert rep.psi_se[i] == pytest.approx(
+                math.sqrt(miss * (1 - miss) / (e - 1)), rel=1e-14, abs=0)
+            declared = [counts[h, i] / e for h in range(3)]
+            expected = math.sqrt(sum(
+                (tri3.prior[h] / (1 - tri3.prior[i])) ** 2 * declared[h] * (1 - declared[h])
+                / (e - 1) for h in range(3) if h != i
+            ))
+            assert rep.phi_se[i] == pytest.approx(expected, rel=1e-14, abs=0)
+
+    def test_jng_and_stderr_from_replayed_episodes(self, tri3, tri3_saddles):
+        # every episode replayed, its gain from the rival-sum identity rather
+        # than the confidence levels the run subtracts
+        cfg = RunConfig(
+            model=tri3, selection=ChernoffSelection(tri3_saddles),
+            inference=FBarInference(tri3_saddles, 0.1), horizon=6, episodes=300, seed=11,
+        )
+        rep = monte_carlo(cfg)
+        for h in range(3):
+            gains = np.array([
+                confidence_increment(tri3, prior_belief(tri3), run_episode(cfg, h, e)[0], h)
+                for e in range(cfg.episodes)
+            ])
+            assert rep.jng[h] == pytest.approx(gains.mean() / cfg.horizon, rel=1e-12, abs=0)
+            assert rep.jng_se[h] == pytest.approx(
+                gains.std(ddof=1) / math.sqrt(cfg.episodes) / cfg.horizon, rel=1e-9, abs=0)
 
     @pytest.mark.parametrize("seed", [-1, 2**48])
     def test_seed_outside_key_field_rejected(self, bsc2, bsc2_saddles, seed):
