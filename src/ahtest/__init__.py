@@ -27,14 +27,10 @@ from .bounds import (
     misclassification_upper_bound,
 )
 from .divergence import (
-    KLMatrix,
     SaddlePoint,
     SaddleSolverError,
-    kl_divergence,
-    kl_matrix,
     saddle_points,
     solve_matrix_game,
-    solve_saddle,
 )
 from .engine import (
     EnumerationBudgetError,
@@ -54,7 +50,6 @@ from .model import (
     ModelValidationError,
     lambda_bound,
     load_model,
-    log_likelihood_ratio,
 )
 from .strategies import (
     ChernoffSelection,

@@ -131,19 +131,6 @@ class Trajectory:
         """Debug dump: one line per step, tab-separated `n u y`, zero-based."""
         return "\n".join(f"{n}\t{u}\t{y}" for n, (u, y) in enumerate(self.steps))
 
-    @classmethod
-    def parse(cls, text: str) -> "Trajectory":
-        steps = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            n, u, y = line.split("\t")
-            if int(n) != len(steps):
-                raise ValueError(f"trajectory dump has out-of-order step index {n}")
-            steps.append((int(u), int(y)))
-        return cls(tuple(steps))
-
 
 def bllr(belief: Belief, i: int) -> ConfidenceLevel:
     """Confidence level on hypothesis i: log rho(i) - log(1 - rho(i)), in nats."""

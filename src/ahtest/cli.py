@@ -30,7 +30,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import bounds as bounds_mod
-from .divergence import SADDLE_TOL, SaddleSolverError, kl_matrix, saddle_points
+from .divergence import SADDLE_TOL, SaddleSolverError, saddle_points
 from .engine import (RUN_CSV, EnumerationBudgetError, RunConfig, csv_text, enumerate_exact,
                      monte_carlo)
 from .model import EpsilonSchedule, ModelError, lambda_bound, load_model
@@ -219,9 +219,8 @@ def _resolve_delta(args, saddles, bound_rows: bool) -> float:
 def _cmd_validate(args) -> int:
     model = load_model(args.model)
     schedule = EpsilonSchedule.parse(args.epsilon_rule)
-    min_kl = min(
-        float(kl_matrix(model, i).values.min()) for i in range(model.num_hypotheses)
-    )
+    M = model.num_hypotheses
+    min_kl = min(float(model.kl[i, j].min()) for i in range(M) for j in range(M) if i != j)
     doc = {
         "valid": True,
         "hypotheses": list(model.hypotheses),

@@ -1,13 +1,14 @@
-"""KL divergence matrices and the per-hypothesis experiment-selection game.
+"""The per-hypothesis experiment-selection game and its certified solver.
 
-For hypothesis i the payoff matrix K[u][j] = D(p_i^u || p_j^u) defines a
-finite zero-sum game: a maximizing player mixes over experiments, a
-minimizing player mixes over rival hypotheses. Its value D*(i) is the best
-guaranteed per-step confidence growth rate for i, and the optimizers are the
-sampling distribution used by the MAP-phase strategy and the worst-case
-rival mixture entering the confidence-rate bound. A small simplex finds the
-support of an optimal solution, cofactors of that support give both mixtures
-exactly, and direct evaluation certifies them to a gap of at most SADDLE_TOL.
+For hypothesis i the payoff matrix K[u][j] = D(p_i^u || p_j^u), read from the
+model's KL table (`Model.kl`), defines a finite zero-sum game: a maximizing
+player mixes over experiments, a minimizing player mixes over rival
+hypotheses. Its value D*(i) is the best guaranteed per-step confidence growth
+rate for i, and the optimizers are the sampling distribution used by the
+MAP-phase strategy and the worst-case rival mixture entering the
+confidence-rate bound. A small simplex finds the support of an optimal
+solution, cofactors of that support give both mixtures exactly, and direct
+evaluation certifies them to a gap of at most SADDLE_TOL.
 """
 
 from __future__ import annotations
@@ -27,50 +28,6 @@ class SaddleSolverError(RuntimeError):
     def __init__(self, message: str, best_gap: float | None = None):
         super().__init__(message)
         self.best_gap = best_gap
-
-
-def kl_divergence(p, q) -> float:
-    """D(p || q) = sum_y p(y) log(p(y)/q(y)) in nats, for full-support distributions."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValueError("distributions must have the same support size")
-    if np.any(p <= 0.0) or np.any(q <= 0.0):
-        raise ValueError("kl_divergence requires strictly positive entries")
-    if abs(p.sum() - 1.0) > 1e-9 or abs(q.sum() - 1.0) > 1e-9:
-        raise ValueError("kl_divergence requires normalized distributions")
-    return float(np.sum(p * (np.log(p) - np.log(q))))
-
-
-@dataclass(frozen=True)
-class KLMatrix:
-    """Payoff matrix of the experiment-selection game for one hypothesis.
-
-    values[u][k] = D(p_i^u || p_j^u) with j = rivals[k]; rivals are the other
-    hypotheses in declaration order.
-    """
-
-    hypothesis: int
-    rivals: tuple[int, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "rivals", tuple(int(j) for j in self.rivals))
-
-
-def kl_matrix(model: Model, i: int) -> KLMatrix:
-    if not (0 <= i < model.num_hypotheses):
-        raise ValueError(f"hypothesis index {i} out of range")
-    rivals = tuple(j for j in range(model.num_hypotheses) if j != i)
-    p_i = model.channel[i]          # (U, Y)
-    lp = model.log_channel
-    vals = np.empty((model.num_experiments, len(rivals)))
-    for k, j in enumerate(rivals):
-        vals[:, k] = np.sum(p_i * (lp[i] - lp[j]), axis=1)
-    return KLMatrix(hypothesis=i, rivals=rivals, values=vals)
 
 
 @dataclass(frozen=True)
@@ -189,6 +146,9 @@ def solve_matrix_game(payoff: np.ndarray):
         raise ValueError("payoff entries must be finite")
     n_rows, n_cols = K.shape
 
+    # Closed forms for one column (two hypotheses) or one row (one experiment).
+    # The simplex path gives the same bits on such games but costs over ten
+    # times as much on a 1x1 game, and every two-hypothesis model solves two.
     if n_cols == 1:
         r = int(np.argmax(K[:, 0]))
         alpha = np.zeros(n_rows)
@@ -211,19 +171,16 @@ def solve_matrix_game(payoff: np.ndarray):
     return (lower + upper) / 2.0, alpha, beta, max(gap, 0.0)
 
 
-def solve_saddle(kl: KLMatrix) -> SaddlePoint:
-    """Certified saddle point (gap <= SADDLE_TOL) of one hypothesis's game."""
-    value, alpha, beta, gap = solve_matrix_game(kl.values)
-    return SaddlePoint(
-        hypothesis=kl.hypothesis,
-        d_star=value,
-        alpha_star=alpha,
-        beta_star=beta,
-        rivals=kl.rivals,
-        gap=gap,
-    )
-
-
 def saddle_points(model: Model) -> tuple[SaddlePoint, ...]:
-    """Certified saddle point of every hypothesis's game, in hypothesis order."""
-    return tuple(solve_saddle(kl_matrix(model, i)) for i in range(model.num_hypotheses))
+    """Certified saddle point of every hypothesis's game, in hypothesis order.
+
+    Hypothesis i's payoff is its slice of the KL table without rival i,
+    K[u][k] = model.kl[i, rivals[k], u], copied C-contiguous: the simplex's
+    rounding follows the memory order of the matrix it is given.
+    """
+    saddles = []
+    for i in range(model.num_hypotheses):
+        rivals = [j for j in range(model.num_hypotheses) if j != i]
+        value, alpha, beta, gap = solve_matrix_game(model.kl[i, rivals].T.copy())
+        saddles.append(SaddlePoint(i, value, alpha, beta, tuple(rivals), gap))
+    return tuple(saddles)

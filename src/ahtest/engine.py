@@ -638,12 +638,9 @@ def enumerate_pair_expectations(config: RunConfig):
     columns index the rival j); the diagonal is zero.
     """
     model = config.model
-    lc = model.log_channel
     level = walk_paths(model, config.selection, config.horizon)
     mass = np.exp(level.log_mass)
     expected = np.array([[_fsum(mass[:, i] * c) for c in level.counts.T]
-                         for i in range(lc.shape[0])]).reshape(lc.shape)   # E_i[c_(u, y)]
-    lam = lc[:, None] - lc[None, :]                            # (M, M, U, Y)
-    kl_by_u = np.einsum("iuy,ijuy->iju", model.channel, lam)
-    return (np.einsum("iuy,ijuy->ij", expected, lam),
-            np.einsum("iu,iju->ij", expected.sum(axis=2), kl_by_u))
+                         for i in range(model.num_hypotheses)]).reshape(model.channel.shape)
+    return (np.einsum("iuy,ijuy->ij", expected, model.llr),
+            np.einsum("iu,iju->ij", expected.sum(axis=2), model.kl))

@@ -1,9 +1,13 @@
-"""Hypothesis-testing models: channel tensors, validation, and the log-likelihood-ratio bound.
+"""Hypothesis-testing models: channel tensors, validation, and their divergences.
 
 A model is the triple (hypotheses, experiments, observations) together with
 the observation channel p[h][u][y] and a strictly positive prior. All
 computation downstream works with dense integer indices in declaration
-order; labels exist only at the file-format and CLI boundary.
+order; labels exist only at the file-format and CLI boundary. A model owns
+its divergences: the log-likelihood-ratio tensor llr[i, j, u, y] =
+log p_i^u(y) - log p_j^u(y), the KL table kl[i, j, u] = D(p_i^u || p_j^u)
+summed from it, and the evidence bound B = max |llr|, each computed once
+when the model is built.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ class ModelValidationError(ModelError):
     """A structurally well-formed model violates one of the invariants."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Model:
     """Validated hypothesis-testing model.
 
@@ -43,7 +47,12 @@ class Model:
     observation under hypothesis h and experiment u. Every entry is strictly
     positive, every row sums to one, and every experiment distinguishes every
     ordered pair of hypotheses (positive KL divergence). Instances are
-    immutable and safe to share across workers.
+    immutable and safe to share across workers; they compare and hash by
+    identity, since their array fields have no single truth value.
+
+    Derived, read-only: log_channel (M, U, Y); llr (M, M, U, Y), the
+    per-step evidence for i over j; kl (M, M, U), D(p_i^u || p_j^u), whose
+    diagonal is zero.
     """
 
     hypotheses: tuple[str, ...]
@@ -51,8 +60,10 @@ class Model:
     observations: tuple[str, ...]
     channel: np.ndarray
     prior: np.ndarray
-    log_channel: np.ndarray = field(init=False, repr=False, compare=False)
-    _lambda_bound: float = field(init=False, repr=False, compare=False)
+    log_channel: np.ndarray = field(init=False, repr=False)
+    llr: np.ndarray = field(init=False, repr=False)
+    kl: np.ndarray = field(init=False, repr=False)
+    _lambda_bound: float = field(init=False, repr=False)
 
     def __post_init__(self):
         channel = np.asarray(self.channel, dtype=float)
@@ -63,11 +74,24 @@ class Model:
         object.__setattr__(self, "channel", channel)
         object.__setattr__(self, "prior", prior)
         _validate(self)
-        object.__setattr__(self, "log_channel", np.log(channel))
-        lc = self.log_channel
-        object.__setattr__(self, "_lambda_bound", float(np.max(np.abs(lc[:, None] - lc[None, :]))))
-        for arr in (self.channel, self.prior, self.log_channel):
+        lc = np.log(channel)
+        llr = lc[:, None] - lc[None, :]
+        tables = {"log_channel": lc, "llr": llr, "kl": np.sum(channel[:, None] * llr, axis=-1)}
+        for name, arr in tables.items():
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_lambda_bound", float(np.max(np.abs(llr))))
+        for arr in (channel, prior, *tables.values()):
             arr.setflags(write=False)
+        # Every experiment must discriminate every ordered pair of hypotheses;
+        # the first failure is reported in (u, i, j) order.
+        rivals = ~np.eye(len(prior), dtype=bool)[:, :, None]
+        bad = np.argwhere(np.moveaxis((self.kl <= 0.0) & rivals, 2, 0))
+        if bad.size:
+            u, i, j = bad[0]
+            raise ModelValidationError(
+                f"experiment u={u} ({self.experiments[u]!r}) cannot distinguish "
+                f"hypotheses i={i} and j={j}: D(p_i^u || p_j^u) = {self.kl[i, j, u]}"
+            )
 
     @property
     def num_hypotheses(self) -> int:
@@ -150,20 +174,6 @@ def _validate(model: Model) -> None:
         i = int(np.argmax(model.prior))
         raise ModelValidationError(f"prior[{i}] = {float(model.prior[i])!r} leaves its rivals no mass")
 
-    # Every experiment must discriminate every ordered pair of hypotheses.
-    logc = np.log(model.channel)
-    for u in range(U):
-        p = model.channel[:, u, :]
-        lp = logc[:, u, :]
-        kl = np.einsum("iy,ijy->ij", p, lp[:, None, :] - lp[None, :, :])
-        np.fill_diagonal(kl, 1.0)
-        if np.any(kl <= 0.0):
-            i, j = np.argwhere(kl <= 0.0)[0]
-            raise ModelValidationError(
-                f"experiment u={u} ({model.experiments[u]!r}) cannot distinguish "
-                f"hypotheses i={i} and j={j}: D(p_i^u || p_j^u) = {kl[i, j]}"
-            )
-
 
 Source = Union[str, os.PathLike, bytes, IO]
 
@@ -221,15 +231,8 @@ def load_model(source: Source) -> Model:
     )
 
 
-def log_likelihood_ratio(model: Model, i: int, j: int, u: int, y: int) -> float:
-    """log p_i^u(y) / p_j^u(y) in nats. Requires i != j."""
-    if i == j:
-        raise ValueError("log-likelihood ratio requires two distinct hypotheses")
-    return float(model.log_channel[i, u, y] - model.log_channel[j, u, y])
-
-
 def lambda_bound(model: Model) -> float:
-    """Largest absolute per-step log-likelihood ratio over all (i != j, u, y).
+    """Largest absolute per-step log-likelihood ratio, max |model.llr|.
 
     Every single-step evidence increment lies in [-B, B] for the returned B.
     Callers that need the strict form of the bound should compare against

@@ -22,14 +22,12 @@ from ahtest import (
     ejs_divergence,
     enumerate_exact,
     enumerate_pair_expectations,
-    kl_matrix,
     lambda_bound,
     monte_carlo,
     posterior_from_trajectory,
     prior_belief,
     misclassification_lower_bound,
     saddle_points,
-    solve_saddle,
     misclassification_upper_bound,
 )
 from ahtest.model import STRICT_BOUND_SLACK
@@ -110,15 +108,15 @@ def test_c02_bounded_increments(bsc2, tri3, bsc2_saddles, tri3_saddles):
 
 def test_c03_saddle_certification(bsc2, tri3):
     start = time.monotonic()
-    sp_b = solve_saddle(kl_matrix(bsc2, 0))
+    sp_b = saddle_points(bsc2)[0]
     assert sp_b.d_star == pytest.approx(0.8 * math.log(9), abs=1e-6)
     assert sp_b.gap <= 1e-6
 
-    km = kl_matrix(tri3, 0)
-    sp_t = solve_saddle(km)
+    sp_t = saddle_points(tri3)[0]
+    K = tri3.kl[0, 1:].T   # K[u][k] = D(p_1^u || p_(k+2)^u)
     # grid-search oracle over alpha = (t, 1-t) at step 1e-5
     t = np.arange(0.0, 1.0 + 5e-6, 1e-5)
-    mixed = t[:, None] * km.values[0][None, :] + (1 - t)[:, None] * km.values[1][None, :]
+    mixed = t[:, None] * K[0][None, :] + (1 - t)[:, None] * K[1][None, :]
     oracle = float(mixed.min(axis=1).max())
     assert sp_t.d_star == pytest.approx(oracle, abs=5e-4)
     assert sp_t.gap <= 1e-6

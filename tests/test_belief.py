@@ -172,7 +172,3 @@ class TestTrajectory:
     def test_dump_format(self):
         traj = Trajectory(((1, 0), (0, 2)))
         assert traj.dump() == "0\t1\t0\n1\t0\t2"
-
-    def test_dump_parse_round_trip(self):
-        traj = Trajectory(((1, 0), (0, 2), (3, 1)))
-        assert Trajectory.parse(traj.dump()) == traj

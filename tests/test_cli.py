@@ -461,6 +461,8 @@ class TestBoundsIsOneHorizonSweep:
 # from the repository root), and it lists the files it regenerated.
 GOLDEN_DIR = REPO_ROOT / "tests" / "golden"
 GOLDEN = {
+    "validate-bsc2.json": ["validate", "--model", "models/bsc2.json"],
+    "validate-tri3.json": ["validate", "--model", "models/tri3.json"],
     "divergence-bsc2.json": ["divergence", "--model", "models/bsc2.json"],
     "divergence-tri3.json": ["divergence", "--model", "models/tri3.json"],
     "simulate-bsc2.json": ["simulate", "--model", "models/bsc2.json", "--horizon", "10",
@@ -605,7 +607,7 @@ class TestSpecHelp:
 
 
 class TestReadme:
-    """README.md's CLI block runs as written, and the names it cites exist."""
+    """README.md's CLI and library blocks run as written, and the names it cites exist."""
 
     README = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
 
@@ -626,6 +628,13 @@ class TestReadme:
                 argv += ["--out", str(tmp_path / f"out-{n}")]
             code, _, err = run_cli(capsys, *argv)
             assert (code, err) == (0, ""), argv
+
+    def test_library_block_runs(self, monkeypatch):
+        monkeypatch.chdir(REPO_ROOT)
+        block = self.README.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+        namespace = {}
+        exec(compile(block, "README.md", "exec"), namespace)
+        assert namespace["exact"].mode == "exact" and namespace["mc"].mode == "mc"
 
     def test_strategy_specs_name_each_table_rule_and_key(self):
         text = " ".join(self.README.split())

@@ -1,4 +1,4 @@
-"""KL matrices and certified saddle points, cross-checked against grid search."""
+"""KL tables and certified saddle points, cross-checked against grid search."""
 
 import math
 import time
@@ -10,18 +10,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ahtest import (
-    divergence,
-    kl_divergence,
-    kl_matrix,
-    lambda_bound,
-    saddle_points,
-    solve_matrix_game,
-    solve_saddle,
-)
-from ahtest.divergence import SADDLE_TOL, KLMatrix, SaddleSolverError
+from ahtest import divergence, lambda_bound, saddle_points, solve_matrix_game
+from ahtest.divergence import SADDLE_TOL, SaddleSolverError
 
 from conftest import MODELS_DIR, corrupt_mixtures, fresh_python, random_model, relabel
+
+
+def payoff(model, i):
+    """Hypothesis i's game from the KL table: K[u][k] = D(p_i^u || p_j^u), j the k-th rival."""
+    return np.delete(model.kl[i], i, axis=0).T
 
 
 def grid_saddle_value_2rows(payoff: np.ndarray, step: float) -> float:
@@ -45,46 +42,40 @@ def grid_saddle_value_3rows(payoff: np.ndarray, step: float) -> float:
 
 
 class TestKLDivergence:
-    def test_identical_is_zero(self):
-        assert kl_divergence([0.5, 0.5], [0.5, 0.5]) == 0.0
+    """Entries of Model.kl against closed forms: kl[i, j, u] = D(p_i^u || p_j^u)."""
 
-    def test_bsc_pair(self):
+    def test_identical_is_zero(self, bsc2, tri3):
+        for model in (bsc2, tri3, random_model(np.random.default_rng(1), 4, 3, 5)):
+            for i in range(model.num_hypotheses):
+                assert np.all(model.kl[i, i] == 0.0)
+
+    def test_bsc_pair(self, bsc2):
         # 0.9 log(9) + 0.1 log(1/9)
-        assert kl_divergence([0.9, 0.1], [0.1, 0.9]) == pytest.approx(0.8 * math.log(9), abs=1e-12)
+        assert bsc2.kl[0, 1, 0] == pytest.approx(0.8 * math.log(9), abs=1e-12)
+        assert bsc2.kl[1, 0, 0] == pytest.approx(0.8 * math.log(9), abs=1e-12)
 
-    def test_mild_pair(self):
+    def test_mild_pair(self, tri3):
+        # tri3's u1 gives (0.8, 0.2) under H1 and (0.7, 0.3) under H3
         expect = 0.8 * math.log(8 / 7) + 0.2 * math.log(2 / 3)
-        assert kl_divergence([0.8, 0.2], [0.7, 0.3]) == pytest.approx(expect, abs=1e-12)
+        assert tri3.kl[0, 2, 0] == pytest.approx(expect, abs=1e-12)
 
     def test_nonnegative_and_zero_only_at_equality(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
-            p = rng.dirichlet(np.ones(4)) + 1e-3
-            q = rng.dirichlet(np.ones(4)) + 1e-3
-            p, q = p / p.sum(), q / q.sum()
-            assert kl_divergence(p, q) > 0.0
-
-    def test_zero_entries_rejected(self):
-        with pytest.raises(ValueError):
-            kl_divergence([1.0, 0.0], [0.5, 0.5])
-        with pytest.raises(ValueError):
-            kl_divergence([0.5, 0.5], [1.0, 0.0])
+            model = random_model(rng, int(rng.integers(2, 5)), int(rng.integers(1, 4)), 4)
+            off_diagonal = ~np.eye(model.num_hypotheses, dtype=bool)
+            assert np.all(model.kl[off_diagonal] > 0.0)
 
 
 class TestKLMatrix:
     def test_bsc2(self, bsc2):
-        km = kl_matrix(bsc2, 0)
-        assert km.rivals == (1,)
-        assert km.values.shape == (1, 1)
-        assert km.values[0, 0] == pytest.approx(0.8 * math.log(9), abs=1e-12)
+        assert bsc2.kl.shape == (2, 2, 1)
+        assert payoff(bsc2, 0).shape == (1, 1)
+        assert payoff(bsc2, 0)[0, 0] == pytest.approx(0.8 * math.log(9), abs=1e-12)
 
     def test_tri3_by_direct_summation(self, tri3):
-        km = kl_matrix(tri3, 0)
-        assert km.rivals == (1, 2)
-        big = kl_divergence([0.8, 0.2], [0.2, 0.8])
-        small = kl_divergence([0.8, 0.2], [0.7, 0.3])
-        assert big == pytest.approx(0.6 * math.log(4), abs=1e-12)
-        np.testing.assert_allclose(km.values, [[big, small], [small, big]], atol=1e-12)
+        big, small = 0.6 * math.log(4), 0.8 * math.log(8 / 7) + 0.2 * math.log(2 / 3)
+        np.testing.assert_allclose(payoff(tri3, 0), [[big, small], [small, big]], atol=1e-12)
 
     def test_entries_bounded_by_lambda_bound(self):
         rng = np.random.default_rng(4)
@@ -92,14 +83,28 @@ class TestKLMatrix:
             model = random_model(rng, int(rng.integers(2, 5)), int(rng.integers(1, 4)), 3)
             b = lambda_bound(model)
             for i in range(model.num_hypotheses):
-                vals = kl_matrix(model, i).values
+                vals = payoff(model, i)
                 assert np.all(vals > 0.0)
                 assert np.all(vals <= b + 1e-12)
+
+    def test_table_is_the_pairwise_sum_of_the_llr(self):
+        # One summation route: each entry is np.sum over y of p_i^u(y) llr[i, j, u, y],
+        # and max |llr| is the evidence bound, bit for bit.
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            model = random_model(rng, int(rng.integers(2, 6)), int(rng.integers(1, 5)),
+                                 int(rng.integers(2, 10)))
+            lc = model.log_channel
+            for i in range(model.num_hypotheses):
+                for j in range(model.num_hypotheses):
+                    want = np.sum(model.channel[i] * (lc[i] - lc[j]), axis=1)
+                    assert model.kl[i, j].tobytes() == want.tobytes()
+            assert float(np.max(np.abs(model.llr))) == lambda_bound(model)
 
 
 class TestSolveSaddle:
     def test_two_hypotheses_closed_form(self, bsc2):
-        sp = solve_saddle(kl_matrix(bsc2, 0))
+        sp = saddle_points(bsc2)[0]
         assert sp.d_star == pytest.approx(0.8 * math.log(9), abs=1e-12)
         np.testing.assert_allclose(sp.alpha_star, [1.0])
         np.testing.assert_allclose(sp.beta_star, [1.0])
@@ -107,19 +112,48 @@ class TestSolveSaddle:
 
     def test_single_experiment_closed_form(self):
         # one row: value is the worst rival, mixtures are pure
-        km = KLMatrix(hypothesis=0, rivals=(1, 2), values=np.array([[0.7, 0.4]]))
-        sp = solve_saddle(km)
-        assert sp.d_star == pytest.approx(0.4)
-        np.testing.assert_allclose(sp.alpha_star, [1.0])
-        np.testing.assert_allclose(sp.beta_star, [0.0, 1.0])
+        value, alpha, beta, gap = solve_matrix_game(np.array([[0.7, 0.4]]))
+        assert value == pytest.approx(0.4)
+        np.testing.assert_allclose(alpha, [1.0])
+        np.testing.assert_allclose(beta, [0.0, 1.0])
+        assert gap == 0.0
 
     def test_tri3_against_grid_oracle(self, tri3):
-        sp = solve_saddle(kl_matrix(tri3, 0))
-        oracle = grid_saddle_value_2rows(kl_matrix(tri3, 0).values, 1e-5)
+        sp = saddle_points(tri3)[0]
+        oracle = grid_saddle_value_2rows(payoff(tri3, 0), 1e-5)
         assert sp.d_star == pytest.approx(oracle, abs=5e-4)
         assert sp.gap <= 1e-6
         np.testing.assert_allclose(sp.alpha_star, [0.5, 0.5], atol=1e-6)
         np.testing.assert_allclose(sp.beta_star, [0.5, 0.5], atol=1e-6)
+
+    def test_saddle_points_solve_a_c_ordered_payoff(self):
+        # The simplex rounds by memory order: a transposed view of the table
+        # moves d_star, alpha* or beta* bits in some games, a fresh C array none.
+        rng = np.random.default_rng(20)
+        for _ in range(100):
+            model = random_model(rng, int(rng.integers(3, 6)), int(rng.integers(2, 5)),
+                                 int(rng.integers(2, 10)))
+            for i, sp in enumerate(saddle_points(model)):
+                value, alpha, beta, gap = solve_matrix_game(np.array(payoff(model, i).tolist()))
+                assert (sp.d_star, sp.gap) == (value, gap)
+                assert sp.alpha_star.tobytes() == alpha.tobytes()
+                assert sp.beta_star.tobytes() == beta.tobytes()
+
+    @pytest.mark.parametrize("shape", ["column", "row"])
+    def test_closed_forms_give_the_simplex_bits(self, shape):
+        # The one-row and one-column forms are a shortcut, not a second answer.
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            n = int(rng.integers(1, 7))
+            K = rng.uniform(0.05, 2.0, size=(n, 1) if shape == "column" else (1, n))
+            value, alpha, beta, gap = solve_matrix_game(K)
+            a, b = map(divergence._clean_simplex,
+                       divergence._support_mixtures(K, *divergence._simplex_support(K)))
+            lower, upper = float(np.min(a @ K)), float(np.max(K @ b))
+            assert float(value).hex() == float((lower + upper) / 2.0).hex()
+            assert float(gap).hex() == float(max(upper - lower, 0.0)).hex()
+            assert [v.hex() for v in alpha.tolist()] == [v.hex() for v in a.tolist()]
+            assert [v.hex() for v in beta.tolist()] == [v.hex() for v in b.tolist()]
 
     def test_duality_sandwich_random_matrices(self):
         rng = np.random.default_rng(6)
@@ -284,7 +318,7 @@ class TestRelabelling:
         by_hyp = saddle_points(relabel(model, hyp_perm, np.arange(u)))
         new_index = np.argsort(hyp_perm)   # hypothesis i of model is new_index[i]
         for i, sp in enumerate(base):
-            kl = kl_matrix(model, i)
+            K = payoff(model, i)
             for other, exp_map, hyp_map in ((by_exp[i], exp_perm, np.arange(m)),
                                             (by_hyp[new_index[i]], np.arange(u), hyp_perm)):
                 assert abs(other.d_star - sp.d_star) <= (sp.gap + other.gap) / 2 + 1e-12
@@ -293,9 +327,9 @@ class TestRelabelling:
                 alpha = np.zeros(u)
                 alpha[exp_map] = other.alpha_star
                 by_rival = dict(zip(hyp_map[list(other.rivals)], other.beta_star))
-                beta = np.array([by_rival[j] for j in kl.rivals])
-                assert float(np.min(alpha @ kl.values)) >= sp.d_star - SADDLE_TOL
-                assert float(np.max(kl.values @ beta)) <= sp.d_star + SADDLE_TOL
+                beta = np.array([by_rival[j] for j in sp.rivals])
+                assert float(np.min(alpha @ K)) >= sp.d_star - SADDLE_TOL
+                assert float(np.max(K @ beta)) <= sp.d_star + SADDLE_TOL
 
 
 NO_SCIPY_RUNS = """

@@ -1,4 +1,4 @@
-"""Model loading, validation, log-likelihood ratios, and the evidence bound."""
+"""Model loading, validation, the LLR tensor, and the evidence bound."""
 
 import json
 import math
@@ -12,9 +12,11 @@ from ahtest import (
     ModelError,
     ModelFormatError,
     ModelValidationError,
+    MAPInference,
+    RunConfig,
+    UniformSelection,
     lambda_bound,
     load_model,
-    log_likelihood_ratio,
 )
 
 from conftest import MODELS_DIR, random_model
@@ -56,6 +58,14 @@ class TestLoadModel:
         doc = _bsc2_doc()
         doc["channel"][1][0] = [0.9, 0.1]
         with pytest.raises(ModelValidationError, match="cannot distinguish"):
+            load_model(json.dumps(doc).encode())
+
+    def test_first_indistinguishable_pair_in_experiment_order(self):
+        # u=1 fails for (0, 1) and u=0 for (1, 2): the message names u=0's pair.
+        channel = [[[0.5, 0.5], [0.6, 0.4]], [[0.3, 0.7], [0.6, 0.4]], [[0.3, 0.7], [0.2, 0.8]]]
+        doc = {"hypotheses": ["a", "b", "c"], "experiments": ["u", "v"],
+               "observations": ["0", "1"], "prior": [0.25, 0.25, 0.5], "channel": channel}
+        with pytest.raises(ModelValidationError, match=r"u=0 .* i=1 and j=2: .* = 0\.0$"):
             load_model(json.dumps(doc).encode())
 
     def test_bad_row_sum_rejected_not_renormalized(self):
@@ -144,22 +154,19 @@ class TestLoadModel:
 class TestLogLikelihoodRatio:
     def test_bsc2_value(self, bsc2):
         # log(0.9 / 0.1)
-        assert log_likelihood_ratio(bsc2, 0, 1, 0, 0) == pytest.approx(math.log(9), abs=1e-12)
+        assert bsc2.llr.shape == (2, 2, 1, 2)
+        assert bsc2.llr[0, 1, 0, 0] == pytest.approx(math.log(9), abs=1e-12)
 
     def test_antisymmetry_exact(self, bsc2, tri3):
         rng = np.random.default_rng(7)
         for model in (bsc2, tri3, random_model(rng, 4, 3, 5)):
-            for _ in range(50):
-                i, j = rng.choice(model.num_hypotheses, size=2, replace=False)
-                u = rng.integers(model.num_experiments)
-                y = rng.integers(model.num_observations)
-                a = log_likelihood_ratio(model, int(i), int(j), int(u), int(y))
-                b = log_likelihood_ratio(model, int(j), int(i), int(u), int(y))
-                assert a == -b  # same expression negated, exact in IEEE
+            # same expression negated, exact in IEEE; zero on the diagonal
+            np.testing.assert_array_equal(model.llr, -model.llr.transpose(1, 0, 2, 3))
 
-    def test_equal_hypotheses_rejected(self, bsc2):
-        with pytest.raises(ValueError):
-            log_likelihood_ratio(bsc2, 1, 1, 0, 0)
+    def test_tables_are_read_only(self, tri3):
+        for table in (tri3.log_channel, tri3.llr, tri3.kl):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
 
 
 class TestLambdaBound:
@@ -171,13 +178,25 @@ class TestLambdaBound:
 
     def test_dominates_all_ratios(self, tri3):
         b = lambda_bound(tri3)
-        for i in range(3):
-            for j in range(3):
-                if i == j:
-                    continue
-                for u in range(2):
-                    for y in range(2):
-                        assert abs(log_likelihood_ratio(tri3, i, j, u, y)) <= b
+        assert np.all(np.abs(tri3.llr) <= b)
+        assert np.any(np.abs(tri3.llr) == b)
+
+
+class TestIdentity:
+    """Models compare and hash by identity: their arrays have no single truth value."""
+
+    def test_equality_and_hash(self):
+        a, b = load_model(MODELS_DIR / "tri3.json"), load_model(MODELS_DIR / "tri3.json")
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
+    def test_run_config_holding_the_model(self):
+        a, b = load_model(MODELS_DIR / "bsc2.json"), load_model(MODELS_DIR / "bsc2.json")
+        sel, inf = UniformSelection(), MAPInference()
+        config = RunConfig(model=a, selection=sel, inference=inf, horizon=3)
+        same = RunConfig(model=a, selection=sel, inference=inf, horizon=3)
+        assert config == same and hash(config) == hash(same)
+        assert config != RunConfig(model=b, selection=sel, inference=inf, horizon=3)
 
 
 class TestEpsilonSchedule:
