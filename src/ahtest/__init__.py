@@ -15,7 +15,6 @@ from .belief import (
     bllr,
     confidence_increment,
     posterior_from_trajectory,
-    prior_belief,
     update_belief,
 )
 from .bounds import (
@@ -48,7 +47,6 @@ from .model import (
     ModelError,
     ModelFormatError,
     ModelValidationError,
-    lambda_bound,
     load_model,
 )
 from .strategies import (

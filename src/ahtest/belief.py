@@ -75,9 +75,10 @@ def bllr_matrix(log_rho: np.ndarray) -> np.ndarray:
     return lr - complement_logsumexp(lr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Belief:
-    """Posterior over hypotheses stored as log probabilities summing to one."""
+    """Posterior over hypotheses stored as log probabilities summing to one.
+    Compares and hashes by identity, as Model does."""
 
     log_rho: np.ndarray
 
@@ -107,10 +108,6 @@ class Belief:
 
     def __len__(self) -> int:
         return self.log_rho.size
-
-
-def prior_belief(model: Model) -> Belief:
-    return Belief(np.log(model.prior))
 
 
 @dataclass(frozen=True)

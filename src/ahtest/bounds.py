@@ -18,7 +18,7 @@ import numpy as np
 
 from .divergence import SaddlePoint
 from .engine import RunReport, report_json
-from .model import EpsilonSchedule, Model, lambda_bound
+from .model import EpsilonSchedule, Model
 
 # Exponent estimates from fewer misclassification events than this are
 # flagged unreliable: the log of a rare-event estimate is too noisy.
@@ -61,8 +61,7 @@ def misclassification_lower_bound(
     rates: sum_i (1-rho1(i)) exp(-N J(i) - N 2B eps/(1-eps) + log(1-eps))."""
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
-    b = lambda_bound(model)
-    correction = horizon * 2.0 * b * epsilon / (1.0 - epsilon) - math.log1p(-epsilon)
+    correction = horizon * 2.0 * model.lambda_bound * epsilon / (1.0 - epsilon) - math.log1p(-epsilon)
     total = 0.0
     for i in range(model.num_hypotheses):
         total += (1.0 - model.prior[i]) * math.exp(-horizon * jng[i] - correction)
@@ -74,10 +73,10 @@ def p2_achievable_rates(
 ) -> np.ndarray:
     """Per-hypothesis finite-horizon exponent D*(i) - 2B sqrt(log(M/eps)/N)
     guaranteed by the one-hypothesis Hoeffding construction, with
-    B = lambda_bound(model) and M = model.num_hypotheses."""
+    B = model.lambda_bound and M = model.num_hypotheses."""
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
-    margin = 2.0 * lambda_bound(model) * math.sqrt(
+    margin = 2.0 * model.lambda_bound * math.sqrt(
         math.log(model.num_hypotheses / epsilon) / horizon)
     return np.array([sp.d_star - margin for sp in saddles])
 

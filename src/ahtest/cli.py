@@ -33,7 +33,7 @@ from . import bounds as bounds_mod
 from .divergence import SADDLE_TOL, SaddleSolverError, saddle_points
 from .engine import (RUN_CSV, EnumerationBudgetError, RunConfig, csv_text, enumerate_exact,
                      monte_carlo)
-from .model import EpsilonSchedule, ModelError, lambda_bound, load_model
+from .model import EpsilonSchedule, ModelError, load_model
 from .strategies import (ChernoffSelection, ECRLookaheadSelection, EJSGreedySelection,
                          FBarInference, MAPInference, OpenLoopSelection, P2Inference,
                          UniformSelection)
@@ -227,7 +227,7 @@ def _cmd_validate(args) -> int:
         "experiments": list(model.experiments),
         "observations": list(model.observations),
         "prior": [float(x) for x in model.prior],
-        "lambda_bound": lambda_bound(model),
+        "lambda_bound": model.lambda_bound,
         "min_pairwise_kl": min_kl,
         "checks": {
             "full_support": True,

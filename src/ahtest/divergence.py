@@ -30,13 +30,13 @@ class SaddleSolverError(RuntimeError):
         self.best_gap = best_gap
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SaddlePoint:
     """Certified solution of the experiment-selection game for one hypothesis.
 
     alpha_star guarantees min_j (alpha K)_j >= d_star - gap/2 and beta_star
     guarantees max_u (K beta)_u <= d_star + gap/2; d_star is the midpoint of
-    the two certified values.
+    the two certified values. Compares and hashes by identity, as Model does.
     """
 
     hypothesis: int

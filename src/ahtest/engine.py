@@ -276,8 +276,7 @@ def _run_chunk(
     # times faster than indexing a 3-D array with two index arrays.
     log_channel_by_uy = np.moveaxis(model.log_channel, 0, 2).reshape(
         -1, model.num_hypotheses)
-    log_prior = np.log(model.prior)
-    log_rho = np.tile(log_prior, (m, 1))    # log-prior plus summed log-likelihoods
+    log_rho = np.tile(model.log_prior, (m, 1))    # log-prior plus summed log-likelihoods
     rows = np.arange(m)
     path = steps = None
     if record:
@@ -294,8 +293,8 @@ def _run_chunk(
         if record:
             path[:, n + 1] = log_normalize(log_rho)
             steps[:, n] = np.column_stack(np.divmod(k, model.num_observations))
-    decisions = inference.batch_decide(model, log_prior, log_rho, horizon)
-    gains = bllr_matrix(log_rho)[rows, true_h] - bllr_matrix(log_prior)[true_h]
+    decisions = inference.batch_decide(model, log_rho, horizon)
+    gains = bllr_matrix(log_rho)[rows, true_h] - bllr_matrix(model.log_prior)[true_h]
     return decisions, gains, (path, steps)
 
 
@@ -540,7 +539,6 @@ def walk_paths(model: Model, selection: SelectionStrategy, horizon: int) -> Last
             f"the count lattice of {model.num_experiments} experiments x {n_obs} observations "
             f"has {states} states at horizon {horizon}, over the node budget {DEFAULT_NODE_BUDGET}")
     lc_uy = np.moveaxis(model.log_channel, 0, 2).reshape(n_out, -1)
-    log_prior = np.log(model.prior)
     # A rank sums C(s_j + j, j + 1) over the prefix sums s_j = c_0 + ... + c_j, j < K - 1;
     # c + e_k steps each s_j, j >= k, by rise[s_j, j] = C(s_j + j, j) (0 for j = K - 1).
     rise = np.array([[math.comb(s + j, j) for j in range(n_out - 1)] + [0]
@@ -552,7 +550,7 @@ def walk_paths(model: Model, selection: SelectionStrategy, horizon: int) -> Last
     ranks = np.zeros(1, dtype=np.int64)
     log_a, paths = np.zeros(1), np.ones(1, dtype=np.int64)
     for n in range(horizon):
-        rows = log_prior + _count_loglik(counts, lc_uy)
+        rows = model.log_prior + _count_loglik(counts, lc_uy)
         if log_a.min() > -np.inf:
             dist = selection.batch_action_distributions(model, rows, n, horizon).T
         else:
@@ -580,7 +578,7 @@ def walk_paths(model: Model, selection: SelectionStrategy, horizon: int) -> Last
         paths_in[outcomes, child] = np.where(dist > 0.0, paths, 0).repeat(n_obs, axis=0)
         counts, log_a, paths = next_counts, np.logaddexp.reduce(log_in), paths_in.sum(axis=0)
     loglik = _count_loglik(counts, lc_uy)
-    return LastLevel(counts.T, log_a[:, None] + loglik, log_normalize(log_prior + loglik),
+    return LastLevel(counts.T, log_a[:, None] + loglik, log_normalize(model.log_prior + loglik),
                      int(paths.sum()))
 
 
@@ -592,12 +590,11 @@ def enumerate_exact(config: RunConfig) -> RunReport:
     model = config.model
     m_hyp = model.num_hypotheses
     horizon = config.horizon
-    log_prior = np.log(model.prior)
     level = walk_paths(model, config.selection, horizon)
-    d = config.inference.batch_decide(model, log_prior, level.log_rho, horizon)
+    d = config.inference.batch_decide(model, level.log_rho, horizon)
     col = np.where(d == INCONCLUSIVE, m_hyp, d)
     mass = np.exp(level.log_mass)
-    gain = mass * (bllr_matrix(level.log_rho) - bllr_matrix(log_prior))
+    gain = mass * (bllr_matrix(level.log_rho) - bllr_matrix(model.log_prior))
     picks = [col == c for c in range(m_hyp + 1)]     # one mask per decision column
     dm = np.array([[_fsum(mass[pick, h]) for pick in picks] for h in range(m_hyp)])
     psi = [_fsum(mass[~picks[h], h]) for h in range(m_hyp)]

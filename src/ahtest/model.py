@@ -4,10 +4,10 @@ A model is the triple (hypotheses, experiments, observations) together with
 the observation channel p[h][u][y] and a strictly positive prior. All
 computation downstream works with dense integer indices in declaration
 order; labels exist only at the file-format and CLI boundary. A model owns
-its divergences: the log-likelihood-ratio tensor llr[i, j, u, y] =
-log p_i^u(y) - log p_j^u(y), the KL table kl[i, j, u] = D(p_i^u || p_j^u)
-summed from it, and the evidence bound B = max |llr|, each computed once
-when the model is built.
+its prior and its divergences: the log-prior, the log-likelihood-ratio
+tensor llr[i, j, u, y] = log p_i^u(y) - log p_j^u(y), the KL table
+kl[i, j, u] = D(p_i^u || p_j^u) summed from it, and the evidence bound
+lambda_bound = B = max |llr|, each computed once when the model is built.
 """
 
 from __future__ import annotations
@@ -50,9 +50,11 @@ class Model:
     immutable and safe to share across workers; they compare and hash by
     identity, since their array fields have no single truth value.
 
-    Derived, read-only: log_channel (M, U, Y); llr (M, M, U, Y), the
-    per-step evidence for i over j; kl (M, M, U), D(p_i^u || p_j^u), whose
-    diagonal is zero.
+    Derived, read-only: log_prior (M,); log_channel (M, U, Y); llr
+    (M, M, U, Y), the per-step evidence for i over j; kl (M, M, U),
+    D(p_i^u || p_j^u), whose diagonal is zero; lambda_bound, max |llr|, so
+    every single-step evidence increment lies in [-B, B] for B = lambda_bound
+    (a strict form of the bound compares against B * (1 + STRICT_BOUND_SLACK)).
     """
 
     hypotheses: tuple[str, ...]
@@ -60,10 +62,11 @@ class Model:
     observations: tuple[str, ...]
     channel: np.ndarray
     prior: np.ndarray
+    log_prior: np.ndarray = field(init=False, repr=False)
     log_channel: np.ndarray = field(init=False, repr=False)
     llr: np.ndarray = field(init=False, repr=False)
     kl: np.ndarray = field(init=False, repr=False)
-    _lambda_bound: float = field(init=False, repr=False)
+    lambda_bound: float = field(init=False, repr=False)
 
     def __post_init__(self):
         channel = np.asarray(self.channel, dtype=float)
@@ -76,10 +79,11 @@ class Model:
         _validate(self)
         lc = np.log(channel)
         llr = lc[:, None] - lc[None, :]
-        tables = {"log_channel": lc, "llr": llr, "kl": np.sum(channel[:, None] * llr, axis=-1)}
+        tables = {"log_prior": np.log(prior), "log_channel": lc, "llr": llr,
+                  "kl": np.sum(channel[:, None] * llr, axis=-1)}
         for name, arr in tables.items():
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "_lambda_bound", float(np.max(np.abs(llr))))
+        object.__setattr__(self, "lambda_bound", float(np.max(np.abs(llr))))
         for arr in (channel, prior, *tables.values()):
             arr.setflags(write=False)
         # Every experiment must discriminate every ordered pair of hypotheses;
@@ -229,16 +233,6 @@ def load_model(source: Source) -> Model:
         channel=channel,
         prior=prior,
     )
-
-
-def lambda_bound(model: Model) -> float:
-    """Largest absolute per-step log-likelihood ratio, max |model.llr|.
-
-    Every single-step evidence increment lies in [-B, B] for the returned B.
-    Callers that need the strict form of the bound should compare against
-    B * (1 + STRICT_BOUND_SLACK). Computed once, when the model is built.
-    """
-    return model._lambda_bound
 
 
 @dataclass(frozen=True)

@@ -2,19 +2,20 @@
 
 Selection strategies map an information state (belief, step, horizon) to a
 distribution over experiments; inference strategies map the final belief to
-a hypothesis index or None for the inconclusive declaration. Both are
+a hypothesis index or None for the inconclusive declaration, measuring
+confidence gains from the model's own prior (model.log_prior). Both are
 deterministic: all sampling randomness lives in the engine, which lets the
 exact enumerator reuse the same strategy objects.
 
 Every rule implements one batch method, and only that, over a matrix of
 log-beliefs, one row per episode or lattice state, each known only up to
 its own additive constant (a rule reading probabilities, as ejs and ecr:k
-do, normalizes its rows itself): batch_action_distributions for selection,
-batch_decide for inference. Rules know no spec syntax: the CLI parses specs
-by its rule tables and echoes them as typed. The one-belief calls
-action_distribution and decide are defined once, on the base classes, as a
-batch of one, so a scalar call returns row 0 of the batch computation and
-cannot drift from it. Rows never interact, so a row's result does not
+do, normalizes its rows itself): batch_action_distributions(model, log_rho,
+step, horizon) for selection, batch_decide(model, log_final, horizon) for
+inference. Rules know no spec syntax: the CLI parses specs by its rule
+tables and echoes them as typed. The one-belief calls action_distribution
+and decide are defined once, on the base classes, as a batch of one, so a
+scalar call returns row 0 of the batch computation and cannot drift from it. Rows never interact, so a row's result does not
 depend on its batch; that makes it exact for the rules reading
 probabilities to score each bitwise-distinct normalized row once, as Monte
 Carlo batches repeat rows heavily. Monte Carlo calls a rule concurrently on
@@ -34,7 +35,7 @@ import numpy as np
 
 from .belief import Belief, bllr_matrix, log_normalize, logsumexp_last, normalize_belief_rows
 from .divergence import SaddlePoint
-from .model import EpsilonSchedule, Model, lambda_bound
+from .model import EpsilonSchedule, Model
 
 INCONCLUSIVE = -1  # batch encoding of the abstain decision
 
@@ -44,12 +45,12 @@ TIE_TOL = 1e-9              # the tie rule's tolerance per unit of N * B; see ti
 
 
 def tie_tolerance(model: Model, horizon: int) -> float:
-    """TIE_TOL * max(1, N * B), B = lambda_bound(model): N * B bounds an
+    """TIE_TOL * max(1, N * B), B = model.lambda_bound: N * B bounds an
     episode's summed log-likelihood ratios, the scale of what the rules
     compare. Tied scores differ by a few of its ulps (summation order, a
     carried row's shift), distinct ones by far more; not depending on the
     row, the tolerance lets a row and the row shifted decide alike."""
-    return TIE_TOL * max(1.0, horizon * lambda_bound(model))
+    return TIE_TOL * max(1.0, horizon * model.lambda_bound)
 
 
 def _argmax_lowest(scores: np.ndarray, tol: float) -> np.ndarray:
@@ -265,18 +266,15 @@ class InferenceStrategy:
     constant; a rule must decide alike on a row and the row shifted (the tie
     rule makes the built-in rules do)."""
 
-    def decide(
-        self, model: Model, log_prior: np.ndarray, log_final: np.ndarray, horizon: int
-    ) -> Optional[int]:
+    def decide(self, model: Model, log_final: np.ndarray, horizon: int) -> Optional[int]:
         """One final belief's decision, None for abstain: a batch of one."""
-        d = int(self.batch_decide(model, log_prior, log_final[None, :], horizon)[0])
+        d = int(self.batch_decide(model, log_final[None, :], horizon)[0])
         return None if d == INCONCLUSIVE else d
 
-    def batch_decide(
-        self, model: Model, log_prior: np.ndarray, log_final: np.ndarray, horizon: int
-    ) -> np.ndarray:
+    def batch_decide(self, model: Model, log_final: np.ndarray, horizon: int) -> np.ndarray:
         """(B, M) final log-beliefs, each up to its own constant, -> (B,)
-        int64 hypothesis indices, INCONCLUSIVE for abstain."""
+        int64 hypothesis indices, INCONCLUSIVE for abstain. Confidence gains
+        are measured from the model's own prior, model.log_prior."""
         raise NotImplementedError
 
 
@@ -300,14 +298,14 @@ class FBarInference(InferenceStrategy):
     def _thresholds(self, horizon: int) -> np.ndarray:
         return horizon * (self.d_star - self.delta)
 
-    def batch_decide(self, model, log_prior, log_final, horizon):
-        inc = bllr_matrix(log_final) - bllr_matrix(log_prior)[None, :]
+    def batch_decide(self, model, log_final, horizon):
+        inc = bllr_matrix(log_final) - bllr_matrix(model.log_prior)[None, :]
         return _decide_by_thresholds(inc, self._thresholds(horizon), tie_tolerance(model, horizon))
 
 
 class P2Inference(InferenceStrategy):
     """One-hypothesis test: declare i iff the confidence gain on i reaches
-    N D*(i) - 2B sqrt(N log(M/eps_N)), else abstain. B = lambda_bound(model)
+    N D*(i) - 2B sqrt(N log(M/eps_N)), else abstain. B = model.lambda_bound
     and M = model.num_hypotheses come from the model the rule runs on, eps_N
     from the epsilon schedule.
 
@@ -324,22 +322,22 @@ class P2Inference(InferenceStrategy):
 
     def threshold(self, model: Model, horizon: int) -> float:
         eps = self.epsilon_schedule.epsilon(horizon)
-        return horizon * self.saddle.d_star - 2.0 * lambda_bound(model) * math.sqrt(
+        return horizon * self.saddle.d_star - 2.0 * model.lambda_bound * math.sqrt(
             horizon * math.log(model.num_hypotheses / eps)
         )
 
-    def batch_decide(self, model, log_prior, log_final, horizon):
+    def batch_decide(self, model, log_final, horizon):
         # Rivals get a threshold of +inf: i alone qualifies, by fbar's tie rule.
         thresholds = np.full(model.num_hypotheses, np.inf)
         thresholds[self.i] = self.threshold(model, horizon)
-        inc = bllr_matrix(log_final) - bllr_matrix(log_prior)[None, :]
+        inc = bllr_matrix(log_final) - bllr_matrix(model.log_prior)[None, :]
         return _decide_by_thresholds(inc, thresholds, tie_tolerance(model, horizon))
 
 
 class MAPInference(InferenceStrategy):
     """Baseline forced decision: the MAP hypothesis, lowest index on ties."""
 
-    def batch_decide(self, model, log_prior, log_final, horizon):
+    def batch_decide(self, model, log_final, horizon):
         return _argmax_lowest(log_final, tie_tolerance(model, horizon)).astype(np.int64)
 
 
@@ -351,6 +349,6 @@ class FixedThresholdInference(InferenceStrategy):
     def __init__(self, theta: float):
         self.theta = float(theta)
 
-    def batch_decide(self, model, log_prior, log_final, horizon):
-        inc = bllr_matrix(log_final) - bllr_matrix(log_prior)[None, :]
+    def batch_decide(self, model, log_final, horizon):
+        inc = bllr_matrix(log_final) - bllr_matrix(model.log_prior)[None, :]
         return _decide_by_thresholds(inc, self.theta, tie_tolerance(model, horizon))

@@ -158,8 +158,7 @@ def normalized_replay(config, true_h: int, episode: int):
     belief normalized at every step, the rules called one belief at a time."""
     model, horizon = config.model, config.horizon
     act, obs = episode_uniforms(config.seed, true_h, episode, horizon)
-    log_prior = np.log(model.prior)
-    log_rho = log_prior
+    log_rho = np.log(model.prior)
     steps = []
     for n in range(horizon):
         dist = config.selection.action_distribution(model, log_rho, n, horizon)
@@ -167,4 +166,4 @@ def normalized_replay(config, true_h: int, episode: int):
         y = int(sample_categorical(model.channel[true_h, u], obs[n]))
         steps.append((u, y))
         log_rho = log_normalize(log_rho + model.log_channel[:, u, y])
-    return tuple(steps), config.inference.decide(model, log_prior, log_rho, horizon), log_rho
+    return tuple(steps), config.inference.decide(model, log_rho, horizon), log_rho

@@ -22,10 +22,8 @@ from ahtest import (
     ejs_divergence,
     enumerate_exact,
     enumerate_pair_expectations,
-    lambda_bound,
     monte_carlo,
     posterior_from_trajectory,
-    prior_belief,
     misclassification_lower_bound,
     saddle_points,
     misclassification_upper_bound,
@@ -70,7 +68,7 @@ def test_c01_confidence_increment_identity():
         )
         traj = random_trajectory(rng, model, int(rng.integers(1, 101)))
         i = int(rng.integers(model.num_hypotheses))
-        prior = prior_belief(model)
+        prior = Belief(model.log_prior)
         via_identity = confidence_increment(model, prior, traj, i)
         via_posterior = bllr(posterior_from_trajectory(model, prior, traj), i) - bllr(prior, i)
         worst = max(worst, abs(via_identity - via_posterior))
@@ -89,7 +87,7 @@ def test_c02_bounded_increments(bsc2, tri3, bsc2_saddles, tri3_saddles):
     ]
     episodes_total = 0
     for model, selection, horizon, per_h in jobs:
-        cap = lambda_bound(model) * (1.0 + STRICT_BOUND_SLACK)
+        cap = model.lambda_bound * (1.0 + STRICT_BOUND_SLACK)
         cfg = RunConfig(
             model=model, selection=selection, inference=MAPInference(),
             horizon=horizon, episodes=per_h, seed=2,
@@ -173,7 +171,7 @@ def test_c05_converse_rate_inequality():
     """-log(phi)/N <= J + 2B eps/(1-eps) - log(1-eps)/N at eps = exact psi."""
     checked = 0
     for model, sel, horizon in _random_pairs(505, 10):
-        b = lambda_bound(model)
+        b = model.lambda_bound
         cfg = RunConfig(model=model, selection=sel, inference=MAPInference(), horizon=horizon)
         rep = enumerate_exact(cfg)
         for i in range(model.num_hypotheses):

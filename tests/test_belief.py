@@ -10,9 +10,7 @@ from ahtest import (
     Trajectory,
     bllr,
     confidence_increment,
-    lambda_bound,
     posterior_from_trajectory,
-    prior_belief,
     update_belief,
 )
 from ahtest.model import STRICT_BOUND_SLACK
@@ -61,7 +59,7 @@ class TestUpdateBelief:
 
     def test_matches_linear_bayes(self, tri3):
         rng = np.random.default_rng(3)
-        b = prior_belief(tri3)
+        b = Belief(tri3.log_prior)
         steps = []
         for _ in range(12):
             u = int(rng.integers(2))
@@ -72,7 +70,7 @@ class TestUpdateBelief:
 
     def test_normalization_survives_long_chains(self, tri3):
         rng = np.random.default_rng(11)
-        b = prior_belief(tri3)
+        b = Belief(tri3.log_prior)
         for _ in range(10_000):
             b = update_belief(tri3, b, int(rng.integers(2)), int(rng.integers(2)))
             # Belief construction would raise beyond 1e-9; assert explicitly anyway.
@@ -83,13 +81,13 @@ class TestUpdateBelief:
 
 class TestPosteriorFromTrajectory:
     def test_empty_is_identity(self, bsc2):
-        prior = prior_belief(bsc2)
+        prior = Belief(bsc2.log_prior)
         post = posterior_from_trajectory(bsc2, prior, Trajectory(()))
         np.testing.assert_allclose(post.log_rho, prior.log_rho)
 
     def test_two_favorable_steps(self, bsc2):
         post = posterior_from_trajectory(
-            bsc2, prior_belief(bsc2), Trajectory(((0, 0), (0, 0)))
+            bsc2, Belief(bsc2.log_prior), Trajectory(((0, 0), (0, 0)))
         )
         np.testing.assert_allclose(post.probs(), [81 / 82, 1 / 82], atol=1e-12)
 
@@ -97,14 +95,14 @@ class TestPosteriorFromTrajectory:
         rng = np.random.default_rng(5)
         traj = random_trajectory(rng, bsc2, 9)
         flipped = Trajectory(tuple((u, 1 - y) for u, y in traj.steps))
-        p1 = posterior_from_trajectory(bsc2, prior_belief(bsc2), traj).probs()
-        p2 = posterior_from_trajectory(bsc2, prior_belief(bsc2), flipped).probs()
+        p1 = posterior_from_trajectory(bsc2, Belief(bsc2.log_prior), traj).probs()
+        p2 = posterior_from_trajectory(bsc2, Belief(bsc2.log_prior), flipped).probs()
         np.testing.assert_allclose(p1, p2[::-1], atol=1e-12)
 
     def test_matches_direct_sum(self, tri3):
         rng = np.random.default_rng(17)
         traj = random_trajectory(rng, tri3, 40)
-        post = posterior_from_trajectory(tri3, prior_belief(tri3), traj)
+        post = posterior_from_trajectory(tri3, Belief(tri3.log_prior), traj)
         logs = np.log(tri3.prior).copy()
         for u, y in traj.steps:
             logs = logs + tri3.log_channel[:, u, y]
@@ -114,15 +112,15 @@ class TestPosteriorFromTrajectory:
 
 class TestConfidenceIncrement:
     def test_empty_trajectory_is_zero(self, tri3):
-        assert confidence_increment(tri3, prior_belief(tri3), Trajectory(()), 0) == pytest.approx(0.0, abs=1e-12)
+        assert confidence_increment(tri3, Belief(tri3.log_prior), Trajectory(()), 0) == pytest.approx(0.0, abs=1e-12)
 
     def test_bsc2_single_step(self, bsc2):
-        inc = confidence_increment(bsc2, prior_belief(bsc2), Trajectory(((0, 0),)), 0)
+        inc = confidence_increment(bsc2, Belief(bsc2.log_prior), Trajectory(((0, 0),)), 0)
         assert inc == pytest.approx(math.log(9), abs=1e-12)
 
     def test_identity_against_posterior_route(self, tri3):
         rng = np.random.default_rng(23)
-        prior = prior_belief(tri3)
+        prior = Belief(tri3.log_prior)
         for _ in range(200):
             traj = random_trajectory(rng, tri3, int(rng.integers(1, 100)))
             i = int(rng.integers(3))
@@ -135,8 +133,8 @@ class TestConfidenceIncrement:
         rng = np.random.default_rng(29)
         for _ in range(20):
             model = random_model(rng, int(rng.integers(2, 5)), 2, 3)
-            b = lambda_bound(model) * (1.0 + STRICT_BOUND_SLACK)
-            prior = prior_belief(model)
+            b = model.lambda_bound * (1.0 + STRICT_BOUND_SLACK)
+            prior = Belief(model.log_prior)
             n = int(rng.integers(1, 60))
             traj = random_trajectory(rng, model, n)
             for i in range(model.num_hypotheses):
@@ -155,7 +153,7 @@ class TestConfidenceIncrement:
         checked = 0
         while checked < 25:
             model = random_model(rng, 3, 2, 3)
-            prior = prior_belief(model)
+            prior = Belief(model.log_prior)
             traj = random_trajectory(rng, model, int(rng.integers(1, 30)))
             i = int(rng.integers(3))
             lam = np.zeros(3)
@@ -166,6 +164,17 @@ class TestConfidenceIncrement:
             inc = confidence_increment(model, prior, traj, i)
             assert inc >= theta - 1e-9
             checked += 1
+
+
+class TestIdentity:
+    """Beliefs compare and hash by identity: their arrays have no single truth value."""
+
+    def test_equal_copies_compare_unequal_and_hash(self, tri3):
+        a, b = Belief(tri3.log_prior), Belief(tri3.log_prior)
+        assert np.array_equal(a.log_rho, b.log_rho)
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+        assert {a: 0, b: 1}[b] == 1
 
 
 class TestTrajectory:

@@ -38,7 +38,6 @@ from ahtest import (
     ejs_divergence,
     enumerate_exact,
     enumerate_pair_expectations,
-    lambda_bound,
     monte_carlo,
     run_episode,
     saddle_points,
@@ -198,7 +197,7 @@ def _frozen_logsumexp_last(arr):
 
 def _frozen_tol(model, horizon):
     """The documented tie tolerance, TIE_TOL * max(1, N * B)."""
-    return TIE_TOL * max(1.0, horizon * lambda_bound(model))
+    return TIE_TOL * max(1.0, horizon * model.lambda_bound)
 
 
 def _frozen_argmax_lowest(scores, tol):
@@ -480,7 +479,7 @@ def _frozen_inferences(model, saddles, horizon):
     tol = _frozen_tol(model, horizon)
     d_star = np.array([sp.d_star for sp in saddles])
     delta = float(d_star.min()) / 4.0
-    lam = lambda_bound(model)
+    lam = model.lambda_bound
     i = model.num_hypotheses - 1
     eps = EpsilonSchedule("half-inverse").epsilon(horizon)
     p2_thr = horizon * saddles[i].d_star - 2.0 * lam * math.sqrt(
@@ -549,13 +548,12 @@ def test_selection_scalar_calls_match_frozen_methods(case, request):
 @pytest.mark.parametrize("horizon", [1, 3, 8])
 def test_inference_scalar_calls_match_frozen_methods(case, horizon, request):
     model, saddles, rows = _scalar_case(case, request)
-    log_prior = np.log(model.prior)
     for rule, frozen in _frozen_inferences(model, saddles, horizon):
-        batch = rule.batch_decide(model, log_prior, rows, horizon)
+        batch = rule.batch_decide(model, rows, horizon)
         assert batch.dtype == np.int64
         for t, row in enumerate(rows):
             want = frozen(row)
-            assert rule.decide(model, log_prior, row, horizon) == want
+            assert rule.decide(model, row, horizon) == want
             assert batch[t] == (INCONCLUSIVE if want is None else want)
 
 
@@ -574,11 +572,10 @@ def test_every_rule_scalar_call_is_its_batch_row(m, u, y, horizon, seed):
         batch = rule.batch_action_distributions(model, rows, 0, horizon)
         for t, row in enumerate(rows):
             assert _same_bits(rule.action_distribution(model, row, 0, horizon), batch[t])
-    log_prior = np.log(model.prior)
     for rule, _ in _frozen_inferences(model, saddles, horizon):
-        batch = rule.batch_decide(model, log_prior, rows, horizon)
+        batch = rule.batch_decide(model, rows, horizon)
         for t, row in enumerate(rows):
-            d = rule.decide(model, log_prior, row, horizon)
+            d = rule.decide(model, row, horizon)
             assert (INCONCLUSIVE if d is None else d) == batch[t]
 
 
@@ -838,11 +835,10 @@ def test_rule_rows_do_not_depend_on_their_batch(case, request):
         for t in range(0, len(rows), 37):
             alone = rule.batch_action_distributions(model, rows[t:t + 1], 0, horizon)
             assert _same_bits(alone[0], batch[t]), type(rule).__name__
-    log_prior = np.log(model.prior)
     for rule, _ in _frozen_inferences(model, saddles, horizon):
-        batch = rule.batch_decide(model, log_prior, rows, horizon)
+        batch = rule.batch_decide(model, rows, horizon)
         for t in range(0, len(rows), 37):
-            assert rule.batch_decide(model, log_prior, rows[t:t + 1], horizon)[0] == batch[t]
+            assert rule.batch_decide(model, rows[t:t + 1], horizon)[0] == batch[t]
 
 
 # ---------------------------------------------------------------------------
@@ -1050,13 +1046,12 @@ def _frozen_report(config, leaves):
     """enumerate_exact's per-leaf visitor, as first written, over the leaves."""
     model = config.model
     m_hyp = model.num_hypotheses
-    log_prior = np.log(model.prior)
-    base_conf = bllr_matrix(log_prior)
+    base_conf = bllr_matrix(np.log(model.prior))
     dm = np.zeros((m_hyp, m_hyp + 1))
     jacc = np.zeros(m_hyp)
     for aprob, lik, log_rho, lam, kls in leaves:
         w = aprob * lik
-        d = config.inference.decide(model, log_prior, log_rho, config.horizon)
+        d = config.inference.decide(model, log_rho, config.horizon)
         dm[:, m_hyp if d is None else d] += w
         jacc[:] += w * (bllr_matrix(log_rho) - base_conf)
     psi, phi, gamma = _error_rates(dm, model.prior)

@@ -10,7 +10,6 @@ from ahtest import (
     RunConfig,
     bound_report,
     enumerate_exact,
-    lambda_bound,
     p2_achievable_rates,
     misclassification_lower_bound,
     saddle_points,
@@ -73,7 +72,7 @@ class TestRemark1Lower:
             inference=FBarInference(bsc2_saddles, 0.4), horizon=3,
         )
         rep = enumerate_exact(cfg)
-        b = lambda_bound(bsc2)
+        b = bsc2.lambda_bound
         eps = 1 / 6
         got = misclassification_lower_bound(bsc2, rep.jng, 3, eps)
         expect = sum(
@@ -130,7 +129,7 @@ class TestSandwich:
 
 class TestP2Rates:
     def test_formula(self, bsc2, bsc2_saddles):
-        b = lambda_bound(bsc2)
+        b = bsc2.lambda_bound
         rates = p2_achievable_rates(bsc2, bsc2_saddles, 100, 0.005)
         expect = 0.8 * math.log(9) - 2 * b * math.sqrt(math.log(400) / 100)
         np.testing.assert_allclose(rates, [expect, expect], atol=1e-12)
@@ -154,7 +153,7 @@ class TestP2Rates:
             rates = p2_achievable_rates(model, saddles, n, sched.epsilon(n))
             for i in range(model.num_hypotheses):
                 got = P2Inference(i, saddles[i], sched).threshold(model, n)
-                assert abs(got - n * rates[i]) <= 1e-12 * n * lambda_bound(model), (i, n)
+                assert abs(got - n * rates[i]) <= 1e-12 * n * model.lambda_bound, (i, n)
 
 
 class TestBoundReportAndCsv:

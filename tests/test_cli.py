@@ -2,6 +2,7 @@
 
 import csv
 import importlib
+import inspect
 import io
 import json
 import math
@@ -643,6 +644,17 @@ class TestReadme:
         for part, rules in ((selection, SELECTION_RULES), (inference, INFERENCE_RULES)):
             specs = re.findall(r"`([^`]+)`", part)
             assert _rules_and_keys(specs) == _table_rules_and_keys(rules)
+
+    def test_strategy_contract_quotes_the_base_class_signatures(self):
+        from ahtest.strategies import InferenceStrategy, SelectionStrategy
+
+        text = " ".join(self.README.split())
+        for cls, method in ((SelectionStrategy, "batch_action_distributions"),
+                            (InferenceStrategy, "batch_decide")):
+            params = list(inspect.signature(getattr(cls, method)).parameters)[1:]   # drop self
+            quoted = re.findall(rf"`{method}\(([^)]*)\)`", text)
+            assert len(quoted) == 1, method
+            assert re.split(r",\s*", quoted[0]) == params, method
 
     def test_csv_columns_name_each_table_column(self):
         from ahtest.bounds import BOUND_CSV

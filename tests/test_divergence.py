@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ahtest import divergence, lambda_bound, saddle_points, solve_matrix_game
+from ahtest import divergence, saddle_points, solve_matrix_game
 from ahtest.divergence import SADDLE_TOL, SaddleSolverError
 
 from conftest import MODELS_DIR, corrupt_mixtures, fresh_python, random_model, relabel
@@ -81,7 +81,7 @@ class TestKLMatrix:
         rng = np.random.default_rng(4)
         for _ in range(20):
             model = random_model(rng, int(rng.integers(2, 5)), int(rng.integers(1, 4)), 3)
-            b = lambda_bound(model)
+            b = model.lambda_bound
             for i in range(model.num_hypotheses):
                 vals = payoff(model, i)
                 assert np.all(vals > 0.0)
@@ -99,7 +99,7 @@ class TestKLMatrix:
                 for j in range(model.num_hypotheses):
                     want = np.sum(model.channel[i] * (lc[i] - lc[j]), axis=1)
                     assert model.kl[i, j].tobytes() == want.tobytes()
-            assert float(np.max(np.abs(model.llr))) == lambda_bound(model)
+            assert float(np.max(np.abs(model.llr))) == model.lambda_bound
 
 
 class TestSolveSaddle:
@@ -196,7 +196,7 @@ class TestSolveSaddle:
         rng = np.random.default_rng(10)
         for _ in range(10):
             model = random_model(rng, int(rng.integers(2, 5)), int(rng.integers(1, 4)), 3)
-            b = lambda_bound(model)
+            b = model.lambda_bound
             for sp in saddle_points(model):
                 assert 0.0 < sp.d_star <= b + 1e-9
 
@@ -232,6 +232,17 @@ def highs_value(payoff: np.ndarray) -> float:
     )
     assert res.success, res.message
     return -res.fun
+
+
+class TestIdentity:
+    """Saddle points compare and hash by identity: their arrays have no single truth value."""
+
+    def test_equal_copies_compare_unequal_and_hash(self, tri3):
+        a, b = saddle_points(tri3)[0], saddle_points(tri3)[0]
+        assert a.alpha_star.tobytes() == b.alpha_star.tobytes()
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+        assert {a: 0, b: 1}[b] == 1
 
 
 class TestAgainstHighs:

@@ -22,10 +22,8 @@ from ahtest import (
     confidence_increment,
     enumerate_exact,
     enumerate_pair_expectations,
-    lambda_bound,
     lane_key,
     monte_carlo,
-    prior_belief,
     run_episode,
     saddle_points,
 )
@@ -487,7 +485,7 @@ class TestMonteCarlo:
         rep = monte_carlo(cfg)
         for h in range(3):
             gains = np.array([
-                confidence_increment(tri3, prior_belief(tri3), run_episode(cfg, h, e)[0], h)
+                confidence_increment(tri3, Belief(tri3.log_prior), run_episode(cfg, h, e)[0], h)
                 for e in range(cfg.episodes)
             ])
             assert rep.jng[h] == pytest.approx(gains.mean() / cfg.horizon, rel=1e-12, abs=0)
@@ -805,7 +803,7 @@ class TestEnumeratedInequalities:
     def test_converse_rate_inequality(self, tri3, tri3_saddles):
         # with eps set to the exact psi, the rate of phi is capped by
         # J + 2 B eps/(1-eps) - log(1-eps)/N
-        b = lambda_bound(tri3)
+        b = tri3.lambda_bound
         rng = np.random.default_rng(27)
         for sel in (ChernoffSelection(tri3_saddles), random_selection(rng, tri3)):
             for n in (2, 4):
@@ -1074,11 +1072,15 @@ class TestTracerNames:
                 owner = getattr(owner, name)
             assert callable(owner)
 
-    def test_walk_paths_returns_the_path_count_as_an_int(self, bsc2):
+    def test_walk_paths_returns_the_path_count_as_an_int(self, bsc2, tri3):
         from ahtest.engine import walk_paths
 
         level = walk_paths(bsc2, UniformSelection(), 3)
         assert int(level) == 8 and type(level.paths) is int
+        # only paths of positive probability count: (UY)^N under uniform, Y^N one-hot
+        assert int(walk_paths(tri3, UniformSelection(), 4)) == 4 ** 4
+        level = walk_paths(tri3, EJSGreedySelection(), 4)
+        assert int(level) == 2 ** 4 and type(level.paths) is int
 
     def test_work_counts_read_the_real_arguments(self, tri3, monkeypatch):
         # A reordered signature would leave the names resolving but turn

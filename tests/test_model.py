@@ -1,5 +1,6 @@
 """Model loading, validation, the LLR tensor, and the evidence bound."""
 
+import dataclasses
 import json
 import math
 
@@ -15,7 +16,6 @@ from ahtest import (
     MAPInference,
     RunConfig,
     UniformSelection,
-    lambda_bound,
     load_model,
 )
 
@@ -164,20 +164,30 @@ class TestLogLikelihoodRatio:
             np.testing.assert_array_equal(model.llr, -model.llr.transpose(1, 0, 2, 3))
 
     def test_tables_are_read_only(self, tri3):
-        for table in (tri3.log_channel, tri3.llr, tri3.kl):
+        for table in (tri3.log_prior, tri3.log_channel, tri3.llr, tri3.kl):
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0.0
+
+    def test_log_prior_and_lambda_bound_are_the_models_own(self, bsc2, tri3):
+        rng = np.random.default_rng(35)
+        models = [bsc2, tri3] + [random_model(rng, m, u, y) for m, u, y in
+                                 rng.integers((2, 1, 2), (6, 5, 10), size=(30, 3))]
+        for model in models:
+            assert model.log_prior.tobytes() == np.log(model.prior).tobytes()
+            assert model.lambda_bound == float(np.max(np.abs(model.llr)))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                model.lambda_bound = 0.0
 
 
 class TestLambdaBound:
     def test_bsc2(self, bsc2):
-        assert lambda_bound(bsc2) == pytest.approx(math.log(9), abs=1e-12)
+        assert bsc2.lambda_bound == pytest.approx(math.log(9), abs=1e-12)
 
     def test_tri3(self, tri3):
-        assert lambda_bound(tri3) == pytest.approx(math.log(4), abs=1e-12)
+        assert tri3.lambda_bound == pytest.approx(math.log(4), abs=1e-12)
 
     def test_dominates_all_ratios(self, tri3):
-        b = lambda_bound(tri3)
+        b = tri3.lambda_bound
         assert np.all(np.abs(tri3.llr) <= b)
         assert np.any(np.abs(tri3.llr) == b)
 

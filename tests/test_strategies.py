@@ -14,9 +14,7 @@ from ahtest import (
     RunConfig,
     bllr,
     ejs_divergence,
-    lambda_bound,
     monte_carlo,
-    prior_belief,
     saddle_points,
 )
 from ahtest import strategies
@@ -83,8 +81,8 @@ def _select(rule, model, belief):
     return rule.action_distribution(model, belief.log_rho, 0, 1)
 
 
-def _decide(rule, model, prior, final, horizon):
-    return rule.decide(model, prior.log_rho, final.log_rho, horizon)
+def _decide(rule, model, final, horizon):
+    return rule.decide(model, final.log_rho, horizon)
 
 
 def _rule_classes():
@@ -162,10 +160,9 @@ class TestRowContract:
             want = rule.batch_action_distributions(model, rows, 0, horizon)
             got = rule.batch_action_distributions(model, shifted, 0, horizon)
             assert np.array_equal(got, want), type(rule).__name__
-        log_prior = np.log(model.prior)
         for rule in inferences:
-            want = rule.batch_decide(model, log_prior, rows, horizon)
-            got = rule.batch_decide(model, log_prior, shifted, horizon)
+            want = rule.batch_decide(model, rows, horizon)
+            got = rule.batch_decide(model, shifted, horizon)
             assert np.array_equal(got, want), type(rule).__name__
 
 
@@ -379,19 +376,17 @@ class TestDistinctRowsScoredOnce:
 
 class TestFBar:
     def test_conclusive_run_decides(self, bsc2, bsc2_saddles):
-        prior = prior_belief(bsc2)
         final = Belief.from_probs([729 / 730, 1 / 730])  # three favorable steps
-        assert _decide(FBarInference(bsc2_saddles, 0.4), bsc2, prior, final, 3) == 0
+        assert _decide(FBarInference(bsc2_saddles, 0.4), bsc2, final, 3) == 0
 
     def test_mixed_run_abstains(self, bsc2, bsc2_saddles):
-        prior = prior_belief(bsc2)
         final = Belief.from_probs([0.9, 0.1])  # net one favorable step
-        assert _decide(FBarInference(bsc2_saddles, 0.4), bsc2, prior, final, 3) is None
+        assert _decide(FBarInference(bsc2_saddles, 0.4), bsc2, final, 3) is None
 
     def test_no_evidence_abstains(self, tri3, tri3_saddles):
-        prior = prior_belief(tri3)
+        prior = Belief(tri3.log_prior)
         for n in (1, 2, 5, 20):
-            assert _decide(FBarInference(tri3_saddles, 0.1), tri3, prior, prior, n) is None
+            assert _decide(FBarInference(tri3_saddles, 0.1), tri3, prior, n) is None
 
     def test_delta_range_enforced(self, bsc2, bsc2_saddles):
         with pytest.raises(ValueError):
@@ -427,7 +422,7 @@ class TestFBar:
         # threshold, no hypothesis can qualify
         rng = np.random.default_rng(37)
         inf = FBarInference(tri3_saddles, 0.05)
-        prior = prior_belief(tri3)
+        prior = Belief(tri3.log_prior)
         n = 6
         min_thr = float(np.min(inf._thresholds(n)))
         seen = 0
@@ -437,20 +432,20 @@ class TestFBar:
             final = Belief.from_probs(rho)
             inc = [bllr(final, i) - bllr(prior, i) for i in range(3)]
             if max(inc) < min_thr:
-                assert inf.decide(tri3, prior.log_rho, final.log_rho, n) is None
+                assert inf.decide(tri3, final.log_rho, n) is None
                 seen += 1
 
 
 class TestP2:
     def test_vacuous_small_horizon_decides(self, bsc2, bsc2_saddles):
         # threshold is negative at N=1 with eps = 1/2, so zero evidence decides
-        prior = prior_belief(bsc2)
+        prior = Belief(bsc2.log_prior)
         rule = P2Inference(0, bsc2_saddles[0], EpsilonSchedule("fixed", 0.5))
-        got = _decide(rule, bsc2, prior, prior, 1)
+        got = _decide(rule, bsc2, prior, 1)
         assert got == 0
 
     def test_threshold_formula(self, bsc2, bsc2_saddles):
-        b = lambda_bound(bsc2)
+        b = bsc2.lambda_bound
         sched = EpsilonSchedule("fixed", 0.005)
         rule = P2Inference(0, bsc2_saddles[0], sched)
         expect = 100 * 0.8 * math.log(9) - 2 * b * math.sqrt(100 * math.log(2 / 0.005))
@@ -458,10 +453,9 @@ class TestP2:
         assert expect == pytest.approx(68.2130, abs=1e-3)
 
     def test_unfavorable_evidence_abstains(self, bsc2, bsc2_saddles):
-        prior = prior_belief(bsc2)
         final = Belief.from_probs([1e-8, 1.0 - 1e-8])
         rule = P2Inference(0, bsc2_saddles[0], EpsilonSchedule("fixed", 0.005))
-        got = _decide(rule, bsc2, prior, final, 100)
+        got = _decide(rule, bsc2, final, 100)
         assert got is None
 
     def test_epsilon_range(self):
@@ -471,18 +465,15 @@ class TestP2:
 
 class TestMAPForced:
     def test_uniform_ties_low(self, tri3):
-        prior = prior_belief(tri3)
-        assert _decide(MAPInference(), tri3, prior, Belief.uniform(3), 1) == 0
+        assert _decide(MAPInference(), tri3, Belief.uniform(3), 1) == 0
 
     def test_argmax(self, tri3):
-        prior = prior_belief(tri3)
-        assert _decide(MAPInference(), tri3, prior, Belief.from_probs([0.2, 0.7, 0.1]), 1) == 1
+        assert _decide(MAPInference(), tri3, Belief.from_probs([0.2, 0.7, 0.1]), 1) == 1
 
     def test_scaling_free(self, tri3):
-        prior = prior_belief(tri3)
         rho = np.array([0.2, 0.7, 0.1])
-        assert _decide(MAPInference(), tri3, prior, Belief.from_probs(rho), 1) == _decide(
-            MAPInference(), tri3, prior, Belief.from_probs(rho * 3.0), 1
+        assert _decide(MAPInference(), tri3, Belief.from_probs(rho), 1) == _decide(
+            MAPInference(), tri3, Belief.from_probs(rho * 3.0), 1
         )
 
 
