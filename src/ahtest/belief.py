@@ -9,15 +9,14 @@ log-sum-exp over the other hypotheses, never as 1 - exp(log rho_i).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import Model
+if TYPE_CHECKING:    # model imports this module; a Model is only annotated here
+    from .model import Model
 
 NORMALIZATION_TOL = 1e-9
-
-# Confidence levels are plain floats in nats.
-ConfidenceLevel = float
 
 
 def logsumexp_last(arr: np.ndarray) -> np.ndarray:
@@ -59,20 +58,15 @@ def normalize_belief_rows(log_rho: np.ndarray) -> np.ndarray:
     return log_normalize(lr)
 
 
-def complement_logsumexp(log_rho: np.ndarray) -> np.ndarray:
-    """For each i, log sum_{j != i} exp(log_rho[..., j])."""
+def bllr_matrix(log_rho: np.ndarray) -> np.ndarray:
+    """Confidence level of every hypothesis: log rho_i - log(1 - rho_i), vectorized,
+    the complement log sum_{j != i} rho_j summed with entry i masked to -inf."""
     lr = np.asarray(log_rho, dtype=float)
     m = lr.shape[-1]
     tiled = np.repeat(lr[..., None, :], m, axis=-2)
     idx = np.arange(m)
     tiled[..., idx, idx] = -np.inf
-    return logsumexp_last(tiled)
-
-
-def bllr_matrix(log_rho: np.ndarray) -> np.ndarray:
-    """Confidence level of every hypothesis: log rho_i - log(1 - rho_i), vectorized."""
-    lr = np.asarray(log_rho, dtype=float)
-    return lr - complement_logsumexp(lr)
+    return lr - logsumexp_last(tiled)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,7 +123,7 @@ class Trajectory:
         return "\n".join(f"{n}\t{u}\t{y}" for n, (u, y) in enumerate(self.steps))
 
 
-def bllr(belief: Belief, i: int) -> ConfidenceLevel:
+def bllr(belief: Belief, i: int) -> float:
     """Confidence level on hypothesis i: log rho(i) - log(1 - rho(i)), in nats."""
     lr = belief.log_rho
     if not (0 <= i < lr.size):
@@ -156,7 +150,7 @@ def posterior_from_trajectory(model: Model, prior: Belief, traj: Trajectory) -> 
 
 def confidence_increment(
     model: Model, prior: Belief, traj: Trajectory, i: int
-) -> ConfidenceLevel:
+) -> float:
     """Total confidence gain on i over a trajectory, via the rival-sum identity.
 
     Computes -log sum_{j != i} exp(log rho1(j)/(1 - rho1(i)) + sum_n lambda(j over i))

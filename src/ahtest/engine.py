@@ -10,21 +10,21 @@ any episode exactly. Step n reads value n of each. A lane fixes the true
 hypothesis, so each observation value becomes an outcome u * Y + y per
 experiment u as it is drawn, one byte each, kept step-major with the
 experiment values; a model with one experiment draws no experiment values,
-since its experiment is always 0. Episodes carry log-prior plus summed
-log-likelihoods, unnormalized, and every rule gets those rows as they are:
-it reads a row only up to the row's own constant (see strategies). All
-lanes step together in one lane-major row space of chunks, each run in
+since its experiment is always 0. Selection reads each episode's carried
+log-prior plus summed log-likelihoods, unnormalized (see strategies). An
+episode ends in its outcome counts, which fix its belief (the method of
+types), and is decided and scored on the count lattice's own row for them.
+All lanes step together in one lane-major row space of chunks, each run in
 contiguous parts, one per CPU, that draw their rows' outcomes lane by lane
 and step them. Rows never interact and every chunk is reduced per lane as
 it finishes, so no result depends on layout or CPU count.
 
 Exact enumeration merges the (experiment, observation) tree's paths by their
-outcome counts, which fix the belief (the method of types): a forward pass
-over the count lattice, one batch selection call per level, that returns
-its last level, with masses in the log domain; a report takes one batch
-decision over that level. A level advances as whole arrays, its path counts
-int64 until (U * Y)^n reaches 2^62 and Python ints after. It is the oracle
-the Monte Carlo path is tested against.
+outcome counts: a forward pass over the count lattice, one batch selection
+call per level, that returns its last level, with masses in the log domain;
+a report takes one batch decision over that level. A level advances as whole
+arrays, its path counts int64 until (U * Y)^n reaches 2^62 and Python ints
+after. It is the oracle the Monte Carlo path is tested against.
 """
 
 from __future__ import annotations
@@ -264,38 +264,44 @@ def _run_chunk(
     """Advance a chunk of episodes through all steps and decide.
 
     true_h holds each episode's true hypothesis; act and outcomes are
-    _uniform_block's, drawn under it, act None on a one-experiment model,
-    whose experiment is always 0 (the selection is still called, so its
-    checks still run). Step n reads outcomes[u, n] of the experiment u it
-    draws. Returns (decisions, gains, (path, steps)): gains[r] is row r's
-    confidence gain on its own hypothesis true_h[r], and with record, path and
-    steps are the normalized log-beliefs (chunk, horizon + 1, M) and (u, y) steps.
+    _uniform_block's, drawn under it. Step n reads outcomes[u, n] of the
+    experiment u the selection draws on a float carry; with act None (one
+    experiment) there is no carry and the selection runs once, on the prior
+    row, for its checks. Each row ends in its count state, keyed sum_k c_k
+    (N + 1)^k (Python ints once (N + 1)^K >= 2^63), decided and scored once
+    per state on its _state_rows row. Returns (decisions, gains, (path,
+    steps)): gains[r] is row r's gain on true_h[r]; with record, path (chunk,
+    N + 1, M) and steps are the log-beliefs of an episode's states and its
+    (u, y) steps.
     """
-    m = len(true_h)
-    # Outcome k = u * Y + y takes row k of a 2-D table: np.take is several
-    # times faster than indexing a 3-D array with two index arrays.
-    log_channel_by_uy = np.moveaxis(model.log_channel, 0, 2).reshape(
-        -1, model.num_hypotheses)
-    log_rho = np.tile(model.log_prior, (m, 1))    # log-prior plus summed log-likelihoods
-    rows = np.arange(m)
-    path = steps = None
-    if record:
-        path = np.empty((m, horizon + 1, model.num_hypotheses))
-        steps = np.empty((m, horizon, 2), dtype=np.intp)
-        path[:, 0] = log_normalize(log_rho)
+    m, base, n_out = len(true_h), horizon + 1, model.log_outcome.shape[0]
+    radix = np.array([base**k for k in range(n_out)],
+                     dtype=np.int64 if base**n_out < 1 << 63 else object)
+    key = np.zeros(m, radix.dtype)
+    # With record, every step's key; else a view of the last, as key moves in place.
+    trail = np.zeros((m, base), radix.dtype) if record else key[:, None]
+    steps = np.empty((m, horizon, 2), dtype=np.intp) if record else None
+    log_rho, rows = np.tile(model.log_prior, (m, 1)), np.arange(m)
+    if act is None:
+        selection.batch_action_distributions(model, log_rho[:1], 0, horizon)
     for n in range(horizon):
-        dists = selection.batch_action_distributions(model, log_rho, n, horizon)
         if act is None:
             k = outcomes[0, n]
         else:
+            dists = selection.batch_action_distributions(model, log_rho, n, horizon)
             k = outcomes[sample_categorical(dists, act[n]), n, rows]
-        log_rho += np.take(log_channel_by_uy, k, axis=0)
+            # np.take is several times faster than fancy indexing here.
+            log_rho += np.take(model.log_outcome, k, axis=0)
+        key += np.take(radix, k)
         if record:
-            path[:, n + 1] = log_normalize(log_rho)
+            trail[:, n + 1] = key
             steps[:, n] = np.column_stack(np.divmod(k, model.num_observations))
-    decisions = inference.batch_decide(model, log_rho, horizon)
-    gains = bllr_matrix(log_rho)[rows, true_h] - bllr_matrix(model.log_prior)[true_h]
-    return decisions, gains, (path, steps)
+    states, inverse = np.unique(trail, return_inverse=True)
+    state_rows = _state_rows(model, (states // radix[:, None] % base).astype(np.int64))
+    inverse = inverse.reshape(trail.shape)
+    decisions = inference.batch_decide(model, state_rows, horizon)[inverse[:, -1]]
+    gains = (bllr_matrix(state_rows) - model.prior_confidence)[inverse[:, -1], true_h]
+    return decisions, gains, (state_rows[inverse] if record else None, steps)
 
 
 def _uniform_block(base_seed: int, lane: int, start: int, count: int, horizon: int,
@@ -479,11 +485,17 @@ def _error_rates(decision_probs: np.ndarray, prior: np.ndarray):
     return psi, phi, gamma
 
 
-def _count_loglik(counts: np.ndarray, lc_uy: np.ndarray) -> np.ndarray:
+def _count_loglik(model: Model, counts: np.ndarray) -> np.ndarray:
     """(K, S) outcome counts -> (S, M) summed log-likelihoods, added in
     outcome order: a matrix product may round a row differently in another
     batch."""
-    return functools.reduce(operator.add, counts[:, :, None] * lc_uy[:, None, :])
+    return functools.reduce(operator.add, counts[:, :, None] * model.log_outcome[:, None, :])
+
+
+def _state_rows(model: Model, counts: np.ndarray) -> np.ndarray:
+    """(K, S) outcome counts -> (S, M) normalized log-beliefs: the one row
+    formula of a count state, on the lattice and at a Monte Carlo terminal."""
+    return log_normalize(model.log_prior + _count_loglik(model, counts))
 
 
 def _fsum(values: np.ndarray) -> float:
@@ -500,13 +512,12 @@ def _slot(ranks: np.ndarray, level: int) -> np.ndarray:
 class LastLevel:
     """The count lattice's last level, one row per state: counts[s, k] of
     outcome k = u * Y + y, log_mass[s, h] the log probability under h of the
-    paths into s (-inf where none has positive probability), log_rho[s] their
-    normalized log-belief, and paths the number of root-to-leaf paths of
-    positive probability, which int() returns."""
+    paths into s (-inf where none has positive probability), and paths the
+    number of root-to-leaf paths of positive probability, which int()
+    returns. State s's belief is row s of _state_rows(model, counts.T)."""
 
     counts: np.ndarray      # (S, K)
     log_mass: np.ndarray    # (S, M)
-    log_rho: np.ndarray     # (S, M)
     paths: int
 
     def __int__(self) -> int:
@@ -538,7 +549,6 @@ def walk_paths(model: Model, selection: SelectionStrategy, horizon: int) -> Last
         raise EnumerationBudgetError(
             f"the count lattice of {model.num_experiments} experiments x {n_obs} observations "
             f"has {states} states at horizon {horizon}, over the node budget {DEFAULT_NODE_BUDGET}")
-    lc_uy = np.moveaxis(model.log_channel, 0, 2).reshape(n_out, -1)
     # A rank sums C(s_j + j, j + 1) over the prefix sums s_j = c_0 + ... + c_j, j < K - 1;
     # c + e_k steps each s_j, j >= k, by rise[s_j, j] = C(s_j + j, j) (0 for j = K - 1).
     rise = np.array([[math.comb(s + j, j) for j in range(n_out - 1)] + [0]
@@ -550,7 +560,7 @@ def walk_paths(model: Model, selection: SelectionStrategy, horizon: int) -> Last
     ranks = np.zeros(1, dtype=np.int64)
     log_a, paths = np.zeros(1), np.ones(1, dtype=np.int64)
     for n in range(horizon):
-        rows = model.log_prior + _count_loglik(counts, lc_uy)
+        rows = model.log_prior + _count_loglik(model, counts)
         if log_a.min() > -np.inf:
             dist = selection.batch_action_distributions(model, rows, n, horizon).T
         else:
@@ -577,9 +587,7 @@ def walk_paths(model: Model, selection: SelectionStrategy, horizon: int) -> Last
         paths_in = np.zeros((n_out, size), dtype=paths.dtype)
         paths_in[outcomes, child] = np.where(dist > 0.0, paths, 0).repeat(n_obs, axis=0)
         counts, log_a, paths = next_counts, np.logaddexp.reduce(log_in), paths_in.sum(axis=0)
-    loglik = _count_loglik(counts, lc_uy)
-    return LastLevel(counts.T, log_a[:, None] + loglik, log_normalize(model.log_prior + loglik),
-                     int(paths.sum()))
+    return LastLevel(counts.T, log_a[:, None] + _count_loglik(model, counts), int(paths.sum()))
 
 
 def enumerate_exact(config: RunConfig) -> RunReport:
@@ -591,10 +599,11 @@ def enumerate_exact(config: RunConfig) -> RunReport:
     m_hyp = model.num_hypotheses
     horizon = config.horizon
     level = walk_paths(model, config.selection, horizon)
-    d = config.inference.batch_decide(model, level.log_rho, horizon)
+    rows = _state_rows(model, level.counts.T)
+    d = config.inference.batch_decide(model, rows, horizon)
     col = np.where(d == INCONCLUSIVE, m_hyp, d)
     mass = np.exp(level.log_mass)
-    gain = mass * (bllr_matrix(level.log_rho) - bllr_matrix(model.log_prior))
+    gain = mass * (bllr_matrix(rows) - model.prior_confidence)
     picks = [col == c for c in range(m_hyp + 1)]     # one mask per decision column
     dm = np.array([[_fsum(mass[pick, h]) for pick in picks] for h in range(m_hyp)])
     psi = [_fsum(mass[~picks[h], h]) for h in range(m_hyp)]

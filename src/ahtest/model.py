@@ -4,10 +4,10 @@ A model is the triple (hypotheses, experiments, observations) together with
 the observation channel p[h][u][y] and a strictly positive prior. All
 computation downstream works with dense integer indices in declaration
 order; labels exist only at the file-format and CLI boundary. A model owns
-its prior and its divergences: the log-prior, the log-likelihood-ratio
-tensor llr[i, j, u, y] = log p_i^u(y) - log p_j^u(y), the KL table
-kl[i, j, u] = D(p_i^u || p_j^u) summed from it, and the evidence bound
-lambda_bound = B = max |llr|, each computed once when the model is built.
+its prior and its divergences, each computed once when it is built: the
+log-prior and its confidence levels, the log-likelihood-ratio tensor
+llr[i, j, u, y] = log p_i^u(y) - log p_j^u(y), the KL table kl[i, j, u] =
+D(p_i^u || p_j^u) summed from it, and the evidence bound B = max |llr|.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from typing import IO, Union
 
 import numpy as np
+
+from .belief import bllr_matrix
 
 # Tolerance for "sums to one" checks on channel rows and the prior.
 ROW_SUM_TOL = 1e-9
@@ -50,11 +52,13 @@ class Model:
     immutable and safe to share across workers; they compare and hash by
     identity, since their array fields have no single truth value.
 
-    Derived, read-only: log_prior (M,); log_channel (M, U, Y); llr
-    (M, M, U, Y), the per-step evidence for i over j; kl (M, M, U),
-    D(p_i^u || p_j^u), whose diagonal is zero; lambda_bound, max |llr|, so
-    every single-step evidence increment lies in [-B, B] for B = lambda_bound
-    (a strict form of the bound compares against B * (1 + STRICT_BOUND_SLACK)).
+    Derived, read-only: log_prior (M,) and its confidence levels
+    prior_confidence (M,); log_channel (M, U, Y) and log_outcome (U * Y, M),
+    its rows by outcome k = u * Y + y; llr (M, M, U, Y), the per-step
+    evidence for i over j; kl (M, M, U), D(p_i^u || p_j^u), whose diagonal
+    is zero; lambda_bound, max |llr|, so every single-step evidence increment
+    lies in [-B, B] for B = lambda_bound (a strict form of the bound compares
+    against B * (1 + STRICT_BOUND_SLACK)).
     """
 
     hypotheses: tuple[str, ...]
@@ -63,7 +67,9 @@ class Model:
     channel: np.ndarray
     prior: np.ndarray
     log_prior: np.ndarray = field(init=False, repr=False)
+    prior_confidence: np.ndarray = field(init=False, repr=False)
     log_channel: np.ndarray = field(init=False, repr=False)
+    log_outcome: np.ndarray = field(init=False, repr=False)
     llr: np.ndarray = field(init=False, repr=False)
     kl: np.ndarray = field(init=False, repr=False)
     lambda_bound: float = field(init=False, repr=False)
@@ -77,10 +83,11 @@ class Model:
         object.__setattr__(self, "channel", channel)
         object.__setattr__(self, "prior", prior)
         _validate(self)
-        lc = np.log(channel)
+        lc, log_prior = np.log(channel), np.log(prior)
         llr = lc[:, None] - lc[None, :]
-        tables = {"log_prior": np.log(prior), "log_channel": lc, "llr": llr,
-                  "kl": np.sum(channel[:, None] * llr, axis=-1)}
+        tables = {"log_prior": log_prior, "prior_confidence": bllr_matrix(log_prior),
+                  "log_channel": lc, "log_outcome": np.moveaxis(lc, 0, 2).reshape(-1, len(prior)),
+                  "llr": llr, "kl": np.sum(channel[:, None] * llr, axis=-1)}
         for name, arr in tables.items():
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "lambda_bound", float(np.max(np.abs(llr))))

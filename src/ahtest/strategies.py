@@ -3,7 +3,7 @@
 Selection strategies map an information state (belief, step, horizon) to a
 distribution over experiments; inference strategies map the final belief to
 a hypothesis index or None for the inconclusive declaration, measuring
-confidence gains from the model's own prior (model.log_prior). Both are
+confidence gains from the model's prior (model.prior_confidence). Both are
 deterministic: all sampling randomness lives in the engine, which lets the
 exact enumerator reuse the same strategy objects.
 
@@ -274,7 +274,7 @@ class InferenceStrategy:
     def batch_decide(self, model: Model, log_final: np.ndarray, horizon: int) -> np.ndarray:
         """(B, M) final log-beliefs, each up to its own constant, -> (B,)
         int64 hypothesis indices, INCONCLUSIVE for abstain. Confidence gains
-        are measured from the model's own prior, model.log_prior."""
+        are measured from the prior's levels, model.prior_confidence."""
         raise NotImplementedError
 
 
@@ -299,7 +299,7 @@ class FBarInference(InferenceStrategy):
         return horizon * (self.d_star - self.delta)
 
     def batch_decide(self, model, log_final, horizon):
-        inc = bllr_matrix(log_final) - bllr_matrix(model.log_prior)[None, :]
+        inc = bllr_matrix(log_final) - model.prior_confidence
         return _decide_by_thresholds(inc, self._thresholds(horizon), tie_tolerance(model, horizon))
 
 
@@ -330,7 +330,7 @@ class P2Inference(InferenceStrategy):
         # Rivals get a threshold of +inf: i alone qualifies, by fbar's tie rule.
         thresholds = np.full(model.num_hypotheses, np.inf)
         thresholds[self.i] = self.threshold(model, horizon)
-        inc = bllr_matrix(log_final) - bllr_matrix(model.log_prior)[None, :]
+        inc = bllr_matrix(log_final) - model.prior_confidence
         return _decide_by_thresholds(inc, thresholds, tie_tolerance(model, horizon))
 
 
@@ -350,5 +350,5 @@ class FixedThresholdInference(InferenceStrategy):
         self.theta = float(theta)
 
     def batch_decide(self, model, log_final, horizon):
-        inc = bllr_matrix(log_final) - bllr_matrix(model.log_prior)[None, :]
+        inc = bllr_matrix(log_final) - model.prior_confidence
         return _decide_by_thresholds(inc, self.theta, tie_tolerance(model, horizon))

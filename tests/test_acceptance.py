@@ -15,7 +15,6 @@ import pytest
 from ahtest import (
     Belief,
     RunConfig,
-    Trajectory,
     bllr,
     bound_report,
     confidence_increment,

@@ -1,5 +1,6 @@
 """CLI subcommands: outputs, determinism, exit codes."""
 
+import ast
 import csv
 import importlib
 import inspect
@@ -678,3 +679,19 @@ class TestReadme:
                     importlib.import_module(".".join(parts[:i]))   # a submodule not yet imported
                 assert hasattr(obj, attr), f"{name} does not resolve"
                 obj = getattr(obj, attr)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # ahtest/__init__.py imports to re-export, so it is not scanned; a
+    # __future__ import binds no name.
+    paths = [p for p in sorted((REPO_ROOT / "src" / "ahtest").glob("*.py")) if p.name != "__init__.py"]
+    unused = []
+    for path in paths + sorted((REPO_ROOT / "tests").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.relative_to(REPO_ROOT)}:{node.lineno} {name}"
+                   for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"
+                   for name in (a.asname or a.name.partition(".")[0] for a in node.names)
+                   if name not in used]
+    assert unused == []

@@ -28,6 +28,7 @@ from ahtest import (
     saddle_points,
 )
 from ahtest import engine
+from ahtest.belief import bllr_matrix
 from ahtest.bounds import BoundReport, bound_report
 from ahtest.engine import _uniform_block, sample_categorical
 from ahtest.strategies import (
@@ -396,6 +397,24 @@ class TestTieRule:
 
 
 class TestMonteCarlo:
+    def test_a_one_experiment_run_calls_the_selection_once_on_the_prior_row(
+            self, bsc2, tri3_saddles):
+        # Its experiment is always 0, so no step reads a selection; the one
+        # call still runs the rule's checks.
+        seen = []
+
+        class Recording(UniformSelection):
+            def batch_action_distributions(self, model, log_rho, step, horizon):
+                seen.append((log_rho.tobytes(), step))
+                return super().batch_action_distributions(model, log_rho, step, horizon)
+
+        config = RunConfig(model=bsc2, selection=Recording(), inference=MAPInference(),
+                           horizon=25, episodes=30, seed=2)
+        monte_carlo(config)
+        assert seen == [(bsc2.log_prior.tobytes(), 0)]     # the 60 rows run as one part
+        with pytest.raises(ValueError, match="one saddle point per hypothesis"):
+            monte_carlo(dataclasses.replace(config, selection=ChernoffSelection(tri3_saddles)))
+
     def test_always_abstain(self, bsc2, bsc2_saddles):
         cfg = RunConfig(
             model=bsc2, selection=OpenLoopSelection(0, bsc2_saddles),
@@ -653,7 +672,7 @@ class TestJng:
         exact = enumerate_exact(cfg)
 
         level = walk_paths(tri3, sel, 3)
-        rho = np.exp(level.log_rho)
+        rho = np.exp(engine._state_rows(tri3, level.counts.T))
         inc = np.log(rho / (1 - rho)) - np.log(tri3.prior / (1 - tri3.prior))
         total = (np.exp(level.log_mass) * inc).sum(axis=0)
         np.testing.assert_allclose(np.array(exact.jng), total / 3, atol=1e-9)
@@ -667,14 +686,15 @@ class TestLastLevel:
         level = walk_paths(tri3, config.selection, 8)
         states = math.comb(8 + 3, 3)                   # K = 2 experiments x 2 observations
         assert level.counts.shape == (states, 4)
-        assert level.log_mass.shape == level.log_rho.shape == (states, 3)
+        rows = engine._state_rows(tri3, level.counts.T)
+        assert level.log_mass.shape == rows.shape == (states, 3)
         assert np.all(level.counts.sum(axis=1) == 8)
         assert len({tuple(c) for c in level.counts.tolist()}) == states
         dead = np.isneginf(level.log_mass)
         assert dead.any() and not dead.all(axis=0).any()
         np.testing.assert_allclose(np.logaddexp.reduce(level.log_mass, axis=0), 0.0,
                                    rtol=0, atol=1e-12)
-        np.testing.assert_allclose(np.logaddexp.reduce(level.log_rho, axis=1), 0.0,
+        np.testing.assert_allclose(np.logaddexp.reduce(rows, axis=1), 0.0,
                                    rtol=0, atol=1e-12)
         assert int(level) == level.paths == enumerate_exact(config).paths
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -933,6 +953,58 @@ def _tri3_permutations(xfail, also=""):
             for perm in itertools.permutations(range(3))]
 
 
+def _final_states(config, episodes):
+    """The first `episodes` episodes of every lane stepped in one chunk by
+    the run's chunk code: (true_h, decisions, gains, final log-beliefs, final
+    outcome counts (K, rows)), the counts read off the recorded steps. The
+    chunk run without record has the same decisions and gains."""
+    model, horizon = config.model, config.horizon
+    blocks = [_uniform_block(config.seed, h, 0, episodes, horizon, model.channel[h])
+              for h in range(model.num_hypotheses)]
+    act = None if blocks[0][0] is None else np.concatenate([a for a, _ in blocks], axis=1)
+    true_h = np.repeat(np.arange(model.num_hypotheses), episodes)
+    args = (model, config.selection, config.inference, horizon, true_h, act,
+            np.concatenate([o for _, o in blocks], axis=2))
+    decisions, gains, (path, steps) = engine._run_chunk(*args, record=True)
+    unrecorded, unrecorded_gains, _ = engine._run_chunk(*args)
+    assert np.array_equal(unrecorded, decisions) and unrecorded_gains.tobytes() == gains.tobytes()
+    outcome = steps[..., 0] * model.num_observations + steps[..., 1]
+    counts = (outcome[..., None] == np.arange(model.channel[0].size)).sum(axis=1).T
+    return true_h, decisions, gains, path[:, -1], counts
+
+
+def _built_in_pairs(model, saddles):
+    """(selection spec, rule, inference spec, rule) of every built-in rule
+    pair, each hypothesis of openloop and p2, and ecr at k = 2."""
+    from ahtest.cli import INFERENCE_RULES, SELECTION_RULES, parse_inference, parse_selection
+
+    ids = [str(i) for i in range(1, model.num_hypotheses + 1)]
+    selections = ["chernoff", "uniform", "ejs", "ecr:k=2"] + [f"openloop:i={i}" for i in ids]
+    inferences = ["fbar", "map"] + [f"p2:i={i}" for i in ids]
+    assert {spec.partition(":")[0] for spec in selections} == set(SELECTION_RULES)
+    assert {spec.partition(":")[0] for spec in inferences} == set(INFERENCE_RULES)
+    delta = min(sp.d_star for sp in saddles) / 4
+    return [(sel, parse_selection(sel, model, saddles), inf,
+             parse_inference(inf, model, saddles, EpsilonSchedule(), delta))
+            for sel in selections for inf in inferences]
+
+
+def _assert_episodes_end_on_the_lattice(config, episodes, label):
+    """Every episode's final count state is a live lattice state, and its
+    decision, gain and final log-belief are that state's, bit for bit."""
+    model, horizon = config.model, config.horizon
+    true_h, decisions, gains, final, counts = _final_states(config, episodes)
+    level = engine.walk_paths(model, config.selection, horizon)
+    rows = engine._state_rows(model, level.counts.T)
+    state = {c: s for s, c in enumerate(map(tuple, level.counts.tolist()))}
+    at = np.array([state[c] for c in map(tuple, counts.T.tolist())])
+    assert np.all(np.isfinite(level.log_mass[at, true_h])), label
+    assert np.array_equal(decisions, config.inference.batch_decide(model, rows, horizon)[at]), label
+    lattice_gains = (bllr_matrix(rows) - model.prior_confidence)[at, true_h]
+    assert gains.tobytes() == lattice_gains.tobytes(), label
+    assert final.tobytes() == rows[at].tobytes(), label
+
+
 class TestRouteAgreement:
     """Exact results do not depend on the route that computes them."""
 
@@ -1056,6 +1128,54 @@ class TestRouteAgreement:
             assert abs(mc.psi[i] - exact.psi[i]) <= 3 * psi_se
             assert abs(mc.phi[i] - exact.phi[i]) <= 3 * math.sqrt(phi_var / episodes)
             assert abs(mc.jng[i] - exact.jng[i]) <= 3 * mc.jng_se[i]
+
+    # One terminal for both routes: a Monte Carlo episode ends in its count
+    # state and is decided and scored on the lattice's own row for it.
+    @pytest.mark.parametrize("name, horizon", [("bsc2", 12), ("tri3", 12)])
+    def test_each_episode_ends_on_its_lattice_state(self, name, horizon, request):
+        model = request.getfixturevalue(name)
+        for sel, selection, inf, inference in _built_in_pairs(model, saddle_points(model)):
+            config = RunConfig(model=model, selection=selection, inference=inference,
+                               horizon=horizon, seed=7)
+            _assert_episodes_end_on_the_lattice(config, 400, f"{sel}/{inf}")
+
+    @settings(max_examples=30)
+    @given(shape=st.sampled_from([(2, 1, 3), (3, 2, 2), (4, 2, 3), (3, 3, 2)]),
+           horizon=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           rules=st.sampled_from([("chernoff", "fbar"), ("ejs", "map"), ("random", "p2"),
+                                  ("uniform", "fbar")]))
+    def test_each_random_episode_ends_on_its_lattice_state(self, shape, horizon, seed, rules):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, *shape)
+        saddles = saddle_points(model)
+        selection = {"chernoff": ChernoffSelection(saddles), "ejs": EJSGreedySelection(),
+                     "random": random_selection(rng, model),
+                     "uniform": UniformSelection()}[rules[0]]
+        inference = {"fbar": FBarInference(saddles, min(sp.d_star for sp in saddles) / 4),
+                     "map": MAPInference(),
+                     "p2": P2Inference(1, saddles[1], EpsilonSchedule())}[rules[1]]
+        config = RunConfig(model=model, selection=selection, inference=inference,
+                           horizon=horizon, seed=seed)
+        _assert_episodes_end_on_the_lattice(config, 100, rules)
+
+    def test_wide_state_keys_decide_as_their_rows_do(self):
+        # 4 experiments x 4 observations at N = 20: (N + 1)^K >= 2^63, so the
+        # keys are Python ints. A key past int64 would name another state.
+        # The lattice is out of reach, so each row is rebuilt on its own.
+        model = random_model(np.random.default_rng(16), 3, 4, 4)
+        horizon, saddles = 20, saddle_points(model)
+        assert (horizon + 1) ** model.channel[0].size >= 2**63
+        config = RunConfig(model=model, selection=UniformSelection(),
+                           inference=FBarInference(saddles, min(sp.d_star for sp in saddles) / 4),
+                           horizon=horizon, seed=5)
+        true_h, decisions, gains, final, counts = _final_states(config, 200)
+        assert counts[-1].max() > 0     # a key of at least (N + 1)^(K - 1) > 2^63
+        for r in range(len(true_h)):
+            row = engine._state_rows(model, counts[:, r:r + 1])
+            assert decisions[r] == config.inference.batch_decide(model, row, horizon)[0]
+            gain = bllr_matrix(row)[0, true_h[r]] - model.prior_confidence[true_h[r]]
+            assert gains[r].tobytes() == gain.tobytes()
+            assert final[r].tobytes() == row[0].tobytes()
 
 
 class TestTracerNames:

@@ -9,7 +9,6 @@ import pytest
 
 from ahtest import (
     EpsilonSchedule,
-    Model,
     ModelError,
     ModelFormatError,
     ModelValidationError,
@@ -18,6 +17,7 @@ from ahtest import (
     UniformSelection,
     load_model,
 )
+from ahtest.belief import bllr_matrix
 
 from conftest import MODELS_DIR, random_model
 
@@ -164,7 +164,8 @@ class TestLogLikelihoodRatio:
             np.testing.assert_array_equal(model.llr, -model.llr.transpose(1, 0, 2, 3))
 
     def test_tables_are_read_only(self, tri3):
-        for table in (tri3.log_prior, tri3.log_channel, tri3.llr, tri3.kl):
+        for table in (tri3.log_prior, tri3.prior_confidence, tri3.log_channel,
+                      tri3.log_outcome, tri3.llr, tri3.kl):
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0.0
 
@@ -177,6 +178,23 @@ class TestLogLikelihoodRatio:
             assert model.lambda_bound == float(np.max(np.abs(model.llr)))
             with pytest.raises(dataclasses.FrozenInstanceError):
                 model.lambda_bound = 0.0
+
+    def test_prior_confidence_and_outcome_table_are_the_models_own(self, bsc2, tri3):
+        # gains are measured from prior_confidence, and both routes read an
+        # outcome k = u * Y + y's log-likelihoods from row k of log_outcome
+        rng = np.random.default_rng(36)
+        models = [bsc2, tri3] + [random_model(rng, m, u, y) for m, u, y in
+                                 rng.integers((2, 1, 2), (6, 5, 10), size=(30, 3))]
+        for model in models:
+            assert model.prior_confidence.tobytes() == bllr_matrix(model.log_prior).tobytes()
+            n_obs = model.num_observations
+            assert model.log_outcome.shape == (model.channel[0].size, model.num_hypotheses)
+            for k, row in enumerate(model.log_outcome):
+                assert row.tobytes() == model.log_channel[:, k // n_obs, k % n_obs].tobytes()
+            for name in ("prior_confidence", "log_outcome"):
+                assert not getattr(model, name).flags.writeable
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(model, name, None)
 
 
 class TestLambdaBound:
