@@ -11,9 +11,9 @@ hypothesis, so each observation value becomes an outcome u * Y + y per
 experiment u as it is drawn, one byte each, kept step-major with the
 experiment values; a model with one experiment draws no experiment values,
 since its experiment is always 0. Selection reads each episode's carried
-log-prior plus summed log-likelihoods, unnormalized (see strategies). An
-episode ends in its outcome counts, which fix its belief (the method of
-types), and is decided and scored on the count lattice's own row for them.
+unnormalized log-belief, or by_state its count state's lattice row (see
+strategies). An episode ends in its outcome counts, which fix its belief
+(the method of types), and is decided and scored on the lattice's row.
 All lanes step together in one lane-major row space of chunks, each run in
 contiguous parts, one per CPU, that draw their rows' outcomes lane by lane
 and step them. Rows never interact and every chunk is reduced per lane as
@@ -264,29 +264,37 @@ def _run_chunk(
     """Advance a chunk of episodes through all steps and decide.
 
     true_h holds each episode's true hypothesis; act and outcomes are
-    _uniform_block's, drawn under it. Step n reads outcomes[u, n] of the
-    experiment u the selection draws on a float carry; with act None (one
-    experiment) there is no carry and the selection runs once, on the prior
-    row, for its checks. Each row ends in its count state, keyed sum_k c_k
-    (N + 1)^k (Python ints once (N + 1)^K >= 2^63), decided and scored once
-    per state on its _state_rows row. Returns (decisions, gains, (path,
-    steps)): gains[r] is row r's gain on true_h[r]; with record, path (chunk,
-    N + 1, M) and steps are the log-beliefs of an episode's states and its
-    (u, y) steps.
+    _uniform_block's, drawn under it. Each row carries its count state's key
+    sum_k c_k (N + 1)^k (Python ints once (N + 1)^K >= 2^63). Step n reads
+    outcomes[u, n] of the experiment u the selection draws on a float carry,
+    or by_state on the _count_rows of the step's distinct keys; with act
+    None (one experiment) it runs once, on the prior row, for its checks. A
+    row is decided and scored once per final state, on its _state_rows row.
+    Returns (decisions, gains, (path, steps)): gains[r] is row r's gain
+    on true_h[r]; with record, path (chunk, N + 1, M) and steps are the
+    log-beliefs of an episode's states and its (u, y) steps.
     """
     m, base, n_out = len(true_h), horizon + 1, model.log_outcome.shape[0]
     radix = np.array([base**k for k in range(n_out)],
                      dtype=np.int64 if base**n_out < 1 << 63 else object)
-    key = np.zeros(m, radix.dtype)
+
+    def counts(keys):       # (S,) keys -> (K, S) outcome counts
+        return (keys // radix[:, None] % base).astype(np.int64)
+    key, rows = np.zeros(m, radix.dtype), np.arange(m)
     # With record, every step's key; else a view of the last, as key moves in place.
     trail = np.zeros((m, base), radix.dtype) if record else key[:, None]
     steps = np.empty((m, horizon, 2), dtype=np.intp) if record else None
-    log_rho, rows = np.tile(model.log_prior, (m, 1)), np.arange(m)
+    log_rho = None if act is None or selection.by_state else np.tile(model.log_prior, (m, 1))
     if act is None:
-        selection.batch_action_distributions(model, log_rho[:1], 0, horizon)
+        selection.batch_action_distributions(model, model.log_prior[None, :], 0, horizon)
     for n in range(horizon):
         if act is None:
             k = outcomes[0, n]
+        elif log_rho is None:     # a by_state rule: no float carry
+            states, inverse = np.unique(key, return_inverse=True)
+            dists = selection.batch_action_distributions(
+                model, _count_rows(model, counts(states)), n, horizon)
+            k = outcomes[sample_categorical(np.take(dists, inverse, axis=0), act[n]), n, rows]
         else:
             dists = selection.batch_action_distributions(model, log_rho, n, horizon)
             k = outcomes[sample_categorical(dists, act[n]), n, rows]
@@ -297,7 +305,7 @@ def _run_chunk(
             trail[:, n + 1] = key
             steps[:, n] = np.column_stack(np.divmod(k, model.num_observations))
     states, inverse = np.unique(trail, return_inverse=True)
-    state_rows = _state_rows(model, (states // radix[:, None] % base).astype(np.int64))
+    state_rows = _state_rows(model, counts(states))
     inverse = inverse.reshape(trail.shape)
     decisions = inference.batch_decide(model, state_rows, horizon)[inverse[:, -1]]
     gains = (bllr_matrix(state_rows) - model.prior_confidence)[inverse[:, -1], true_h]
@@ -485,17 +493,16 @@ def _error_rates(decision_probs: np.ndarray, prior: np.ndarray):
     return psi, phi, gamma
 
 
-def _count_loglik(model: Model, counts: np.ndarray) -> np.ndarray:
-    """(K, S) outcome counts -> (S, M) summed log-likelihoods, added in
-    outcome order: a matrix product may round a row differently in another
-    batch."""
-    return functools.reduce(operator.add, counts[:, :, None] * model.log_outcome[:, None, :])
+def _count_rows(model: Model, counts: np.ndarray, start=None) -> np.ndarray:
+    """(K, S) outcome counts -> (S, M) start (default the log-prior) plus summed
+    log-likelihoods, in outcome order: a matrix product may round a row differently."""
+    start = model.log_prior if start is None else start
+    return start + functools.reduce(operator.add, counts[:, :, None] * model.log_outcome[:, None, :])
 
 
 def _state_rows(model: Model, counts: np.ndarray) -> np.ndarray:
-    """(K, S) outcome counts -> (S, M) normalized log-beliefs: the one row
-    formula of a count state, on the lattice and at a Monte Carlo terminal."""
-    return log_normalize(model.log_prior + _count_loglik(model, counts))
+    """(K, S) outcome counts -> (S, M) normalized log-beliefs, one formula for both routes."""
+    return log_normalize(_count_rows(model, counts))
 
 
 def _fsum(values: np.ndarray) -> float:
@@ -560,7 +567,7 @@ def walk_paths(model: Model, selection: SelectionStrategy, horizon: int) -> Last
     ranks = np.zeros(1, dtype=np.int64)
     log_a, paths = np.zeros(1), np.ones(1, dtype=np.int64)
     for n in range(horizon):
-        rows = model.log_prior + _count_loglik(model, counts)
+        rows = _count_rows(model, counts)
         if log_a.min() > -np.inf:
             dist = selection.batch_action_distributions(model, rows, n, horizon).T
         else:
@@ -587,7 +594,7 @@ def walk_paths(model: Model, selection: SelectionStrategy, horizon: int) -> Last
         paths_in = np.zeros((n_out, size), dtype=paths.dtype)
         paths_in[outcomes, child] = np.where(dist > 0.0, paths, 0).repeat(n_obs, axis=0)
         counts, log_a, paths = next_counts, np.logaddexp.reduce(log_in), paths_in.sum(axis=0)
-    return LastLevel(counts.T, log_a[:, None] + _count_loglik(model, counts), int(paths.sum()))
+    return LastLevel(counts.T, _count_rows(model, counts, log_a[:, None]), int(paths.sum()))
 
 
 def enumerate_exact(config: RunConfig) -> RunReport:

@@ -15,11 +15,11 @@ step, horizon) for selection, batch_decide(model, log_final, horizon) for
 inference. Rules know no spec syntax: the CLI parses specs by its rule
 tables and echoes them as typed. The one-belief calls action_distribution
 and decide are defined once, on the base classes, as a batch of one, so a
-scalar call returns row 0 of the batch computation and cannot drift from it. Rows never interact, so a row's result does not
-depend on its batch; that makes it exact for the rules reading
-probabilities to score each bitwise-distinct normalized row once, as Monte
-Carlo batches repeat rows heavily. Monte Carlo calls a rule concurrently on
-disjoint row blocks, so a rule keeps no mutable shared state.
+scalar call returns row 0 of the batch computation and cannot drift from it.
+Rows never interact, so a row's result does not depend on its batch. Monte
+Carlo gives a by_state rule (ejs, ecr:k) the lattice's own row of each
+distinct count state of a step, and any other rule each episode's carried
+row, concurrently on disjoint row blocks: a rule keeps no mutable state.
 
 One tie rule serves every rule and route: scores within tie_tolerance of
 the best tie, the lowest index winning, and a threshold margin within it of
@@ -94,17 +94,11 @@ def _ejs_scores(model: Model, log_rho: np.ndarray) -> np.ndarray:
     return gains.reshape(gains.shape[:2] + (-1,)).sum(axis=-1)
 
 
-def _one_hot_best_distinct(model: Model, log_rho: np.ndarray, horizon: int,
-                           score: Callable[..., np.ndarray], *args) -> np.ndarray:
-    """One-hot rows on the best experiment by score(model, rows, *args) over
-    the normalized rows, by the tie rule, scoring each bitwise-distinct row
-    once (exact: a row's scores do not depend on its batch) and expanding
-    the result back to every row."""
-    rows = np.ascontiguousarray(normalize_belief_rows(log_rho))
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[-1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    best = _argmax_lowest(score(model, rows[first], *args), tie_tolerance(model, horizon))
-    return np.eye(model.num_experiments)[best][inverse]
+def _one_hot_best(model: Model, log_rho: np.ndarray, horizon: int,
+                  score: Callable[..., np.ndarray], *args) -> np.ndarray:
+    """One-hot rows on the tie rule's best experiment by score(model, normalized rows, *args)."""
+    scores = score(model, normalize_belief_rows(log_rho), *args)
+    return np.eye(model.num_experiments)[_argmax_lowest(scores, tie_tolerance(model, horizon))]
 
 
 def ejs_divergence(model: Model, belief: Belief, u: int) -> float:
@@ -179,6 +173,7 @@ class SelectionStrategy:
     """Deterministic map (belief, step, horizon) -> distribution over experiments.
     Each row it gets is a log-belief known only up to its own additive
     constant; a rule that reads probabilities normalizes its rows itself."""
+    by_state = False    # Monte Carlo passes a step's distinct count states, not carried rows
 
     def action_distribution(
         self, model: Model, log_rho: np.ndarray, step: int, horizon: int
@@ -237,11 +232,15 @@ class UniformSelection(SelectionStrategy):
 
 
 class EJSGreedySelection(SelectionStrategy):
+    by_state = True
+
     def batch_action_distributions(self, model, log_rho, step, horizon):
-        return _one_hot_best_distinct(model, log_rho, horizon, _ejs_scores)
+        return _one_hot_best(model, log_rho, horizon, _ejs_scores)
 
 
 class ECRLookaheadSelection(SelectionStrategy):
+    by_state = True
+
     def __init__(self, k: int):
         if k < 1:
             raise ValueError("lookahead depth must be >= 1")
@@ -257,7 +256,7 @@ class ECRLookaheadSelection(SelectionStrategy):
         if nodes > _DEFAULT_ECR_NODE_BUDGET:
             raise ValueError(f"lookahead tree has {nodes} nodes, exceeding the budget "
                              f"{_DEFAULT_ECR_NODE_BUDGET}")
-        return _one_hot_best_distinct(model, log_rho, horizon, _ecr_scores, depth)
+        return _one_hot_best(model, log_rho, horizon, _ecr_scores, depth)
 
 
 class InferenceStrategy:

@@ -12,7 +12,7 @@ from hypothesis import settings
 
 from ahtest import Model, divergence, load_model
 from ahtest.belief import log_normalize
-from ahtest.engine import _simulate_lanes, lane_key, sample_categorical
+from ahtest.engine import _run_chunk, _simulate_lanes, _uniform_block, lane_key, sample_categorical
 from ahtest.strategies import SelectionStrategy
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -125,6 +125,36 @@ def random_selection(rng: np.random.Generator, model: Model) -> SoftmaxSelection
         rng.normal(size=(model.num_experiments, model.num_hypotheses)),
         rng.normal(size=model.num_experiments),
     )
+
+
+class RecordingSelection(SelectionStrategy):
+    """A rule, by_state included, that keeps a copy of every batch of rows
+    it is given and of the distributions it returns, call by call."""
+
+    def __init__(self, rule: SelectionStrategy):
+        self.rule, self.by_state, self.calls = rule, rule.by_state, []
+
+    def batch_action_distributions(self, model, log_rho, step, horizon):
+        dists = self.rule.batch_action_distributions(model, log_rho, step, horizon)
+        self.calls.append((np.array(log_rho), np.array(dists)))
+        return dists
+
+
+def step_counts(config, episodes: int) -> np.ndarray:
+    """(N, K, rows) outcome counts before each step of the first `episodes`
+    episodes of every lane, lane-major as a Monte Carlo chunk holds them,
+    read off the steps the run's chunk code records."""
+    model, horizon = config.model, config.horizon
+    blocks = [_uniform_block(config.seed, h, 0, episodes, horizon, model.channel[h])
+              for h in range(model.num_hypotheses)]
+    act = None if blocks[0][0] is None else np.concatenate([a for a, _ in blocks], axis=1)
+    _, _, (_, steps) = _run_chunk(
+        model, config.selection, config.inference, horizon,
+        np.repeat(np.arange(model.num_hypotheses), episodes), act,
+        np.concatenate([o for _, o in blocks], axis=2), record=True)
+    hits = (steps[..., 0] * model.num_observations + steps[..., 1])[..., None] \
+        == np.arange(model.channel[0].size)                          # (rows, N, K)
+    return (np.cumsum(hits, axis=1) - hits).transpose(1, 2, 0)
 
 
 def stream_blocks(horizon: int) -> int:

@@ -13,9 +13,12 @@ import shlex
 import numpy as np
 import pytest
 
+from ahtest import RunConfig, load_model, monte_carlo
+from ahtest.belief import normalize_belief_rows
 from ahtest.cli import INFERENCE_RULES, SELECTION_RULES, _build_parser, main
+from ahtest.strategies import EJSGreedySelection, MAPInference
 
-from conftest import MODELS_DIR, REPO_ROOT, corrupt_mixtures, fresh_python
+from conftest import MODELS_DIR, REPO_ROOT, RecordingSelection, corrupt_mixtures, fresh_python
 
 BSC2 = str(MODELS_DIR / "bsc2.json")
 TRI3 = str(MODELS_DIR / "tri3.json")
@@ -666,6 +669,26 @@ class TestReadme:
                               ("bounds CSVs have columns", BOUND_CSV)):
             columns = re.search(re.escape(anchor) + r" `([^`]+)`", text).group(1)
             assert columns.replace("…", "").split(",") == list(table)
+
+    def test_scored_row_counts_are_the_stated_runs(self):
+        # The rows ejs scores by count state, and the distinct normalized rows
+        # the same episodes carry, in the configuration README states.
+        text = " ".join(self.README.split())
+        stated = re.search(r"a tri3 ejs run at N=(\d+) \((\d+) episodes per lane, seed (\d+)\) "
+                           r"scores (\d+) rows where its episodes take (\d+) steps\. Over those "
+                           r"steps the episodes carry (\d+) bitwise-distinct", text)
+        horizon, episodes, seed, scored, steps, carried = map(int, stated.groups())
+        model = load_model(MODELS_DIR / "tri3.json")
+        distinct, given = [], []
+        for by_state in (True, False):
+            recorder = RecordingSelection(EJSGreedySelection())
+            recorder.by_state = by_state
+            monte_carlo(RunConfig(model=model, selection=recorder, inference=MAPInference(),
+                                  horizon=horizon, episodes=episodes, seed=seed))
+            distinct.append(sum(len({row.tobytes() for row in normalize_belief_rows(rows)})
+                                for rows, _ in recorder.calls))
+            given.append(sum(len(rows) for rows, _ in recorder.calls))
+        assert distinct == [scored, carried] and given == [scored, steps]
 
     def test_every_cited_name_resolves(self):
         names = {m.group(0) for span in re.findall(r"`([^`\n]+)`", self.README)

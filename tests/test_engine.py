@@ -46,12 +46,14 @@ from ahtest.strategies import (
 from ahtest.model import EpsilonSchedule
 
 from conftest import (
+    RecordingSelection,
     episode_uniforms,
     lane_run,
     normalized_replay,
     random_model,
     random_selection,
     relabel,
+    step_counts,
     stream_blocks,
 )
 
@@ -1005,6 +1007,27 @@ def _assert_episodes_end_on_the_lattice(config, episodes, label):
     assert final.tobytes() == rows[at].tobytes(), label
 
 
+def _assert_steps_select_as_the_lattice(config, episodes, label, lattice=True):
+    """Every Monte Carlo step's experiment distribution is, bit for bit, the
+    one the rule gives the lattice's row for the episode's count state: the
+    lattice level's own, or with lattice False, the row built on its own."""
+    model, horizon = config.model, config.horizon
+    seen, real = [], engine.sample_categorical
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "sample_categorical", lambda d, r: seen.append(np.array(d)) or real(d, r))
+        counts = step_counts(config, episodes)
+    if lattice:
+        recorder = RecordingSelection(config.selection)
+        engine.walk_paths(model, recorder, horizon)
+        levels = [{row.tobytes(): d for row, d in zip(*call)} for call in recorder.calls]
+    assert len(seen) == horizon, label
+    for n in range(horizon):
+        rows = engine._count_rows(model, counts[n])
+        want = (np.array([levels[n][row.tobytes()] for row in rows]) if lattice
+                else config.selection.batch_action_distributions(model, rows, n, horizon))
+        assert seen[n].tobytes() == want.tobytes(), (label, n)
+
+
 class TestRouteAgreement:
     """Exact results do not depend on the route that computes them."""
 
@@ -1176,6 +1199,35 @@ class TestRouteAgreement:
             gain = bllr_matrix(row)[0, true_h[r]] - model.prior_confidence[true_h[r]]
             assert gains[r].tobytes() == gain.tobytes()
             assert final[r].tobytes() == row[0].tobytes()
+
+
+    # A scored rule selects on the lattice's own rows in both routes.
+    @pytest.mark.parametrize("rule", [EJSGreedySelection(), ECRLookaheadSelection(2)],
+                             ids=["ejs", "ecr:k=2"])
+    def test_each_tri3_step_selects_as_its_lattice_state(self, tri3, tri3_saddles, rule):
+        config = RunConfig(model=tri3, selection=rule, horizon=12, seed=7,
+                           inference=FBarInference(tri3_saddles, tri3_saddles[0].d_star / 4))
+        _assert_steps_select_as_the_lattice(config, 400, rule)
+
+    @settings(max_examples=10)
+    @given(shape=st.sampled_from([(3, 2, 2), (4, 2, 3), (3, 3, 2), (2, 4, 2)]),
+           horizon=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           rule=st.sampled_from(["ejs", "ecr:k=2"]))
+    def test_each_random_step_selects_as_its_lattice_state(self, shape, horizon, seed, rule):
+        model = random_model(np.random.default_rng(seed), *shape)
+        selection = EJSGreedySelection() if rule == "ejs" else ECRLookaheadSelection(2)
+        config = RunConfig(model=model, selection=selection, inference=MAPInference(),
+                           horizon=horizon, seed=seed)
+        _assert_steps_select_as_the_lattice(config, 50, (shape, rule))
+
+    def test_wide_state_keys_select_as_their_rows_do(self):
+        # The wide-key model of the test above, under ejs: the step's states
+        # are read back from Python-int keys.
+        model = random_model(np.random.default_rng(16), 3, 4, 4)
+        config = RunConfig(model=model, selection=EJSGreedySelection(), inference=MAPInference(),
+                           horizon=20, seed=5)
+        assert (20 + 1) ** model.channel[0].size >= 2**63
+        _assert_steps_select_as_the_lattice(config, 50, "wide", lattice=False)
 
 
 class TestTracerNames:

@@ -1,5 +1,6 @@
 """Selection and inference rules against brute-force and hand oracles."""
 
+import dataclasses
 import math
 import threading
 
@@ -17,7 +18,7 @@ from ahtest import (
     monte_carlo,
     saddle_points,
 )
-from ahtest import strategies
+from ahtest import engine, strategies
 from ahtest.belief import bllr_matrix, log_normalize
 from ahtest.model import EpsilonSchedule
 from ahtest.strategies import (
@@ -33,7 +34,7 @@ from ahtest.strategies import (
 )
 from ahtest.cli import parse_inference, parse_selection
 
-from conftest import random_model
+from conftest import RecordingSelection, random_model, step_counts
 
 
 def brute_expectimax_action(model, rho, depth):
@@ -324,28 +325,23 @@ class TestECRLookahead:
             ECRLookaheadSelection(12).action_distribution(tri3, Belief.uniform(3).log_rho, 0, 12)
 
 
-class _CountingSelection(strategies.SelectionStrategy):
-    """A rule that records the size of every batch it is given."""
-
-    def __init__(self, rule):
-        self.rule = rule
-        self.sizes = []
-
-    def batch_action_distributions(self, model, log_rho, step, horizon):
-        self.sizes.append(len(log_rho))
-        return self.rule.batch_action_distributions(model, log_rho, step, horizon)
-
-
 class TestDistinctRowsScoredOnce:
-    """In Monte Carlo, episodes with the same outcomes carry the same bits;
-    ejs and ecr:k score each distinct row of a batch once."""
+    """In Monte Carlo, ejs and ecr:k are called once a step on the step's
+    distinct count states, with the lattice's own rows for them."""
 
-    @pytest.mark.parametrize("rule, scores", [
-        (EJSGreedySelection(), "_ejs_scores"),
-        (ECRLookaheadSelection(2), "_ecr_scores"),
+    @pytest.mark.parametrize("rule, scores, total", [
+        (EJSGreedySelection(), "_ejs_scores", 409),
+        (ECRLookaheadSelection(2), "_ecr_scores", 411),
     ], ids=["ejs", "ecr:k=2"])
     def test_monte_carlo_scores_distinct_rows_only(self, tri3, tri3_saddles, monkeypatch,
-                                                   rule, scores):
+                                                   rule, scores, total):
+        horizon, episodes = 12, 400
+        delta = min(sp.d_star for sp in tri3_saddles) / 4.0
+        config = RunConfig(model=tri3, selection=rule, inference=FBarInference(tri3_saddles, delta),
+                           horizon=horizon, episodes=episodes, seed=5)
+        counts = step_counts(config, episodes)
+        lattice = RecordingSelection(rule)
+        engine.walk_paths(tri3, lattice, horizon)
         scored = []
         inside = threading.local()   # _ecr_scores recurses on child beliefs
         real = getattr(strategies, scores)
@@ -353,7 +349,7 @@ class TestDistinctRowsScoredOnce:
         def spy(model, rows, *args):
             if getattr(inside, "busy", False):
                 return real(model, rows, *args)
-            scored.append(np.array(rows))
+            scored.append(len(rows))
             inside.busy = True
             try:
                 return real(model, rows, *args)
@@ -361,17 +357,18 @@ class TestDistinctRowsScoredOnce:
                 inside.busy = False
 
         monkeypatch.setattr(strategies, scores, spy)
-        counting = _CountingSelection(rule)
-        delta = min(sp.d_star for sp in tri3_saddles) / 4.0
-        monte_carlo(RunConfig(model=tri3, selection=counting,
-                              inference=FBarInference(tri3_saddles, delta),
-                              horizon=12, episodes=400, seed=5))
-        assert sum(counting.sizes) == 3 * 400 * 12
-        assert len(scored) == len(counting.sizes)
-        for rows in scored:
+        counting = RecordingSelection(rule)
+        monte_carlo(dataclasses.replace(config, selection=counting))
+        assert scored == [len(rows) for rows, _ in counting.calls] and len(scored) == horizon
+        radix = (horizon + 1) ** np.arange(counts.shape[1])
+        for n, (rows, _) in enumerate(counting.calls):
+            _, first = np.unique(radix @ counts[n], return_index=True)
+            assert rows.tobytes() == engine._count_rows(tri3, counts[n][:, first]).tobytes()
             assert len({row.tobytes() for row in rows}) == len(rows)
-        # 630 of 14400 rows for ejs, 633 for ecr:k=2: the lanes share early beliefs
-        assert sum(map(len, scored)) < sum(counting.sizes) / 10
+            assert {row.tobytes() for row in rows} <= {row.tobytes() for row in lattice.calls[n][0]}
+        # The episodes take 3 * 400 * 12 = 14400 steps and carry 666 (ejs) and
+        # 669 (ecr:k=2) bitwise-distinct float rows; they are in 409 and 411 count states.
+        assert sum(scored) == total
 
 
 class TestFBar:
