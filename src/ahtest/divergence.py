@@ -81,7 +81,9 @@ def _simplex_support(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for _ in range(100 * (m + n)):   # Bland's rule ends; the cap stops a rounding stall
         entering = np.flatnonzero(T[m, :-1] < -eps)
         if entering.size == 0:
-            return np.setdiff1d(np.arange(m), basis - n), np.sort(basis[basis < n])
+            tight = np.ones(m, dtype=bool)
+            tight[basis[basis >= n] - n] = False
+            return np.flatnonzero(tight), np.sort(basis[basis < n])
         j = entering[0]
         rows = np.flatnonzero(T[:m, j] > eps)
         if rows.size == 0:   # K' > 0 bounds the LP, so only rounding gets here
@@ -135,30 +137,17 @@ def solve_matrix_game(payoff: np.ndarray):
     by direct evaluation of both mixtures against the matrix; a gap above
     SADDLE_TOL, or one that is not a number, raises SaddleSolverError.
 
-    Degenerate shapes (a single row or a single column) are solved exactly,
-    ties breaking toward the lowest index. Otherwise one simplex run picks an
-    optimal basis, and both mixtures are read off its square support.
+    One simplex run picks an optimal basis, and both mixtures are read off
+    its square support; every shape takes this path. On a single row or a
+    single column both mixtures are pure, on the best entry or the lowest
+    index among exact ties, with that entry as the value and a gap of 0.0;
+    entries within 1e-12 of the payoff's range tie too, at such a gap.
     """
     K = np.asarray(payoff, dtype=float)
     if K.ndim != 2 or K.size == 0:
         raise ValueError("payoff must be a non-empty 2-dim matrix")
     if not np.all(np.isfinite(K)):
         raise ValueError("payoff entries must be finite")
-    n_rows, n_cols = K.shape
-
-    # Closed forms for one column (two hypotheses) or one row (one experiment).
-    # The simplex path gives the same bits on such games but costs over ten
-    # times as much on a 1x1 game, and every two-hypothesis model solves two.
-    if n_cols == 1:
-        r = int(np.argmax(K[:, 0]))
-        alpha = np.zeros(n_rows)
-        alpha[r] = 1.0
-        return float(K[r, 0]), alpha, np.array([1.0]), 0.0
-    if n_rows == 1:
-        c = int(np.argmin(K[0, :]))
-        beta = np.zeros(n_cols)
-        beta[c] = 1.0
-        return float(K[0, c]), np.array([1.0]), beta, 0.0
 
     alpha, beta = map(_clean_simplex, _support_mixtures(K, *_simplex_support(K)))
     lower = float(np.min(alpha @ K))

@@ -161,14 +161,6 @@ def _decide_by_thresholds(increments: np.ndarray, thresholds: np.ndarray, tol: f
 # strategy objects (engine interface)
 # ---------------------------------------------------------------------------
 
-def _same_rows(row: np.ndarray, count: int) -> np.ndarray:
-    """count read-only rows, each `row`: one zero-stride view of it, made
-    without numpy's broadcasting checks, which cost more than the view."""
-    rows = np.ndarray((count, row.size), buffer=row, strides=(0, row.itemsize))
-    rows.setflags(write=False)
-    return rows
-
-
 class SelectionStrategy:
     """Deterministic map (belief, step, horizon) -> distribution over experiments.
     Each row it gets is a log-belief known only up to its own additive
@@ -198,16 +190,11 @@ class ChernoffSelection(SelectionStrategy):
             if sp.hypothesis != i:
                 raise ValueError("saddle points must be ordered by hypothesis index")
         self._table = np.array([sp.alpha_star for sp in self.saddles], dtype=float)
-        # With every row the same bits (bsc2: one experiment), the MAP choice
-        # cannot matter; the batch is then that row read with a zero stride.
-        self._row = self._table[0] if len({row.tobytes() for row in self._table}) == 1 else None
 
     def batch_action_distributions(self, model, log_rho, step, horizon):
         # Saddles that do not fit are rejected on every model they meet.
         if self._table.shape != (model.num_hypotheses, model.num_experiments):
             raise ValueError("need one saddle point per hypothesis of the model")
-        if self._row is not None:
-            return _same_rows(self._row, log_rho.shape[0])
         # take costs a fraction of fancy indexing on small batches, such as
         # run_episode's one-row chunks.
         choice = _argmax_lowest(log_rho, tie_tolerance(model, horizon))
@@ -222,13 +209,13 @@ class OpenLoopSelection(SelectionStrategy):
         self.alpha = np.array(saddles[self.i].alpha_star, dtype=float)
 
     def batch_action_distributions(self, model, log_rho, step, horizon):
-        return _same_rows(self.alpha, log_rho.shape[0])
+        return np.broadcast_to(self.alpha, (log_rho.shape[0], self.alpha.size))
 
 
 class UniformSelection(SelectionStrategy):
     def batch_action_distributions(self, model, log_rho, step, horizon):
         u = model.num_experiments
-        return _same_rows(np.full(u, 1.0 / u), log_rho.shape[0])
+        return np.broadcast_to(np.full(u, 1.0 / u), (log_rho.shape[0], u))
 
 
 class EJSGreedySelection(SelectionStrategy):

@@ -117,18 +117,13 @@ class TestInterface:
 
 class TestConstantRows:
     @pytest.mark.parametrize("batch", [1, 16, 16384])
-    def test_constant_rules_return_one_read_only_row(self, bsc2, tri3, bsc2_saddles,
-                                                     tri3_saddles, batch):
-        # openloop, uniform and chernoff with equal alpha* rows (bsc2: one
-        # experiment) return their one row for every belief, as a broadcast would
+    def test_constant_rules_return_one_read_only_row(self, tri3, tri3_saddles, batch):
+        # openloop and uniform return their one row for every belief, read-only
         rows = np.random.default_rng(batch).normal(size=(batch, 3))
-        for model, rule, row in (
-            (tri3, OpenLoopSelection(1, tri3_saddles), tri3_saddles[1].alpha_star),
-            (tri3, UniformSelection(), np.full(2, 0.5)),
-            (bsc2, ChernoffSelection(bsc2_saddles), bsc2_saddles[0].alpha_star),
-        ):
-            got = rule.batch_action_distributions(model, rows[:, :model.num_hypotheses], 0, 10)
-            want = np.broadcast_to(np.asarray(row, dtype=float), (batch, model.num_experiments))
+        for rule, row in ((OpenLoopSelection(1, tri3_saddles), tri3_saddles[1].alpha_star),
+                          (UniformSelection(), np.full(2, 0.5))):
+            got = rule.batch_action_distributions(tri3, rows, 0, 10)
+            want = np.broadcast_to(np.asarray(row, dtype=float), (batch, 2))
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
             assert not got.flags.writeable
