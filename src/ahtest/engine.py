@@ -13,11 +13,12 @@ experiment values; a model with one experiment draws no experiment values,
 since its experiment is always 0. Selection reads each episode's carried
 unnormalized log-belief, or by_state its count state's lattice row (see
 strategies). An episode ends in its outcome counts, which fix its belief
-(the method of types), and is decided and scored on the lattice's row.
-All lanes step together in one lane-major row space of chunks, each run in
-contiguous parts, one per CPU, that draw their rows' outcomes lane by lane
-and step them. Rows never interact and every chunk is reduced per lane as
-it finishes, so no result depends on layout or CPU count.
+(the method of types), and is decided and scored on the lattice's row; with
+one experiment and no record, that state is read off its words and no step
+is taken. All lanes step together in one lane-major row space of chunks,
+each run in contiguous parts, one per CPU, that read their rows' words lane
+by lane. Rows never interact and every chunk is reduced per lane as it
+finishes, so no result depends on layout or CPU count.
 
 Exact enumeration merges the (experiment, observation) tree's paths by their
 outcome counts: a forward pass over the count lattice, one batch selection
@@ -52,9 +53,9 @@ CHUNK_SIZE = 32768
 # C(N + K - 1, K - 1) states, K = experiments x observations.
 DEFAULT_NODE_BUDGET = 10**7
 
-# Bytes of one stream's Philox words that _uniform_block draws at a time, a
+# Bytes of one stream's Philox words that _stream_words draws at a time, a
 # tile of whole episodes of ceil(N / 4) blocks of 32 bytes each: small enough
-# to stay in cache while its outcomes or experiment values go into the step rows.
+# to stay in cache while its readers turn it into step rows or count keys.
 _TILE_BYTES = 1 << 19
 
 # At most _MAX_PARTS parts of at least _MIN_PART episodes; no thread starts before one is needed.
@@ -66,7 +67,7 @@ _POOL = ThreadPoolExecutor(_MAX_PARTS - 1, thread_name_prefix="ahtest-part")
 def _in_parts(fn, count: int) -> list:
     """[fn(lo, hi) for each even contiguous part [lo, hi) of range(count)], one per CPU,
     part 0 in the calling thread; every part has stopped before this returns or raises.
-    A Monte Carlo part draws its own uniforms in its own thread and steps them."""
+    A Monte Carlo part reads its own rows' words in its own thread and decides them."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     p = max(1, min(cpus, count // _MIN_PART, _MAX_PARTS))
     edges = [count * i // p for i in range(p + 1)]
@@ -241,14 +242,18 @@ def run_episode(
     (see _uniform_block), so it has the bits of the batch row."""
     if not (0 <= true_h < config.model.num_hypotheses):
         raise ValueError(f"hypothesis index {true_h} out of range")
-    act, outcomes = _uniform_block(config.seed, true_h, episode, 1, config.horizon,
-                                   config.model.channel[true_h])
     decisions, _, (path, steps) = _run_chunk(
-        config.model, config.selection, config.inference, config.horizon,
-        np.array([true_h]), act, outcomes, record=True,
-    )
+        config.model, config.selection, config.inference, config.horizon, np.array([true_h]),
+        *_uniform_block(config.seed, true_h, episode, 1, config.horizon, config.model.channel[true_h]),
+        record=True)
     d = int(decisions[0])
     return Trajectory(steps[0]), None if d == INCONCLUSIVE else d, Belief(path[0, -1])
+
+
+def _radix(horizon: int, n_out: int) -> np.ndarray:
+    """(N + 1)^k, k < K: key sum_k c_k (N + 1)^k is int64 while (N + 1)^K < 2^63, else int."""
+    return np.array([(horizon + 1)**k for k in range(n_out)],
+                    np.int64 if (horizon + 1)**n_out < 1 << 63 else object)
 
 
 def _run_chunk(
@@ -264,30 +269,28 @@ def _run_chunk(
     """Advance a chunk of episodes through all steps and decide.
 
     true_h holds each episode's true hypothesis; act and outcomes are
-    _uniform_block's, drawn under it. Each row carries its count state's key
-    sum_k c_k (N + 1)^k (Python ints once (N + 1)^K >= 2^63). Step n reads
-    outcomes[u, n] of the experiment u the selection draws on a float carry,
-    or by_state on the _count_rows of the step's distinct keys; with act
+    _uniform_block's, drawn under it, or _count_keys', whose final keys leave
+    no step to take. Each row carries its count state's key (see _radix). Step
+    n reads outcomes[u, n] of the experiment u the selection draws on a float
+    carry, or by_state on the _count_rows of the step's distinct keys; with act
     None (one experiment) it runs once, on the prior row, for its checks. A
     row is decided and scored once per final state, on its _state_rows row.
     Returns (decisions, gains, (path, steps)): gains[r] is row r's gain
     on true_h[r]; with record, path (chunk, N + 1, M) and steps are the
     log-beliefs of an episode's states and its (u, y) steps.
     """
-    m, base, n_out = len(true_h), horizon + 1, model.log_outcome.shape[0]
-    radix = np.array([base**k for k in range(n_out)],
-                     dtype=np.int64 if base**n_out < 1 << 63 else object)
+    m, base, radix = len(true_h), horizon + 1, _radix(horizon, model.log_outcome.shape[0])
 
     def counts(keys):       # (S,) keys -> (K, S) outcome counts
         return (keys // radix[:, None] % base).astype(np.int64)
-    key, rows = np.zeros(m, radix.dtype), np.arange(m)
+    key, rows = np.zeros(m, radix.dtype) if outcomes.ndim > 1 else outcomes, np.arange(m)
     # With record, every step's key; else a view of the last, as key moves in place.
     trail = np.zeros((m, base), radix.dtype) if record else key[:, None]
     steps = np.empty((m, horizon, 2), dtype=np.intp) if record else None
     log_rho = None if act is None or selection.by_state else np.tile(model.log_prior, (m, 1))
     if act is None:
         selection.batch_action_distributions(model, model.log_prior[None, :], 0, horizon)
-    for n in range(horizon):
+    for n in range(horizon if outcomes.ndim > 1 else 0):
         if act is None:
             k = outcomes[0, n]
         elif log_rho is None:     # a by_state rule: no float carry
@@ -312,68 +315,80 @@ def _run_chunk(
     return decisions, gains, (state_rows[inverse] if record else None, steps)
 
 
-def _uniform_block(base_seed: int, lane: int, start: int, count: int, horizon: int,
-                   channel: np.ndarray, out=None):
-    """(act, outcomes) of episodes start .. start + count - 1 of a lane whose
-    true hypothesis has the (U, Y) channel: the step-major (horizon, count)
-    experiment uniforms, None when U = 1, and (U, horizon, count) outcomes
-    u * Y + y, y drawn from channel[u] as sample_categorical draws it, in the
-    smallest unsigned type that holds U * Y - 1 (uint8 for U * Y <= 256).
-    With out, an (act or None, outcomes) pair of views, fills those.
-
-    Stream v3: with k = lane_key(base_seed, lane) and nb = ceil(horizon / 4)
-    Philox blocks of four words per episode, column t's observation values
-    are Generator(Philox(key=k, counter=(start + t) * nb)).random(horizon),
-    which draw the outcomes, and column t of act is, bit for bit,
-    Generator(Philox(key=(1 << 64) | k, counter=(start + t) * nb)).random(horizon):
-    key word 1 sets the experiment streams apart from every observation
-    stream. A one-experiment block builds no experiment generator and reads
-    nb blocks per episode. The outcomes compare the raw words, from which
-    random() takes its doubles, with integer edges. Each generator draws the
-    episodes in order in the calling thread, whole episodes of about
-    _TILE_BYTES at a time, and each tile's outcomes and experiment uniforms
-    go straight into the step rows.
-    """
+def _stream_words(base_seed: int, lane: int, start: int, count: int, horizon: int, experiment=False):
+    """Stream v3's one word source: (cols, words) per tile of whole episodes of about
+    _TILE_BYTES, in order. With k = lane_key(base_seed, lane) and nb = ceil(horizon / 4),
+    words[t] is the first horizon of the 4 * nb raw words of Philox(key=k, counter=(start
+    + cols[t]) * nb), or with experiment, of Generator(Philox(key=(1 << 64) | k, ...)).random()."""
     nb = -(-horizon // 4)
     # The first and the last index bound every index in between.
     start = _key_field("episode index", start, 64)
     _key_field("episode index", start + max(count, 1) - 1, 64)
-    key = lane_key(base_seed, lane)
-    obs_bits = np.random.Philox(key=key, counter=start * nb)
-    n_exp, n_obs = channel.shape
-    act, outcomes = out or (np.empty((horizon, count)) if n_exp > 1 else None,
-                            np.empty((n_exp, horizon, count), np.min_scalar_type(channel.size - 1)))
-    act_gen = None if act is None else np.random.Generator(
-        np.random.Philox(key=(1 << 64) | key, counter=start * nb))
-    # sample_categorical's edges, a running sum as np.cumsum adds, on the raw
-    # words: c <= (w >> 11) * 2**-53 exactly when w >= ceil(c * 2**53) << 11,
-    # and an edge c >= 1 never holds.
-    edges = [np.array([math.ceil(c * 2**53) << 11 for c in cum if c < 1.0], np.uint64)
-             for cum in np.cumsum(channel[:, :-1], axis=1)]
+    bits = np.random.Philox(key=(experiment << 64) | lane_key(base_seed, lane), counter=start * nb)
+    draw = np.random.Generator(bits).random if experiment else bits.random_raw
     rows = max(1, _TILE_BYTES // (32 * nb))
     for lo in range(0, count, rows):
         size = min(rows, count - lo)
-        cols = slice(lo, lo + size)
-        words = obs_bits.random_raw(4 * nb * size).reshape(size, 4 * nb)[:, :horizon].T
+        yield slice(lo, lo + size), draw(4 * nb * size).reshape(size, 4 * nb)[:, :horizon]
+
+
+def _word_edges(channel: np.ndarray) -> list:
+    """sample_categorical's edges of each channel row, a running sum as np.cumsum
+    adds, on the raw words: random()'s double (w >> 11) * 2**-53 >= c exactly
+    when w >= ceil(c * 2**53) << 11, and an edge c >= 1 never holds, so it goes."""
+    return [np.array([math.ceil(c * 2**53) << 11 for c in cum if c < 1.0], np.uint64)
+            for cum in np.cumsum(channel[:, :-1], axis=1)]
+
+
+def _uniform_block(base_seed: int, lane: int, start: int, count: int, horizon: int,
+                   channel: np.ndarray, out=None):
+    """(act, outcomes) of episodes start .. start + count - 1 of a lane whose true
+    hypothesis has the (U, Y) channel, off _stream_words: the step-major (horizon,
+    count) experiment values, None (none read) when U = 1, and (U, horizon, count)
+    outcomes u * Y + y, y drawn from channel[u] as sample_categorical draws it on
+    the observation values, by _word_edges, in the smallest unsigned type holding
+    U * Y - 1. With out, an (act or None, outcomes) pair of views, fills those."""
+    n_exp, n_obs = channel.shape
+    act, outcomes = out or (np.empty((horizon, count)) if n_exp > 1 else None,
+                            np.empty((n_exp, horizon, count), np.min_scalar_type(channel.size - 1)))
+    edges = _word_edges(channel)
+    for cols, words in _stream_words(base_seed, lane, start, count, horizon):
         for u, cum in enumerate(edges):
             outcomes[u, :, cols] = u * n_obs
             for c in cum:
-                outcomes[u, :, cols] += words >= c
-        if act_gen is not None:
-            act[:, cols] = act_gen.random((size, 4 * nb))[:, :horizon].T
+                outcomes[u, :, cols] += words.T >= c
+    if act is not None:
+        for cols, values in _stream_words(base_seed, lane, start, count, horizon, experiment=True):
+            act[:, cols] = values.T
     return act, outcomes
+
+
+def _count_keys(base_seed: int, lane: int, start: int, count: int, horizon: int,
+                channel: np.ndarray, out=None):
+    """(None, keys) for _uniform_block's (None, outcomes) of a (1, Y) channel:
+    each episode's final count-state key (see _radix), read off the tiles with no
+    outcome rows. With T_j its words at or above edge j, T_0 = N, outcome y
+    counts T_y - T_(y+1), so the key is N + sum_(j>=1) T_j (radix[j] - radix[j-1])."""
+    radix = _radix(horizon, channel.size)
+    keys = np.empty(count, radix.dtype) if out is None else out[1]
+    (edges,) = _word_edges(channel)
+    for cols, words in _stream_words(base_seed, lane, start, count, horizon):
+        keys[cols] = horizon
+        for c, rise in zip(edges, np.diff(radix)):     # Python ints where radix holds them
+            keys[cols] += np.count_nonzero(words >= c, axis=1).astype(radix.dtype) * rise
+    return None, keys
 
 
 def _simulate_lanes(config: RunConfig, lanes, record: bool = False):
     """Every episode of the given lanes, stepped together: row r is episode
-    r % E of lane lanes[r // E], and a part draws each lane's segment of its
-    rows in place (see _uniform_block). Each chunk's counts are added as it
-    finishes, and a lane's gains are summed over its episode blocks of
-    CHUNK_SIZE, in order, each as it completes. Returns (decision_counts
-    (L, M+1), gain_sum (L,), gain_sqsum (L,), decisions (L * E,), belief_path
-    (L * E, N + 1, M)); without record, the last two are None."""
+    r % E of lane lanes[r // E], and a part reads each lane's segment of its
+    rows in place, by _count_keys unrecorded with one experiment, else by
+    _uniform_block. Each chunk's counts are added as it finishes, and a lane's
+    gains are summed over its blocks of CHUNK_SIZE, in order, as each ends.
+    Returns (decision_counts (L, M+1), gain_sum (L,), gain_sqsum (L,), decisions
+    (L * E,), belief_path (L * E, N + 1, M)); without record, the last two are None."""
     model, episodes, horizon = config.model, config.episodes, config.horizon
-    m_hyp, n_exp = model.num_hypotheses, model.num_experiments
+    m_hyp, n_exp, n_obs = model.num_hypotheses, model.num_experiments, model.num_observations
     lanes = np.asarray(lanes)
     rows = lanes.size * episodes
     counts = np.zeros((lanes.size, m_hyp + 1), dtype=np.int64)
@@ -390,14 +405,14 @@ def _simulate_lanes(config: RunConfig, lanes, record: bool = False):
 
         def part(lo, hi):
             act = np.empty((horizon, hi - lo)) if n_exp > 1 else None
-            outcomes = np.empty((n_exp, horizon, hi - lo),
-                                np.min_scalar_type(model.channel[0].size - 1))
+            outcomes = (np.empty(hi - lo, _radix(horizon, n_obs).dtype) if n_exp == 1 and not record
+                        else np.empty((n_exp, horizon, hi - lo), np.min_scalar_type(n_exp * n_obs - 1)))
             for i in range((start + lo) // episodes, -(-(start + hi) // episodes)):
                 a, b = max(start + lo, i * episodes), min(start + hi, (i + 1) * episodes)
                 seg = slice(a - start - lo, b - start - lo)
-                _uniform_block(config.seed, lanes[i], a - i * episodes, b - a, horizon,
-                               model.channel[lanes[i]],
-                               out=(None if act is None else act[:, seg], outcomes[..., seg]))
+                (_count_keys if outcomes.ndim == 1 else _uniform_block)(
+                    config.seed, lanes[i], a - i * episodes, b - a, horizon, model.channel[lanes[i]],
+                    out=(None if act is None else act[:, seg], outcomes[..., seg]))
             return _run_chunk(model, config.selection, config.inference, horizon,
                               true_h[lo:hi], act, outcomes, record)
 

@@ -44,7 +44,7 @@ from ahtest import (
 )
 from ahtest import engine
 from ahtest.belief import bllr_matrix, log_normalize, logsumexp_last, normalize_belief_rows
-from ahtest.engine import _error_rates, _uniform_block, sample_categorical
+from ahtest.engine import _count_keys, _error_rates, _uniform_block, sample_categorical
 from ahtest.strategies import INCONCLUSIVE, TIE_TOL, _ejs_scores
 
 from conftest import (
@@ -183,6 +183,59 @@ def test_uniform_block_edges_at_zero_and_above_one_compare_as_doubles_do():
     for t in range(count):
         assert _matches_stream(block, t, 3, 0, t, horizon, channel)
     assert set(np.unique(block[1][0])) == {1, 2} and set(np.unique(block[1][1])) == {3, 4}
+
+
+def _keys_of(outcomes, horizon, n_obs) -> list:
+    """Python-int count-state keys sum_y c_y (N + 1)^y of a (1, N, count)
+    outcome block, counted from its outcome rows."""
+    counts = (outcomes[0][..., None] == np.arange(n_obs)).sum(axis=0).tolist()
+    return [sum(c * (horizon + 1) ** y for y, c in enumerate(row)) for row in counts]
+
+
+# One-experiment channels for the count reader: zero entries, which repeat an
+# edge; running sums that reach 1 (or round above it) before the last column,
+# which drop the edges after it; nine observations, whose keys at N = 200 pass
+# 2**63; and random rows of every width from 2 to 9.
+COUNT_CHANNELS = [
+    np.array([[0.9, 0.1]]),
+    np.array([[0.0, 0.5, 0.0, 0.5]]),
+    np.array([[0.5, 0.25, 0.25, 0.0, 0.0]]),
+    np.array([[0.6, 0.4000000000000002, 0.0]]),
+    np.array([[0.2, 0.3, 0.4]]),
+    np.full((1, 9), 1 / 9),
+] + [np.random.default_rng(y).dirichlet(np.ones(y), size=1) for y in range(2, 10)]
+
+
+@pytest.mark.parametrize("channel", COUNT_CHANNELS, ids=[
+    "bsc", "zeros", "clipped", "above-one", "short-sum", "flat9", *(f"random{y}" for y in range(2, 10))])
+@pytest.mark.parametrize("horizon", [1, 4, 7, 200])
+def test_count_keys_are_the_outcome_rows_counted(channel, horizon, monkeypatch):
+    # tiles of three episodes, so the seven episodes cross two tile edges;
+    # keys wider than int64 stay Python ints
+    monkeypatch.setattr(engine, "_TILE_BYTES", 3 * 32 * stream_blocks(horizon))
+    start, count, n_obs = 2**40 + 3, 7, channel.shape[1]
+    act, keys = _count_keys(5, 1, start, count, horizon, channel)
+    wide = (horizon + 1) ** n_obs >= 2**63
+    assert act is None and keys.shape == (count,) and keys.dtype == (object if wide else np.int64)
+    ref = _keys_of(_uniform_block(5, 1, start, count, horizon, channel)[1], horizon, n_obs)
+    assert keys.tolist() == ref and all(type(k) is int for k in keys.tolist())
+
+
+@pytest.mark.parametrize("horizon", [1, 7, 200])
+@pytest.mark.parametrize("cuts", [(1,), (3, 4), (5, 6, 12)])
+def test_count_keys_split_equals_whole(horizon, cuts):
+    # the block runs two episodes past its first tile
+    tile = _tile_rows(horizon)
+    start, count, channel = 2**40 + 3, tile + 2, COUNT_CHANNELS[2]
+    _, whole = _count_keys(9, 2, start, count, horizon, channel)
+    edges = (0,) + cuts + (count,)
+    parts = [_count_keys(9, 2, start + a, b - a, horizon, channel)[1] for a, b in zip(edges, edges[1:])]
+    assert _same_bits(np.concatenate(parts), whole)
+    out = np.zeros(count + 2, whole.dtype)
+    assert _count_keys(9, 2, start, count, horizon, channel, out=(None, out[1:-1]))[1].base is out
+    assert _same_bits(out[1:-1], whole) and out[0] == out[-1] == 0
+    ref = _keys_of(_uniform_block(9, 2, start + tile - 1, 2, horizon, channel)[1], horizon, 5)
+    assert whole[tile - 1:tile + 1].tolist() == ref
 
 
 # ---------------------------------------------------------------------------

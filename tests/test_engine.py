@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +148,22 @@ class TestSampling:
         assert bits.state["state"]["counter"].tolist() == [(start + count) * nb, 0, 0, 0]
         assert bits.state["buffer_pos"] == 4
 
+    @pytest.mark.parametrize("horizon", [1, 3, 4, 5, 200])
+    def test_count_keys_read_ceil_n_over_4_blocks_per_episode(self, horizon, monkeypatch):
+        # the count reader reads the one-experiment block's words: one
+        # generator, under the lane key, that ends on the block after the
+        # last episode's; the count crosses a tile edge
+        made = self._record_philox(monkeypatch)
+        monkeypatch.setattr(engine, "_TILE_BYTES", 3 * 32 * stream_blocks(horizon))
+        start, count, nb = 2**40 + 3, 7, stream_blocks(horizon)
+        act, keys = engine._count_keys(5, 1, start, count, horizon, self.CHANNEL[1:])
+        assert act is None and keys.shape == (count,)
+        assert [(key, counter) for key, counter, _ in made] == [
+            ([lane_key(5, 1), 0], [start * nb, 0, 0, 0])]
+        bits = made[0][2]
+        assert bits.state["state"]["counter"].tolist() == [(start + count) * nb, 0, 0, 0]
+        assert bits.state["buffer_pos"] == 4
+
     def test_experiment_values_come_from_key_word_1(self, monkeypatch):
         made = self._record_philox(monkeypatch)
         start, count, horizon = 2**40 + 3, 5, 7
@@ -186,6 +203,23 @@ class TestSampling:
         with pytest.raises(ValueError):
             _uniform_block(0, 0, 2**64 - 2, 3, 4, self.CHANNEL[:1])
         assert made == []
+
+    @pytest.mark.parametrize("seed, lane, episode", [
+        (-1, 0, 0), (2**48, 0, 0),
+        (0, -1, 0), (0, 2**16, 0),
+        (0, 0, -1), (0, 0, 2**64),
+    ])
+    def test_count_keys_reject_values_outside_their_field(self, seed, lane, episode,
+                                                          monkeypatch):
+        made = self._record_philox(monkeypatch)
+        with pytest.raises(ValueError):
+            engine._count_keys(seed, lane, episode, 1, 4, self.CHANNEL[:1])
+        with pytest.raises(ValueError):
+            engine._count_keys(0, 0, 2**64 - 2, 3, 4, self.CHANNEL[:1])
+        with pytest.raises(TypeError):
+            engine._count_keys(0, 1, 5.0, 1, 5, self.CHANNEL[:1])
+        assert made == []
+        engine._count_keys(0, 0, 2**64 - 2, 2, 4, self.CHANNEL[:1])
 
     def test_episode_seed_numpy_integers_do_not_wrap(self):
         assert lane_key(np.int64(2**47), np.int64(1)) == lane_key(2**47, 1)
@@ -416,6 +450,23 @@ class TestMonteCarlo:
         assert seen == [(bsc2.log_prior.tobytes(), 0)]     # the 60 rows run as one part
         with pytest.raises(ValueError, match="one saddle point per hypothesis"):
             monte_carlo(dataclasses.replace(config, selection=ChernoffSelection(tri3_saddles)))
+
+    def test_an_unrecorded_one_experiment_run_keeps_no_outcome_rows(self, bsc2, bsc2_saddles):
+        # Read as final count-state keys, a part holds 8 bytes per episode
+        # and a tile of words; N bytes of outcome rows per episode would
+        # alone take N * E bytes.
+        horizon, episodes = 200, 32768
+        config = RunConfig(model=bsc2, selection=ChernoffSelection(bsc2_saddles),
+                           inference=FBarInference(bsc2_saddles, bsc2_saddles[0].d_star / 4),
+                           horizon=horizon, episodes=episodes, seed=3)
+        monte_carlo(dataclasses.replace(config, episodes=100))
+        tracemalloc.start()
+        try:
+            monte_carlo(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < horizon * episodes
 
     def test_always_abstain(self, bsc2, bsc2_saddles):
         cfg = RunConfig(
@@ -975,6 +1026,43 @@ def _final_states(config, episodes):
     return true_h, decisions, gains, path[:, -1], counts
 
 
+def _one_experiment_model(rng, m_hyp, n_obs) -> Model:
+    """A random (M, 1, Y) model whose rows are either full-support Dirichlet
+    draws or dyadic masses on a random support with 1e-300 elsewhere. 1e-300
+    adds nothing to a running sum, so such a row repeats sample_categorical's
+    edges (an outcome never drawn, as for a zero entry), and its running sum
+    reaches 1 exactly at the support's last column, dropping every edge after."""
+    while True:
+        rows = []
+        for _ in range(m_hyp):
+            if rng.random() < 0.3:
+                rows.append(rng.dirichlet(np.ones(n_obs)))
+                continue
+            support = rng.choice(n_obs, size=rng.integers(1, n_obs + 1), replace=False)
+            row = np.full(n_obs, 1e-300)
+            row[support] = (rng.multinomial(64 - support.size, np.ones(support.size) / support.size)
+                            + 1) / 64
+            rows.append(row)
+        if len({row.tobytes() for row in rows}) == m_hyp:
+            break
+    return Model(hypotheses=tuple(f"h{k}" for k in range(m_hyp)), experiments=("u0",),
+                 observations=tuple(f"y{k}" for k in range(n_obs)),
+                 channel=np.array(rows)[:, None, :], prior=rng.dirichlet(np.ones(m_hyp)) * 0.9 + 0.1 / m_hyp)
+
+
+def _assert_count_keys_route_is_the_step_route(config, label):
+    """An unrecorded one-experiment run, which reads final count-state keys
+    straight off the words, counts and sums exactly as the recorded run, which
+    steps the outcome rows: decision counts and both gain sums, bit for bit."""
+    lanes = range(config.model.num_hypotheses)
+    read = engine._simulate_lanes(config, lanes)
+    stepped = engine._simulate_lanes(config, lanes, record=True)
+    assert read[3] is None and stepped[3] is not None, label
+    assert np.array_equal(read[0], stepped[0]), label
+    for r, s in zip(read[1:3], stepped[1:3]):
+        assert r.tobytes() == s.tobytes(), label
+
+
 def _built_in_pairs(model, saddles):
     """(selection spec, rule, inference spec, rule) of every built-in rule
     pair, each hypothesis of openloop and p2, and ecr at k = 2."""
@@ -1200,6 +1288,62 @@ class TestRouteAgreement:
             assert gains[r].tobytes() == gain.tobytes()
             assert final[r].tobytes() == row[0].tobytes()
 
+
+    def test_one_experiment_wide_keys_decide_as_their_recorded_steps_do(self):
+        # 1 experiment x 9 observations at N = 200: (N + 1)^K >= 2^63, so an
+        # unrecorded run reads Python-int keys off the words. An int64 tally
+        # times a radix step past 2^63 / N would wrap and name another state.
+        model = random_model(np.random.default_rng(16), 3, 1, 9)
+        horizon, episodes, saddles = 200, 300, saddle_points(model)
+        assert (horizon + 1) ** model.channel[0].size >= 2**63
+        config = RunConfig(model=model, selection=UniformSelection(),
+                           inference=FBarInference(saddles, min(sp.d_star for sp in saddles) / 4),
+                           horizon=horizon, episodes=episodes, seed=5)
+        lanes = range(model.num_hypotheses)
+        _, _, _, decisions, path = engine._simulate_lanes(config, lanes, record=True)
+        # the recorded episodes, decided and scored one by one on their final rows
+        final, true_h = path[:, -1], np.repeat(lanes, episodes)
+        assert np.array_equal(decisions, config.inference.batch_decide(model, final, horizon))
+        gains = (bllr_matrix(final) - model.prior_confidence)[np.arange(true_h.size), true_h]
+        cols = np.where(decisions == engine.INCONCLUSIVE, model.num_hypotheses, decisions)
+        counts = np.array([np.bincount(c, minlength=model.num_hypotheses + 1)
+                           for c in cols.reshape(-1, episodes)])
+        assert (np.diag(counts) > episodes // 2).all()
+        report = monte_carlo(config)
+        assert np.array_equal(report.decision_probs, counts / episodes)
+        read_counts, gain_sum, gain_sqsum, _, _ = engine._simulate_lanes(config, lanes)
+        assert np.array_equal(read_counts, counts)
+        for h, g in enumerate(gains.reshape(-1, episodes)):
+            assert gain_sum[h].tobytes() == g.sum().tobytes()
+            assert gain_sqsum[h].tobytes() == (g * g).sum().tobytes()
+
+    @settings(max_examples=40)
+    @given(n_obs=st.integers(2, 9), m_hyp=st.integers(2, 3),
+           horizon=st.sampled_from([*range(1, 10), 200]), episodes=st.integers(1, 60),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_experiment_count_keys_equal_the_steps(self, n_obs, m_hyp, horizon, episodes,
+                                                       seed):
+        # Tiles of three episodes, chunks of 50 rows and parts of 8 or more:
+        # most runs cross tiles, chunks and parts, and a lane boundary inside one.
+        model = _one_experiment_model(np.random.default_rng(seed), m_hyp, n_obs)
+        config = RunConfig(model=model, selection=UniformSelection(), inference=MAPInference(),
+                           horizon=horizon, episodes=episodes, seed=seed % 2**48)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_TILE_BYTES", 3 * 32 * stream_blocks(horizon))
+            mp.setattr(engine, "CHUNK_SIZE", 50)
+            mp.setattr(engine, "_MIN_PART", 8)
+            _assert_count_keys_route_is_the_step_route(config, (n_obs, horizon, episodes))
+
+    @pytest.mark.parametrize("horizon, episodes", [(3, 20_000), (200, 400)])
+    def test_one_experiment_count_keys_equal_the_steps_at_full_size(self, horizon, episodes):
+        # Real tiles (16384 episodes at N = 3, 327 at N = 200), a real chunk
+        # of 32768 rows, and at N = 3 a lane boundary at row 20000, inside
+        # the chunk's last part.
+        model = _one_experiment_model(np.random.default_rng(horizon), 2, 5)
+        assert episodes > engine._TILE_BYTES // (32 * stream_blocks(horizon))
+        config = RunConfig(model=model, selection=UniformSelection(), inference=MAPInference(),
+                           horizon=horizon, episodes=episodes, seed=11)
+        _assert_count_keys_route_is_the_step_route(config, horizon)
 
     # A scored rule selects on the lattice's own rows in both routes.
     @pytest.mark.parametrize("rule", [EJSGreedySelection(), ECRLookaheadSelection(2)],
